@@ -42,8 +42,6 @@ from .functions import (
     TestFunction,
     Translated,
     cross_correlation,
-    evaluate,
-    evaluate_hat,
     norm_sq,
     tail_energy,
 )
@@ -51,8 +49,6 @@ from .periodization import (
     Periodization,
     check_energy_expectation,
     check_tail_coeff_expectation,
-    periodize,
-    support_fraction,
 )
 from .turan import (
     TorusSet,

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import Modulated, TestFunction, norm_sq, tail_energy
-from .geometry import Ball, EuclideanSet, cover_measure_upper, lebesgue_measure, mean_width
+from .geometry import (
+    Ball,
+    EuclideanSet,
+    _grid_points,
+    cover_measure_upper,
+    lebesgue_measure,
+    mean_width,
+)
 from .lattice import axis_hit_count, intersect, sample_lattice
 from .mc import mean_stderr, run_trials, trial_rng
 from .periodization import Periodization, default_grid_size
@@ -390,7 +397,7 @@ def _sigma_grid(sigma: EuclideanSet, per_axis: int) -> np.ndarray:
         lo[i] + (np.arange(per_axis) + 0.5) * (hi[i] - lo[i]) / per_axis
         for i in range(sigma.dimension)
     ]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sigma.dimension)
+    mesh = _grid_points(axes)
     kept = mesh[sigma.contains(mesh)]
     if len(kept) == 0:
         raise ValueError("modulation grid contains no points of the frequency set")
@@ -473,7 +480,6 @@ def disc_ring_experiment(
     ring_radius: float | None = None,
     trials: int = 1500,
     seed: int = 0,
-    threads: int = 1,
     width_trials: int = 2048,
 ) -> dict:
     """Estimate the expected axis hit count over the ring of discs.
@@ -494,7 +500,7 @@ def disc_ring_experiment(
         lat = sample_lattice(2, rng)
         return float(axis_hit_count(lat, sigma, k_range))
 
-    values = run_trials(one, trials, seed, threads=threads)
+    values = run_trials(one, trials, seed)
     est, err = mean_stderr(values)
     width = mean_width(sigma, trials=width_trials, seed=seed + 1)
     cover = cover_measure_upper(sigma).value

@@ -47,10 +47,11 @@ class RunConfig:
     options: dict = field(default_factory=dict)
     trials: int = 1000
     seed: int = 0
-    threads: int = 1
     output: str | None = None
     fmt: str = "json"
     dry_run: bool = False
+    # perf_counter origin of the reported wall time; set when the config is resolved.
+    started: float = field(default_factory=time.perf_counter)
 
     def plan(self) -> dict:
         return {
@@ -58,7 +59,6 @@ class RunConfig:
             "options": self.options,
             "trials": self.trials,
             "seed": self.seed,
-            "threads": self.threads,
             "output": self.output,
             "format": self.fmt,
         }
@@ -78,12 +78,27 @@ def _load_json(path: str) -> dict:
         raise IOError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_doc(path: str, build, what: str):
+    try:
+        return build(_load_json(path))
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise PreconditionError(f"malformed {what} document {path}: {exc!r}") from exc
+
+
 def _load_set(path: str) -> EuclideanSet:
-    return EuclideanSet.from_dict(_load_json(path))
+    return _load_doc(path, EuclideanSet.from_dict, "set")
 
 
 def _load_function(path: str):
-    return function_from_dict(_load_json(path))
+    return _load_doc(path, function_from_dict, "function")
+
+
+_DOCUMENT_LOADERS = {
+    "set": _load_set,
+    "s_set": _load_set,
+    "sigma_set": _load_set,
+    "function": _load_function,
+}
 
 
 def _emit(config: RunConfig, payload, rows=None, header=None) -> None:
@@ -103,7 +118,7 @@ def _emit(config: RunConfig, payload, rows=None, header=None) -> None:
             "command": config.command,
             "seed": config.seed,
             "payload": payload,
-            "wall_time_ms": round(1000.0 * (time.perf_counter() - config.options["_t0"]), 3),
+            "wall_time_ms": round(1000.0 * (time.perf_counter() - config.started), 3),
         }
         text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     if config.output:
@@ -130,24 +145,20 @@ def _json_default(obj):
 
 
 def _profile_from_spec(spec: str, d: int):
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "annulus":
-        return lattice.AnnulusIndicator(d, float(parts[1]), float(parts[2]))
-    if kind == "ball":
-        return lattice.AnnulusIndicator(d, 0.0, float(parts[1]))
-    if kind == "gaussian":
-        a = float(parts[1]) if len(parts) > 1 else 1.0
-        return lattice.GaussianProfile(d, a)
-    raise PreconditionError(f"unknown profile spec {spec!r}; use annulus:r1:r2, ball:r or gaussian[:a]")
+    kind, *args = spec.split(":")
+    if kind == "annulus" and len(args) == 2:
+        return lattice.AnnulusIndicator(d, float(args[0]), float(args[1]))
+    if kind == "ball" and len(args) == 1:
+        return lattice.AnnulusIndicator(d, 0.0, float(args[0]))
+    if kind == "gaussian" and len(args) <= 1:
+        return lattice.GaussianProfile(d, float(args[0]) if args else 1.0)
+    raise PreconditionError(f"bad profile spec {spec!r}; use annulus:r1:r2, ball:r or gaussian[:a]")
 
 
 def cmd_lal(config: RunConfig) -> int:
     opts = config.options
     phi = _profile_from_spec(opts["phi"], opts["dim"])
-    rep_a, rep_b = lattice.check_lattice_averaging(
-        phi, trials=config.trials, seed=config.seed, threads=config.threads
-    )
+    rep_a, rep_b = lattice.check_lattice_averaging(phi, trials=config.trials, seed=config.seed)
     _emit(config, {"outer_dilation": rep_a.to_dict(), "inner_dilation": rep_b.to_dict()})
     return EXIT_OK
 
@@ -230,6 +241,9 @@ def cmd_pipeline(config: RunConfig) -> int:
     if not trace.events["zero_coeff_dominated"]:
         log.error("zero-coefficient domination failed; this must never happen")
         return EXIT_ASSERTION
+    if trace.all_events and not trace.chain_holds:
+        log.error("the Turan chain bound failed although all four events fired")
+        return EXIT_ASSERTION
     _emit(config, trace.to_dict())
     return EXIT_OK
 
@@ -259,7 +273,6 @@ def cmd_sharpness(config: RunConfig) -> int:
         ring_radius=opts.get("ring_radius"),
         trials=config.trials,
         seed=config.seed,
-        threads=config.threads,
     )
     _emit(config, report)
     return EXIT_OK
@@ -293,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--output", "-o", default=None)
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
         p.add_argument("--dry-run", action="store_true")
@@ -355,26 +367,24 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     options = {
         k: v
         for k, v in vars(args).items()
-        if k not in {"command", "trials", "seed", "threads", "output", "fmt", "dry_run", "config"}
+        if k not in {"command", "trials", "seed", "output", "fmt", "dry_run", "config"}
         and v is not None
     }
     if args.config:
         overrides = _load_json(args.config)
         for key, value in overrides.items():
-            if key in {"trials", "seed", "threads", "output", "format"}:
+            if key in {"trials", "seed", "output", "format"}:
                 setattr(args, "fmt" if key == "format" else key, value)
             else:
                 options[key] = value
     if args.trials < 1:
         raise PreconditionError("trials must be >= 1")
     fmt = args.fmt or _DEFAULT_FORMATS.get(args.command, "json")
-    options["_t0"] = time.perf_counter()
     return RunConfig(
         command=args.command,
         options=options,
         trials=args.trials,
         seed=args.seed,
-        threads=max(args.threads, 1),
         output=args.output,
         fmt=fmt,
         dry_run=args.dry_run,
@@ -385,11 +395,10 @@ def run(config: RunConfig) -> int:
     """Dispatch one resolved configuration; returns the process exit code."""
     if config.dry_run:
         plan = config.plan()
-        plan["options"] = {k: v for k, v in plan["options"].items() if k != "_t0"}
-        # Validate referenced documents without computing.
-        for key in ("set", "function", "s_set", "sigma_set"):
+        # Parse referenced documents without computing.
+        for key, load in _DOCUMENT_LOADERS.items():
             if key in config.options:
-                _load_json(config.options[key])
+                load(config.options[key])
         sys.stdout.write(json.dumps({"dry_run": True, "plan": plan}, sort_keys=True, indent=2) + "\n")
         return EXIT_OK
     return _COMMANDS[config.command](config)
@@ -410,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
+    except AssertionError as exc:
+        sys.stderr.write(f"assertion failed: {exc}\n")
+        return EXIT_ASSERTION
     except IOError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO

@@ -1,26 +1,28 @@
 """Closed-form test functions with exact Fourier transforms.
 
 The transform convention is  fhat(xi) = integral f(x) exp(+2 i pi <x, xi>) dx.
-Available kinds: Gaussians exp(-pi a ||x||^2), box indicators, finite linear
-combinations, modulations and translations.  Every kind carries closed
-forms for both sides, radial decay envelopes, and (for compact kinds) an
-explicit support set.
+A test function is a finite sum of separable leaves, each a Gaussian bump
+or a box indicator with a coefficient and a modulation.  Closed forms for
+both sides, radial decay envelopes and support sets are written once, on
+the leaves.  The kinds -- Gaussians exp(-pi a ||x||^2), box indicators,
+finite linear combinations, modulations and translations -- are
+constructors: each validates its parameters, keeps them for
+serialization, and builds its leaves.
 
 Cross-correlations  C_{f,g}(z) = integral f(x) conj(g(x + z)) dx  are
-evaluated in closed form for any pair of kinds; they power exact torus
-energies of periodizations and the tail-energy routines.
+evaluated in closed form leaf by leaf; they power exact torus energies of
+periodizations and the tail-energy routines.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf, gammaincc
 
-from .geometry import AxisBox, Ball, EuclideanSet
+from .geometry import AxisBox, Ball, EuclideanSet, _grid_points
 from .mc import Estimate, trial_rng
 
 __all__ = [
@@ -30,8 +32,6 @@ __all__ = [
     "Combination",
     "Modulated",
     "Translated",
-    "evaluate",
-    "evaluate_hat",
     "cross_correlation",
     "norm_sq",
     "tail_energy",
@@ -43,31 +43,148 @@ _TWO_PI_I = 2j * math.pi
 
 
 # ---------------------------------------------------------------------------
+# Leaves
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Leaf:
+    """Separable atom: coef * shape(x) * exp(2 i pi <x, modulation>).
+
+    shape is either a Gaussian bump exp(-pi a ||x - center||^2) or the
+    indicator of ``box``.
+    """
+
+    coef: complex
+    modulation: np.ndarray
+    a: float | None = None
+    center: np.ndarray | None = None
+    box: AxisBox | None = None
+
+    @property
+    def is_gauss(self) -> bool:
+        return self.box is None
+
+    @property
+    def dimension(self) -> int:
+        return self.modulation.shape[0]
+
+    def scaled(self, c: complex) -> "_Leaf":
+        return replace(self, coef=self.coef * c)
+
+    def modulated(self, y: np.ndarray) -> "_Leaf":
+        return replace(self, modulation=self.modulation + y)
+
+    def translated(self, t: np.ndarray) -> "_Leaf":
+        # value(x - t): shift the shape and absorb the constant phase.
+        coef = self.coef * np.exp(-_TWO_PI_I * float(t @ self.modulation))
+        if self.is_gauss:
+            return replace(self, coef=coef, center=self.center + t)
+        return replace(self, coef=coef, box=self.box.translate(t))
+
+    # A unit coefficient or a zero modulation is skipped rather than
+    # multiplied in, which keeps signed zeros of the plain kinds intact.
+
+    def _finish(self, out: np.ndarray) -> np.ndarray:
+        return out if self.coef == 1 else self.coef * out
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        if self.is_gauss:
+            diff = x - self.center
+            n2 = np.einsum("...i,...i->...", diff, diff)
+            out = np.exp(-math.pi * self.a * n2).astype(complex)
+        else:
+            out = self.box.contains(x).astype(complex)
+        if np.any(self.modulation):
+            out = out * np.exp(_TWO_PI_I * (x @ self.modulation))
+        return self._finish(out)
+
+    def hat(self, xi: np.ndarray) -> np.ndarray:
+        if np.any(self.modulation):
+            xi = xi + self.modulation
+        if self.is_gauss:
+            n2 = np.einsum("...i,...i->...", xi, xi)
+            out = (self.a ** (-self.dimension / 2.0) * np.exp(-math.pi * n2 / self.a)).astype(
+                complex
+            )
+            if np.any(self.center):
+                out = out * np.exp(_TWO_PI_I * (xi @ self.center))
+        else:
+            widths = self.box.upper - self.box.lower
+            prod = np.prod(widths * np.sinc(widths * xi), axis=-1)
+            out = prod * np.exp(_TWO_PI_I * (xi @ self.box.center()))
+        return self._finish(out)
+
+    def envelope(self, r: np.ndarray) -> np.ndarray:
+        if not self.is_gauss:
+            return abs(self.coef) * (r <= self.box.bounding_radius() + 1e-15).astype(float)
+        r = np.maximum(r - np.linalg.norm(self.center), 0.0)
+        return abs(self.coef) * np.exp(-math.pi * self.a * r**2)
+
+    def envelope_hat(self, r: np.ndarray) -> np.ndarray:
+        # |hat| peaks at -modulation, so the radial majorant shifts by its norm.
+        r = np.maximum(r - np.linalg.norm(self.modulation), 0.0)
+        if self.is_gauss:
+            out = self.a ** (-self.dimension / 2.0) * np.exp(-math.pi * r**2 / self.a)
+        else:
+            widths = self.box.upper - self.box.lower
+            vol = float(np.prod(widths))
+            slow = vol * math.sqrt(self.dimension) / (math.pi * float(np.min(widths)))
+            out = np.minimum(vol, slow / np.maximum(r, 1e-300))
+        return abs(self.coef) * out
+
+    def spatial_radius(self, tol: float) -> float:
+        if not self.is_gauss:
+            return self.box.bounding_radius() + 1e-9
+        reach = math.sqrt(max(math.log(1.0 / tol), 0.0) / (math.pi * self.a))
+        return float(np.linalg.norm(self.center)) + reach
+
+    def hat_radius(self, tol: float) -> float:
+        # |hat| of a Gaussian leaf is centered at -modulation with scale 1/a.
+        reach = math.sqrt(max(math.log(1.0 / tol), 0.0) * self.a / math.pi)
+        return float(np.linalg.norm(self.modulation)) + reach
+
+
+# ---------------------------------------------------------------------------
 # Kinds
 # ---------------------------------------------------------------------------
 
 
 class TestFunction:
-    """Base class; subclasses implement closed forms on both sides."""
+    """Finite sum of leaves; the kinds below build the tuple ``leaves``."""
 
-    dimension: int
+    leaves: tuple
+
+    def _set_leaves(self, leaves) -> None:
+        object.__setattr__(self, "leaves", tuple(leaves))
+
+    @property
+    def dimension(self) -> int:
+        return self.leaves[0].dimension
+
+    def _sum(self, term):
+        # A single leaf is returned as computed, so its floats stay untouched.
+        if len(self.leaves) == 1:
+            return term(self.leaves[0])
+        return sum(term(leaf) for leaf in self.leaves)
 
     # -- evaluation ------------------------------------------------------
 
     def value(self, x) -> np.ndarray:
-        raise NotImplementedError
+        x = self._coerce(x)
+        return self._sum(lambda leaf: leaf.value(x))
 
     def hat(self, xi) -> np.ndarray:
-        raise NotImplementedError
+        xi = self._coerce(xi)
+        return self._sum(lambda leaf: leaf.hat(xi))
 
     # -- structure ---------------------------------------------------------
 
-    def leaves(self) -> list["_Leaf"]:
-        raise NotImplementedError
-
     def support_set(self) -> EuclideanSet | None:
         """Support as a union of boxes, or None for full-support kinds."""
-        return None
+        if any(leaf.is_gauss for leaf in self.leaves):
+            return None
+        return EuclideanSet(self.dimension, [leaf.box for leaf in self.leaves])
 
     @property
     def support_radius(self) -> float:
@@ -78,15 +195,17 @@ class TestFunction:
 
     def envelope(self, r):
         """Nonincreasing radial majorant of |f|."""
-        raise NotImplementedError
+        r = np.asarray(r, dtype=float)
+        return self._sum(lambda leaf: leaf.envelope(r))
 
     def envelope_hat(self, r):
         """Nonincreasing radial majorant of |fhat|."""
-        raise NotImplementedError
+        r = np.asarray(r, dtype=float)
+        return self._sum(lambda leaf: leaf.envelope_hat(r))
 
     def spatial_radius(self, tol: float = 1e-9) -> float:
         """Radius beyond which |f| is below tol times its peak scale."""
-        return max(leaf.spatial_radius(tol) for leaf in self.leaves())
+        return max(leaf.spatial_radius(tol) for leaf in self.leaves)
 
     def hat_radius(self, tol: float = 1e-9) -> float:
         """Radius beyond which |fhat| is certifiably below tol.
@@ -94,12 +213,9 @@ class TestFunction:
         Only available when every leaf is Gaussian; box transforms decay
         too slowly for a radial cutoff certificate.
         """
-        radii = []
-        for leaf in self.leaves():
-            if not leaf.is_gauss:
-                raise ValueError("hat-side radial cutoff requires Gaussian leaves")
-            radii.append(leaf.hat_radius(tol))
-        return max(radii)
+        if not all(leaf.is_gauss for leaf in self.leaves):
+            raise ValueError("hat-side radial cutoff requires Gaussian leaves")
+        return max(leaf.hat_radius(tol) for leaf in self.leaves)
 
     def _coerce(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -120,30 +236,8 @@ class Gaussian(TestFunction):
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("Gaussian scale must be positive")
-
-    def value(self, x):
-        x = self._coerce(x)
-        n2 = np.einsum("...i,...i->...", x, x)
-        return np.exp(-math.pi * self.a * n2).astype(complex)
-
-    def hat(self, xi):
-        xi = self._coerce(xi)
-        n2 = np.einsum("...i,...i->...", xi, xi)
-        return (self.a ** (-self.dimension / 2.0) * np.exp(-math.pi * n2 / self.a)).astype(
-            complex
-        )
-
-    def leaves(self):
         d = self.dimension
-        return [_Leaf(True, 1.0 + 0.0j, np.zeros(d), a=self.a, center=np.zeros(d))]
-
-    def envelope(self, r):
-        return np.exp(-math.pi * self.a * np.asarray(r, dtype=float) ** 2)
-
-    def envelope_hat(self, r):
-        return self.a ** (-self.dimension / 2.0) * np.exp(
-            -math.pi * np.asarray(r, dtype=float) ** 2 / self.a
-        )
+        self._set_leaves([_Leaf(1.0 + 0.0j, np.zeros(d), a=self.a, center=np.zeros(d))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,39 +246,8 @@ class BoxIndicator(TestFunction):
 
     box: AxisBox
 
-    @property
-    def dimension(self) -> int:
-        return self.box.dimension
-
-    def value(self, x):
-        x = self._coerce(x)
-        return self.box.contains(x).astype(complex)
-
-    def hat(self, xi):
-        xi = self._coerce(xi)
-        widths = self.box.upper - self.box.lower
-        center = self.box.center()
-        prod = np.prod(widths * np.sinc(widths * xi), axis=-1)
-        return prod * np.exp(_TWO_PI_I * (xi @ center))
-
-    def leaves(self):
-        return [_Leaf(False, 1.0 + 0.0j, np.zeros(self.dimension),
-                      lower=self.box.lower.copy(), upper=self.box.upper.copy())]
-
-    def support_set(self):
-        return EuclideanSet(self.dimension, [self.box])
-
-    def envelope(self, r):
-        r = np.asarray(r, dtype=float)
-        return (r <= self.box.bounding_radius() + 1e-15).astype(float)
-
-    def envelope_hat(self, r):
-        r = np.asarray(r, dtype=float)
-        widths = self.box.upper - self.box.lower
-        vol = float(np.prod(widths))
-        slow = vol * math.sqrt(self.dimension) / (math.pi * float(np.min(widths)))
-        with np.errstate(divide="ignore"):
-            return np.minimum(vol, slow / np.maximum(r, 1e-300))
+    def __post_init__(self):
+        self._set_leaves([_Leaf(1.0 + 0.0j, np.zeros(self.box.dimension), box=self.box)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,38 +264,7 @@ class Combination(TestFunction):
         if any(f.dimension != d for _, f in terms):
             raise ValueError("combination terms must share one dimension")
         object.__setattr__(self, "terms", terms)
-
-    @property
-    def dimension(self) -> int:
-        return self.terms[0][1].dimension
-
-    def value(self, x):
-        return sum(c * f.value(x) for c, f in self.terms)
-
-    def hat(self, xi):
-        return sum(c * f.hat(xi) for c, f in self.terms)
-
-    def leaves(self):
-        out = []
-        for c, f in self.terms:
-            for leaf in f.leaves():
-                out.append(leaf.scaled(c))
-        return out
-
-    def support_set(self):
-        pieces = []
-        for _, f in self.terms:
-            s = f.support_set()
-            if s is None:
-                return None
-            pieces.extend(s.pieces)
-        return EuclideanSet(self.dimension, pieces)
-
-    def envelope(self, r):
-        return sum(abs(c) * f.envelope(r) for c, f in self.terms)
-
-    def envelope_hat(self, r):
-        return sum(abs(c) * f.envelope_hat(r) for c, f in self.terms)
+        self._set_leaves(leaf.scaled(c) for c, f in terms for leaf in f.leaves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,31 +281,7 @@ class Modulated(TestFunction):
         y.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "y", y)
-
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    def value(self, x):
-        x = self._coerce(x)
-        return self.base.value(x) * np.exp(_TWO_PI_I * (x @ self.y))
-
-    def hat(self, xi):
-        xi = self._coerce(xi)
-        return self.base.hat(xi + self.y)
-
-    def leaves(self):
-        return [leaf.modulated(self.y) for leaf in self.base.leaves()]
-
-    def support_set(self):
-        return self.base.support_set()
-
-    def envelope(self, r):
-        return self.base.envelope(r)
-
-    def envelope_hat(self, r):
-        shifted = np.maximum(np.asarray(r, dtype=float) - np.linalg.norm(self.y), 0.0)
-        return self.base.envelope_hat(shifted)
+        self._set_leaves(leaf.modulated(y) for leaf in base.leaves)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,108 +298,12 @@ class Translated(TestFunction):
         x0.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "x0", x0)
-
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    def value(self, x):
-        x = self._coerce(x)
-        return self.base.value(x - self.x0)
-
-    def hat(self, xi):
-        xi = self._coerce(xi)
-        return self.base.hat(xi) * np.exp(_TWO_PI_I * (xi @ self.x0))
-
-    def leaves(self):
-        return [leaf.translated(self.x0) for leaf in self.base.leaves()]
-
-    def support_set(self):
-        s = self.base.support_set()
-        return s.translate(self.x0) if s is not None else None
-
-    def envelope(self, r):
-        shifted = np.maximum(np.asarray(r, dtype=float) - np.linalg.norm(self.x0), 0.0)
-        return self.base.envelope(shifted)
-
-    def envelope_hat(self, r):
-        return self.base.envelope_hat(r)
-
-
-def evaluate(f: TestFunction, x):
-    """Closed-form pointwise evaluation of f."""
-    return f.value(x)
-
-
-def evaluate_hat(f: TestFunction, xi):
-    """Closed-form pointwise evaluation of fhat."""
-    return f.hat(xi)
+        self._set_leaves(leaf.translated(x0) for leaf in base.leaves)
 
 
 # ---------------------------------------------------------------------------
-# Leaves and cross-correlations
+# Cross-correlations
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Leaf:
-    """Separable atom: coef * shape(x) * exp(2 i pi <x, modulation>).
-
-    shape is either a Gaussian bump exp(-pi a ||x - center||^2) or a box
-    indicator [lower, upper].
-    """
-
-    is_gauss: bool
-    coef: complex
-    modulation: np.ndarray
-    a: float | None = None
-    center: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-
-    def scaled(self, c: complex) -> "_Leaf":
-        out = self.copy()
-        out.coef = self.coef * c
-        return out
-
-    def modulated(self, y: np.ndarray) -> "_Leaf":
-        out = self.copy()
-        out.modulation = self.modulation + y
-        return out
-
-    def translated(self, t: np.ndarray) -> "_Leaf":
-        out = self.copy()
-        # value(x - t): shift the shape and absorb the constant phase.
-        out.coef = self.coef * np.exp(-_TWO_PI_I * float(t @ self.modulation))
-        if self.is_gauss:
-            out.center = self.center + t
-        else:
-            out.lower = self.lower + t
-            out.upper = self.upper + t
-        return out
-
-    def copy(self) -> "_Leaf":
-        return _Leaf(
-            self.is_gauss,
-            self.coef,
-            self.modulation.copy(),
-            a=self.a,
-            center=None if self.center is None else self.center.copy(),
-            lower=None if self.lower is None else self.lower.copy(),
-            upper=None if self.upper is None else self.upper.copy(),
-        )
-
-    def spatial_radius(self, tol: float) -> float:
-        if not self.is_gauss:
-            far = np.maximum(np.abs(self.lower), np.abs(self.upper))
-            return float(np.linalg.norm(far)) + 1e-9
-        reach = math.sqrt(max(math.log(1.0 / tol), 0.0) / (math.pi * self.a))
-        return float(np.linalg.norm(self.center)) + reach
-
-    def hat_radius(self, tol: float) -> float:
-        # |hat| of a Gaussian leaf is centered at -modulation with scale 1/a.
-        reach = math.sqrt(max(math.log(1.0 / tol), 0.0) * self.a / math.pi)
-        return float(np.linalg.norm(self.modulation)) + reach
 
 
 def _exp_integral(lo, hi, omega: float):
@@ -444,15 +356,15 @@ def _pair_kernel(l1: _Leaf, l2: _Leaf, z: np.ndarray) -> np.ndarray:
                 * math.exp(-math.pi * wi * wi / total)
             )
         elif not l1.is_gauss and not l2.is_gauss:
-            lo = np.maximum(float(l1.lower[i]), float(l2.lower[i]) - zi)
-            hi = np.minimum(float(l1.upper[i]), float(l2.upper[i]) - zi)
+            lo = np.maximum(float(l1.box.lower[i]), float(l2.box.lower[i]) - zi)
+            hi = np.minimum(float(l1.box.upper[i]), float(l2.box.upper[i]) - zi)
             axis = _exp_integral(lo, hi, wi)
         elif not l1.is_gauss:  # box x gauss
             gamma = float(l2.center[i]) - zi
-            axis = _gauss_segment(float(l1.lower[i]), float(l1.upper[i]), l2.a, gamma, wi)
+            axis = _gauss_segment(float(l1.box.lower[i]), float(l1.box.upper[i]), l2.a, gamma, wi)
         else:  # gauss x box
-            lo = float(l2.lower[i]) - zi
-            hi = float(l2.upper[i]) - zi
+            lo = float(l2.box.lower[i]) - zi
+            hi = float(l2.box.upper[i]) - zi
             axis = _gauss_segment(lo, hi, l1.a, float(l1.center[i]), wi)
         out *= axis
     return out
@@ -469,8 +381,8 @@ def cross_correlation(f: TestFunction, g: TestFunction, z) -> np.ndarray:
     scalar = z.ndim == 1
     pts = np.atleast_2d(z)
     acc = np.zeros(pts.shape[0], dtype=complex)
-    for l1 in f.leaves():
-        for l2 in g.leaves():
+    for l1 in f.leaves:
+        for l2 in g.leaves:
             acc += _pair_kernel(l1, l2, pts)
     return acc[0] if scalar else acc
 
@@ -486,9 +398,25 @@ def norm_sq(f: TestFunction) -> float:
 
 
 def _single_gauss_leaf(f: TestFunction) -> _Leaf | None:
-    leaves = f.leaves()
+    leaves = f.leaves
     if len(leaves) == 1 and leaves[0].is_gauss and not np.any(leaves[0].modulation):
         return leaves[0]
+    return None
+
+
+def _closed_form_case(f: TestFunction, s: EuclideanSet, side: str) -> tuple[_Leaf, float] | None:
+    """(leaf, radius) when f is a plain Gaussian and s is empty (radius 0) or
+    one ball centered where |f| (or |fhat|) peaks; None otherwise."""
+    leaf = _single_gauss_leaf(f)
+    if leaf is None:
+        return None
+    if s.is_empty():
+        return leaf, 0.0
+    if len(s.pieces) == 1 and isinstance(s.pieces[0], Ball):
+        ball = s.pieces[0]
+        anchor = leaf.center if side == "space" else np.zeros(f.dimension)
+        if np.allclose(ball.center, anchor, atol=1e-12):
+            return leaf, ball.radius
     return None
 
 
@@ -522,10 +450,8 @@ def _piece_energy(fn, piece, d: int, level: int) -> float:
             lo, hi = piece.lower[i], piece.upper[i]
             axes.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
             weights.append(0.5 * (hi - lo) * ws)
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        wmesh = np.prod(
-            np.stack(np.meshgrid(*weights, indexing="ij"), axis=-1).reshape(-1, d), axis=1
-        )
+        mesh = _grid_points(axes)
+        wmesh = np.prod(_grid_points(weights), axis=1)
         vals = np.abs(fn(mesh)) ** 2
         return float(np.sum(wmesh * vals))
     assert isinstance(piece, Ball)
@@ -615,25 +541,18 @@ def tail_energy(
     if s.dimension != f.dimension and not s.is_empty():
         raise ValueError("set dimension does not match function dimension")
     total = norm_sq(f)
+    closed = _closed_form_case(f, s, side)
 
     if method == "auto":
-        method = _auto_tail_method(f, s, side)
+        method = "closed_form" if closed is not None else _auto_tail_method(f, side)
 
     if method == "closed_form":
-        leaf = _single_gauss_leaf(f)
-        if leaf is None:
-            raise ValueError("closed_form tail energy requires a plain Gaussian")
-        if s.is_empty():
-            radius, centered = 0.0, True
-        elif len(s.pieces) == 1 and isinstance(s.pieces[0], Ball):
-            ball = s.pieces[0]
-            radius = ball.radius
-            anchor = leaf.center if side == "space" else np.zeros(f.dimension)
-            centered = bool(np.allclose(ball.center, anchor, atol=1e-12))
-        else:
-            centered = False
-        if not centered:
-            raise ValueError("closed_form tail energy requires a concentric ball")
+        if closed is None:
+            raise ValueError(
+                "closed_form tail energy requires a plain Gaussian and an empty set "
+                "or a concentric ball"
+            )
+        leaf, radius = closed
         c2 = abs(leaf.coef) ** 2
         if side == "space":
             return Estimate(_gauss_ball_tail(c2, leaf.a, f.dimension, radius), 0.0, exact=True)
@@ -674,19 +593,10 @@ def tail_energy(
     raise ValueError(f"unknown tail-energy method: {method!r}")
 
 
-def _auto_tail_method(f: TestFunction, s: EuclideanSet, side: str) -> str:
-    leaf = _single_gauss_leaf(f)
-    if leaf is not None:
-        if s.is_empty():
-            return "closed_form"
-        if len(s.pieces) == 1 and isinstance(s.pieces[0], Ball):
-            ball = s.pieces[0]
-            anchor = leaf.center if side == "space" else np.zeros(f.dimension)
-            if np.allclose(ball.center, anchor, atol=1e-12):
-                return "closed_form"
+def _auto_tail_method(f: TestFunction, side: str) -> str:
     if side == "hat" and math.isfinite(f.support_radius):
         return "complement_quadrature"
-    if side == "space" and all(leaf.is_gauss for leaf in f.leaves()):
+    if side == "space" and all(leaf.is_gauss for leaf in f.leaves):
         return "complement_quadrature"
     return "grid"
 
@@ -713,8 +623,7 @@ def _envelope_leak(env, d: int, extent: float) -> float:
 
 
 def _grid_tail(fn, s: EuclideanSet, d: int, extent: float, h: float) -> float:
-    axes = [np.arange(-extent + h / 2.0, extent, h)] * d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    mesh = _grid_points([np.arange(-extent + h / 2.0, extent, h)] * d)
     vals = np.abs(fn(mesh)) ** 2
     if not s.is_empty():
         vals = vals * (~s.contains(mesh))
@@ -793,7 +702,3 @@ def function_from_dict(doc: dict) -> TestFunction:
     if kind == "translated":
         return Translated(function_from_dict(doc["children"][0]), doc["x0"])
     raise ValueError(f"unknown function kind: {kind!r}")
-
-
-def function_from_json(text: str) -> TestFunction:
-    return function_from_dict(json.loads(text))

@@ -46,6 +46,11 @@ def ball_volume(d: int, radius: float) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
 
 
+def _grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Cartesian product of 1-D axes as an (n, len(axes)) array in C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def _as_point(x, d: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (d,):
@@ -502,7 +507,7 @@ def _grid_cover_cells(s: EuclideanSet, side: float) -> set[tuple[int, ...]] | No
         if np.prod(counts, dtype=float) > _GRID_CELL_CAP:
             return None
         ranges = [np.arange(a, b + 1) for a, b in zip(lo_idx, hi_idx)]
-        mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, s.dimension)
+        mesh = _grid_points(ranges)
         if isinstance(p, Ball):
             cell_lo = mesh * side
             cell_hi = cell_lo + side

@@ -16,8 +16,17 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaincc
 
-from .geometry import EuclideanSet, Rotation, lebesgue_measure, mean_width, cover_measure_upper, sample_rotation, ball_volume
-from .mc import ExpectationReport, mean_stderr, run_trials, trial_rng
+from .geometry import (
+    EuclideanSet,
+    Rotation,
+    _grid_points,
+    ball_volume,
+    cover_measure_upper,
+    lebesgue_measure,
+    mean_width,
+    sample_rotation,
+)
+from .mc import ExpectationReport, mean_stderr, run_trials
 
 __all__ = [
     "RandomLattice",
@@ -34,7 +43,6 @@ __all__ = [
     "integer_vectors_in_annulus",
     "AnnulusIndicator",
     "GaussianProfile",
-    "SetIndicatorProfile",
 ]
 
 
@@ -160,8 +168,7 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
         if not cols:
             return np.empty((0, 2), dtype=int)
         return np.concatenate(cols).astype(int)
-    ranges = [np.arange(-kmax, kmax + 1)] * d
-    mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
+    mesh = _grid_points([np.arange(-kmax, kmax + 1)] * d)
     norm2 = np.einsum("ij,ij->i", mesh, mesh)
     keep = (norm2 <= r_hi**2 + 1e-9) & (norm2 >= r_lo**2 - 1e-9)
     return mesh[keep].astype(int)
@@ -279,31 +286,6 @@ class GaussianProfile:
         return r
 
 
-class SetIndicatorProfile:
-    """Indicator of an arbitrary bounded set, with Monte Carlo references."""
-
-    def __init__(self, target: EuclideanSet, ref_samples: int = 200_000, ref_seed: int = 0):
-        if target.is_empty():
-            raise ValueError("set indicator requires a nonempty set")
-        self.dimension = target.dimension
-        self.target = target
-        self.support_radius = target.bounding_radius()
-        self._ref_samples = ref_samples
-        self._ref_seed = ref_seed
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        return self.target.contains(points).astype(float)
-
-    def integral_outside(self, c: float) -> float:
-        lo, hi = self.target.bounding_box()
-        vol = float(np.prod(hi - lo))
-        rng = trial_rng(self._ref_seed, 0)
-        pts = rng.uniform(lo, hi, size=(self._ref_samples, self.dimension))
-        inside = self.target.contains(pts)
-        far = np.einsum("ij,ij->i", pts, pts) >= c * c
-        return vol * float(np.count_nonzero(inside & far)) / self._ref_samples
-
-
 def _profile_truncation_radius(phi, scale_min: float, reference: float) -> float:
     """Index radius beyond which the lattice sum tail is negligible.
 
@@ -326,7 +308,7 @@ def _profile_truncation_radius(phi, scale_min: float, reference: float) -> float
 
 
 def check_lattice_averaging(
-    phi, trials: int = 10_000, seed: int = 0, threads: int = 1
+    phi, trials: int = 10_000, seed: int = 0
 ) -> tuple[ExpectationReport, ExpectationReport]:
     """Monte Carlo check of the two lattice-averaging estimates.
 
@@ -355,7 +337,7 @@ def check_lattice_averaging(
         sum_b = float(np.sum(phi.value(rho.apply(cand_b) / v))) if len(cand_b) else 0.0
         return np.array([sum_a, sum_b])
 
-    values = run_trials(one, trials, seed, threads=threads)
+    values = run_trials(one, trials, seed)
     est_a, err_a = mean_stderr(values[:, 0])
     est_b, err_b = mean_stderr(values[:, 1])
     extras_a = {"reference": ref_a, "ratio": est_a / ref_a if ref_a > 0 else math.inf}
@@ -386,7 +368,7 @@ def _require_origin(sigma: EuclideanSet) -> None:
 
 
 def estimate_card(
-    sigma: EuclideanSet, trials: int = 2000, seed: int = 0, threads: int = 1
+    sigma: EuclideanSet, trials: int = 2000, seed: int = 0
 ) -> ExpectationReport:
     """Estimate E[card(lattice points in sigma) - 1] over random lattices.
 
@@ -400,7 +382,6 @@ def estimate_card(
         lambda rng: float(len(intersect(sample_lattice(d, rng), sigma)) - 1),
         trials,
         seed,
-        threads=threads,
     )
     est, err = mean_stderr(values)
     bound = polar_constant(d) * measure.value
@@ -412,7 +393,7 @@ def estimate_card(
 
 
 def estimate_order(
-    sigma: EuclideanSet, trials: int = 2000, seed: int = 0, threads: int = 1
+    sigma: EuclideanSet, trials: int = 2000, seed: int = 0
 ) -> ExpectationReport:
     """Estimate E[order of the index set - d] over random lattices.
 
@@ -428,7 +409,6 @@ def estimate_order(
         lambda rng: float(intersect(sample_lattice(d, rng), sigma).order() - d),
         trials,
         seed,
-        threads=threads,
     )
     est, err = mean_stderr(values)
     mu_up = cover_measure_upper(sigma).value

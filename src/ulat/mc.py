@@ -2,13 +2,11 @@
 
 Every stochastic loop in the package draws its randomness through
 ``trial_rng``, which derives an independent generator per (seed, trial)
-pair.  Results are therefore invariant under any partition of the trial
-range across workers, and reductions happen over arrays in trial order.
+pair, and reductions happen over arrays in trial order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,36 +79,19 @@ def run_trials(
     fn: Callable[[np.random.Generator], float],
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> np.ndarray:
     """Evaluate ``fn`` on ``trials`` independent substreams.
 
     ``fn`` may return a scalar or a fixed-length vector.  The returned
-    array is indexed by trial, so downstream reductions do not depend on
-    ``threads``.
+    array is indexed by trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     first = np.asarray(fn(trial_rng(seed, 0)), dtype=float)
     values = np.empty((trials,) + first.shape, dtype=float)
     values[0] = first
-
-    def chunk(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            values[i] = np.asarray(fn(trial_rng(seed, i)), dtype=float)
-
-    if threads <= 1:
-        chunk(1, trials)
-    else:
-        bounds = np.linspace(1, trials, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(chunk, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for f in futures:
-                f.result()
+    for i in range(1, trials):
+        values[i] = np.asarray(fn(trial_rng(seed, i)), dtype=float)
     return values
 
 

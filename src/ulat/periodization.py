@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import Gaussian, TestFunction, cross_correlation, norm_sq, tail_energy
-from .geometry import EuclideanSet
+from .geometry import EuclideanSet, _grid_points
 from .lattice import (
     RandomLattice,
     integer_vectors_in_annulus,
@@ -39,8 +39,6 @@ from .mc import ExpectationReport, mean_stderr, run_trials
 
 __all__ = [
     "Periodization",
-    "periodize",
-    "support_fraction",
     "check_energy_expectation",
     "check_tail_coeff_expectation",
     "default_grid_size",
@@ -57,8 +55,7 @@ def default_grid_size(d: int) -> int:
 
 
 def _torus_grid(n: int, d: int) -> np.ndarray:
-    axes = [np.arange(n) / n] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return _grid_points([np.arange(n) / n] * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,23 +281,13 @@ def _shell_count_bound(radius: int, d: int) -> float:
     return surface * (radius + 2.0 * math.sqrt(d)) ** (d - 1) + 2.0 * d
 
 
-def periodize(f: TestFunction, lat: RandomLattice) -> Periodization:
-    """Periodization object exposing coefficients and torus values."""
-    return Periodization(f, lat)
-
-
-def support_fraction(gamma: Periodization, grid_n: int | None = None) -> float:
-    """Fraction of torus grid points where the periodization can be nonzero."""
-    return gamma.support_fraction(grid_n)
-
-
 # ---------------------------------------------------------------------------
 # Expectation checks
 # ---------------------------------------------------------------------------
 
 
 def check_energy_expectation(
-    f: TestFunction, trials: int = 1000, seed: int = 0, threads: int = 1
+    f: TestFunction, trials: int = 1000, seed: int = 0
 ) -> ExpectationReport:
     """Estimate E[||G||^2] over lattice draws against its analytic bound.
 
@@ -316,7 +303,6 @@ def check_energy_expectation(
         lambda rng: Periodization(f, sample_lattice(d, rng)).energy(),
         trials,
         seed,
-        threads=threads,
     )
     est, err = mean_stderr(values)
     fhat0_sq = float(np.abs(f.hat(np.zeros(d))) ** 2)
@@ -335,7 +321,6 @@ def check_tail_coeff_expectation(
     sigma: EuclideanSet,
     trials: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ) -> ExpectationReport:
     """Estimate E[ sum_{m outside the intersection index set} |Ghat(m)|^2 ].
 
@@ -354,7 +339,7 @@ def check_tail_coeff_expectation(
         inside = intersect(lat, sigma)
         return max(gamma.energy() - gamma.in_set_energy(inside.indices), 0.0)
 
-    values = run_trials(one, trials, seed, threads=threads)
+    values = run_trials(one, trials, seed)
     est, err = mean_stderr(values)
     tail_hat = tail_energy(f, sigma, side="hat").value
     extras = {"tail_hat": tail_hat, "right_side": 2.0 * tail_hat}

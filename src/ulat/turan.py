@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AxisBox
+from .geometry import AxisBox, _grid_points, merged_length
 from .mc import trial_rng
 
 __all__ = [
@@ -123,9 +123,12 @@ def poly_order(p: TrigPolynomial) -> PolyOrder:
     fm = int(sum(per_axis))
     card = len(p.terms)
     # Spectrum-count chains that every valid spectrum satisfies.
-    assert fm <= p.dimension * max(per_axis)
-    assert max(per_axis) <= card - 1
-    assert card <= int(np.prod([m + 1 for m in per_axis]))
+    if fm > p.dimension * max(per_axis):
+        raise AssertionError(f"order {fm} exceeds d * max per-axis order")
+    if max(per_axis) > card - 1:
+        raise AssertionError(f"per-axis order {max(per_axis)} exceeds term count - 1")
+    if card > int(np.prod([m + 1 for m in per_axis])):
+        raise AssertionError(f"term count {card} exceeds the product of axis counts")
     return PolyOrder(
         per_axis=per_axis,
         fm_exponent=fm,
@@ -145,15 +148,7 @@ def box_union_measure(boxes: list[AxisBox]) -> float:
         return 0.0
     d = boxes[0].dimension
     if d == 1:
-        intervals = sorted((float(b.lower[0]), float(b.upper[0])) for b in boxes)
-        total, cur_lo, cur_hi = 0.0, *intervals[0]
-        for lo, hi in intervals[1:]:
-            if lo > cur_hi:
-                total += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        return total + (cur_hi - cur_lo)
+        return merged_length([(float(b.lower[0]), float(b.upper[0])) for b in boxes])
     cuts = sorted({float(b.lower[0]) for b in boxes} | {float(b.upper[0]) for b in boxes})
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -246,7 +241,7 @@ def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
             for i in range(p.dimension)
         ]
         spacings = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes])
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.dimension)
+        mesh = _grid_points(axes)
         vals = np.abs(p.evaluate(mesh))
         idx = int(np.argmax(vals))
         window = grad * 0.5 * float(np.linalg.norm(spacings))
@@ -357,7 +352,7 @@ def random_polynomial(
             rng.choice(np.arange(-max_freq, max_freq + 1), size=max_per_axis, replace=False)
             for _ in range(d)
         ]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        grid = _grid_points(axes)
         n = int(rng.integers(1, len(grid) + 1))
         pick = rng.choice(len(grid), size=n, replace=False)
         freqs = grid[pick]

@@ -2,10 +2,12 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from ulat.cli import EXIT_IO, EXIT_OK, EXIT_PRECONDITION, main
+from ulat import annihilation
+from ulat.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_PRECONDITION, main
 
 
 def run_cli(capsys, argv):
@@ -139,6 +141,70 @@ class TestPipelineCommands:
         assert {"y1", "y2", "bound", "direct"} <= set(rows[0].keys())
 
 
+class TestPipelineExitCodes:
+    EVENTS = ("remainder_small", "order_small", "zero_set_large", "zero_coeff_dominated")
+
+    def argv(self, doc_dir):
+        return ["pipeline", "--function", str(doc_dir / "fbox.json"),
+                "--s-set", str(doc_dir / "box8.json"),
+                "--sigma-set", str(doc_dir / "sigma2.json"), "--grid", "32"]
+
+    @pytest.mark.parametrize(
+        "all_events, chain_holds, expected",
+        [(True, False, EXIT_ASSERTION), (True, True, EXIT_OK), (False, False, EXIT_OK)],
+    )
+    def test_chain_failure_with_all_events_is_an_assertion(
+        self, capsys, doc_dir, monkeypatch, all_events, chain_holds, expected
+    ):
+        events = {name: True for name in self.EVENTS}
+        events["remainder_small"] = all_events
+        trace = SimpleNamespace(
+            events=events, all_events=all_events, chain_holds=chain_holds, to_dict=lambda: {}
+        )
+        monkeypatch.setattr(annihilation, "pipeline_trace", lambda *a, **k: trace)
+        code, _, _ = run_cli(capsys, self.argv(doc_dir))
+        assert code == expected
+
+    def test_raised_assertion_maps_to_exit_3(self, capsys, doc_dir, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("origin missing from the intersection index set")
+
+        monkeypatch.setattr(annihilation, "pipeline_trace", broken)
+        code, _, err = run_cli(capsys, self.argv(doc_dir))
+        assert code == EXIT_ASSERTION
+        assert "assertion failed" in err
+
+
+MALFORMED = {
+    "set-without-dimension": {"pieces": []},
+    "set-as-list": [{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}],
+    "gaussian-without-a": {"kind": "gaussian", "dimension": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lal", "--phi", "ball", "--dim", "2"],
+        ["lal", "--phi", "annulus:1", "--dim", "2"],
+        ["geometry", "--set", "{set-without-dimension}", "--op", "measure"],
+        ["geometry", "--set", "{set-as-list}", "--op", "measure"],
+        ["periodize", "--function", "{gaussian-without-a}"],
+    ],
+    ids=["ball-no-radius", "annulus-one-radius", "set-no-dimension", "set-list", "gaussian-no-a"],
+)
+def test_malformed_input_is_a_precondition(capsys, tmp_path, argv):
+    for name, doc in MALFORMED.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{a[1:-1]}.json") if a.startswith("{") else a for a in argv]
+    code, _, err = run_cli(capsys, argv)
+    assert code == EXIT_PRECONDITION
+    assert "precondition violated" in err
+    if any(a.endswith(".json") for a in argv):
+        # A dry run parses the documents too, so it fails the same way.
+        assert run_cli(capsys, argv + ["--dry-run"])[0] == EXIT_PRECONDITION
+
+
 class TestPeriodizeCommand:
     def test_json_summary(self, capsys, doc_dir):
         code, out, _ = run_cli(
@@ -195,12 +261,6 @@ class TestDeterminismAndPlanning:
         argv = ["lal", "--phi", "gaussian", "--dim", "2", "--trials", "120", "--seed", "5"]
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
-        assert payload_of(out1) == payload_of(out2)
-
-    def test_threads_do_not_change_results(self, capsys):
-        base = ["lal", "--phi", "gaussian", "--dim", "2", "--trials", "120", "--seed", "5"]
-        _, out1, _ = run_cli(capsys, base + ["--threads", "1"])
-        _, out2, _ = run_cli(capsys, base + ["--threads", "4"])
         assert payload_of(out1) == payload_of(out2)
 
     def test_config_file_overrides(self, capsys, doc_dir, tmp_path):

@@ -16,8 +16,6 @@ from ulat.functions import (
     Modulated,
     Translated,
     cross_correlation,
-    evaluate,
-    evaluate_hat,
     function_from_dict,
     function_to_dict,
     norm_sq,
@@ -43,8 +41,8 @@ def numeric_hat_1d(f, xi: float, lo: float, hi: float) -> complex:
 class TestClosedForms:
     def test_gaussian_normalization(self):
         g = Gaussian(1.0, 3)
-        assert evaluate(g, np.zeros(3)) == pytest.approx(1.0)
-        assert evaluate_hat(g, np.zeros(3)) == pytest.approx(1.0)
+        assert g.value(np.zeros(3)) == pytest.approx(1.0)
+        assert g.hat(np.zeros(3)) == pytest.approx(1.0)
 
     def test_gaussian_self_dual(self):
         g = Gaussian(1.0, 2)
@@ -54,21 +52,21 @@ class TestClosedForms:
     def test_box_hat_is_sinc_product(self):
         d = 3
         box = BoxIndicator(AxisBox([-0.5] * d, [0.5] * d))
-        assert evaluate_hat(box, np.zeros(d)) == pytest.approx(1.0)
+        assert box.hat(np.zeros(d)) == pytest.approx(1.0)
         xi = np.array([0.25, -1.5, 0.8])
         manual = np.prod(np.sin(math.pi * xi) / (math.pi * xi))
-        assert evaluate_hat(box, xi) == pytest.approx(manual, abs=1e-14)
+        assert box.hat(xi) == pytest.approx(manual, abs=1e-14)
 
     def test_box_hat_against_quadrature(self):
         box = BoxIndicator(AxisBox([0.2], [1.1]))
         for xi in (0.0, 0.37, -2.2):
             oracle = numeric_hat_1d(box, xi, 0.2, 1.1)
-            assert evaluate_hat(box, np.array([xi])) == pytest.approx(oracle, abs=1e-9)
+            assert box.hat(np.array([xi])) == pytest.approx(oracle, abs=1e-9)
 
     def test_modulated_hat_peak(self):
         y = np.array([0.7, -0.3])
         mod = Modulated(Gaussian(1.0, 2), y)
-        assert evaluate_hat(mod, -y) == pytest.approx(1.0)
+        assert mod.hat(-y) == pytest.approx(1.0)
 
     def test_modulation_rule_against_quadrature(self):
         # hat of f(x) exp(2 i pi x y) must equal base hat shifted to xi + y.
@@ -78,13 +76,25 @@ class TestClosedForms:
             xi = float(rng.uniform(-2, 2))
             mod = Modulated(Gaussian(1.0, 1), [y])
             oracle = numeric_hat_1d(mod, xi, -6, 6)
-            assert evaluate_hat(mod, np.array([xi])) == pytest.approx(oracle, abs=1e-6)
+            assert mod.hat(np.array([xi])) == pytest.approx(oracle, abs=1e-6)
 
     def test_translation_rule_against_quadrature(self):
-        tr = Translated(Gaussian(2.0, 1), [0.4])
-        for xi in (0.0, 1.3, -0.6):
-            oracle = numeric_hat_1d(tr, xi, -6, 6)
-            assert evaluate_hat(tr, np.array([xi])) == pytest.approx(oracle, abs=1e-8)
+        # The nested kind is supported on [0.4, 0.9]: a box modulated, then translated.
+        nested = Translated(Modulated(BoxIndicator(AxisBox([0.0], [0.5])), [1.7]), [0.4])
+        for tr, lo, hi in ((Translated(Gaussian(2.0, 1), [0.4]), -6, 6), (nested, 0.4, 0.9)):
+            for xi in (0.0, 1.3, -0.6):
+                oracle = numeric_hat_1d(tr, xi, lo, hi)
+                assert tr.hat(np.array([xi])) == pytest.approx(oracle, abs=1e-8)
+
+    def test_translated_value_is_shifted_base(self):
+        x0 = np.array([0.3, -0.2])
+        pts = trial_rng(4, 0).uniform(-1, 1, (200, 2))
+        for base in (
+            Modulated(BoxIndicator(AxisBox([-0.4, -0.1], [0.2, 0.6])), [1.3, -0.7]),
+            Modulated(Gaussian(1.2, 2), [-0.4, 0.9]),
+        ):
+            tr = Translated(base, x0)
+            assert np.allclose(tr.value(pts), base.value(pts - x0), atol=1e-14)
 
     def test_combination_linearity(self):
         g, b = Gaussian(1.0, 1), BoxIndicator(AxisBox([-1.0], [1.0]))
@@ -216,7 +226,54 @@ class TestSerialization:
             function_from_dict({"kind": "wavelet"})
 
 
+def _all_kinds() -> dict:
+    """The five kinds in d = 2, plus two nested ones."""
+    box = BoxIndicator(AxisBox([-0.3, -0.2], [0.4, 0.5]))
+    g = Gaussian(1.7, 2)
+    return {
+        "gaussian": g,
+        "box": box,
+        "combination": Combination([(2.0, g), (-1.0j, box)]),
+        "modulated": Modulated(box, [0.9, -1.4]),
+        "translated": Translated(g, [1.1, -0.6]),
+        "translated_modulated_box": Translated(Modulated(box, [-0.8, 1.3]), [0.7, 1.2]),
+        "combination_of_combination": Combination(
+            [
+                (0.5 - 1.5j, Combination([(1.0, box), (2.0j, Translated(box, [0.5, 0.5]))])),
+                (-0.7, Modulated(Translated(box, [-1.0, 0.3]), [0.3, 0.4])),
+            ]
+        ),
+    }
+
+
+KINDS = _all_kinds()
+
+
 class TestEnvelopes:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_envelopes_majorize(self, kind):
+        f = KINDS[kind]
+        pts = trial_rng(8, 0).uniform(-4, 4, (400, 2))
+        r = np.linalg.norm(pts, axis=1)
+        assert np.all(np.abs(f.value(pts)) <= f.envelope(r) + 1e-12)
+        assert np.all(np.abs(f.hat(pts)) <= f.envelope_hat(r) + 1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_support_set_contains_nonzero_values(self, kind):
+        f = KINDS[kind]
+        s = f.support_set()
+        if s is None:
+            assert f.support_radius == math.inf
+            return
+        # Half the points are drawn from the support's bounding box, so both
+        # sides of every box face are hit.
+        lo, hi = s.bounding_box()
+        rng = trial_rng(9, 0)
+        pts = np.vstack([rng.uniform(lo - 0.1, hi + 0.1, (400, 2)), rng.uniform(-3, 3, (400, 2))])
+        nonzero = np.abs(f.value(pts)) > 0
+        assert np.any(nonzero)
+        assert np.all(s.contains(pts[nonzero]))
+
     def test_gaussian_envelope_majorizes(self):
         g = Gaussian(1.0, 2)
         pts = trial_rng(6, 0).uniform(-3, 3, (50, 2))
