@@ -38,6 +38,10 @@ EXIT_ASSERTION = 3
 
 SCHEMA_VERSION = 1
 
+# Largest torus grid a plan may request, in points n^d: 1024^2 and 128^3 fit.
+GRID_POINT_BUDGET = 2**21
+_GRID_COMMANDS = {"periodize", "pipeline", "sweep"}
+
 
 @dataclass
 class RunConfig:
@@ -391,8 +395,26 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _check_grid(config: RunConfig) -> None:
+    """Reject a torus grid below one point per axis or above the point budget.
+
+    The budget is checked on the size n^d alone, before any grid exists.
+    """
+    n = config.options.get("grid")
+    if config.command not in _GRID_COMMANDS or n is None:
+        return
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise PreconditionError(f"grid must be an integer >= 1, got {n!r}")
+    d = _load_function(config.options["function"]).dimension
+    if n**d > GRID_POINT_BUDGET:
+        raise PreconditionError(
+            f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points"
+        )
+
+
 def run(config: RunConfig) -> int:
     """Dispatch one resolved configuration; returns the process exit code."""
+    _check_grid(config)
     if config.dry_run:
         plan = config.plan()
         # Parse referenced documents without computing.
@@ -412,10 +434,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         return run(config)
-    except PreconditionError as exc:
-        log.error("precondition violated: %s", exc)
-        sys.stderr.write(f"precondition violated: {exc}\n")
-        return EXIT_PRECONDITION
     except ValueError as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION

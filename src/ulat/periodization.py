@@ -209,23 +209,41 @@ class Periodization:
         """Exact support membership of G over the n^d torus grid.
 
         A grid point t can have G(t) != 0 only if some translate
-        rho(k + t)/v lands in the support of the source; the test uses set
+        rho^T(k + t)/v lands in the support of the source; the test uses set
         membership, never thresholded numeric values.
+
+        Each support piece is rastered instead of testing every grid point
+        against every shift k: the piece's preimage j = n v rho(x) has a
+        bounding box in grid units, padded by one cell; each integer j in it
+        splits per axis into t = j mod n and k = j div n, and one membership
+        test of base[t] + offs[k] marks the hits.  base and offs are the
+        floats rho^T(t) / v and rho^T(k) / v of the direct sum over k, so
+        the mask equals that sum's bit for bit.
         """
         support = self.source.support_set()
         if support is None:
             raise ValueError("support testing requires a compactly supported source")
         d = self.dimension
         v = self.lattice.dilation
-        grid = _torus_grid(grid_n, d)
         mat = self.lattice.rotation.matrix
-        base = (grid @ mat) / v
-        radius = v * support.bounding_radius() + math.sqrt(d) + 1e-9
-        ks = integer_vectors_in_annulus(0.0, radius, d)
-        mask = np.zeros(grid.shape[0], dtype=bool)
-        for k in ks:
-            offset = (k.astype(float) @ mat) / v
-            mask |= support.contains(base + offset)
+        base = (_torus_grid(grid_n, d) @ mat) / v
+        mask = np.zeros(base.shape[0], dtype=bool)
+        for piece in support.pieces:
+            corners = _grid_points(list(zip(*piece.bounds())))
+            u = (grid_n * v) * self.lattice.rotation.apply(corners)
+            lo = np.floor(u.min(axis=0)).astype(int) - 1
+            hi = np.ceil(u.max(axis=0)).astype(int) + 1
+            # Flat C-order indices of t on the n^d grid and of k on the box's
+            # k range, accumulated axis by axis with broadcasting.
+            k_axes, t_flat, k_flat = [], 0, 0
+            for i in range(d):
+                j = np.arange(lo[i], hi[i] + 1).reshape([-1 if a == i else 1 for a in range(d)])
+                k_axes.append(np.arange(lo[i] // grid_n, hi[i] // grid_n + 1))
+                t_flat = t_flat * grid_n + j % grid_n
+                k_flat = k_flat * len(k_axes[i]) + (j // grid_n - k_axes[i][0])
+            t_flat, k_flat = t_flat.reshape(-1), k_flat.reshape(-1)
+            offs = np.array([(k.astype(float) @ mat) / v for k in _grid_points(k_axes)])
+            mask[t_flat[piece.contains(base[t_flat] + offs[k_flat])]] = True
         return mask
 
     def support_fraction(self, grid_n: int | None = None) -> float:

@@ -8,6 +8,7 @@ from scipy import stats
 
 from ulat.annihilation import (
     AnnihilationInstance,
+    _poly_on_grid,
     annihilation_bound,
     build_pipeline_context,
     calibrate_pair_constant,
@@ -203,6 +204,41 @@ class TestPipeline:
             "zero_coeff_dominated",
         }
         assert doc["exponent"] == doc["order"] - 2
+
+
+def loop_poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
+    """Reference: the direct sum of one outer-product phase per coefficient."""
+    t = np.arange(n) / n
+    out = np.zeros(n**d, dtype=complex)
+    for m, c in zip(indices, coeffs):
+        phase = np.exp(2j * math.pi * m[0] * t)
+        for mi in m[1:]:
+            phase = np.multiply.outer(phase, np.exp(2j * math.pi * mi * t))
+        out += c * phase.reshape(-1)
+    return out
+
+
+class TestPolyOnGrid:
+    @pytest.mark.parametrize("d,n", [(1, 64), (1, 7), (2, 32), (2, 5), (3, 12)])
+    def test_fft_matches_direct_sum(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        indices = rng.integers(-3 * n, 3 * n + 1, size=(40, d))
+        indices[0] = 0
+        indices[1] = n
+        indices[2] = -n - 1
+        assert np.any(np.abs(indices) >= n)
+        coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
+        got = _poly_on_grid(indices, coeffs, n, d)
+        want = loop_poly_on_grid(indices, coeffs, n, d)
+        assert got.shape == (n**d,)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_pipeline_indices(self):
+        inst = eighth_box_instance()
+        trace = pipeline_trace(inst, seed=4, grid_n=64)
+        got = _poly_on_grid(trace.indices, trace.p_coefficients, 64, 2)
+        want = loop_poly_on_grid(trace.indices, trace.p_coefficients, 64, 2)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestTranslatedSweep:

@@ -2,12 +2,25 @@
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import ulat
 from ulat import annihilation
-from ulat.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_PRECONDITION, main
+from ulat.cli import (
+    EXIT_ASSERTION,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    GRID_POINT_BUDGET,
+    main,
+)
 
 
 def run_cli(capsys, argv):
@@ -203,6 +216,82 @@ def test_malformed_input_is_a_precondition(capsys, tmp_path, argv):
     if any(a.endswith(".json") for a in argv):
         # A dry run parses the documents too, so it fails the same way.
         assert run_cli(capsys, argv + ["--dry-run"])[0] == EXIT_PRECONDITION
+
+
+def test_precondition_reported_once(tmp_path):
+    # The real process's stderr, so that log records count as well.
+    doc = tmp_path / "nodim.json"
+    doc.write_text(json.dumps(MALFORMED["set-without-dimension"]))
+    src = str(Path(ulat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "UL_LOG": "warning"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ulat.cli", "geometry", "--set", str(doc), "--op", "measure"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_PRECONDITION
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("precondition violated: malformed set document")
+
+
+def grid_argv(command: str, doc_dir, function: str = "fbox.json") -> list[str]:
+    argv = [command, "--function", str(doc_dir / function)]
+    if command != "periodize":
+        argv += ["--s-set", str(doc_dir / "box8.json"), "--sigma-set", str(doc_dir / "sigma2.json")]
+    return argv
+
+
+class TestGridPreconditions:
+    @pytest.mark.parametrize("command", ["periodize", "pipeline", "sweep"])
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    @pytest.mark.parametrize("extra", [[], ["--format", "csv"], ["--dry-run"]])
+    def test_grid_below_one_rejected(self, capsys, doc_dir, command, grid, extra):
+        code, out, err = run_cli(capsys, grid_argv(command, doc_dir) + ["--grid", grid] + extra)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert "grid must be an integer >= 1" in err
+
+    def test_grid_from_config_file_checked(self, capsys, doc_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": 0}))
+        code, out, _ = run_cli(
+            capsys, grid_argv("periodize", doc_dir) + ["--config", str(cfg), "--dry-run"]
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["periodize", "pipeline", "sweep"])
+    def test_point_budget_boundary(self, capsys, doc_dir, command):
+        # Only the size n^d is compared: dry runs build no grid.
+        side = math.isqrt(GRID_POINT_BUDGET)
+        assert side**2 <= GRID_POINT_BUDGET < (side + 1) ** 2
+        argv = grid_argv(command, doc_dir) + ["--dry-run", "--grid"]
+        assert run_cli(capsys, argv + [str(side)])[0] == EXIT_OK
+        code, _, err = run_cli(capsys, argv + [str(side + 1)])
+        assert code == EXIT_PRECONDITION
+        assert "exceeds the budget" in err
+
+    def test_point_budget_counts_every_axis(self, capsys, tmp_path):
+        doc = tmp_path / "cube.json"
+        doc.write_text(json.dumps({"kind": "box", "lower": [-0.1] * 3, "upper": [0.1] * 3}))
+        side = 1
+        while (side + 1) ** 3 <= GRID_POINT_BUDGET:
+            side += 1
+        argv = ["periodize", "--function", str(doc), "--dry-run", "--grid"]
+        assert run_cli(capsys, argv + [str(side)])[0] == EXIT_OK
+        assert run_cli(capsys, argv + [str(side + 1)])[0] == EXIT_PRECONDITION
+        assert run_cli(capsys, argv + [str(10**9)])[0] == EXIT_PRECONDITION
+
+    def test_real_run_checks_the_budget(self, capsys, doc_dir):
+        # The JSON summary only echoes the grid, so without the check this
+        # run would succeed without building it.
+        side = math.isqrt(GRID_POINT_BUDGET) + 1
+        code, out, _ = run_cli(
+            capsys, grid_argv("periodize", doc_dir, "gauss2.json") + ["--grid", str(side)]
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
 
 
 class TestPeriodizeCommand:

@@ -7,10 +7,11 @@ import pytest
 
 from ulat.functions import BoxIndicator, Combination, Gaussian, Translated, norm_sq
 from ulat.geometry import AxisBox, Ball, EuclideanSet
-from ulat.lattice import sample_lattice
+from ulat.lattice import integer_vectors_in_annulus, sample_lattice
 from ulat.mc import trial_rng
 from ulat.periodization import (
     Periodization,
+    _torus_grid,
     check_energy_expectation,
     check_tail_coeff_expectation,
     default_grid_size,
@@ -208,3 +209,55 @@ class TestTailCoefficientExpectation:
             check_tail_coeff_expectation(
                 Gaussian(1.0, 2), EuclideanSet(2, [Ball([9.0, 9.0], 1.0)]), trials=10, seed=0
             )
+
+
+def loop_support_mask(gamma: Periodization, grid_n: int) -> np.ndarray:
+    """Reference mask: every grid point against every integer shift k."""
+    support = gamma.source.support_set()
+    d = gamma.dimension
+    v = gamma.lattice.dilation
+    grid = _torus_grid(grid_n, d)
+    mat = gamma.lattice.rotation.matrix
+    base = (grid @ mat) / v
+    radius = v * support.bounding_radius() + math.sqrt(d) + 1e-9
+    ks = integer_vectors_in_annulus(0.0, radius, d)
+    mask = np.zeros(grid.shape[0], dtype=bool)
+    for k in ks:
+        offset = (k.astype(float) @ mat) / v
+        mask |= support.contains(base + offset)
+    return mask
+
+
+def two_boxes(d: int, rng) -> Combination:
+    a, b = random_compact(d, rng), random_compact(d, rng)
+    return Combination([(1.0, a), (-0.5, Translated(b, rng.uniform(-0.6, 0.6, d)))])
+
+
+class TestSupportRaster:
+    """The rastered support mask equals the shift-by-shift loop bit for bit."""
+
+    def test_criterion_9_draws(self):
+        f = eighth_box(2)
+        for seed in range(12):
+            gamma = Periodization(f, sample_lattice(2, trial_rng(seed, 0)))
+            assert np.array_equal(gamma.support_mask(512), loop_support_mask(gamma, 512))
+
+    @pytest.mark.parametrize("d,grid_n", [(1, 997), (2, 96), (3, 24)])
+    @pytest.mark.parametrize("kind", ["box", "combination", "translated"])
+    def test_sources_and_dimensions(self, d, grid_n, kind):
+        rng = np.random.default_rng(100 * d + len(kind))
+        for _ in range(6):
+            if kind == "box":
+                f = random_compact(d, rng)
+            elif kind == "combination":
+                f = two_boxes(d, rng)
+            else:
+                f = Translated(eighth_box(d), rng.uniform(-2.0, 2.0, d))
+            gamma = Periodization(f, sample_lattice(d, rng))
+            mask = gamma.support_mask(grid_n)
+            assert mask.shape == (grid_n**d,)
+            assert np.array_equal(mask, loop_support_mask(gamma, grid_n))
+
+    def test_single_point_grid(self):
+        gamma = Periodization(eighth_box(2), sample_lattice(2, trial_rng(5, 0)))
+        assert np.array_equal(gamma.support_mask(1), loop_support_mask(gamma, 1))
