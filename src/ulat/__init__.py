@@ -29,7 +29,6 @@ from .lattice import (
     estimate_card,
     estimate_order,
     intersect,
-    lattice_point,
     order_of,
     polar_constant,
     sample_lattice,

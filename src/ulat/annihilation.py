@@ -12,7 +12,7 @@ ring-of-discs sharpness experiment for the order-versus-width bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -225,27 +225,11 @@ class PipelineTrace:
         return all(self.events.values())
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dilation": self.dilation,
-            "rotation": self.rotation,
-            "indices": self.indices.tolist(),
-            "p_coefficients": [[c.real, c.imag] for c in self.p_coefficients],
-            "total_energy": self.total_energy,
-            "p_energy": self.p_energy,
-            "r_energy": self.r_energy,
-            "order": self.order,
-            "exponent": self.exponent,
-            "events": dict(self.events),
-            "zero_fraction": self.zero_fraction,
-            "tilde_fraction": self.tilde_fraction,
-            "tail_hat": self.tail_hat,
-            "nu": self.nu,
-            "c_ref": self.c_ref,
-            "chain_value": self.chain_value,
-            "fhat0_sq": self.fhat0_sq,
-            "chain_holds": self.chain_holds,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["indices"] = self.indices.tolist()
+        doc["p_coefficients"] = [[c.real, c.imag] for c in self.p_coefficients]
+        doc["events"] = dict(self.events)
+        return doc
 
 
 def build_pipeline_context(
@@ -322,7 +306,7 @@ def pipeline_trace(
     gamma = Periodization(inst.f, lat)
 
     inside = intersect(lat, inst.freq_set)
-    if not inside.contains_index(np.zeros(d, dtype=int)):
+    if not np.any(np.all(inside.indices == 0, axis=1)):
         raise AssertionError("origin missing from the intersection index set")
     p_coeffs = np.atleast_1d(gamma.coefficient(inside.indices.astype(float)))
     p_energy = float(np.sum(np.abs(p_coeffs) ** 2))

@@ -227,20 +227,21 @@ def cmd_geometry(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ratio(config: RunConfig) -> int:
-    opts = config.options
-    inst = annihilation.AnnihilationInstance(
+def _load_instance(opts: dict) -> annihilation.AnnihilationInstance:
+    return annihilation.AnnihilationInstance(
         _load_function(opts["function"]), _load_set(opts["s_set"]), _load_set(opts["sigma_set"])
     )
+
+
+def cmd_ratio(config: RunConfig) -> int:
+    inst = _load_instance(config.options)
     _emit(config, annihilation.observed_ratio(inst, seed=config.seed))
     return EXIT_OK
 
 
 def cmd_pipeline(config: RunConfig) -> int:
     opts = config.options
-    inst = annihilation.AnnihilationInstance(
-        _load_function(opts["function"]), _load_set(opts["s_set"]), _load_set(opts["sigma_set"])
-    )
+    inst = _load_instance(opts)
     trace = annihilation.pipeline_trace(inst, seed=config.seed, grid_n=opts.get("grid"))
     if not trace.events["zero_coeff_dominated"]:
         log.error("zero-coefficient domination failed; this must never happen")
@@ -254,9 +255,7 @@ def cmd_pipeline(config: RunConfig) -> int:
 
 def cmd_sweep(config: RunConfig) -> int:
     opts = config.options
-    inst = annihilation.AnnihilationInstance(
-        _load_function(opts["function"]), _load_set(opts["s_set"]), _load_set(opts["sigma_set"])
-    )
+    inst = _load_instance(opts)
     result = annihilation.translated_sweep(
         inst, per_axis=opts.get("ygrid", 5), seed=config.seed, grid_n=opts.get("grid")
     )

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mc import Estimate, run_trials, trial_rng
+from .mc import Estimate, mean_stderr, run_trials, trial_rng
 
 __all__ = [
     "Ball",
@@ -449,9 +449,7 @@ def mean_width(s: EuclideanSet, trials: int = 2048, seed: int = 0) -> Estimate:
         trials,
         seed,
     )
-    mean = float(np.mean(widths))
-    stderr = float(np.std(widths, ddof=1) / math.sqrt(trials))
-    return Estimate(mean, stderr)
+    return Estimate(*mean_stderr(widths))
 
 
 # ---------------------------------------------------------------------------
@@ -526,22 +524,18 @@ def cover_measure_upper(s: EuclideanSet, max_level: int = 6) -> CoverCandidate:
     Candidates: the set's own balls plus circumscribed balls of its boxes
     (the self cover), and dyadic cube-grid covers at scales 2^-j for
     j = 0..max_level with each cube replaced by its circumscribed ball.
-    The best candidate is returned; its balls cover the set by construction.
+    The candidates are compared by value, the earliest wins a tie, and only
+    the winner's balls are built; they cover the set by construction.
     """
     if s.is_empty():
         raise ValueError("cover_measure_upper requires a nonempty set")
     d = s.dimension
-    candidates: list[CoverCandidate] = []
-
-    self_balls = []
-    for p in s.pieces:
-        if isinstance(p, Ball):
-            self_balls.append(p)
-        else:
-            self_balls.append(Ball(p.center(), float(np.linalg.norm(p.half_widths()))))
-    radii = np.array([b.radius for b in self_balls])
-    candidates.append(CoverCandidate(tuple(self_balls), _cover_value(radii, d)))
-
+    self_balls = tuple(
+        p if isinstance(p, Ball) else Ball(p.center(), float(np.linalg.norm(p.half_widths())))
+        for p in s.pieces
+    )
+    best_value = _cover_value(np.array([b.radius for b in self_balls]), d)
+    best_cells, best_side = None, 0.0
     for j in range(max_level + 1):
         side = 2.0**-j
         cells = _grid_cover_cells(s, side)
@@ -549,9 +543,12 @@ def cover_measure_upper(s: EuclideanSet, max_level: int = 6) -> CoverCandidate:
             continue
         r = side * math.sqrt(d) / 2.0
         value = len(cells) * min(r, r**d)
-        balls = tuple(
-            Ball((np.array(c, dtype=float) + 0.5) * side, r) for c in sorted(cells)
-        )
-        candidates.append(CoverCandidate(balls, value))
-
-    return min(candidates, key=lambda c: c.value)
+        if value < best_value:
+            best_value, best_cells, best_side = value, cells, side
+    if best_cells is None:
+        return CoverCandidate(self_balls, best_value)
+    r = best_side * math.sqrt(d) / 2.0
+    balls = tuple(
+        Ball((np.array(c, dtype=float) + 0.5) * best_side, r) for c in sorted(best_cells)
+    )
+    return CoverCandidate(balls, best_value)

@@ -9,7 +9,9 @@ sets, and estimates the expectations that control point counts and orders.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,6 @@ from scipy.special import gammaincc
 from .geometry import (
     EuclideanSet,
     Rotation,
-    _grid_points,
     ball_volume,
     cover_measure_upper,
     lebesgue_measure,
@@ -32,7 +33,6 @@ __all__ = [
     "RandomLattice",
     "LatticePointSet",
     "sample_lattice",
-    "lattice_point",
     "intersect",
     "order_of",
     "polar_constant",
@@ -75,14 +75,6 @@ def sample_lattice(d: int, rng: np.random.Generator) -> RandomLattice:
     return RandomLattice(rho, v)
 
 
-def lattice_point(lat: RandomLattice, k) -> np.ndarray:
-    """The lattice point v * rho^T(k) for one integer vector k."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (lat.dimension,):
-        raise ValueError(f"index vector must have dimension {lat.dimension}")
-    return lat.points(k)
-
-
 @dataclass(frozen=True, eq=False)
 class LatticePointSet:
     """Finite set of integer indices k whose embeddings lie in a target set."""
@@ -113,10 +105,6 @@ class LatticePointSet:
         """Sum over axes of the number of distinct index coordinates."""
         return order_of(self.indices)
 
-    def contains_index(self, k) -> bool:
-        k = tuple(int(x) for x in k)
-        return k in {tuple(row) for row in self.indices.tolist()}
-
 
 def order_of(indices) -> int:
     """Order of a finite subset of Z^d: sum of distinct-coordinate counts.
@@ -137,41 +125,45 @@ def order_of(indices) -> int:
 
 
 def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
-    """All k in Z^d with r_lo <= ||k|| <= r_hi, as an (n, d) array.
+    """All k in Z^d with r_lo <= ||k|| <= r_hi, as an (n, d) array in C order.
 
-    d = 2 builds per-column index ranges directly; other dimensions filter
-    a bounding cube.
+    Every dimension takes one path: the first d - 1 coordinates are walked
+    row by row over the cube |k_i| <= floor(r_hi + 1e-9), and each row's
+    last coordinates c are read off exactly with ``math.isqrt`` from
+    ceil(r_lo^2 - 1e-9) <= s + c^2 <= floor(r_hi^2 + 1e-9), where s is the
+    row's squared norm.  This is the bounding-cube filter's predicate in
+    integer form, so the output equals that filter's, while the memory is
+    (2 kmax + 1)^(d-1) rows plus the output.
     """
     if r_hi < 0:
         return np.empty((0, d), dtype=int)
     r_lo = max(r_lo, 0.0)
     kmax = int(math.floor(r_hi + 1e-9))
-    if d == 2:
-        cols = []
-        k1 = np.arange(-kmax, kmax + 1)
-        hi2 = r_hi**2 - k1.astype(float) ** 2
-        lo2 = r_lo**2 - k1.astype(float) ** 2
-        for a, h2, l2 in zip(k1, hi2, lo2):
-            if h2 < -1e-12:
-                continue
-            h = int(math.floor(math.sqrt(max(h2, 0.0)) + 1e-9))
-            if l2 <= 0:
-                rng2 = np.arange(-h, h + 1)
-            else:
-                low = int(math.ceil(math.sqrt(l2) - 1e-9))
-                if low > h:
-                    continue
-                rng2 = np.concatenate([np.arange(-h, -low + 1), np.arange(low, h + 1)])
-                if low == 0:
-                    rng2 = np.unique(rng2)
-            cols.append(np.column_stack([np.full(len(rng2), a), rng2]))
-        if not cols:
-            return np.empty((0, 2), dtype=int)
-        return np.concatenate(cols).astype(int)
-    mesh = _grid_points([np.arange(-kmax, kmax + 1)] * d)
-    norm2 = np.einsum("ij,ij->i", mesh, mesh)
-    keep = (norm2 <= r_hi**2 + 1e-9) & (norm2 >= r_lo**2 - 1e-9)
-    return mesh[keep].astype(int)
+    hi2 = math.floor(r_hi**2 + 1e-9)
+    lo2 = math.ceil(r_lo**2 - 1e-9)
+    heads, shifts, counts = [], [], []
+    total = 0
+    for head in itertools.product(range(-kmax, kmax + 1), repeat=d - 1):
+        s = sum(map(operator.mul, head, head))
+        if s > hi2:
+            continue
+        h = min(math.isqrt(hi2 - s), kmax)
+        low = math.isqrt(lo2 - s - 1) + 1 if lo2 > s else 0
+        if low == 0:
+            runs = ((-h, 2 * h + 1),)
+        elif low <= h:
+            runs = ((-h, h - low + 1), (low, h - low + 1))
+        else:
+            continue
+        for start, count in runs:
+            heads.append(head)
+            shifts.append(start - total)
+            counts.append(count)
+            total += count
+    # Row i of the output is heads[j] followed by i + shifts[j] for its run j.
+    last = np.arange(total) + np.repeat(np.array(shifts, dtype=int), counts)
+    head_cols = np.array(heads, dtype=int).reshape(len(counts), d - 1)
+    return np.column_stack([np.repeat(head_cols, counts, axis=0), last])
 
 
 def intersect(lat: RandomLattice, sigma: EuclideanSet) -> LatticePointSet:
@@ -331,8 +323,8 @@ def check_lattice_averaging(
     cand_b = cand_b[np.any(cand_b != 0, axis=1)]
 
     def one(rng: np.random.Generator) -> np.ndarray:
-        rho = sample_rotation(d, rng)
-        v = float(rng.uniform(1.0, 2.0))
+        lat = sample_lattice(d, rng)
+        rho, v = lat.rotation, lat.dilation
         sum_a = float(np.sum(phi.value(v * rho.apply(cand_a)))) if len(cand_a) else 0.0
         sum_b = float(np.sum(phi.value(rho.apply(cand_b) / v))) if len(cand_b) else 0.0
         return np.array([sum_a, sum_b])

@@ -75,14 +75,9 @@ class Periodization:
 
     # -- coefficients -----------------------------------------------------
 
-    def frequency_points(self, m) -> np.ndarray:
-        """Sampling points v * rho^T(m) of the coefficient formula."""
-        m = np.asarray(m, dtype=float)
-        return self.lattice.dilation * self.lattice.rotation.apply_transpose(m)
-
     def coefficient(self, m) -> complex | np.ndarray:
         """Fourier coefficient(s) sqrt(v) * fhat(v rho^T(m))."""
-        vals = math.sqrt(self.lattice.dilation) * self.source.hat(self.frequency_points(m))
+        vals = math.sqrt(self.lattice.dilation) * self.source.hat(self.lattice.points(m))
         return complex(vals) if np.ndim(vals) == 0 else vals
 
     def in_set_energy(self, indices) -> float:
@@ -90,7 +85,7 @@ class Periodization:
         indices = np.asarray(indices, dtype=float)
         if indices.size == 0:
             return 0.0
-        vals = self.source.hat(self.frequency_points(indices))
+        vals = self.source.hat(self.lattice.points(indices))
         return self.lattice.dilation * float(np.sum(np.abs(vals) ** 2))
 
     # -- values -------------------------------------------------------------
@@ -250,9 +245,6 @@ class Periodization:
         grid_n = grid_n or default_grid_size(self.dimension)
         return float(np.mean(self.support_mask(grid_n)))
 
-    def zero_set_fraction(self, grid_n: int | None = None) -> float:
-        return 1.0 - self.support_fraction(grid_n)
-
     # -- verification ---------------------------------------------------------
 
     def parseval_gap(self, grid_n: int | None = None) -> float:
@@ -279,7 +271,7 @@ class Periodization:
         d = self.dimension
         r_hat = probe.hat_radius(1e-18)
         ms = integer_vectors_in_annulus(0.0, r_hat, d).astype(float)
-        lam = self.frequency_points(ms)
+        lam = self.lattice.points(ms)
         return v * complex(np.sum(self.source.hat(lam) * np.conj(probe.hat(lam))))
 
     # -- export ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from scipy import stats
 from ulat.geometry import (
     AxisBox,
     Ball,
+    CoverCandidate,
     EuclideanSet,
     Rotation,
     cover_measure_upper,
@@ -19,6 +20,8 @@ from ulat.geometry import (
     merged_length,
     projection_width,
     sample_rotation,
+    _cover_value,
+    _grid_cover_cells,
 )
 from ulat.mc import trial_rng
 
@@ -217,6 +220,76 @@ class TestCoverUpper:
         s = EuclideanSet(2, [Ball([0.4, -0.2], 0.9), AxisBox([1.0, 1.0], [2.0, 1.7])])
         cover = cover_measure_upper(s)
         assert cover.verify_covers(s, samples=2000, seed=0)
+
+
+def eight_candidate_cover(s: EuclideanSet, max_level: int = 6) -> CoverCandidate:
+    """Oracle: build every candidate cover in full and return the minimum."""
+    d = s.dimension
+    self_balls = []
+    for p in s.pieces:
+        if isinstance(p, Ball):
+            self_balls.append(p)
+        else:
+            self_balls.append(Ball(p.center(), float(np.linalg.norm(p.half_widths()))))
+    radii = np.array([b.radius for b in self_balls])
+    candidates = [CoverCandidate(tuple(self_balls), _cover_value(radii, d))]
+    for j in range(max_level + 1):
+        side = 2.0**-j
+        cells = _grid_cover_cells(s, side)
+        if cells is None:
+            continue
+        r = side * math.sqrt(d) / 2.0
+        balls = tuple(Ball((np.array(c, dtype=float) + 0.5) * side, r) for c in sorted(cells))
+        candidates.append(CoverCandidate(balls, len(cells) * min(r, r**d)))
+    return min(candidates, key=lambda c: c.value)
+
+
+def cover_oracle_sets() -> list[EuclideanSet]:
+    from ulat.annihilation import disc_ring
+
+    sets = [disc_ring(n, 10.0 * n) for n in (1, 4, 8, 16)]
+    # The four frequency-set templates of the sweep benchmark, at three scales.
+    templates = [
+        [Ball([0.0, 0.0], 1.0)],
+        [Ball([0.0, 0.0], 0.8), Ball([1.5, 0.0], 0.5)],
+        [AxisBox([-0.7, -0.5], [0.7, 0.5]), Ball([0.0, 1.0], 0.35)],
+        [Ball([0.0, 0.0], 0.7), AxisBox([0.9, -0.4], [1.6, 0.4])],
+    ]
+    sets += [EuclideanSet(2, t).scale(k) for t in templates for k in (0.9, 1.0, 1.1)]
+    sets += [
+        EuclideanSet(2, [AxisBox([0.0, 0.0], [1.0, 0.01])]),
+        EuclideanSet(2, [Ball([0.0, 0.0], 40.0)]),  # finest grids exceed the cell cap
+        EuclideanSet(1, [Ball([0.0], 0.3), AxisBox([1.0], [2.5])]),
+        EuclideanSet(1, [Ball([0.0], 3.0)]),
+        EuclideanSet(1, [AxisBox([0.0], [1.0])]),  # the self cover ties every grid
+        EuclideanSet(1, [Ball([0.0], 0.5), Ball([0.25], 0.25)]),  # grid levels 1-6 tie
+        EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 0.6), AxisBox([1, 0, 0], [1.5, 0.2, 0.1])]),
+        EuclideanSet(3, [AxisBox([0, 0, 0], [2.0, 0.05, 0.05])]),
+    ]
+    rng = trial_rng(77, 0)
+    for _ in range(12):
+        d = int(rng.integers(1, 4))
+        pieces = []
+        for _ in range(int(rng.integers(1, 4))):
+            c = rng.uniform(-2, 2, d)
+            if rng.random() < 0.5:
+                pieces.append(Ball(c, float(rng.uniform(0.05, 1.5))))
+            else:
+                pieces.append(AxisBox(c, c + rng.uniform(0.01, 1.5, d)))
+        sets.append(EuclideanSet(d, pieces))
+    return sets
+
+
+class TestCoverOracle:
+    @pytest.mark.parametrize("index", range(len(cover_oracle_sets())))
+    def test_winner_only_cover_equals_full_candidate_minimum(self, index):
+        s = cover_oracle_sets()[index]
+        got, expected = cover_measure_upper(s), eight_candidate_cover(s)
+        assert got.value == expected.value
+        assert isinstance(got.balls, tuple)
+        assert len(got.balls) == len(expected.balls)
+        for a, b in zip(got.balls, expected.balls):
+            assert np.array_equal(a.center, b.center) and a.radius == b.radius
 
 
 class TestSerialization:

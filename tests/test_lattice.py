@@ -1,5 +1,6 @@
 """Lattices: enumeration exactness, order statistics, averaging estimates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from ulat.lattice import (
     gaussian_polar_check,
     integer_vectors_in_annulus,
     intersect,
-    lattice_point,
     order_of,
     polar_constant,
     sample_lattice,
@@ -38,14 +38,51 @@ def identity_lattice(d: int, v: float) -> RandomLattice:
     return RandomLattice(Rotation(np.eye(d)), v)
 
 
+def cube_filter_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
+    """Oracle: filter the whole bounding cube by the squared norm."""
+    if r_hi < 0:
+        return np.empty((0, d), dtype=int)
+    r_lo = max(r_lo, 0.0)
+    kmax = int(math.floor(r_hi + 1e-9))
+    axes = [np.arange(-kmax, kmax + 1)] * d
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    norm2 = np.einsum("ij,ij->i", mesh, mesh)
+    keep = (norm2 <= r_hi**2 + 1e-9) & (norm2 >= r_lo**2 - 1e-9)
+    return mesh[keep].astype(int)
+
+
+def annulus_radius_pairs(d: int, count: int) -> list[tuple[float, float]]:
+    """Seeded (r_lo, r_hi) pairs: a third uniform, and a third each of
+    sqrt(m) + e and sqrt(m + e) for integers m and e in +-{5e-10, 1e-9, 2e-9},
+    which put the squared radii on both sides of the 1e-9 tolerance."""
+    rng = trial_rng(31, d)
+    top = {1: 30, 2: 12, 3: 6}[d]
+    offsets = (-2e-9, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9)
+
+    def near(m: int, inside: bool) -> float:
+        e = float(rng.choice(offsets))
+        return math.sqrt(max(m + e, 0.0)) if inside else math.sqrt(m) + e
+
+    pairs = []
+    for i in range(count):
+        if i % 3 == 0:
+            r_lo, r_hi = sorted(rng.uniform(-0.5, top, 2))
+        else:
+            m_hi = int(rng.integers(0, top * top))
+            m_lo = int(rng.integers(0, m_hi + 1))
+            r_lo, r_hi = near(m_lo, i % 3 == 2), near(m_hi, i % 3 == 2)
+        pairs.append((float(r_lo), float(r_hi)))
+    return pairs
+
+
 class TestLatticePoint:
     def test_zero_vector(self):
         lat = identity_lattice(3, 1.5)
-        assert np.allclose(lattice_point(lat, [0, 0, 0]), 0.0)
+        assert np.allclose(lat.points([0, 0, 0]), 0.0)
 
     def test_identity_rotation(self):
         lat = identity_lattice(2, 1.5)
-        assert np.allclose(lattice_point(lat, [1, 0]), [1.5, 0.0])
+        assert np.allclose(lat.points([1, 0]), [1.5, 0.0])
 
     def test_norm_scales_by_dilation(self):
         rng = trial_rng(0, 0)
@@ -54,12 +91,12 @@ class TestLatticePoint:
             k = rng.integers(-5, 6, 3)
             if not np.any(k):
                 continue
-            ratio = np.linalg.norm(lattice_point(lat, k)) / np.linalg.norm(k)
+            ratio = np.linalg.norm(lat.points(k)) / np.linalg.norm(k)
             assert ratio == pytest.approx(lat.dilation, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            lattice_point(identity_lattice(2, 1.5), [1, 2, 3])
+            identity_lattice(2, 1.5).points([1, 2, 3])
 
 
 class TestIntersect:
@@ -317,6 +354,58 @@ class TestEnumeration:
         n2 = np.einsum("ij,ij->i", grid, grid)
         expected = grid[(n2 <= r_hi**2 + 1e-9) & (n2 >= r_lo**2 - 1e-9)]
         assert set(map(tuple, pts.tolist())) == set(map(tuple, expected.tolist()))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_annulus_equals_cube_filter_oracle(self, d):
+        # Values, order and dtype, on random radii and within 2e-9 of integer norms.
+        for r_lo, r_hi in annulus_radius_pairs(d, count=400 if d == 3 else 1500):
+            got = integer_vectors_in_annulus(r_lo, r_hi, d)
+            expected = cube_filter_annulus(r_lo, r_hi, d)
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape, (r_lo, r_hi)
+            assert np.array_equal(got, expected), (r_lo, r_hi)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_annulus_closed_under_swaps_and_sign_flips(self, d):
+        pairs = [(0.0, 1.0 - 1e-9), (1.0 - 1e-9, 2.0 - 1e-9), (0.0, math.sqrt(5) - 1e-9)]
+        pairs += annulus_radius_pairs(d, count=60)
+        for r_lo, r_hi in pairs:
+            pts = set(map(tuple, integer_vectors_in_annulus(r_lo, r_hi, d).tolist()))
+            for perm in itertools.permutations(range(d)):
+                for signs in itertools.product((1, -1), repeat=d):
+                    image = {tuple(s * k[i] for s, i in zip(signs, perm)) for k in pts}
+                    assert image == pts, (r_lo, r_hi, perm, signs)
+
+    def test_annulus_just_below_the_unit_circle_is_the_origin(self):
+        assert integer_vectors_in_annulus(0.0, 1.0 - 1e-9, 2).tolist() == [[0, 0]]
+
+    def test_large_thin_annulus(self):
+        # The radii of `ulat sharpness --n 1000`: ring radius 10^4 at v = 1.5.
+        r_lo, r_hi = 9999.5 / 1.5, 10000.5 / 1.5
+        pts = integer_vectors_in_annulus(r_lo, r_hi, 2)
+        assert pts.dtype == np.dtype(int) and pts.ndim == 2 and pts.shape[1] == 2
+        keys = pts[:, 0] * (1 << 20) + pts[:, 1]
+        assert np.all(np.diff(keys) > 0)  # sorted lexicographically, hence unique
+        n2 = np.einsum("ij,ij->i", pts, pts)
+        assert np.all(n2 <= r_hi**2 + 1e-9) and np.all(n2 >= r_lo**2 - 1e-9)
+        # Each row a holds every b with lo <= a^2 + b^2 <= hi: count the b with
+        # b^2 <= x as 2 floor(sqrt x) + 1, corrected from the float root.
+        hi = math.floor(r_hi**2 + 1e-9)
+        lo = math.ceil(r_lo**2 - 1e-9)
+        kmax = int(r_hi)
+        a = np.arange(-kmax, kmax + 1)
+
+        def squares_at_most(x):
+            root = np.floor(np.sqrt(np.maximum(x, 0))).astype(int)
+            root -= root * root > x
+            root += (root + 1) * (root + 1) <= x
+            return np.where(x >= 0, 2 * root + 1, 0)
+
+        expected = squares_at_most(hi - a * a) - squares_at_most(lo - 1 - a * a)
+        rows, counts = np.unique(pts[:, 0], return_counts=True)
+        got = dict(zip(rows.tolist(), counts.tolist()))
+        assert {int(k): int(c) for k, c in zip(a, expected) if c} == got
+        assert len(pts) == int(expected.sum())
 
     def test_dilation_validation(self):
         with pytest.raises(ValueError):
