@@ -1,5 +1,6 @@
 """Geometry: membership, measure, rotations, widths, cover bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -20,10 +21,15 @@ from ulat.geometry import (
     merged_length,
     projection_width,
     sample_rotation,
+    _WIDTH_BLOCK,
+    _check_rotations,
     _cover_value,
+    _merged_lengths,
+    _projection_widths,
     _grid_cover_cells,
 )
-from ulat.mc import trial_rng
+from ulat.lattice import sample_lattice
+from ulat.mc import mean_stderr, run_trials, trial_rng
 
 # Union area of two unit discs with centers one apart, evaluated by hand
 # from the lens-overlap formula before the build.
@@ -221,6 +227,23 @@ class TestCoverUpper:
         cover = cover_measure_upper(s)
         assert cover.verify_covers(s, samples=2000, seed=0)
 
+    @pytest.mark.parametrize(
+        "upper",
+        [[1 + 1e-13, 1 + 1e-13], [0.5 + 1e-14, 2.0], [1.0, 0.25 + 1e-15], [3 + 2e-12, 1 + 4e-16]],
+    )
+    def test_box_just_past_a_grid_line_keeps_its_top_cells(self, upper):
+        # An upper bound a sliver above a grid line still lies in the cell
+        # above that line, and the certified cover reaches the far corner.
+        box = AxisBox([0.0, 0.0], upper)
+        s = EuclideanSet(2, [box])
+        for j in range(7):
+            side = 2.0**-j
+            top = tuple(math.ceil(u / side) - 1 for u in upper)
+            assert top in _grid_cover_cells(s, side)
+        cover = cover_measure_upper(s)
+        corner = np.array(upper)
+        assert any(b.contains(corner) for b in cover.balls)
+
 
 def eight_candidate_cover(s: EuclideanSet, max_level: int = 6) -> CoverCandidate:
     """Oracle: build every candidate cover in full and return the minimum."""
@@ -292,10 +315,122 @@ class TestCoverOracle:
             assert np.array_equal(a.center, b.center) and a.radius == b.radius
 
 
+def per_matrix_rotation(d: int, rng) -> np.ndarray:
+    """Oracle: one Haar matrix by its own QR, as the sampler drew it per trial."""
+    if d == 1:
+        return np.array([[1.0 if rng.random() < 0.5 else -1.0]])
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    q = q * signs
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def scalar_projection_width(s: EuclideanSet, u: np.ndarray) -> float:
+    """Oracle: one scalar product per piece, then the scalar sweep merge."""
+    intervals = []
+    for p in s.pieces:
+        if isinstance(p, Ball):
+            c = float(p.center @ u)
+            intervals.append((c - p.radius, c + p.radius))
+        else:
+            c = float(p.center() @ u)
+            reach = float(np.abs(u) @ p.half_widths())
+            intervals.append((c - reach, c + reach))
+    return merged_length(intervals)
+
+
+def per_trial_mean_width(s: EuclideanSet, trials: int, seed: int) -> tuple[float, float]:
+    """Oracle: one rotation, one projection and one merge per trial."""
+    widths = run_trials(
+        lambda rng: scalar_projection_width(s, per_matrix_rotation(s.dimension, rng)[:, 0].copy()),
+        trials,
+        seed,
+    )
+    return mean_stderr(widths)
+
+
+def width_oracle_sets() -> dict[str, EuclideanSet]:
+    from ulat.annihilation import disc_ring
+
+    return {
+        "interval": EuclideanSet(1, [AxisBox([-0.3], [1.2])]),
+        "d1-mixed": EuclideanSet(1, [Ball([0.0], 0.3), AxisBox([1.0], [2.5]), Ball([2.4], 0.2)]),
+        "disc": EuclideanSet(2, [Ball([0.3, -0.7], 1.0)]),
+        "overlapping-discs": EuclideanSet(2, [Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)]),
+        "boxes": EuclideanSet(2, [AxisBox([0, 0], [1, 2]), AxisBox([0.5, 1.5], [3, 2.5])]),
+        "sweep-mixed": EuclideanSet(2, [AxisBox([-0.7, -0.5], [0.7, 0.5]), Ball([0.0, 1.0], 0.35)]),
+        "ring-16": disc_ring(16, 160.0),
+        "ball-3d": EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 2.5)]),
+        "mixed-3d": EuclideanSet(
+            3, [Ball([0.0, 0.0, 0.0], 0.6), AxisBox([1, 0, 0], [1.5, 0.2, 0.1]), Ball([1, 1, 1], 0.4)]
+        ),
+    }
+
+
+class TestStackedSamplerOracle:
+    @pytest.mark.parametrize("name", sorted(width_oracle_sets()))
+    @pytest.mark.parametrize("trials", [_WIDTH_BLOCK - 1, _WIDTH_BLOCK, _WIDTH_BLOCK + 1])
+    def test_mean_width_equals_per_trial_loop(self, name, trials):
+        s = width_oracle_sets()[name]
+        est = mean_width(s, trials=trials, seed=trials + 7)
+        value, stderr = per_trial_mean_width(s, trials, trials + 7)
+        assert est.value == value and est.stderr == stderr
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_sample_rotation_equals_per_matrix_draws(self, d):
+        rng, ref = trial_rng(31, d), trial_rng(31, d)
+        for _ in range(200):
+            assert np.array_equal(sample_rotation(d, rng).matrix, per_matrix_rotation(d, ref))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sample_lattice_equals_per_matrix_draws(self, d):
+        for i in range(100):
+            lat = sample_lattice(d, trial_rng(5, i))
+            ref = trial_rng(5, i)
+            assert np.array_equal(lat.rotation.matrix, per_matrix_rotation(d, ref))
+            assert lat.dilation == float(ref.uniform(1.0, 2.0))
+
+    def test_projection_widths_equal_scalar_oracle_row_by_row(self):
+        for s in width_oracle_sets().values():
+            rng = trial_rng(8, s.dimension)
+            u = np.array([per_matrix_rotation(s.dimension, rng)[:, 0] for _ in range(1000)])
+            expected = [scalar_projection_width(s, row) for row in u]
+            assert _projection_widths(s, u).tolist() == expected
+            rho = sample_rotation(s.dimension, rng)
+            assert projection_width(s, rho) == scalar_projection_width(s, rho.first_axis_image())
+
+    def test_row_wise_merge_equals_scalar_merge(self):
+        rng = trial_rng(9, 0)
+        for n in range(1, 13):
+            lo = np.round(rng.uniform(-3, 3, (200, n)), 1)  # rounded, so that ends tie
+            hi = lo + np.round(rng.uniform(0, 2, (200, n)), 1)
+            expected = [merged_length(list(zip(a, b))) for a, b in zip(lo.tolist(), hi.tolist())]
+            assert _merged_lengths(lo, hi).tolist() == expected
+
+    def test_stacked_check_rejects_a_bad_matrix_anywhere_in_the_stack(self):
+        good = np.stack([rotation_2d(a).matrix for a in (0.1, 0.7, 2.0)])
+        _check_rotations(good, np.linalg.det(good))
+        skewed = good.copy()
+        skewed[1] = [[1.0, 0.1], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="orthogonal"):
+            _check_rotations(skewed, np.linalg.det(skewed))
+        reflected = good.copy()
+        reflected[2, :, 0] *= -1.0
+        with pytest.raises(ValueError, match="determinant"):
+            _check_rotations(reflected, np.linalg.det(reflected))
+        signs = np.array([1.0, -1.0, 1.0 + 1e-9]).reshape(-1, 1, 1)
+        with pytest.raises(ValueError):
+            _check_rotations(signs, signs[:, 0, 0])
+
+
 class TestSerialization:
     def test_round_trip(self):
         s = EuclideanSet(2, [Ball([0.5, -1.0], 2.0), AxisBox([0, 0], [1, 2])])
-        back = EuclideanSet.from_json(s.to_json())
+        back = EuclideanSet.from_dict(json.loads(json.dumps(s.to_dict())))
         assert back.dimension == 2
         assert isinstance(back.pieces[0], Ball)
         assert back.pieces[0].radius == 2.0
@@ -326,3 +461,15 @@ class TestValidation:
     def test_reflection_rejected_above_one_dimension(self):
         with pytest.raises(ValueError):
             Rotation(np.diag([1.0, -1.0]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nan_matrix_rejected(self, d):
+        with pytest.raises(ValueError, match="orthogonal"):
+            Rotation(np.full((d, d), np.nan))
+        stack = np.stack([np.eye(d)] * 3)
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="orthogonal"):
+            _check_rotations(stack, np.ones(3))
+        with pytest.raises(ValueError):
+            _check_rotations(np.stack([np.eye(d)] * 3), np.array([1.0, np.nan, 1.0]))
