@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .lattice import axis_hit_count, intersect, sample_lattice
 from .mc import mean_stderr, run_trials, trial_rng
-from .periodization import Periodization, default_grid_size
+from .periodization import Periodization
 
 __all__ = [
     "AnnihilationInstance",
@@ -57,6 +57,9 @@ ANNIHILATED_SENTINEL = math.inf
 # chain factor uses its reciprocal.
 _TILDE_FLOOR = 0.25
 
+# Lattice draws per modulation before the sweep gives up on that frequency.
+_SWEEP_ATTEMPTS = 12
+
 
 @dataclass(frozen=True, eq=False)
 class AnnihilationInstance:
@@ -65,7 +68,6 @@ class AnnihilationInstance:
     f: TestFunction
     time_support: EuclideanSet
     freq_set: EuclideanSet
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.time_support.is_empty() or self.freq_set.is_empty():
@@ -119,7 +121,7 @@ def annihilation_bound(
     }
 
 
-def observed_ratio(inst: AnnihilationInstance, method: str = "auto", seed: int = 0) -> dict:
+def observed_ratio(inst: AnnihilationInstance) -> dict:
     """Total energy over the sum of the two tail energies.
 
     The ratio is a lower bound for any constant that works for the pair
@@ -127,8 +129,8 @@ def observed_ratio(inst: AnnihilationInstance, method: str = "auto", seed: int =
     tails below 1e-14 of the energy) report an infinite sentinel.
     """
     total = norm_sq(inst.f)
-    t_space = tail_energy(inst.f, inst.time_support, method=method, side="space", seed=seed)
-    t_freq = tail_energy(inst.f, inst.freq_set, method=method, side="hat", seed=seed + 1)
+    t_space = tail_energy(inst.f, inst.time_support, side="space")
+    t_freq = tail_energy(inst.f, inst.freq_set, side="hat")
     denom = t_space.value + t_freq.value
     if denom < 1e-14 * total:
         return {
@@ -234,7 +236,6 @@ class PipelineTrace:
 
 def build_pipeline_context(
     inst: AnnihilationInstance,
-    c_ref: float = DEFAULT_PIPELINE_CONSTANT,
     grid_n: int | None = None,
     width_trials: int = 2048,
     seed: int = 0,
@@ -268,7 +269,7 @@ def build_pipeline_context(
         width=width,
         fhat0_sq=fhat0_sq,
         support_measure=support_measure,
-        c_ref=c_ref,
+        c_ref=DEFAULT_PIPELINE_CONSTANT,
         grid_n=grid_n,
     )
 
@@ -289,7 +290,6 @@ def pipeline_trace(
     inst: AnnihilationInstance,
     seed: int,
     context: PipelineContext | None = None,
-    c_ref: float = DEFAULT_PIPELINE_CONSTANT,
     grid_n: int | None = None,
 ) -> PipelineTrace:
     """One full proof-pipeline trace for a single lattice draw.
@@ -299,7 +299,7 @@ def pipeline_trace(
     grid-estimates the zero set and its Chebyshev-thinned subset, and
     evaluates the closing Turan-chain bound against |fhat(0)|^2.
     """
-    ctx = context or build_pipeline_context(inst, c_ref=c_ref, grid_n=grid_n)
+    ctx = context or build_pipeline_context(inst, grid_n=grid_n)
     d = inst.dimension
     rng = trial_rng(seed, 0)
     lat = sample_lattice(d, rng)
@@ -392,17 +392,15 @@ def translated_sweep(
     inst: AnnihilationInstance,
     per_axis: int = 5,
     seed: int = 0,
-    max_attempts: int = 12,
-    c_ref: float = DEFAULT_PIPELINE_CONSTANT,
     grid_n: int | None = None,
 ) -> dict:
     """Run the pipeline across modulations f_y over a grid of y in Sigma.
 
     Each frequency y pairs the modulated function with the shifted set
-    Sigma - y, so the per-draw chain bounds |fhat(y)|^2; lattice draws are
-    retried until all four events fire.  The aggregation compares the
-    resulting bound field with the directly evaluated |fhat(y)|^2 and
-    integrates both over Sigma.
+    Sigma - y, so the per-draw chain bounds |fhat(y)|^2; up to
+    _SWEEP_ATTEMPTS lattice draws are tried until all four events fire.  The
+    aggregation compares the resulting bound field with the directly
+    evaluated |fhat(y)|^2 and integrates both over Sigma.
     """
     ys = _sigma_grid(inst.freq_set, per_axis)
     sigma_measure = lebesgue_measure(inst.freq_set, seed=seed).value
@@ -410,11 +408,11 @@ def translated_sweep(
     for yi, y in enumerate(ys):
         shifted = inst.freq_set.translate(-y)
         f_y = Modulated(inst.f, y) if np.any(y) else inst.f
-        sub = AnnihilationInstance(f_y, inst.time_support, shifted, scale=inst.scale)
-        ctx = build_pipeline_context(sub, c_ref=c_ref, grid_n=grid_n, seed=seed)
+        sub = AnnihilationInstance(f_y, inst.time_support, shifted)
+        ctx = build_pipeline_context(sub, grid_n=grid_n, seed=seed)
         bound = math.nan
         attempts = 0
-        for attempt in range(max_attempts):
+        for attempt in range(_SWEEP_ATTEMPTS):
             attempts += 1
             trace = pipeline_trace(sub, seed=seed + 100_003 * yi + 7919 * attempt, context=ctx)
             if trace.all_events:

@@ -235,7 +235,7 @@ def _load_instance(opts: dict) -> annihilation.AnnihilationInstance:
 
 def cmd_ratio(config: RunConfig) -> int:
     inst = _load_instance(config.options)
-    _emit(config, annihilation.observed_ratio(inst, seed=config.seed))
+    _emit(config, annihilation.observed_ratio(inst))
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import erf, gammaincc
 
 from .geometry import AxisBox, Ball, EuclideanSet, _grid_points
-from .mc import Estimate, trial_rng
+from .mc import Estimate
 
 __all__ = [
     "TestFunction",
@@ -234,8 +234,8 @@ class Gaussian(TestFunction):
     dimension: int = 1
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("Gaussian scale must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"Gaussian scale must be positive and finite, got {self.a}")
         d = self.dimension
         self._set_leaves([_Leaf(1.0 + 0.0j, np.zeros(d), a=self.a, center=np.zeros(d))])
 
@@ -397,19 +397,12 @@ def norm_sq(f: TestFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _single_gauss_leaf(f: TestFunction) -> _Leaf | None:
-    leaves = f.leaves
-    if len(leaves) == 1 and leaves[0].is_gauss and not np.any(leaves[0].modulation):
-        return leaves[0]
-    return None
-
-
 def _closed_form_case(f: TestFunction, s: EuclideanSet, side: str) -> tuple[_Leaf, float] | None:
     """(leaf, radius) when f is a plain Gaussian and s is empty (radius 0) or
     one ball centered where |f| (or |fhat|) peaks; None otherwise."""
-    leaf = _single_gauss_leaf(f)
-    if leaf is None:
+    if len(f.leaves) != 1 or not f.leaves[0].is_gauss or np.any(f.leaves[0].modulation):
         return None
+    leaf = f.leaves[0]
     if s.is_empty():
         return leaf, 0.0
     if len(s.pieces) == 1 and isinstance(s.pieces[0], Ball):
@@ -431,10 +424,6 @@ def _side_eval(f: TestFunction, side: str):
     return f.value if side == "space" else f.hat
 
 
-def _side_envelope(f: TestFunction, side: str):
-    return f.envelope if side == "space" else f.envelope_hat
-
-
 def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
@@ -454,7 +443,8 @@ def _piece_energy(fn, piece, d: int, level: int) -> float:
         wmesh = np.prod(_grid_points(weights), axis=1)
         vals = np.abs(fn(mesh)) ** 2
         return float(np.sum(wmesh * vals))
-    assert isinstance(piece, Ball)
+    if not isinstance(piece, Ball):
+        raise ValueError(f"piece quadrature supports balls and boxes, not {type(piece).__name__}")
     if d == 1:
         xs, ws = _quad_nodes(n)
         pts = piece.center[0] + piece.radius * xs
@@ -493,12 +483,13 @@ def _piece_energy(fn, piece, d: int, level: int) -> float:
     raise ValueError("piece quadrature supports d <= 3")
 
 
-def band_energy(f: TestFunction, s: EuclideanSet, side: str = "hat", rtol: float = 1e-9) -> float:
+def band_energy(f: TestFunction, s: EuclideanSet, side: str) -> float:
     """integral_S of |f|^2 or |fhat|^2, by adaptive per-piece quadrature.
 
-    Pieces must be pairwise disjoint so the union integral is a plain sum.
-    Intended for smooth integrands (hat side of compact functions, or
-    Gaussian-type space sides).
+    Each piece doubles its node count until two levels agree to a relative
+    1e-9, or five levels have run.  Pieces must be pairwise disjoint so the
+    union integral is a plain sum.  Intended for smooth integrands (hat side
+    of compact functions, or Gaussian-type space sides).
     """
     if s.is_empty():
         return 0.0
@@ -510,7 +501,7 @@ def band_energy(f: TestFunction, s: EuclideanSet, side: str = "hat", rtol: float
         prev = _piece_energy(fn, piece, s.dimension, 0)
         for level in range(1, 5):
             cur = _piece_energy(fn, piece, s.dimension, level)
-            if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+            if abs(cur - prev) <= 1e-9 * max(abs(cur), 1e-300):
                 prev = cur
                 break
             prev = cur
@@ -518,40 +509,24 @@ def band_energy(f: TestFunction, s: EuclideanSet, side: str = "hat", rtol: float
     return total
 
 
-def tail_energy(
-    f: TestFunction,
-    s: EuclideanSet,
-    method: str = "auto",
-    side: str = "space",
-    grid_h: float = 0.05,
-    grid_extent: float | None = None,
-    trials: int = 200_000,
-    seed: int = 0,
-) -> Estimate:
+def tail_energy(f: TestFunction, s: EuclideanSet, side: str = "space") -> Estimate:
     """Energy of f (or fhat) outside the set ``s``.
 
-    Methods:
-      closed_form           Gaussian against a concentric ball (exact),
-      complement_quadrature ||f||^2 minus the smooth in-set quadrature,
-      grid                  rectangle rule with Richardson error estimate,
-      monte_carlo           importance or window sampling with stderr.
+    The route follows from the inputs:
+      closed form            a plain Gaussian against the empty set or a
+                             concentric ball (exact);
+      complement quadrature  ||f||^2 minus the smooth in-set quadrature, on
+                             the space side of all-Gaussian functions and the
+                             hat side of compactly supported ones;
+      grid                   otherwise, a rectangle rule with Richardson error
+                             estimate over the envelope window.
     """
     if side not in ("space", "hat"):
         raise ValueError("side must be 'space' or 'hat'")
     if s.dimension != f.dimension and not s.is_empty():
         raise ValueError("set dimension does not match function dimension")
-    total = norm_sq(f)
     closed = _closed_form_case(f, s, side)
-
-    if method == "auto":
-        method = "closed_form" if closed is not None else _auto_tail_method(f, side)
-
-    if method == "closed_form":
-        if closed is None:
-            raise ValueError(
-                "closed_form tail energy requires a plain Gaussian and an empty set "
-                "or a concentric ball"
-            )
+    if closed is not None:
         leaf, radius = closed
         c2 = abs(leaf.coef) ** 2
         if side == "space":
@@ -562,52 +537,13 @@ def tail_energy(
             gammaincc(d / 2.0, 2.0 * math.pi * radius * radius / leaf.a)
         )
         return Estimate(value, 0.0, exact=True)
-
-    if method == "complement_quadrature":
-        inside = band_energy(f, s, side=side)
+    if (side == "hat" and math.isfinite(f.support_radius)) or (
+        side == "space" and all(leaf.is_gauss for leaf in f.leaves)
+    ):
+        total = norm_sq(f)
+        inside = band_energy(f, s, side)
         return Estimate(max(total - inside, 0.0), 1e-9 * total)
-
-    if method == "grid":
-        env = _side_envelope(f, side)
-        extent = grid_extent
-        if extent is None:
-            extent = _envelope_extent(f, side)
-        if not math.isfinite(extent):
-            raise ValueError("grid tail energy needs a finite envelope extent")
-        need = _envelope_extent(f, side)
-        if math.isfinite(need) and extent < need:
-            raise ValueError(
-                "grid resolution does not cover the decay envelope: "
-                f"extent {extent} < required {need}"
-            )
-        fn = _side_eval(f, side)
-        coarse = _grid_tail(fn, s, f.dimension, extent, grid_h)
-        fine = _grid_tail(fn, s, f.dimension, extent, grid_h / 2.0)
-        # Mass of the envelope outside the window, as a one-sided error term.
-        leak = _envelope_leak(env, f.dimension, extent)
-        return Estimate(fine, abs(fine - coarse) + leak)
-
-    if method == "monte_carlo":
-        return _mc_tail(f, s, side, trials, seed)
-
-    raise ValueError(f"unknown tail-energy method: {method!r}")
-
-
-def _auto_tail_method(f: TestFunction, side: str) -> str:
-    if side == "hat" and math.isfinite(f.support_radius):
-        return "complement_quadrature"
-    if side == "space" and all(leaf.is_gauss for leaf in f.leaves):
-        return "complement_quadrature"
-    return "grid"
-
-
-def _envelope_extent(f: TestFunction, side: str, tol: float = 1e-7) -> float:
-    if side == "space":
-        return f.spatial_radius(tol)
-    try:
-        return f.hat_radius(tol)
-    except ValueError:
-        return math.inf
+    return _grid_tail(f, s, side, 0.05)
 
 
 def _envelope_leak(env, d: int, extent: float) -> float:
@@ -622,7 +558,7 @@ def _envelope_leak(env, d: int, extent: float) -> float:
     return surface * val
 
 
-def _grid_tail(fn, s: EuclideanSet, d: int, extent: float, h: float) -> float:
+def _grid_sum(fn, s: EuclideanSet, d: int, extent: float, h: float) -> float:
     mesh = _grid_points([np.arange(-extent + h / 2.0, extent, h)] * d)
     vals = np.abs(fn(mesh)) ** 2
     if not s.is_empty():
@@ -630,34 +566,19 @@ def _grid_tail(fn, s: EuclideanSet, d: int, extent: float, h: float) -> float:
     return float(h**d * np.sum(vals))
 
 
-def _mc_tail(f: TestFunction, s: EuclideanSet, side: str, trials: int, seed: int) -> Estimate:
-    rng = trial_rng(seed, 0)
-    d = f.dimension
-    leaf = _single_gauss_leaf(f)
-    if leaf is not None:
-        # Importance sampling from the density proportional to the energy;
-        # by Plancherel the total mass is (2a)^{-d/2} on either side.
-        a = leaf.a if side == "space" else 1.0 / leaf.a
-        center = leaf.center if side == "space" else np.zeros(d)
-        scale_sq = abs(leaf.coef) ** 2 * (2.0 * leaf.a) ** (-d / 2.0)
-        sigma = 1.0 / math.sqrt(4.0 * math.pi * a)
-        pts = center + sigma * rng.standard_normal((trials, d))
-        outside = np.ones(trials, dtype=bool) if s.is_empty() else ~s.contains(pts)
-        p = float(np.count_nonzero(outside)) / trials
-        return Estimate(scale_sq * p, scale_sq * math.sqrt(max(p * (1 - p), 0.0) / trials))
-    extent = _envelope_extent(f, side)
-    if not math.isfinite(extent):
-        raise ValueError("monte_carlo tail energy needs a finite envelope window")
+def _grid_tail(f: TestFunction, s: EuclideanSet, side: str, h: float) -> Estimate:
+    """Rectangle rule at steps h and h/2 over the envelope window; the error
+    is their gap plus the envelope mass outside the window."""
+    try:
+        extent = f.spatial_radius(1e-7) if side == "space" else f.hat_radius(1e-7)
+    except ValueError as exc:
+        raise ValueError(f"grid tail energy needs a finite envelope extent: {exc}") from exc
     fn = _side_eval(f, side)
-    pts = rng.uniform(-extent, extent, size=(trials, d))
-    vals = np.abs(fn(pts)) ** 2
-    if not s.is_empty():
-        vals = vals * (~s.contains(pts))
-    vol = (2.0 * extent) ** d
-    mean = float(np.mean(vals))
-    err = float(np.std(vals, ddof=1) / math.sqrt(trials))
-    leak = _envelope_leak(_side_envelope(f, side), d, extent)
-    return Estimate(vol * mean + leak, vol * err + leak)
+    coarse = _grid_sum(fn, s, f.dimension, extent, h)
+    fine = _grid_sum(fn, s, f.dimension, extent, h / 2.0)
+    env = f.envelope if side == "space" else f.envelope_hat
+    leak = _envelope_leak(env, f.dimension, extent)
+    return Estimate(fine, abs(fine - coarse) + leak)
 
 
 # ---------------------------------------------------------------------------

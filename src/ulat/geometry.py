@@ -579,12 +579,12 @@ def _grid_cover_cells(s: EuclideanSet, side: float) -> set[tuple[int, ...]] | No
     return cells
 
 
-def cover_measure_upper(s: EuclideanSet, max_level: int = 6) -> CoverCandidate:
+def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
     """Certified upper bound for the cover functional inf sum min(r_i, r_i^d).
 
     Candidates: the set's own balls plus circumscribed balls of its boxes
     (the self cover), and dyadic cube-grid covers at scales 2^-j for
-    j = 0..max_level with each cube replaced by its circumscribed ball.
+    j = 0..6 with each cube replaced by its circumscribed ball.
     The candidates are compared by value, the earliest wins a tie, and only
     the winner's balls are built; they cover the set by construction.
     """
@@ -597,7 +597,7 @@ def cover_measure_upper(s: EuclideanSet, max_level: int = 6) -> CoverCandidate:
     )
     best_value = _cover_value(np.array([b.radius for b in self_balls]), d)
     best_cells, best_side = None, 0.0
-    for j in range(max_level + 1):
+    for j in range(7):
         side = 2.0**-j
         cells = _grid_cover_cells(s, side)
         if cells is None:

@@ -15,7 +15,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaincc
 
 from .geometry import (
@@ -257,10 +256,11 @@ class GaussianProfile:
     """The radial Gaussian exp(-pi * a * ||x||^2)."""
 
     def __init__(self, dimension: int, a: float = 1.0):
-        if a <= 0:
-            raise ValueError("Gaussian scale must be positive")
+        a = float(a)
+        if not 0 < a < math.inf:
+            raise ValueError(f"Gaussian scale must be positive and finite, got {a}")
         self.dimension = int(dimension)
-        self.a = float(a)
+        self.a = a
         self.support_radius = math.inf
 
     def value(self, points: np.ndarray) -> np.ndarray:
@@ -337,16 +337,6 @@ def check_lattice_averaging(
     rep_a = ExpectationReport(est_a, err_a, trials, ref_a, seed, extras=extras_a)
     rep_b = ExpectationReport(est_b, err_b, trials, ref_b, seed, extras=extras_b)
     return rep_a, rep_b
-
-
-def gaussian_polar_check(d: int, rtol: float = 1e-8) -> tuple[float, float]:
-    """Quadrature verification of the polar identity with a unit Gaussian.
-
-    Returns (radial integral, C(d)); the two must agree since the Gaussian
-    integrates to 1 over R^d.
-    """
-    val, _ = integrate.quad(lambda v: math.exp(-math.pi * v * v) * v ** (d - 1), 0, np.inf)
-    return float(val), polar_constant(d)
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,9 @@ class Periodization:
         vals = self.value_grid(n)
         return float(np.mean(np.abs(vals) ** 2))
 
-    def coefficient_energy(self, rel_tol: float = 1e-9) -> float:
-        """Directly summed coefficient energy with a certified cutoff.
+    def coefficient_energy(self) -> float:
+        """Directly summed coefficient energy with a cutoff certified to a
+        relative 1e-9.
 
         Requires a hat-side radial decay certificate (Gaussian-type
         sources); box transforms are rejected because their coefficient
@@ -194,7 +195,7 @@ class Periodization:
         for shell in range(int(r), int(r) + 8):
             count = _shell_count_bound(shell, d)
             tail += count * float(self.source.envelope_hat(v * shell)) ** 2 * v
-        if tail > rel_tol * max(head, 1e-300):
+        if tail > 1e-9 * max(head, 1e-300):
             raise ValueError("coefficient energy tail cannot be certified at this cutoff")
         return head
 
@@ -247,7 +248,7 @@ class Periodization:
 
     # -- verification ---------------------------------------------------------
 
-    def parseval_gap(self, grid_n: int | None = None) -> float:
+    def parseval_gap(self) -> float:
         """Relative gap between coefficient-side and torus-side energies.
 
         Gaussian-type sources compare the certified coefficient sum against
@@ -263,7 +264,7 @@ class Periodization:
             scale = max(abs(coef_side), abs(torus_side), 1e-300)
             return abs(coef_side - torus_side) / scale
         coef_side = self.coefficient_energy()
-        torus_side = self.grid_energy(grid_n)
+        torus_side = self.grid_energy()
         return abs(coef_side - torus_side) / max(abs(torus_side), 1e-300)
 
     def _probe_coefficient_sum(self, probe: TestFunction) -> complex:

@@ -5,7 +5,8 @@ inequality: its global sup is controlled by its sup on any measurable set E
 of positive measure, at cost (14/|E|)^(m-1) in one dimension (m terms) and
 (14 d / |E|)^(m_1 + ... + m_d) in dimension d, where m_i + 1 counts the
 distinct frequencies along axis i.  This module evaluates both sides with
-certified two-sided sup-norm brackets and runs randomized campaigns.
+certified sup-norm brackets, each a grid maximum (a feasible lower bound)
+plus a gradient window, and runs randomized campaigns.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 GRID_DENSITY_FACTOR = 8
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,17 +86,6 @@ class TrigPolynomial:
 
     def max_abs_frequency(self) -> int:
         return int(np.max(np.abs(self.frequencies()), initial=0))
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"frequency": list(k), "re": self.terms[k].real, "im": self.terms[k].imag}
-            for k in sorted(self.terms.keys())
-        ]
-
-    @staticmethod
-    def from_records(dimension: int, records) -> "TrigPolynomial":
-        terms = {tuple(r["frequency"]): complex(r["re"], r["im"]) for r in records}
-        return TrigPolynomial(dimension, terms)
 
 
 @dataclass(frozen=True)
@@ -209,7 +198,6 @@ class SupEstimate:
 
     value: float
     window: float
-    argmax: tuple
 
     @property
     def upper(self) -> float:
@@ -224,57 +212,28 @@ def _box_axis_grid(lo: float, hi: float, density: float) -> np.ndarray:
 def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
     """Certified bracket for sup |p| over a region (default: full torus).
 
-    Per-axis grid density is at least GRID_DENSITY_FACTOR times
-    (max |frequency coordinate| + 1) points per unit length, followed by a
-    golden-section polish around the best grid point.  The window is the
-    gradient bound times the half-diagonal of one grid cell.
+    Each box of the region gets a grid of at least GRID_DENSITY_FACTOR times
+    (max |frequency coordinate| + 1) points per unit length along each axis.
+    The value is the largest |p| over the grid points, and the window is the
+    gradient bound times the half-diagonal of one grid cell of the box that
+    holds it.
     """
     region = region or TorusSet.full(p.dimension)
     if region.measure <= 0:
         raise ValueError("sup_norm region must have positive measure")
     density = GRID_DENSITY_FACTOR * (p.max_abs_frequency() + 1)
     grad = p.gradient_bound()
-    best_val, best_pt, best_window = -1.0, None, 0.0
+    best = SupEstimate(-1.0, 0.0)
     for box in region.pieces:
         axes = [
             _box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
             for i in range(p.dimension)
         ]
-        spacings = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0 for ax in axes])
-        mesh = _grid_points(axes)
-        vals = np.abs(p.evaluate(mesh))
-        idx = int(np.argmax(vals))
-        window = grad * 0.5 * float(np.linalg.norm(spacings))
-        if vals[idx] > best_val:
-            best_val = float(vals[idx])
-            best_pt = mesh[idx].copy()
-            best_box = box
-            best_spacings = spacings
-            best_window = window
-    # Golden-section polish per axis inside the best cell; the window keeps
-    # certifying against the original grid.
-    pt = best_pt.copy()
-    for axis in range(p.dimension):
-        h = best_spacings[axis]
-        if h == 0.0:
-            continue
-        lo = max(float(best_box.lower[axis]), pt[axis] - h)
-        hi = min(float(best_box.upper[axis]), pt[axis] + h)
-        a, b = lo, hi
-        for _ in range(3):
-            c = b - GOLDEN * (b - a)
-            dpt, ept = pt.copy(), pt.copy()
-            dpt[axis], ept[axis] = c, a + GOLDEN * (b - a)
-            if abs(p.evaluate(dpt)) >= abs(p.evaluate(ept)):
-                b = a + GOLDEN * (b - a)
-            else:
-                a = c
-        cand = pt.copy()
-        cand[axis] = 0.5 * (a + b)
-        if abs(p.evaluate(cand)) > best_val:
-            best_val = float(abs(p.evaluate(cand)))
-            pt = cand
-    return SupEstimate(best_val, best_window, tuple(float(x) for x in pt))
+        value = float(np.max(np.abs(p.evaluate(_grid_points(axes)))))
+        if value > best.value:
+            spacings = np.array([ax[1] - ax[0] for ax in axes])
+            best = SupEstimate(value, grad * 0.5 * float(np.linalg.norm(spacings)))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +330,10 @@ def random_polynomial(
     return TrigPolynomial(d, dict(zip(map(tuple, freqs.tolist()), coefs)))
 
 
-def random_torus_set(
-    d: int,
-    rng: np.random.Generator,
-    max_pieces: int = 4,
-    min_measure: float = 0.1,
-) -> TorusSet:
-    """Random union of boxes in [0,1)^d with measure at least min_measure."""
+def random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1) -> TorusSet:
+    """Random union of one to four boxes in [0,1)^d with measure at least min_measure."""
     for _ in range(256):
-        n = int(rng.integers(1, max_pieces + 1))
+        n = int(rng.integers(1, 5))
         boxes = []
         for _ in range(n):
             lo = rng.uniform(0.0, 0.9, d)
@@ -392,22 +346,23 @@ def random_torus_set(
     raise RuntimeError("failed to draw a torus set of the requested measure")
 
 
-def run_campaign(
-    d: int,
-    count: int,
-    seed: int = 0,
-    max_terms: int = 8,
-    max_freq: int | None = None,
-    max_per_axis: int | None = None,
-    min_measure: float | None = None,
-) -> list[dict]:
-    """Randomized verification campaign; returns one row per instance."""
-    if max_freq is None:
-        max_freq = 16 if d == 1 else 4
-    if min_measure is None:
-        min_measure = 0.1 if d == 1 else 0.05
-    if max_per_axis is None and d > 1:
-        max_per_axis = 3
+# Campaign draws per dimension: (max_terms, max_freq, max_per_axis,
+# min_measure).  Dimensions above 2 use the d = 2 row.
+_CAMPAIGN_DRAWS = {1: (8, 16, None, 0.1), 2: (8, 4, 3, 0.05)}
+
+
+def run_campaign(d: int, count: int, seed: int = 0) -> list[dict]:
+    """Randomized verification campaign; returns one row per instance.
+
+    Instance i draws its polynomial and its set from trial_rng(seed, i) with
+    the constants of ``_CAMPAIGN_DRAWS``: in d = 1 up to 8 terms with
+    frequencies in [-16, 16] and sets of measure at least 0.1; in d >= 2
+    spectra inside a product of 3 values per axis from [-4, 4] and sets of
+    measure at least 0.05.
+    """
+    if count < 1:
+        raise ValueError(f"a campaign needs at least one instance, got {count}")
+    max_terms, max_freq, max_per_axis, min_measure = _CAMPAIGN_DRAWS[min(d, 2)]
     rows = []
     for i in range(count):
         rng = trial_rng(seed, i)

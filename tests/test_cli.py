@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, exit codes, determinism, formats."""
 
+import ast
 import csv
 import json
 import math
@@ -203,8 +204,15 @@ MALFORMED = {
         ["geometry", "--set", "{set-without-dimension}", "--op", "measure"],
         ["geometry", "--set", "{set-as-list}", "--op", "measure"],
         ["periodize", "--function", "{gaussian-without-a}"],
+        ["lal", "--phi", "gaussian:nan", "--trials", "10"],
+        ["lal", "--phi", "gaussian:inf", "--trials", "10"],
+        ["turan", "--random", "-1"],
+        ["turan", "--random", "0"],
     ],
-    ids=["ball-no-radius", "annulus-one-radius", "set-no-dimension", "set-list", "gaussian-no-a"],
+    ids=[
+        "ball-no-radius", "annulus-one-radius", "set-no-dimension", "set-list", "gaussian-no-a",
+        "gaussian-nan", "gaussian-inf", "turan-negative-count", "turan-zero-count",
+    ],
 )
 def test_malformed_input_is_a_precondition(capsys, tmp_path, argv):
     for name, doc in MALFORMED.items():
@@ -233,6 +241,18 @@ def test_precondition_reported_once(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("precondition violated: malformed set document")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every check in the package is
+    # explicit control flow that raises.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(ulat.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def grid_argv(command: str, doc_dir, function: str = "fbox.json") -> list[str]:

@@ -15,6 +15,7 @@ from ulat.functions import (
     Gaussian,
     Modulated,
     Translated,
+    _grid_tail,
     cross_correlation,
     function_from_dict,
     function_to_dict,
@@ -22,6 +23,7 @@ from ulat.functions import (
     tail_energy,
 )
 from ulat.geometry import AxisBox, Ball, EuclideanSet
+from ulat.lattice import GaussianProfile
 from ulat.mc import trial_rng
 
 
@@ -192,20 +194,20 @@ class TestTailEnergy:
 
     def test_grid_and_closed_form_agree(self):
         s = EuclideanSet(1, [Ball([0.0], 0.8)])
-        closed = tail_energy(Gaussian(1.0, 1), s, method="closed_form")
-        grid = tail_energy(Gaussian(1.0, 1), s, method="grid", grid_h=0.01)
+        closed = tail_energy(Gaussian(1.0, 1), s)
+        assert closed.exact
+        grid = _grid_tail(Gaussian(1.0, 1), s, "space", 0.01)
         assert grid.value == pytest.approx(closed.value, abs=5 * grid.stderr + 1e-6)
 
-    def test_monte_carlo_agrees_with_closed_form(self):
-        s = EuclideanSet(2, [Ball([0.0, 0.0], 1.0)])
-        closed = tail_energy(Gaussian(1.0, 2), s, method="closed_form")
-        mc = tail_energy(Gaussian(1.0, 2), s, method="monte_carlo", trials=400_000, seed=4)
-        assert abs(mc.value - closed.value) <= 4 * mc.stderr
 
-    def test_grid_window_must_cover_envelope(self):
-        s = EuclideanSet(1, [Ball([0.0], 0.5)])
-        with pytest.raises(ValueError):
-            tail_energy(Gaussian(1.0, 1), s, method="grid", grid_extent=0.5)
+@pytest.mark.parametrize(
+    "build", [lambda a: Gaussian(a, 2), lambda a: GaussianProfile(2, a)],
+    ids=["Gaussian", "GaussianProfile"],
+)
+@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+def test_gaussian_scale_must_be_positive_and_finite(build, a):
+    with pytest.raises(ValueError):
+        build(a)
 
 
 class TestSerialization:

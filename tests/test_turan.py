@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulat.geometry import AxisBox
+from ulat.geometry import AxisBox, _grid_points
 from ulat.mc import trial_rng
 from ulat.turan import (
+    GRID_DENSITY_FACTOR,
     TorusSet,
     TrigPolynomial,
+    _box_axis_grid,
     box_union_measure,
     poly_order,
     random_polynomial,
@@ -99,6 +101,26 @@ class TestSupNorm:
             dense = float(np.max(np.abs(p.evaluate(ts))))
             assert dense <= est.value + est.window + 1e-9
             assert est.value <= dense + 1e-9
+        # d = 2 with the campaign's draws, over the full torus and over a
+        # random campaign region.  Each box's grid is refined 12-fold, so the
+        # dense grid holds every point of the coarse one.
+        for trial in range(10):
+            rng = trial_rng(12, trial)
+            p = random_polynomial(2, rng, max_freq=4, max_per_axis=3)
+            e = random_torus_set(2, rng, min_measure=0.05)
+            density = GRID_DENSITY_FACTOR * (p.max_abs_frequency() + 1)
+            for region in (None, e):
+                est = sup_norm(p, region)
+                dense = 0.0
+                for box in (region or TorusSet.full(2)).pieces:
+                    axes = [
+                        _box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
+                        for i in range(2)
+                    ]
+                    fine = [np.linspace(ax[0], ax[-1], 12 * (len(ax) - 1) + 1) for ax in axes]
+                    dense = max(dense, float(np.max(np.abs(p.evaluate(_grid_points(fine))))))
+                assert dense <= est.upper + 1e-9
+                assert est.value <= dense + 1e-9
 
     def test_region_sup_below_global_with_window(self):
         rng = trial_rng(3, 0)
@@ -205,10 +227,3 @@ class TestTorusSet:
         for _ in range(20):
             ts = random_torus_set(2, rng, min_measure=0.05)
             assert ts.measure >= 0.05
-
-
-class TestSerialization:
-    def test_records_round_trip(self):
-        p = TrigPolynomial(2, {(1, -3): 0.5 + 2.0j, (0, 0): -1.0})
-        back = TrigPolynomial.from_records(2, p.to_records())
-        assert back.terms == p.terms
