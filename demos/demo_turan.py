@@ -30,7 +30,7 @@ from ulat.turan import random_polynomial
 
 rp = random_polynomial(1, trial_rng(3, 0), max_terms=5, max_freq=8)
 est = sup_norm(rp)
-print(f"  sup in [{est.value:.5f}, {est.value + est.window:.5f}]")
+print(f"  sup in [{est.value:.5f}, {est.upper:.5f}]")
 
 print()
 for d in (1, 2):

@@ -555,9 +555,10 @@ class CoverCandidate:
         return True
 
 
-def _grid_cover_cells(s: EuclideanSet, side: float) -> set[tuple[int, ...]] | None:
-    """Integer grid cells (side-aligned cubes) intersecting the set."""
-    cells: set[tuple[int, ...]] = set()
+def _grid_cover_cells(s: EuclideanSet, side: float) -> np.ndarray | None:
+    """Integer grid cells (side-aligned cubes) intersecting the set, as the
+    rows of an (n, d) integer array in lexicographic order, without repeats."""
+    pieces = []
     for p in s.pieces:
         lo, hi = p.bounds()
         lo_idx = np.floor(lo / side).astype(int)
@@ -573,9 +574,13 @@ def _grid_cover_cells(s: EuclideanSet, side: float) -> set[tuple[int, ...]] | No
             gap = np.maximum(np.maximum(cell_lo - p.center, p.center - cell_hi), 0.0)
             keep = np.einsum("ij,ij->i", gap, gap) <= p.radius**2
             mesh = mesh[keep]
-        cells.update(map(tuple, mesh.tolist()))
-        if len(cells) > _GRID_CELL_CAP:
-            return None
+        pieces.append(mesh)
+    cells = np.concatenate(pieces)
+    cells = cells[np.lexsort(cells.T[::-1])]
+    cells = cells[np.concatenate(([True], np.any(cells[1:] != cells[:-1], axis=1)))]
+    # Pieces only add cells, so the union's count caps every running count.
+    if len(cells) > _GRID_CELL_CAP:
+        return None
     return cells
 
 
@@ -609,7 +614,5 @@ def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
     if best_cells is None:
         return CoverCandidate(self_balls, best_value)
     r = best_side * math.sqrt(d) / 2.0
-    balls = tuple(
-        Ball((np.array(c, dtype=float) + 0.5) * best_side, r) for c in sorted(best_cells)
-    )
+    balls = tuple(Ball((c + 0.5) * best_side, r) for c in best_cells.astype(float))
     return CoverCandidate(balls, best_value)

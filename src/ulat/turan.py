@@ -189,19 +189,19 @@ class TorusSet:
 
 @dataclass(frozen=True)
 class SupEstimate:
-    """Grid maximum with a certified one-sided window.
+    """Grid maximum with a certified upper end.
 
-    The true supremum lies in [value, value + window]: grid points are
-    feasible (lower bound) and the gradient bound caps the rise between
-    neighboring grid points.
+    The true supremum lies in [value, upper]: grid points are feasible
+    (lower bound), and over each box the gradient bound caps the rise
+    between neighboring grid points.
     """
 
     value: float
-    window: float
+    upper: float
 
     @property
-    def upper(self) -> float:
-        return self.value + self.window
+    def window(self) -> float:
+        return self.upper - self.value
 
 
 def _box_axis_grid(lo: float, hi: float, density: float) -> np.ndarray:
@@ -214,26 +214,27 @@ def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
 
     Each box of the region gets a grid of at least GRID_DENSITY_FACTOR times
     (max |frequency coordinate| + 1) points per unit length along each axis.
-    The value is the largest |p| over the grid points, and the window is the
-    gradient bound times the half-diagonal of one grid cell of the box that
-    holds it.
+    The value is the largest |p| over the grid points.  Each box certifies
+    its grid maximum plus the gradient bound times the half-diagonal of one
+    of its grid cells, and the upper end is the largest of these, which need
+    not come from the box that holds the value.
     """
     region = region or TorusSet.full(p.dimension)
     if region.measure <= 0:
         raise ValueError("sup_norm region must have positive measure")
     density = GRID_DENSITY_FACTOR * (p.max_abs_frequency() + 1)
     grad = p.gradient_bound()
-    best = SupEstimate(-1.0, 0.0)
+    value = upper = -1.0
     for box in region.pieces:
         axes = [
             _box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
             for i in range(p.dimension)
         ]
-        value = float(np.max(np.abs(p.evaluate(_grid_points(axes)))))
-        if value > best.value:
-            spacings = np.array([ax[1] - ax[0] for ax in axes])
-            best = SupEstimate(value, grad * 0.5 * float(np.linalg.norm(spacings)))
-    return best
+        box_max = float(np.max(np.abs(p.evaluate(_grid_points(axes)))))
+        spacings = np.array([ax[1] - ax[0] for ax in axes])
+        value = max(value, box_max)
+        upper = max(upper, box_max + grad * 0.5 * float(np.linalg.norm(spacings)))
+    return SupEstimate(value, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,13 @@ def random_polynomial(
 
 
 def random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1) -> TorusSet:
-    """Random union of one to four boxes in [0,1)^d with measure at least min_measure."""
+    """Random union of one to four boxes in [0,1)^d with measure at least min_measure.
+
+    ``min_measure`` must lie in (0, 1].  Up to 256 unions are drawn; a
+    ValueError reports that none reached the measure.
+    """
+    if not 0.0 < min_measure <= 1.0:
+        raise ValueError(f"min_measure must lie in (0, 1], got {min_measure!r}")
     for _ in range(256):
         n = int(rng.integers(1, 5))
         boxes = []
@@ -343,7 +350,7 @@ def random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1)
         ts = TorusSet(d, boxes)
         if ts.measure >= min_measure:
             return ts
-    raise RuntimeError("failed to draw a torus set of the requested measure")
+    raise ValueError(f"no torus set of measure at least {min_measure} in 256 draws")
 
 
 # Campaign draws per dimension: (max_terms, max_freq, max_per_axis,

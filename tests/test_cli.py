@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import ulat
-from ulat import annihilation
+from ulat import annihilation, turan
 from ulat.cli import (
     EXIT_ASSERTION,
     EXIT_IO,
@@ -85,6 +85,12 @@ class TestTuranCommand:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 50
         assert all(r["holds"] == "True" for r in rows)
+
+    def test_undrawable_torus_set_is_a_precondition(self, capsys, monkeypatch):
+        monkeypatch.setattr(turan, "_CAMPAIGN_DRAWS", {1: (8, 16, None, 1.0), 2: (8, 4, 3, 1.0)})
+        code, _, err = run_cli(capsys, ["turan", "--dim", "1", "--random", "2", "--seed", "1"])
+        assert code == EXIT_PRECONDITION
+        assert "256 draws" in err
 
 
 class TestLalCommand:

@@ -1,5 +1,6 @@
 """Geometry: membership, measure, rotations, widths, cover bounds."""
 
+import itertools
 import json
 import math
 
@@ -21,6 +22,7 @@ from ulat.geometry import (
     merged_length,
     projection_width,
     sample_rotation,
+    _GRID_CELL_CAP,
     _WIDTH_BLOCK,
     _check_rotations,
     _cover_value,
@@ -239,10 +241,30 @@ class TestCoverUpper:
         for j in range(7):
             side = 2.0**-j
             top = tuple(math.ceil(u / side) - 1 for u in upper)
-            assert top in _grid_cover_cells(s, side)
+            assert top in map(tuple, _grid_cover_cells(s, side).tolist())
         cover = cover_measure_upper(s)
         corner = np.array(upper)
         assert any(b.contains(corner) for b in cover.balls)
+
+
+def set_grid_cover_cells(s: EuclideanSet, side: float) -> list[tuple[int, ...]] | None:
+    """Oracle: each piece's cells added to a set of tuples, the running
+    count checked after each piece."""
+    cells: set[tuple[int, ...]] = set()
+    for p in s.pieces:
+        lo, hi = p.bounds()
+        lo_idx = np.floor(lo / side).astype(int)
+        hi_idx = np.ceil(hi / side).astype(int) - 1
+        if np.prod(hi_idx - lo_idx + 1, dtype=float) > _GRID_CELL_CAP:
+            return None
+        mesh = np.array(list(itertools.product(*map(range, lo_idx, hi_idx + 1))))
+        if isinstance(p, Ball):
+            gap = np.maximum(np.maximum(mesh * side - p.center, p.center - (mesh * side + side)), 0)
+            mesh = mesh[np.sum(gap * gap, axis=1) <= p.radius**2]
+        cells.update(map(tuple, mesh.tolist()))
+        if len(cells) > _GRID_CELL_CAP:
+            return None
+    return sorted(cells)
 
 
 def eight_candidate_cover(s: EuclideanSet, max_level: int = 6) -> CoverCandidate:
@@ -258,7 +280,7 @@ def eight_candidate_cover(s: EuclideanSet, max_level: int = 6) -> CoverCandidate
     candidates = [CoverCandidate(tuple(self_balls), _cover_value(radii, d))]
     for j in range(max_level + 1):
         side = 2.0**-j
-        cells = _grid_cover_cells(s, side)
+        cells = set_grid_cover_cells(s, side)
         if cells is None:
             continue
         r = side * math.sqrt(d) / 2.0
@@ -304,6 +326,17 @@ def cover_oracle_sets() -> list[EuclideanSet]:
 
 
 class TestCoverOracle:
+    @pytest.mark.parametrize("index", range(len(cover_oracle_sets())))
+    def test_array_cells_equal_the_set_of_tuples(self, index):
+        s = cover_oracle_sets()[index]
+        for j in range(7):
+            side = 2.0**-j
+            got, expected = _grid_cover_cells(s, side), set_grid_cover_cells(s, side)
+            if expected is None:
+                assert got is None
+            else:
+                assert got.tolist() == [list(c) for c in expected]
+
     @pytest.mark.parametrize("index", range(len(cover_oracle_sets())))
     def test_winner_only_cover_equals_full_candidate_minimum(self, index):
         s = cover_oracle_sets()[index]

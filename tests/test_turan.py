@@ -122,6 +122,20 @@ class TestSupNorm:
                 assert dense <= est.upper + 1e-9
                 assert est.value <= dense + 1e-9
 
+    def test_union_upper_covers_every_box(self):
+        # |1 + e(2t)| = 2|cos 2 pi t| peaks at t = 1/2, midway between two grid
+        # points of the long arc, whose grid maximum (1.984) is below that of
+        # the short arc near t = 0 (1.990).  The short arc's fine window stops
+        # short of 2, so only the long arc's coarser window certifies the union.
+        p = TrigPolynomial(1, {(0,): 1.0, (2,): 1.0})
+        e = TorusSet.arcs([(0.0159, 0.0169), (0.32, 0.72)])
+        short, long = (sup_norm(p, TorusSet(1, [b])) for b in e.pieces)
+        assert long.value < short.value and short.upper < 2.0
+        est = sup_norm(p, e)
+        assert est.value == short.value
+        assert est.upper == long.upper
+        assert est.upper >= 2.0
+
     def test_region_sup_below_global_with_window(self):
         rng = trial_rng(3, 0)
         for _ in range(10):
@@ -227,3 +241,17 @@ class TestTorusSet:
         for _ in range(20):
             ts = random_torus_set(2, rng, min_measure=0.05)
             assert ts.measure >= 0.05
+
+    @pytest.mark.parametrize("min_measure", [0.0, -0.1, 1.5, float("nan")])
+    def test_min_measure_outside_unit_interval_rejected_before_drawing(self, min_measure):
+        rng = trial_rng(5, 0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="min_measure"):
+            random_torus_set(1, rng, min_measure=min_measure)
+        assert rng.bit_generator.state == before
+
+    def test_unreachable_measure_is_a_value_error(self):
+        # Every box starts below 0.9 and is at most 0.5 wide, so no union
+        # covers the whole square.
+        with pytest.raises(ValueError, match="256 draws"):
+            random_torus_set(2, trial_rng(5, 1), min_measure=1.0)
