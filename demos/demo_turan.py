@@ -5,13 +5,12 @@ sup on any set of positive measure.  The demo evaluates hand-checkable
 cases and runs a randomized campaign with certified sup-norm brackets.
 """
 
-from ulat import TorusSet, TrigPolynomial, poly_order, run_campaign, sup_norm
-from ulat import turan_check_1d, turan_check_multidim
+from ulat import TorusSet, TrigPolynomial, poly_order, run_campaign, sup_norm, turan_check
 from ulat.geometry import AxisBox
 
 print("p(t) = 2 cos(2 pi t), E = [0, 1/2]")
 p = TrigPolynomial(1, {(1,): 1.0, (-1,): 1.0})
-res = turan_check_1d(p, TorusSet.arcs([(0.0, 0.5)]))
+res = turan_check(p, TorusSet.arcs([(0.0, 0.5)]))
 print(f"  global sup {res.lhs:.3f} <= factor {res.factor:.0f} * sup_E -> rhs {res.rhs:.1f}"
       f"  holds={res.holds}")
 
@@ -19,7 +18,7 @@ print()
 print("p(t) = 4 cos(2 pi t1) cos(2 pi t2), E = [0, 1/2]^2")
 p2 = TrigPolynomial(2, {(1, 1): 1.0, (1, -1): 1.0, (-1, 1): 1.0, (-1, -1): 1.0})
 o = poly_order(p2)
-res = turan_check_multidim(p2, TorusSet(2, [AxisBox([0.0, 0.0], [0.5, 0.5])]))
+res = turan_check(p2, TorusSet(2, [AxisBox([0.0, 0.0], [0.5, 0.5])]))
 print(f"  per-axis orders {o.per_axis}, exponent {o.fm_exponent}")
 print(f"  global sup {res.lhs:.3f}, factor {res.factor:.0f}, holds={res.holds}")
 

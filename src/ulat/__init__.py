@@ -55,8 +55,7 @@ from .turan import (
     poly_order,
     run_campaign,
     sup_norm,
-    turan_check_1d,
-    turan_check_multidim,
+    turan_check,
 )
 from .annihilation import (
     AnnihilationInstance,

@@ -40,6 +40,7 @@ __all__ = [
     "disc_ring",
     "disc_ring_experiment",
     "calibrate_pair_constant",
+    "pipeline_grid_size",
     "DEFAULT_PIPELINE_CONSTANT",
     "ANNIHILATED_SENTINEL",
 ]
@@ -132,20 +133,12 @@ def observed_ratio(inst: AnnihilationInstance) -> dict:
     t_space = tail_energy(inst.f, inst.time_support, side="space")
     t_freq = tail_energy(inst.f, inst.freq_set, side="hat")
     denom = t_space.value + t_freq.value
-    if denom < 1e-14 * total:
-        return {
-            "numerator": total,
-            "denominator": denom,
-            "ratio": ANNIHILATED_SENTINEL,
-            "annihilated": True,
-            "space_tail": t_space.value,
-            "freq_tail": t_freq.value,
-        }
+    annihilated = bool(denom < 1e-14 * total)
     return {
         "numerator": total,
         "denominator": denom,
-        "ratio": total / denom,
-        "annihilated": False,
+        "ratio": ANNIHILATED_SENTINEL if annihilated else total / denom,
+        "annihilated": annihilated,
         "space_tail": t_space.value,
         "freq_tail": t_freq.value,
     }
@@ -187,11 +180,8 @@ def calibrate_pair_constant(ratios, exponent_terms) -> float:
 class PipelineContext:
     """Per-instance quantities shared by every lattice draw."""
 
-    instance: AnnihilationInstance
     tail_hat: float
     nu: float
-    cover_upper: float
-    width: float
     fhat0_sq: float
     support_measure: float
     c_ref: float
@@ -234,6 +224,15 @@ class PipelineTrace:
         return doc
 
 
+def pipeline_grid_size(d: int) -> int:
+    """Default pipeline torus grid per axis: 512 for d <= 2, 64 for d = 3."""
+    if d <= 2:
+        return 512
+    if d == 3:
+        return 64
+    raise ValueError("pipeline grids are limited to d <= 3 unless a grid is given")
+
+
 def build_pipeline_context(
     inst: AnnihilationInstance,
     grid_n: int | None = None,
@@ -242,6 +241,7 @@ def build_pipeline_context(
 ) -> PipelineContext:
     """Validate the instance and precompute draw-independent quantities."""
     d = inst.dimension
+    grid_n = grid_n or pipeline_grid_size(d)
     support = inst.f.support_set()
     if support is None:
         raise ValueError(
@@ -260,13 +260,9 @@ def build_pipeline_context(
     cover = cover_measure_upper(inst.freq_set).value
     width = mean_width(inst.freq_set, trials=width_trials, seed=seed + 1).value
     fhat0_sq = float(np.abs(inst.f.hat(np.zeros(d))) ** 2)
-    grid_n = grid_n or (512 if d <= 2 else 64)
     return PipelineContext(
-        instance=inst,
         tail_hat=tail_hat,
         nu=min(cover, width),
-        cover_upper=cover,
-        width=width,
         fhat0_sq=fhat0_sq,
         support_measure=support_measure,
         c_ref=DEFAULT_PIPELINE_CONSTANT,
@@ -476,7 +472,11 @@ def disc_ring_experiment(
             "ring radius must exceed twice the disc count so discs stay well separated"
         )
     sigma = disc_ring(n, ring_radius)
-    k_range = int(math.ceil(sigma.bounding_radius())) + 1
+    with np.errstate(over="ignore"):
+        reach = sigma.bounding_radius()
+    if not math.isfinite(reach):
+        raise ValueError(f"ring radius {ring_radius!r} leaves the discs no finite bounding radius")
+    k_range = int(math.ceil(reach)) + 1
 
     def one(rng: np.random.Generator) -> float:
         lat = sample_lattice(2, rng)

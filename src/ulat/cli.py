@@ -298,7 +298,8 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ulat parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="ulat",
         description="Seeded experiments: lattice averaging, periodization, "
@@ -360,13 +361,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring-radius", type=float, default=None)
     common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 _DEFAULT_FORMATS = {"turan": "csv", "sweep": "csv"}
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _config_overrides(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Read a --config object and check each value as its flag would be.
+
+    Keys are the flags' destinations of the subcommand ``parser`` (``format``
+    for --format); a value must have the flag's type (an integer passes as a
+    float) and lie in its choices.
+    """
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise PreconditionError(f"config {path} must be a JSON object")
+    flags = {"format" if a.dest == "fmt" else a.dest: a for a in parser._actions}
+    for key, value in doc.items():
+        action = flags.get(key)
+        if action is None or key in {"help", "config", "dry_run"}:
+            raise PreconditionError(f"config key {key!r} names no flag of {parser.prog}")
+        kind = {float: (int, float), None: str}.get(action.type, action.type)
+        if isinstance(value, bool) or not isinstance(value, kind) or (
+            action.choices is not None and value not in action.choices
+        ):
+            raise PreconditionError(f"config value {value!r} is not valid for {action.option_strings[0]}")
+    return doc
+
+
+def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     options = {
         k: v
         for k, v in vars(args).items()
@@ -374,8 +398,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         and v is not None
     }
     if args.config:
-        overrides = _load_json(args.config)
-        for key, value in overrides.items():
+        for key, value in _config_overrides(args.config, parser).items():
             if key in {"trials", "seed", "output", "format"}:
                 setattr(args, "fmt" if key == "format" else key, value)
             else:
@@ -397,14 +420,23 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _check_grid(config: RunConfig) -> None:
     """Reject a torus grid below one point per axis or above the point budget.
 
-    The budget is checked on the size n^d alone, before any grid exists.
+    The grid checked is the one the command will use: --grid, or else the
+    default for the function's dimension, which rejects d >= 4.  The budget
+    is checked on the size n^d alone, before any grid exists.
     """
-    n = config.options.get("grid")
-    if config.command not in _GRID_COMMANDS or n is None:
+    if config.command not in _GRID_COMMANDS:
         return
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    n = config.options.get("grid")
+    if n is not None and n < 1:
         raise PreconditionError(f"grid must be an integer >= 1, got {n!r}")
     d = _load_function(config.options["function"]).dimension
+    if n is None:
+        default = (
+            periodization.default_grid_size
+            if config.command == "periodize"
+            else annihilation.pipeline_grid_size
+        )
+        n = default(d)
     if n**d > GRID_POINT_BUDGET:
         raise PreconditionError(
             f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points"
@@ -428,10 +460,10 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("UL_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
+        config = _resolve_config(args, commands[args.command])
         return run(config)
     except ValueError as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")

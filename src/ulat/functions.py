@@ -6,8 +6,7 @@ or a box indicator with a coefficient and a modulation.  Closed forms for
 both sides, radial decay envelopes and support sets are written once, on
 the leaves.  The kinds -- Gaussians exp(-pi a ||x||^2), box indicators,
 finite linear combinations, modulations and translations -- are
-constructors: each validates its parameters, keeps them for
-serialization, and builds its leaves.
+constructors: each validates its parameters and builds its leaves.
 
 Cross-correlations  C_{f,g}(z) = integral f(x) conj(g(x + z)) dx  are
 evaluated in closed form leaf by leaf; they power exact torus energies of
@@ -36,7 +35,6 @@ __all__ = [
     "norm_sq",
     "tail_energy",
     "function_from_dict",
-    "function_to_dict",
 ]
 
 _TWO_PI_I = 2j * math.pi
@@ -254,8 +252,6 @@ class BoxIndicator(TestFunction):
 class Combination(TestFunction):
     """Finite linear combination sum_i c_i f_i."""
 
-    terms: tuple  # of (complex coefficient, TestFunction)
-
     def __init__(self, terms):
         terms = tuple((complex(c), f) for c, f in terms)
         if not terms:
@@ -263,7 +259,6 @@ class Combination(TestFunction):
         d = terms[0][1].dimension
         if any(f.dimension != d for _, f in terms):
             raise ValueError("combination terms must share one dimension")
-        object.__setattr__(self, "terms", terms)
         self._set_leaves(leaf.scaled(c) for c, f in terms for leaf in f.leaves)
 
 
@@ -271,16 +266,10 @@ class Combination(TestFunction):
 class Modulated(TestFunction):
     """f(x) = base(x) exp(+2 i pi <x, y>), so fhat(xi) = base_hat(xi + y)."""
 
-    base: TestFunction
-    y: np.ndarray
-
     def __init__(self, base: TestFunction, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (base.dimension,):
             raise ValueError("modulation frequency must match the base dimension")
-        y.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "y", y)
         self._set_leaves(leaf.modulated(y) for leaf in base.leaves)
 
 
@@ -288,16 +277,10 @@ class Modulated(TestFunction):
 class Translated(TestFunction):
     """f(x) = base(x - x0), so fhat(xi) = exp(2 i pi <x0, xi>) base_hat(xi)."""
 
-    base: TestFunction
-    x0: np.ndarray
-
     def __init__(self, base: TestFunction, x0):
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if x0.shape != (base.dimension,):
             raise ValueError("translation offset must match the base dimension")
-        x0.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "x0", x0)
         self._set_leaves(leaf.translated(x0) for leaf in base.leaves)
 
 
@@ -584,26 +567,6 @@ def _grid_tail(f: TestFunction, s: EuclideanSet, side: str, h: float) -> Estimat
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def function_to_dict(f: TestFunction) -> dict:
-    if isinstance(f, Gaussian):
-        return {"kind": "gaussian", "a": f.a, "dimension": f.dimension}
-    if isinstance(f, BoxIndicator):
-        return {"kind": "box", "lower": f.box.lower.tolist(), "upper": f.box.upper.tolist()}
-    if isinstance(f, Combination):
-        return {
-            "kind": "combination",
-            "children": [
-                {"coef": [c.real, c.imag], "function": function_to_dict(g)}
-                for c, g in f.terms
-            ],
-        }
-    if isinstance(f, Modulated):
-        return {"kind": "modulated", "y": f.y.tolist(), "children": [function_to_dict(f.base)]}
-    if isinstance(f, Translated):
-        return {"kind": "translated", "x0": f.x0.tolist(), "children": [function_to_dict(f.base)]}
-    raise TypeError(f"cannot serialize {type(f).__name__}")
 
 
 def function_from_dict(doc: dict) -> TestFunction:

@@ -2,9 +2,9 @@
 
 A sparse polynomial sum_k c_k exp(2 i pi <k, t>) obeys a reverse-Hoelder
 inequality: its global sup is controlled by its sup on any measurable set E
-of positive measure, at cost (14/|E|)^(m-1) in one dimension (m terms) and
-(14 d / |E|)^(m_1 + ... + m_d) in dimension d, where m_i + 1 counts the
-distinct frequencies along axis i.  This module evaluates both sides with
+of positive measure, at cost (14 d / |E|)^(m_1 + ... + m_d) in dimension d,
+where m_i + 1 counts the distinct frequencies along axis i.  In d = 1 this
+is Nazarov's (14/|E|)^(m-1) for m terms.  This module evaluates both sides with
 certified sup-norm brackets, each a grid maximum (a feasible lower bound)
 plus a gradient window, and runs randomized campaigns.
 """
@@ -27,8 +27,7 @@ __all__ = [
     "TuranResult",
     "poly_order",
     "sup_norm",
-    "turan_check_1d",
-    "turan_check_multidim",
+    "turan_check",
     "random_polynomial",
     "random_torus_set",
     "run_campaign",
@@ -40,10 +39,16 @@ GRID_DENSITY_FACTOR = 8
 
 @dataclass(frozen=True, eq=False)
 class TrigPolynomial:
-    """Finite frequency-to-coefficient map; zero coefficients are dropped."""
+    """Sparse polynomial sum_k c_k exp(2 i pi <k, t>).
+
+    The constructor drops zero coefficients and sorts the spectrum once:
+    ``freqs`` is the (n, d) integer array of frequencies in lexicographic
+    order and ``coefs`` holds their complex coefficients in the same order.
+    """
 
     dimension: int
-    terms: dict
+    freqs: np.ndarray
+    coefs: np.ndarray
 
     def __init__(self, dimension: int, terms):
         clean = {}
@@ -56,14 +61,14 @@ class TrigPolynomial:
                 clean[key] = c
         if not clean:
             raise ValueError("polynomial must have at least one nonzero term")
+        keys = sorted(clean)
+        freqs = np.array(keys, dtype=int)
+        coefs = np.array([clean[k] for k in keys])
+        freqs.setflags(write=False)
+        coefs.setflags(write=False)
         object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "terms", clean)
-
-    def frequencies(self) -> np.ndarray:
-        return np.array(sorted(self.terms.keys()), dtype=int)
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.terms[tuple(k)] for k in sorted(self.terms.keys())])
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "coefs", coefs)
 
     def evaluate(self, t) -> np.ndarray:
         """sum_k c_k exp(2 i pi <k, t>) for one point or an (n, d) array."""
@@ -72,45 +77,32 @@ class TrigPolynomial:
         pts = np.atleast_2d(t)
         if pts.shape[1] != self.dimension:
             raise ValueError("evaluation points must match the polynomial dimension")
-        freqs = self.frequencies()
-        coefs = self.coefficients()
-        phases = np.exp(2j * math.pi * (pts @ freqs.T))
-        vals = phases @ coefs
+        vals = np.exp(2j * math.pi * (pts @ self.freqs.T)) @ self.coefs
         return vals[0] if scalar else vals
 
     def gradient_bound(self) -> float:
         """Global bound for ||grad p||_2: 2 pi sum |c_k| ||k||_2."""
-        freqs = self.frequencies().astype(float)
-        coefs = np.abs(self.coefficients())
-        return 2.0 * math.pi * float(np.sum(coefs * np.linalg.norm(freqs, axis=1)))
-
-    def max_abs_frequency(self) -> int:
-        return int(np.max(np.abs(self.frequencies()), initial=0))
+        norms = np.linalg.norm(self.freqs.astype(float), axis=1)
+        return 2.0 * math.pi * float(np.sum(np.abs(self.coefs) * norms))
 
 
 @dataclass(frozen=True)
 class PolyOrder:
     """Order statistics of a spectrum.
 
-    per_axis[i] + 1 is the number of distinct frequencies along axis i;
-    fm_exponent = sum(per_axis) is the exponent of the multidimensional
-    bound; nazarov_m (d = 1 only) is the plain term count whose exponent in
-    the one-dimensional bound is nazarov_m - 1; ord_set is the set-order
-    convention fm_exponent + d.
+    per_axis[i] + 1 is the number of distinct frequencies along axis i, and
+    fm_exponent = sum(per_axis) is the exponent of the Turan bound.  In
+    d = 1 it is the term count minus one.
     """
 
     per_axis: tuple
     fm_exponent: int
-    nazarov_m: int | None
-    ord_set: int
 
 
 def poly_order(p: TrigPolynomial) -> PolyOrder:
-    freqs = p.frequencies()
-    distinct = [len(np.unique(freqs[:, i])) for i in range(p.dimension)]
-    per_axis = tuple(c - 1 for c in distinct)
+    per_axis = tuple(len(np.unique(p.freqs[:, i])) - 1 for i in range(p.dimension))
     fm = int(sum(per_axis))
-    card = len(p.terms)
+    card = len(p.coefs)
     # Spectrum-count chains that every valid spectrum satisfies.
     if fm > p.dimension * max(per_axis):
         raise AssertionError(f"order {fm} exceeds d * max per-axis order")
@@ -118,12 +110,7 @@ def poly_order(p: TrigPolynomial) -> PolyOrder:
         raise AssertionError(f"per-axis order {max(per_axis)} exceeds term count - 1")
     if card > int(np.prod([m + 1 for m in per_axis])):
         raise AssertionError(f"term count {card} exceeds the product of axis counts")
-    return PolyOrder(
-        per_axis=per_axis,
-        fm_exponent=fm,
-        nazarov_m=card if p.dimension == 1 else None,
-        ord_set=fm + p.dimension,
-    )
+    return PolyOrder(per_axis=per_axis, fm_exponent=fm)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +186,6 @@ class SupEstimate:
     value: float
     upper: float
 
-    @property
-    def window(self) -> float:
-        return self.upper - self.value
-
 
 def _box_axis_grid(lo: float, hi: float, density: float) -> np.ndarray:
     n = max(int(math.ceil((hi - lo) * density)), 2)
@@ -222,7 +205,7 @@ def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
     region = region or TorusSet.full(p.dimension)
     if region.measure <= 0:
         raise ValueError("sup_norm region must have positive measure")
-    density = GRID_DENSITY_FACTOR * (p.max_abs_frequency() + 1)
+    density = GRID_DENSITY_FACTOR * (int(np.max(np.abs(p.freqs))) + 1)
     grad = p.gradient_bound()
     value = upper = -1.0
     for box in region.pieces:
@@ -238,7 +221,7 @@ def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Turan checks
+# Turan check
 # ---------------------------------------------------------------------------
 
 
@@ -248,46 +231,21 @@ class TuranResult:
     rhs: float
     factor: float
     holds: bool
-    lhs_window: float
-    rhs_window: float
-    exponent: int
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "factor": self.factor,
-            "holds": self.holds,
-            "exponent": self.exponent,
-        }
 
 
-def _check(p: TrigPolynomial, e: TorusSet, factor: float, exponent: int) -> TuranResult:
-    lhs = sup_norm(p)
-    rhs_sup = sup_norm(p, e)
-    rhs = factor * rhs_sup.upper
-    # A genuine violation needs the certified lower bound of the global sup
-    # to exceed the certified upper bound of the right-hand side.
-    holds = lhs.value <= rhs * (1.0 + 1e-12) + 1e-300
-    return TuranResult(lhs.value, rhs, factor, bool(holds), lhs.window, rhs_sup.window, exponent)
+def turan_check(p: TrigPolynomial, e: TorusSet) -> TuranResult:
+    """sup_T |p| <= (14 d / |E|)^(m_1 + ... + m_d) sup_E |p|.
 
-
-def turan_check_1d(p: TrigPolynomial, e: TorusSet) -> TuranResult:
-    """One-dimensional bound: sup_T |p| <= (14/|E|)^(m-1) sup_E |p|."""
-    if p.dimension != 1 or e.dimension != 1:
-        raise ValueError("turan_check_1d requires dimension 1")
-    m = poly_order(p).nazarov_m
-    factor = (14.0 / e.measure) ** (m - 1)
-    return _check(p, e, factor, m - 1)
-
-
-def turan_check_multidim(p: TrigPolynomial, e: TorusSet) -> TuranResult:
-    """Multidimensional bound: sup |p| <= (14 d / |E|)^(m_1+...+m_d) sup_E |p|."""
+    In d = 1 the exponent is the term count minus one, so this is Nazarov's
+    bound (14/|E|)^(m-1).  A violation needs the certified lower bound of
+    the global sup to exceed the certified upper bound of the right-hand side.
+    """
     if p.dimension != e.dimension:
         raise ValueError("polynomial and set dimensions differ")
-    exponent = poly_order(p).fm_exponent
-    factor = (14.0 * p.dimension / e.measure) ** exponent
-    return _check(p, e, factor, exponent)
+    factor = (14.0 * p.dimension / e.measure) ** poly_order(p).fm_exponent
+    lhs = sup_norm(p).value
+    rhs = factor * sup_norm(p, e).upper
+    return TuranResult(lhs, rhs, factor, bool(lhs <= rhs * (1.0 + 1e-12) + 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +334,8 @@ def run_campaign(d: int, count: int, seed: int = 0) -> list[dict]:
         p = random_polynomial(d, rng, max_terms=max_terms, max_freq=max_freq,
                               max_per_axis=max_per_axis)
         e = random_torus_set(d, rng, min_measure=min_measure)
-        res = turan_check_1d(p, e) if d == 1 else turan_check_multidim(p, e)
+        res = turan_check(p, e)
         rows.append(
-            {
-                "seed": i,
-                "lhs": res.lhs,
-                "rhs": res.rhs,
-                "factor": res.factor,
-                "holds": res.holds,
-            }
+            {"seed": i, "lhs": res.lhs, "rhs": res.rhs, "factor": res.factor, "holds": res.holds}
         )
     return rows

@@ -2,9 +2,11 @@
 
 import ast
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +263,54 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_every_exported_name_resolves():
+    modules = [importlib.import_module(f"ulat.{m.name}") for m in pkgutil.iter_modules(ulat.__path__)]
+    exported = [mod for mod in modules if hasattr(mod, "__all__")]
+    assert len(exported) >= 7
+    missing = [f"{mod.__name__}.{name}" for mod in exported for name in mod.__all__
+               if not hasattr(mod, name)]
+    assert missing == []
+
+
+LAL = ["lal", "--phi", "annulus:1:3"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (LAL, {"seed": "5"}),
+        (LAL, {"trials": "10"}),
+        (LAL, {"trials": 2.5}),
+        (LAL, {"trials": True}),
+        (LAL, {"format": "xml"}),
+        (LAL, {"no_such_flag": 1}),
+        (LAL, [1, 2]),
+        (["turan"], {"random": "5"}),
+        (["turan"], {"dim": 3}),
+        (["sharpness", "--n", "4"], {"ring_radius": "20"}),
+    ],
+    ids=[
+        "seed-string", "trials-string", "trials-float", "trials-bool", "format-choice",
+        "unknown-key", "not-an-object", "random-string", "dim-choice", "ring-radius-string",
+    ],
+)
+def test_mistyped_config_is_a_precondition(capsys, tmp_path, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, argv + ["--trials", "5", "--config", str(cfg)])
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert "precondition violated" in err
+
+
+def test_config_float_flag_takes_an_integer(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ring_radius": 50, "trials": 5, "format": "json"}))
+    code, out, _ = run_cli(capsys, ["sharpness", "--n", "4", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert json.loads(out)["payload"]["ring_radius"] == 50.0
+
+
 def grid_argv(command: str, doc_dir, function: str = "fbox.json") -> list[str]:
     argv = [command, "--function", str(doc_dir / function)]
     if command != "periodize":
@@ -309,6 +359,28 @@ class TestGridPreconditions:
         assert run_cli(capsys, argv + [str(side + 1)])[0] == EXIT_PRECONDITION
         assert run_cli(capsys, argv + [str(10**9)])[0] == EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("command", ["periodize", "pipeline", "sweep"])
+    def test_default_grid_in_four_dimensions_rejected(self, capsys, tmp_path, command):
+        # The 3-D default of 64 points per axis would be 64^4 points in d = 4.
+        box = {"kind": "box", "lower": [-0.1] * 4, "upper": [0.1] * 4}
+        sets = {
+            "f4.json": box,
+            "s4.json": {"dimension": 4, "pieces": [box]},
+            "sigma4.json": {"dimension": 4, "pieces": [{"kind": "ball", "center": [0.0] * 4,
+                                                         "radius": 1.0}]},
+        }
+        for name, doc in sets.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        argv = [command, "--function", str(tmp_path / "f4.json"), "--dry-run"]
+        if command != "periodize":
+            argv += ["--s-set", str(tmp_path / "s4.json"), "--sigma-set", str(tmp_path / "sigma4.json")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert "precondition violated" in err
+        # A grid within the budget passes the same dry run.
+        assert run_cli(capsys, argv + ["--grid", "16"])[0] == EXIT_OK
+
     def test_real_run_checks_the_budget(self, capsys, doc_dir):
         # The JSON summary only echoes the grid, so without the check this
         # run would succeed without building it.
@@ -352,6 +424,15 @@ class TestSharpnessCommand:
         payload = json.loads(out)["payload"]
         for key in ("m_estimate", "n", "measure", "mean_width", "cover_upper"):
             assert key in payload
+
+    @pytest.mark.parametrize("radius", ["1e308", "inf", "nan"])
+    def test_unbounded_ring_radius_precondition(self, capsys, radius):
+        code, out, err = run_cli(
+            capsys, ["sharpness", "--n", "4", "--ring-radius", radius, "--trials", "10"]
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert "no finite bounding radius" in err
 
     def test_crowded_ring_precondition(self, capsys):
         code, _, _ = run_cli(

@@ -18,7 +18,6 @@ from ulat.functions import (
     _grid_tail,
     cross_correlation,
     function_from_dict,
-    function_to_dict,
     norm_sq,
     tail_energy,
 )
@@ -218,7 +217,18 @@ class TestSerialization:
                 (-2.0j, Gaussian(0.7, 1)),
             ]
         )
-        back = function_from_dict(function_to_dict(f))
+        # The same nested function, written out by hand as a document.
+        box = {"kind": "box", "lower": [0.0], "upper": [0.5]}
+        modulated = {"kind": "modulated", "y": [2.0], "children": [box]}
+        doc = {
+            "kind": "combination",
+            "children": [
+                {"coef": [1.5, 0.0],
+                 "function": {"kind": "translated", "x0": [0.1], "children": [modulated]}},
+                {"coef": [0.0, -2.0], "function": {"kind": "gaussian", "a": 0.7, "dimension": 1}},
+            ],
+        }
+        back = function_from_dict(doc)
         pts = trial_rng(5, 0).uniform(-1, 1, (10, 1))
         assert np.allclose(back.value(pts), f.value(pts))
         assert np.allclose(back.hat(pts), f.hat(pts))

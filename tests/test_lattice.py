@@ -162,10 +162,10 @@ class TestOrder:
         indices = np.unique(indices, axis=0)
         d = indices.shape[1]
         card = len(indices)
-        ord_set = order_of(indices)
+        order = order_of(indices)
         per_axis = [len(np.unique(indices[:, i])) for i in range(d)]
-        assert ord_set == sum(per_axis)
-        assert ord_set <= d * card
+        assert order == sum(per_axis)
+        assert order <= d * card
         assert card <= int(np.prod(per_axis))
 
 

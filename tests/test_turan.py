@@ -18,8 +18,7 @@ from ulat.turan import (
     random_torus_set,
     run_campaign,
     sup_norm,
-    turan_check_1d,
-    turan_check_multidim,
+    turan_check,
 )
 
 
@@ -43,9 +42,15 @@ class TestEvaluate:
         ts = rng.uniform(0, 1, (100, 1))
         assert np.max(np.abs(p.evaluate(ts).imag)) <= 1e-12
 
+    def test_spectrum_sorted_once(self):
+        p = TrigPolynomial(2, {(1, 0): 2.0, (-1, 3): 1j, (0, 0): 0.0, (-1, -2): 3.0})
+        assert p.freqs.tolist() == [[-1, -2], [-1, 3], [1, 0]]
+        assert p.coefs.tolist() == [3.0, 1j, 2.0]
+        assert not p.freqs.flags.writeable and not p.coefs.flags.writeable
+
     def test_zero_coefficients_dropped(self):
         p = TrigPolynomial(1, {(0,): 1.0, (4,): 0.0})
-        assert len(p.terms) == 1
+        assert len(p.coefs) == 1
         with pytest.raises(ValueError):
             TrigPolynomial(1, {(2,): 0.0})
 
@@ -57,13 +62,12 @@ class TestOrder:
 
     def test_three_frequencies_one_dimension(self):
         o = poly_order(TrigPolynomial(1, {(0,): 1, (3,): 1, (7,): 1}))
-        assert o.nazarov_m == 3 and o.per_axis == (2,)
+        assert o.per_axis == (2,)
 
     def test_spectrum_count_inequality(self):
         o = poly_order(TrigPolynomial(2, {(0, 0): 1, (1, 2): 1, (1, 3): 1}))
         assert o.per_axis == (1, 2)
         assert o.fm_exponent == 3
-        assert o.ord_set == 5
         assert 3 <= (o.per_axis[0] + 1) * (o.per_axis[1] + 1)
 
     @given(st.integers(0, 10_000))
@@ -73,11 +77,10 @@ class TestOrder:
         d = int(rng.integers(1, 4))
         p = random_polynomial(d, rng, max_terms=10, max_freq=6)
         o = poly_order(p)
-        card = len(p.terms)
+        card = len(p.coefs)
         assert o.fm_exponent <= d * max(o.per_axis)
         assert max(o.per_axis) <= card - 1
         assert card <= int(np.prod([m + 1 for m in o.per_axis]))
-        assert o.ord_set == o.fm_exponent + d
 
 
 class TestSupNorm:
@@ -99,7 +102,7 @@ class TestSupNorm:
             est = sup_norm(p)
             ts = np.linspace(0, 1, 8192, endpoint=False)[:, None]
             dense = float(np.max(np.abs(p.evaluate(ts))))
-            assert dense <= est.value + est.window + 1e-9
+            assert dense <= est.upper + 1e-9
             assert est.value <= dense + 1e-9
         # d = 2 with the campaign's draws, over the full torus and over a
         # random campaign region.  Each box's grid is refined 12-fold, so the
@@ -108,7 +111,7 @@ class TestSupNorm:
             rng = trial_rng(12, trial)
             p = random_polynomial(2, rng, max_freq=4, max_per_axis=3)
             e = random_torus_set(2, rng, min_measure=0.05)
-            density = GRID_DENSITY_FACTOR * (p.max_abs_frequency() + 1)
+            density = GRID_DENSITY_FACTOR * (int(np.max(np.abs(p.freqs))) + 1)
             for region in (None, e):
                 est = sup_norm(p, region)
                 dense = 0.0
@@ -143,7 +146,7 @@ class TestSupNorm:
             e = random_torus_set(2, rng, min_measure=0.05)
             full = sup_norm(p)
             region = sup_norm(p, e)
-            assert region.value <= full.value + full.window + 1e-9
+            assert region.value <= full.upper + 1e-9
 
     def test_zero_measure_region_rejected(self):
         p = TrigPolynomial(1, {(0,): 1.0})
@@ -155,7 +158,7 @@ class TestTuranOneDimensional:
     def test_constant_equality(self):
         p = TrigPolynomial(1, {(2,): 1.5})
         e = TorusSet.arcs([(0.1, 0.3)])
-        res = turan_check_1d(p, e)
+        res = turan_check(p, e)
         assert res.factor == pytest.approx(1.0)
         assert res.holds
         assert res.lhs == pytest.approx(1.5)
@@ -163,7 +166,7 @@ class TestTuranOneDimensional:
     def test_cosine_half_torus(self):
         p = TrigPolynomial(1, {(1,): 1.0, (-1,): 1.0})
         e = TorusSet.arcs([(0.0, 0.5)])
-        res = turan_check_1d(p, e)
+        res = turan_check(p, e)
         assert res.factor == pytest.approx(28.0)
         assert res.lhs == pytest.approx(2.0, abs=1e-9)
         assert res.holds
@@ -174,15 +177,17 @@ class TestTuranOneDimensional:
 
     def test_dimension_guard(self):
         p = TrigPolynomial(2, {(0, 0): 1.0})
-        with pytest.raises(ValueError):
-            turan_check_1d(p, TorusSet.full(2))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            turan_check(p, TorusSet.full(1))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            turan_check(TrigPolynomial(1, {(0,): 1.0}), TorusSet.full(2))
 
 
 class TestTuranMultidimensional:
     def test_monomial_equality(self):
         p = TrigPolynomial(2, {(2, -1): 1.0 + 1.0j})
         e = TorusSet(2, [AxisBox([0.1, 0.1], [0.4, 0.3])])
-        res = turan_check_multidim(p, e)
+        res = turan_check(p, e)
         assert res.factor == pytest.approx(1.0)
         assert res.holds
 
@@ -191,19 +196,18 @@ class TestTuranMultidimensional:
             2, {(1, 1): 1.0, (1, -1): 1.0, (-1, 1): 1.0, (-1, -1): 1.0}
         )
         e = TorusSet(2, [AxisBox([0.0, 0.0], [0.5, 0.5])])
-        res = turan_check_multidim(p, e)
+        res = turan_check(p, e)
         assert res.lhs == pytest.approx(4.0, abs=1e-9)
         assert res.factor == pytest.approx((14.0 * 2 / 0.25) ** 2)
         assert res.holds
 
     def test_one_dimensional_consistency(self):
-        # With d = 1 the multidimensional factor matches the 1-D bound.
+        # With d = 1 the factor is Nazarov's (14/|E|)^(m-1), bit for bit.
         rng = trial_rng(4, 0)
-        p = random_polynomial(1, rng, max_terms=5)
-        e = random_torus_set(1, rng)
-        assert turan_check_multidim(p, e).factor == pytest.approx(
-            (14.0 / e.measure) ** (poly_order(p).per_axis[0])
-        )
+        for _ in range(20):
+            p = random_polynomial(1, rng, max_terms=5)
+            e = random_torus_set(1, rng)
+            assert turan_check(p, e).factor == (14.0 / e.measure) ** (len(p.coefs) - 1)
 
     def test_campaign_no_violations(self):
         rows = run_campaign(2, 200, seed=0)
@@ -213,7 +217,7 @@ class TestTuranMultidimensional:
         p = TrigPolynomial(1, {(0,): 1, (2,): 1, (5,): 1})
         small = TorusSet.arcs([(0.0, 0.2)])
         large = TorusSet.arcs([(0.0, 0.6)])
-        assert turan_check_1d(p, large).factor < turan_check_1d(p, small).factor
+        assert turan_check(p, large).factor < turan_check(p, small).factor
 
 
 class TestTorusSet:
