@@ -274,12 +274,23 @@ def _poly_on_grid(indices: np.ndarray, coeffs: np.ndarray, n: int, d: int) -> np
     """Evaluate sum_m c_m exp(2 i pi <m, t>) on the n^d grid (flattened).
 
     On the grid t = j/n the phase of m depends only on m mod n, so the
-    coefficients are summed into an n^d array at m mod n and one inverse
-    FFT evaluates the polynomial; the aliasing makes this exact for any |m|.
+    indices are reduced mod n (exact for any |m|) and the coefficients are
+    summed into a dense tensor over the distinct residues A_i of each axis.
+    The sum then factors axis by axis: the tensor is contracted one axis at
+    a time, last axis first, against the (A_i, n) table of exact n-th roots
+    exp(2 i pi ((a j) mod n) / n).  The last step is one
+    (n, A_1) @ (A_1, n^(d-1)) product, so the cost is about A_1 n^d.
     """
-    spectrum = np.zeros((n,) * d, dtype=complex)
-    np.add.at(spectrum, tuple(np.mod(indices, n).T), coeffs)
-    return (np.fft.ifftn(spectrum) * n**d).reshape(-1)
+    residues = np.mod(indices, n)
+    axes = [np.unique(residues[:, i], return_inverse=True) for i in range(d)]
+    out = np.zeros(tuple(len(a) for a, _ in axes), dtype=complex)
+    np.add.at(out, tuple(inv for _, inv in axes), coeffs)
+    j = np.arange(n)
+    for i in reversed(range(d)):
+        a = axes[i][0]
+        table = np.exp((2j * math.pi / n) * ((a[:, None] * j) % n))
+        out = table.T @ out.reshape(-1, len(a), n ** (d - 1 - i))
+    return out.reshape(-1)
 
 
 def pipeline_trace(
@@ -293,8 +304,13 @@ def pipeline_trace(
     Draws (rho, v), splits the periodization into the in-set polynomial
     part and the out-of-set remainder, computes the four event flags,
     grid-estimates the zero set and its Chebyshev-thinned subset, and
-    evaluates the closing Turan-chain bound against |fhat(0)|^2.
+    evaluates the closing Turan-chain bound against |fhat(0)|^2.  A
+    ``grid_n`` given with a ``context`` must equal the context's grid.
     """
+    if context is not None and grid_n is not None and grid_n != context.grid_n:
+        raise ValueError(
+            f"grid_n={grid_n} disagrees with the context's grid_n={context.grid_n}"
+        )
     ctx = context or build_pipeline_context(inst, grid_n=grid_n)
     d = inst.dimension
     rng = trial_rng(seed, 0)
@@ -372,6 +388,8 @@ def pipeline_trace(
 
 
 def _sigma_grid(sigma: EuclideanSet, per_axis: int) -> np.ndarray:
+    if per_axis < 1:
+        raise ValueError("per_axis must be >= 1")
     lo, hi = sigma.bounding_box()
     axes = [
         lo[i] + (np.arange(per_axis) + 0.5) * (hi[i] - lo[i]) / per_axis

@@ -123,6 +123,32 @@ def order_of(indices) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Largest point-count bound integer_vectors_in_annulus accepts (about 100 MB
+# of output in d = 3).  The largest bound the test suite and perfbench reach
+# is 87 172, the thin annulus of radius 6667 behind `ulat sharpness --n 1000`.
+ANNULUS_POINT_CAP = 1 << 22
+
+
+def _annulus_point_bound(r_lo: float, r_hi: float, d: int) -> float:
+    """Volume of the shell max(r_lo - p, 0) <= ||x|| <= r_hi + p with
+    p = sqrt(d)/2 + 1e-4, which holds the unit cube around every k in Z^d
+    that integer_vectors_in_annulus returns (the 1e-4 covers its 1e-9
+    tolerance on squared norms and the rounding here).
+
+    The difference of the two powers is factored, a^d - b^d = (a - b) *
+    sum a^(d-1-i) b^i, with a - b taken from the radii, so a thin shell at a
+    large radius keeps its width; inf where the float overflows.
+    """
+    pad = math.sqrt(d) / 2.0 + 1e-4
+    outer = r_hi + pad
+    inner = max(r_lo - pad, 0.0)
+    width = outer if inner == 0.0 else max(r_hi - r_lo + 2.0 * pad, 0.0)
+    try:
+        return ball_volume(d, 1.0) * width * sum(outer ** (d - 1 - i) * inner**i for i in range(d))
+    except OverflowError:
+        return math.inf
+
+
 def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
     """All k in Z^d with r_lo <= ||k|| <= r_hi, as an (n, d) array in C order.
 
@@ -133,9 +159,23 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
     row's squared norm.  This is the bounding-cube filter's predicate in
     integer form, so the output equals that filter's, while the memory is
     (2 kmax + 1)^(d-1) rows plus the output.
+
+    Before the walk, the output is bounded by the cube count
+    (2 floor(r_hi) + 3)^d and, where that exceeds ``ANNULUS_POINT_CAP``, by
+    the volume of the annulus padded by about sqrt(d)/2 on both sides, which
+    holds the unit cube around every point; if both bounds exceed the cap,
+    ``ValueError`` is raised.  The cube count is exact integer arithmetic,
+    so small radii, the common case, skip the float bound.
     """
     if r_hi < 0:
         return np.empty((0, d), dtype=int)
+    if not r_hi <= ANNULUS_POINT_CAP or (2 * int(r_hi) + 3) ** d > ANNULUS_POINT_CAP:
+        bound = _annulus_point_bound(r_lo, r_hi, d)
+        if not bound <= ANNULUS_POINT_CAP:
+            raise ValueError(
+                f"the annulus {r_lo:.6g} <= ||k|| <= {r_hi:.6g} in dimension {d} may hold "
+                f"{bound:.3g} integer points, above the cap of {ANNULUS_POINT_CAP}"
+            )
     r_lo = max(r_lo, 0.0)
     kmax = int(math.floor(r_hi + 1e-9))
     hi2 = math.floor(r_hi**2 + 1e-9)

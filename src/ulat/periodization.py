@@ -211,10 +211,12 @@ class Periodization:
         Each support piece is rastered instead of testing every grid point
         against every shift k: the piece's preimage j = n v rho(x) has a
         bounding box in grid units, padded by one cell; each integer j in it
-        splits per axis into t = j mod n and k = j div n, and one membership
-        test of base[t] + offs[k] marks the hits.  base and offs are the
-        floats rho^T(t) / v and rho^T(k) / v of the direct sum over k, so
-        the mask equals that sum's bit for bit.
+        splits per axis into t = j mod n and k = j div n.  The raster's own
+        points (t_1/n, ..., t_d/n) are mapped to rho^T(t) / v, and one
+        membership test of that plus offs[k] = rho^T(k) / v marks the hits.
+        These are the floats of the direct sum over k on the full grid, so
+        the mask equals that sum's bit for bit, and no float array spans
+        the n^d grid; only the bool mask does.
         """
         support = self.source.support_set()
         if support is None:
@@ -222,24 +224,27 @@ class Periodization:
         d = self.dimension
         v = self.lattice.dilation
         mat = self.lattice.rotation.matrix
-        base = (_torus_grid(grid_n, d) @ mat) / v
-        mask = np.zeros(base.shape[0], dtype=bool)
+        mask = np.zeros(grid_n**d, dtype=bool)
         for piece in support.pieces:
             corners = _grid_points(list(zip(*piece.bounds())))
             u = (grid_n * v) * self.lattice.rotation.apply(corners)
             lo = np.floor(u.min(axis=0)).astype(int) - 1
             hi = np.ceil(u.max(axis=0)).astype(int) + 1
-            # Flat C-order indices of t on the n^d grid and of k on the box's
-            # k range, accumulated axis by axis with broadcasting.
-            k_axes, t_flat, k_flat = [], 0, 0
+            # Per axis: the raster's t values, and its flat C-order indices of
+            # t on the n^d grid and of k on the box's k range, accumulated
+            # with broadcasting.
+            t_axes, k_axes, t_flat, k_flat = [], [], 0, 0
             for i in range(d):
-                j = np.arange(lo[i], hi[i] + 1).reshape([-1 if a == i else 1 for a in range(d)])
+                j = np.arange(lo[i], hi[i] + 1)
+                t_axes.append((j % grid_n) / grid_n)
                 k_axes.append(np.arange(lo[i] // grid_n, hi[i] // grid_n + 1))
+                j = j.reshape([-1 if a == i else 1 for a in range(d)])
                 t_flat = t_flat * grid_n + j % grid_n
                 k_flat = k_flat * len(k_axes[i]) + (j // grid_n - k_axes[i][0])
             t_flat, k_flat = t_flat.reshape(-1), k_flat.reshape(-1)
+            base = (_grid_points(t_axes) @ mat) / v
             offs = np.array([(k.astype(float) @ mat) / v for k in _grid_points(k_axes)])
-            mask[t_flat[piece.contains(base[t_flat] + offs[k_flat])]] = True
+            mask[t_flat[piece.contains(base + offs[k_flat])]] = True
         return mask
 
     def support_fraction(self, grid_n: int | None = None) -> float:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ulat.annihilation import (
@@ -20,6 +22,11 @@ from ulat.annihilation import (
 )
 from ulat.functions import BoxIndicator, Gaussian, Translated, norm_sq
 from ulat.geometry import AxisBox, Ball, EuclideanSet
+from ulat.lattice import sample_lattice
+from ulat.mc import trial_rng
+from ulat.periodization import Periodization
+
+from test_periodization import loop_support_mask
 
 
 def eighth_box_instance(sigma_radius: float = 2.0) -> AnnihilationInstance:
@@ -205,6 +212,29 @@ class TestPipeline:
         }
         assert doc["exponent"] == doc["order"] - 2
 
+    def test_grid_must_match_the_context(self):
+        inst = eighth_box_instance()
+        ctx = build_pipeline_context(inst, grid_n=32, width_trials=128)
+        with pytest.raises(ValueError, match="grid_n=64 disagrees"):
+            pipeline_trace(inst, 3, context=ctx, grid_n=64)
+        same = pipeline_trace(inst, 3, context=ctx, grid_n=32)
+        assert same.to_dict() == pipeline_trace(inst, 3, context=ctx).to_dict()
+
+    def test_fractions_equal_the_loop_oracles(self):
+        # Criterion-9 draws at 512^2: the raster mask and the per-axis P give
+        # the same fractions as the shift-by-shift mask and the direct sum.
+        inst = eighth_box_instance()
+        ctx = build_pipeline_context(inst)
+        threshold = 4.0 * math.sqrt(ctx.c_ref * ctx.tail_hat)
+        for seed in range(20):
+            trace = pipeline_trace(inst, seed, context=ctx)
+            lat = sample_lattice(2, trial_rng(seed, 0))
+            assert lat.rotation.matrix.tolist() == trace.rotation
+            mask = loop_support_mask(Periodization(inst.f, lat), 512)
+            p_vals = loop_poly_on_grid(trace.indices, trace.p_coefficients, 512, 2)
+            assert trace.zero_fraction == 1.0 - float(np.mean(mask))
+            assert trace.tilde_fraction == float(np.mean(~mask & (np.abs(p_vals) <= threshold)))
+
 
 def loop_poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
     """Reference: the direct sum of one outer-product phase per coefficient."""
@@ -218,9 +248,38 @@ def loop_poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
     return out
 
 
+@st.composite
+def grid_polynomials(draw):
+    """(d, n, indices, coefficients) with |m| up to 3n + 2 and repeated rows."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    m = st.integers(-3 * n - 2, 3 * n + 2)
+    rows = draw(st.lists(st.tuples(*[m] * d), min_size=1, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    part = st.floats(-1.0, 1.0)
+    coeffs = [complex(draw(part), draw(part)) for _ in rows]
+    return d, n, np.array(rows, dtype=int), np.array(coeffs)
+
+
 class TestPolyOnGrid:
+    @given(grid_polynomials())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_direct_sum_property(self, case):
+        d, n, indices, coeffs = case
+        got = _poly_on_grid(indices, coeffs, n, d)
+        assert got.shape == (n**d,)
+        assert np.max(np.abs(got - loop_poly_on_grid(indices, coeffs, n, d))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_repeated_and_aliased_indices_are_summed(self, n):
+        indices = np.array([[1, -2], [1, -2], [1 + n, -2 - 3 * n], [0, 0]])
+        coeffs = np.array([1.0, 2.0j, -0.5, 0.25])
+        merged = _poly_on_grid(np.array([[1, -2], [0, 0]]), np.array([0.5 + 2.0j, 0.25]), n, 2)
+        assert np.max(np.abs(_poly_on_grid(indices, coeffs, n, 2) - merged)) <= 1e-12
+
     @pytest.mark.parametrize("d,n", [(1, 64), (1, 7), (2, 32), (2, 5), (3, 12)])
     def test_fft_matches_direct_sum(self, d, n):
+        # Named for the inverse FFT that the per-axis evaluator replaced.
         rng = np.random.default_rng(10 * d + n)
         indices = rng.integers(-3 * n, 3 * n + 1, size=(40, d))
         indices[0] = 0
@@ -242,6 +301,11 @@ class TestPolyOnGrid:
 
 
 class TestTranslatedSweep:
+    @pytest.mark.parametrize("per_axis", [0, -1])
+    def test_empty_modulation_grid_rejected(self, per_axis):
+        with pytest.raises(ValueError, match="per_axis must be >= 1"):
+            translated_sweep(eighth_box_instance(), per_axis=per_axis)
+
     def test_zero_modulation_matches_plain_trace(self):
         inst = eighth_box_instance()
         ctx = build_pipeline_context(inst)

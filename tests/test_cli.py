@@ -109,6 +109,16 @@ class TestLalCommand:
         code, _, err = run_cli(capsys, ["lal", "--phi", "cone:1", "--dim", "2"])
         assert code == EXIT_PRECONDITION
 
+    def test_oversized_annulus_precondition(self, capsys):
+        # About 2.8e9 integer points: rejected from the point bound, before
+        # the enumeration allocates anything.
+        code, out, err = run_cli(
+            capsys, ["lal", "--phi", "annulus:1:30000", "--dim", "2", "--trials", "2"]
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert "precondition violated" in err and "above the cap" in err
+
 
 class TestPipelineCommands:
     def test_ratio(self, capsys, doc_dir):
@@ -161,6 +171,19 @@ class TestPipelineCommands:
         assert code == EXIT_OK
         rows = list(csv.DictReader(out.splitlines()))
         assert {"y1", "y2", "bound", "direct"} <= set(rows[0].keys())
+
+    @pytest.mark.parametrize("ygrid", ["0", "-3"])
+    def test_sweep_empty_ygrid_precondition(self, capsys, doc_dir, ygrid):
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--function", str(doc_dir / "fbox.json"),
+             "--s-set", str(doc_dir / "box8.json"),
+             "--sigma-set", str(doc_dir / "sigma2.json"),
+             "--ygrid", ygrid, "--grid", "32"],
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert "precondition violated: per_axis must be >= 1" in err
 
 
 class TestPipelineExitCodes:

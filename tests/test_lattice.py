@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
+from ulat import lattice
 from ulat.geometry import Ball, EuclideanSet, Rotation, sample_rotation
 from ulat.lattice import (
+    ANNULUS_POINT_CAP,
     AnnulusIndicator,
     GaussianProfile,
     RandomLattice,
@@ -24,6 +26,7 @@ from ulat.lattice import (
     order_of,
     polar_constant,
     sample_lattice,
+    _annulus_point_bound,
 )
 from ulat.mc import trial_rng
 
@@ -405,6 +408,42 @@ class TestEnumeration:
         got = dict(zip(rows.tolist(), counts.tolist()))
         assert {int(k): int(c) for k, c in zip(a, expected) if c} == got
         assert len(pts) == int(expected.sum())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_point_bound_dominates_the_count(self, d):
+        pairs = annulus_radius_pairs(d, count=300) + [(0.0, 0.0), (3.0, 3.0), (2.5, 1.0)]
+        for r_lo, r_hi in pairs:
+            count = len(integer_vectors_in_annulus(r_lo, r_hi, d))
+            assert count <= _annulus_point_bound(r_lo, r_hi, d), (r_lo, r_hi)
+
+    def test_point_bound_is_the_padded_shell_volume(self):
+        # d = 2: pi ((r_hi + s)^2 - (r_lo - s)^2) with s = sqrt(2)/2 + 1e-4.
+        s = math.sqrt(2) / 2 + 1e-4
+        assert _annulus_point_bound(3.0, 7.0, 2) == pytest.approx(math.pi * ((7 + s) ** 2 - (3 - s) ** 2))
+        assert _annulus_point_bound(0.2, 7.0, 2) == pytest.approx(math.pi * (7 + s) ** 2)
+        assert _annulus_point_bound(0.0, 7.0, 3) == pytest.approx(
+            4 / 3 * math.pi * (7 + math.sqrt(3) / 2 + 1e-4) ** 3
+        )
+        # A thin shell far out keeps its width instead of cancelling to 0.
+        assert _annulus_point_bound(1e16, 1e16, 2) == pytest.approx(2 * math.pi * 1e16 * 2 * s)
+        assert _annulus_point_bound(0.0, 1e300, 40) == math.inf
+
+    def test_guard_cuts_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(lattice, "ANNULUS_POINT_CAP", _annulus_point_bound(2.0, 5.0, 2))
+        assert len(integer_vectors_in_annulus(2.0, 5.0, 2)) > 0
+        with pytest.raises(ValueError, match="above the cap"):
+            integer_vectors_in_annulus(2.0, 5.0 + 1e-9, 2)
+        with pytest.raises(ValueError, match="above the cap"):
+            integer_vectors_in_annulus(2.0 - 1e-9, 5.0, 2)
+
+    @pytest.mark.parametrize(
+        "r_lo, r_hi, d",
+        [(1.0, 30000.0, 2), (1e16, 1e16, 2), (0.0, 400.0, 3), (0.0, math.inf, 2), (0.0, math.nan, 1)],
+    )
+    def test_guard_rejects_before_the_walk(self, r_lo, r_hi, d):
+        assert not _annulus_point_bound(r_lo, r_hi, d) <= ANNULUS_POINT_CAP
+        with pytest.raises(ValueError, match="above the cap"):
+            integer_vectors_in_annulus(r_lo, r_hi, d)
 
     def test_dilation_validation(self):
         with pytest.raises(ValueError):
