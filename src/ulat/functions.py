@@ -15,6 +15,7 @@ periodizations and the tail-energy routines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -407,8 +408,14 @@ def _side_eval(f: TestFunction, side: str):
     return f.value if side == "space" else f.hat
 
 
+@functools.lru_cache(maxsize=None)
 def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights of order n, computed once per n and
+    returned read-only, since every caller shares them."""
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
 
 
 def _piece_energy(fn, piece, d: int, level: int) -> float:

@@ -131,7 +131,17 @@ class AxisBox:
         return self.lower.shape[0]
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        return np.all((points >= self.lower - 1e-15) & (points <= self.upper + 1e-15), axis=-1)
+        # One coordinate at a time into one mask: no (..., d) temporaries
+        # and no reduction over the short last axis.  NaN is outside.
+        points = np.asarray(points)
+        lo, hi = self.lower - 1e-15, self.upper + 1e-15
+        x = points[..., 0]
+        inside = (x >= lo[0]) & (x <= hi[0])
+        for i in range(1, self.dimension):
+            x = points[..., i]
+            inside &= x >= lo[i]
+            inside &= x <= hi[i]
+        return inside
 
     def bounding_radius(self) -> float:
         far = np.maximum(np.abs(self.lower), np.abs(self.upper))

@@ -20,13 +20,14 @@ from scipy.special import gammaincc
 from .geometry import (
     EuclideanSet,
     Rotation,
+    _haar_stack,
     ball_volume,
     cover_measure_upper,
     lebesgue_measure,
     mean_width,
     sample_rotation,
 )
-from .mc import ExpectationReport, mean_stderr, run_trials
+from .mc import ExpectationReport, mean_stderr, run_trials, trial_rng
 
 __all__ = [
     "RandomLattice",
@@ -65,13 +66,18 @@ class RandomLattice:
         return self.dilation * self.rotation.apply_transpose(np.asarray(indices, dtype=float))
 
 
-def sample_lattice(d: int, rng: np.random.Generator) -> RandomLattice:
-    """Draw (rho, v) with rho Haar and v uniform on (1, 2)."""
-    rho = sample_rotation(d, rng)
+def _draw_dilation(rng: np.random.Generator) -> float:
+    """v uniform on (1, 2), drawn after the rotation's normals."""
     v = float(rng.uniform(1.0, 2.0))
     if v <= 1.0 or v >= 2.0:  # measure-zero edge under floating point
         v = 1.5
-    return RandomLattice(rho, v)
+    return v
+
+
+def sample_lattice(d: int, rng: np.random.Generator) -> RandomLattice:
+    """Draw (rho, v) with rho Haar and v uniform on (1, 2)."""
+    rho = sample_rotation(d, rng)
+    return RandomLattice(rho, _draw_dilation(rng))
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +305,14 @@ class GaussianProfile:
         a = float(a)
         if not 0 < a < math.inf:
             raise ValueError(f"Gaussian scale must be positive and finite, got {a}")
-        self.dimension = int(dimension)
+        dimension = int(dimension)
+        try:
+            a ** (-dimension / 2.0)
+        except OverflowError:
+            raise ValueError(
+                f"Gaussian scale {a} is too small: its integral a^(-d/2) overflows in d = {dimension}"
+            ) from None
+        self.dimension = dimension
         self.a = a
         self.support_radius = math.inf
 
@@ -312,8 +325,13 @@ class GaussianProfile:
         return a ** (-d / 2.0) * float(gammaincc(d / 2.0, math.pi * a * c * c))
 
     def tail_radius(self, eps_abs: float) -> float:
+        """A radius r with integral_outside(r) <= eps_abs (eps_abs > 0).
+
+        The loop ends: the regularised tail underflows to 0 once pi a r^2
+        passes about 750, long before r can overflow.
+        """
         r = 1.0
-        while self.integral_outside(r) > eps_abs and r < 64.0:
+        while self.integral_outside(r) > eps_abs:
             r *= 1.25
         return r
 
@@ -339,6 +357,13 @@ def _profile_truncation_radius(phi, scale_min: float, reference: float) -> float
     return r / scale_min + math.sqrt(d) + 1.0
 
 
+# Trials per block of check_lattice_averaging, and the rotated candidate
+# points one block may hold: bounds its temporaries however far the
+# truncation radius reaches.
+_LAL_BLOCK = 256
+_LAL_POINT_BUDGET = 1 << 18
+
+
 def check_lattice_averaging(
     phi, trials: int = 10_000, seed: int = 0
 ) -> tuple[ExpectationReport, ExpectationReport]:
@@ -350,7 +375,12 @@ def check_lattice_averaging(
     (b)  E[ sum_{k != 0} phi(rho(k) / v) ]   against  int_{||x|| >= 1/2} phi.
 
     The inner sums are truncated where the declared decay of phi makes the
-    tail below 1e-6 of the reference scale.
+    tail below 1e-6 of the reference scale.  Trial i draws its lattice from
+    ``trial_rng(seed, i)`` as ``sample_lattice`` would; blocks of trials are
+    orthogonalised in one stacked QR and summed together, sized so that a
+    block holds at most ``_LAL_POINT_BUDGET`` rotated points (and at least
+    one trial), and the sums equal those of a loop over ``sample_lattice``
+    draws bit for bit.
     """
     d = phi.dimension
     ref_a = phi.integral_outside(1.0)
@@ -359,17 +389,18 @@ def check_lattice_averaging(
     rad_b = _profile_truncation_radius(phi, 0.5, ref_b)  # 1/v >= 1/2
     cand_a = integer_vectors_in_annulus(1.0, rad_a, d)
     cand_b = integer_vectors_in_annulus(1.0, rad_b, d)
-    cand_a = cand_a[np.any(cand_a != 0, axis=1)]
-    cand_b = cand_b[np.any(cand_b != 0, axis=1)]
-
-    def one(rng: np.random.Generator) -> np.ndarray:
-        lat = sample_lattice(d, rng)
-        rho, v = lat.rotation, lat.dilation
-        sum_a = float(np.sum(phi.value(v * rho.apply(cand_a)))) if len(cand_a) else 0.0
-        sum_b = float(np.sum(phi.value(rho.apply(cand_b) / v))) if len(cand_b) else 0.0
-        return np.array([sum_a, sum_b])
-
-    values = run_trials(one, trials, seed)
+    cand_a = cand_a[np.any(cand_a != 0, axis=1)].astype(float)
+    cand_b = cand_b[np.any(cand_b != 0, axis=1)].astype(float)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    block = min(_LAL_BLOCK, max(_LAL_POINT_BUDGET // max(len(cand_a) + len(cand_b), 1), 1))
+    values = np.empty((trials, 2))
+    for start in range(0, trials, block):
+        rngs = [trial_rng(seed, i) for i in range(start, min(start + block, trials))]
+        q = _haar_stack(d, rngs)
+        v = np.array([_draw_dilation(rng) for rng in rngs])[:, None, None]
+        values[start : start + len(rngs), 0] = np.sum(phi.value(v * (cand_a @ q.mT)), axis=-1)
+        values[start : start + len(rngs), 1] = np.sum(phi.value((cand_b @ q.mT) / v), axis=-1)
     est_a, err_a = mean_stderr(values[:, 0])
     est_b, err_b = mean_stderr(values[:, 1])
     extras_a = {"reference": ref_a, "ratio": est_a / ref_a if ref_a > 0 else math.inf}

@@ -21,6 +21,7 @@ independent spatial route (Parseval / Poisson summation).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -210,13 +211,17 @@ class Periodization:
 
         Each support piece is rastered instead of testing every grid point
         against every shift k: the piece's preimage j = n v rho(x) has a
-        bounding box in grid units, padded by one cell; each integer j in it
-        splits per axis into t = j mod n and k = j div n.  The raster's own
-        points (t_1/n, ..., t_d/n) are mapped to rho^T(t) / v, and one
-        membership test of that plus offs[k] = rho^T(k) / v marks the hits.
-        These are the floats of the direct sum over k on the full grid, so
-        the mask equals that sum's bit for bit, and no float array spans
-        the n^d grid; only the bool mask does.
+        bounding box in grid units, padded by one cell, and each integer j
+        in it splits per axis into t = j mod n and k = j div n.  Per axis,
+        the range of j falls into runs on which k is constant, at most
+        ceil(len / n) + 1 of them; a product of runs is a rectangular block
+        of the torus grid with a single shift k.  A block's points
+        (t_1/n, ..., t_d/n) are mapped to rho^T(t) / v, its shift to
+        rho^T(k) / v, and one membership test of their sum is ORed into the
+        block's slice of the mask.  These are the floats of the direct sum
+        over k on the full grid, so the mask equals that sum's bit for bit,
+        and no float array spans more than one block; the bool mask spans
+        the n^d grid.
         """
         support = self.source.support_set()
         if support is None:
@@ -224,28 +229,28 @@ class Periodization:
         d = self.dimension
         v = self.lattice.dilation
         mat = self.lattice.rotation.matrix
-        mask = np.zeros(grid_n**d, dtype=bool)
+        mask = np.zeros((grid_n,) * d, dtype=bool)
         for piece in support.pieces:
             corners = _grid_points(list(zip(*piece.bounds())))
             u = (grid_n * v) * self.lattice.rotation.apply(corners)
             lo = np.floor(u.min(axis=0)).astype(int) - 1
             hi = np.ceil(u.max(axis=0)).astype(int) + 1
-            # Per axis: the raster's t values, and its flat C-order indices of
-            # t on the n^d grid and of k on the box's k range, accumulated
-            # with broadcasting.
-            t_axes, k_axes, t_flat, k_flat = [], [], 0, 0
-            for i in range(d):
-                j = np.arange(lo[i], hi[i] + 1)
-                t_axes.append((j % grid_n) / grid_n)
-                k_axes.append(np.arange(lo[i] // grid_n, hi[i] // grid_n + 1))
-                j = j.reshape([-1 if a == i else 1 for a in range(d)])
-                t_flat = t_flat * grid_n + j % grid_n
-                k_flat = k_flat * len(k_axes[i]) + (j // grid_n - k_axes[i][0])
-            t_flat, k_flat = t_flat.reshape(-1), k_flat.reshape(-1)
-            base = (_grid_points(t_axes) @ mat) / v
-            offs = np.array([(k.astype(float) @ mat) / v for k in _grid_points(k_axes)])
-            mask[t_flat[piece.contains(base + offs[k_flat])]] = True
-        return mask
+            # Per axis: the runs (k, t slice) of j = k n + t over lo..hi.
+            runs = [
+                [
+                    (k, slice(max(a - k * grid_n, 0), min(b - k * grid_n, grid_n - 1) + 1))
+                    for k in range(a // grid_n, b // grid_n + 1)
+                ]
+                for a, b in zip(lo.tolist(), hi.tolist())
+            ]
+            for block in itertools.product(*runs):
+                ks, cells = zip(*block)
+                view = mask[cells]
+                t_axes = [np.arange(c.start, c.stop) / grid_n for c in cells]
+                base = (_grid_points(t_axes) @ mat) / v
+                off = (np.array(ks, dtype=float) @ mat) / v
+                view |= piece.contains(base + off).reshape(view.shape)
+        return mask.reshape(-1)
 
     def support_fraction(self, grid_n: int | None = None) -> float:
         grid_n = grid_n or default_grid_size(self.dimension)

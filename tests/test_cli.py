@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import ulat
@@ -24,6 +25,8 @@ from ulat.cli import (
     GRID_POINT_BUDGET,
     main,
 )
+from ulat.lattice import sample_lattice
+from ulat.mc import trial_rng
 
 
 def run_cli(capsys, argv):
@@ -118,6 +121,26 @@ class TestLalCommand:
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert "precondition violated" in err and "above the cap" in err
+
+    def test_wide_gaussian_tail_is_not_cut(self, capsys):
+        # For a = 1e-4 every dual term of the Poisson sum vanishes in floats,
+        # so per draw the outer sum is 1e4 / v^2 - 1 and the inner one
+        # 1e4 v^2 - 1; a truncated tail reads far below both.
+        code, out, _ = run_cli(
+            capsys, ["lal", "--phi", "gaussian:0.0001", "--dim", "2", "--trials", "20"]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)["payload"]
+        v = np.array([sample_lattice(2, trial_rng(0, i)).dilation for i in range(20)])
+        outer, inner = payload["outer_dilation"], payload["inner_dilation"]
+        assert outer["estimate"] == pytest.approx(np.mean(1e4 / v**2 - 1.0), rel=1e-6)
+        assert inner["estimate"] == pytest.approx(np.mean(1e4 * v**2 - 1.0), rel=1e-6)
+
+    def test_gaussian_scale_that_overflows_is_a_precondition(self, capsys):
+        code, out, err = run_cli(capsys, ["lal", "--phi", "gaussian:1e-300", "--dim", "3"])
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert "precondition violated" in err and "overflows" in err
 
 
 class TestPipelineCommands:

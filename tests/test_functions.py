@@ -16,6 +16,7 @@ from ulat.functions import (
     Modulated,
     Translated,
     _grid_tail,
+    _quad_nodes,
     cross_correlation,
     function_from_dict,
     norm_sq,
@@ -197,6 +198,14 @@ class TestTailEnergy:
         assert closed.exact
         grid = _grid_tail(Gaussian(1.0, 1), s, "space", 0.01)
         assert grid.value == pytest.approx(closed.value, abs=5 * grid.stderr + 1e-6)
+
+
+def test_quadrature_nodes_are_computed_once_and_shared_read_only():
+    xs, ws = _quad_nodes(48)
+    assert _quad_nodes(48)[0] is xs
+    assert not xs.flags.writeable and not ws.flags.writeable
+    want_xs, want_ws = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(xs, want_xs) and np.array_equal(ws, want_ws)
 
 
 @pytest.mark.parametrize(

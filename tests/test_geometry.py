@@ -74,6 +74,56 @@ class TestContains:
             s.contains(np.zeros(3))
 
 
+def reduction_contains(box: AxisBox, points: np.ndarray) -> np.ndarray:
+    """Reference: the (..., d) comparison and all-reduction form of
+    AxisBox.contains."""
+    return np.all((points >= box.lower - 1e-15) & (points <= box.upper + 1e-15), axis=-1)
+
+
+@st.composite
+def box_and_points(draw):
+    """A box in d = 1-3 and points of shape (d,), (n, d) or (a, b, d) whose
+    coordinates sit on the box's faces, on either side of the 1e-15
+    tolerance edge, inside, outside or at NaN."""
+    d = draw(st.integers(1, 3))
+    lower = np.array(draw(st.lists(st.floats(-10, 10), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(1e-3, 10), min_size=d, max_size=d)))
+    box = AxisBox(lower, lower + width)
+    lo, hi = box.lower - 1e-15, box.upper + 1e-15
+    table = np.stack(
+        [
+            box.lower, box.upper, box.lower - 1e-15, box.lower + 1e-15,
+            box.upper - 1e-15, box.upper + 1e-15, np.nextafter(lo, -np.inf),
+            np.nextafter(hi, np.inf), box.center(), box.lower - 1.0, box.upper + 1.0,
+            np.full(d, np.nan),
+        ]
+    )
+    shape = draw(st.sampled_from([(), (7,), (2, 3)])) + (d,)
+    n = math.prod(shape)
+    rows = draw(st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n))
+    points = table[np.array(rows), np.arange(n) % d].reshape(shape)
+    return box, points
+
+
+class TestAxisBoxContains:
+    @given(box_and_points())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reduction_form(self, case):
+        box, points = case
+        got, want = box.contains(points), reduction_contains(box, points)
+        assert np.shape(got) == np.shape(want) == points.shape[:-1]
+        assert np.array_equal(got, want)
+        assert isinstance(got, np.ndarray if points.ndim > 1 else np.bool_)
+
+    def test_edges_and_nan(self):
+        box = AxisBox([0.0, -1.0], [1.0, 2.0])
+        pts = np.array(
+            [[1.0, 2.0], [-1e-15, -1.0 - 1e-15], [1.0 + 1e-15, 0.0], [np.nan, 0.0],
+             [0.5, np.nan], [1.0 + 3e-15, 0.0]]
+        )
+        assert box.contains(pts).tolist() == [True, True, True, False, False, False]
+
+
 class TestMeasure:
     def test_disc_exact(self):
         est = lebesgue_measure(EuclideanSet(2, [Ball([0, 0], 1.0)]))

@@ -27,13 +27,34 @@ from ulat.lattice import (
     polar_constant,
     sample_lattice,
     _annulus_point_bound,
+    _profile_truncation_radius,
 )
-from ulat.mc import trial_rng
+from ulat.mc import mean_stderr, run_trials, trial_rng
 
 # Mean of card - 1 for the radius-3 disc over 1e5 lattice draws (frozen
 # high-trial self-consistency oracle; its standard error was 0.018).
 CARD_BALL3_ORACLE = 12.975
 CARD_BALL3_ORACLE_STDERR = 0.019
+
+
+def loop_lattice_sums(phi, trials: int, seed: int) -> np.ndarray:
+    """Reference: the two lattice sums of check_lattice_averaging, one
+    sample_lattice draw per trial through run_trials."""
+    d = phi.dimension
+    cands = []
+    for scale, ref in ((1.0, phi.integral_outside(1.0)), (0.5, phi.integral_outside(0.5))):
+        cand = integer_vectors_in_annulus(1.0, _profile_truncation_radius(phi, scale, ref), d)
+        cands.append(cand[np.any(cand != 0, axis=1)])
+    cand_a, cand_b = cands
+
+    def one(rng):
+        lat = sample_lattice(d, rng)
+        rho, v = lat.rotation, lat.dilation
+        sum_a = float(np.sum(phi.value(v * rho.apply(cand_a)))) if len(cand_a) else 0.0
+        sum_b = float(np.sum(phi.value(rho.apply(cand_b) / v))) if len(cand_b) else 0.0
+        return np.array([sum_a, sum_b])
+
+    return run_trials(one, trials, seed)
 
 
 def identity_lattice(d: int, v: float) -> RandomLattice:
@@ -217,6 +238,50 @@ class TestLatticeAveraging:
 
         with pytest.raises(ValueError):
             check_lattice_averaging(Bare(), trials=10, seed=0)
+
+    @pytest.mark.parametrize("trials", [2, 255, 256, 257, 600])
+    def test_stacked_draws_equal_the_per_trial_loop(self, trials, monkeypatch):
+        profiles = [
+            AnnulusIndicator(1, 1.0, 3.0),
+            AnnulusIndicator(2, 1.0, 3.0),
+            AnnulusIndicator(3, 0.0, 2.5),
+            GaussianProfile(2, 1.0),
+            # About 8000 candidates: the point budget cuts blocks of 31 trials.
+            GaussianProfile(2, 0.01),
+        ]
+        seen = []
+        monkeypatch.setattr(
+            lattice, "mean_stderr", lambda x: seen.append(np.array(x)) or mean_stderr(x)
+        )
+        for phi in profiles:
+            for seed in (0, 9173):
+                seen.clear()
+                rep_a, rep_b = check_lattice_averaging(phi, trials=trials, seed=seed)
+                want = loop_lattice_sums(phi, trials, seed)
+                assert np.array_equal(seen[0], want[:, 0])
+                assert np.array_equal(seen[1], want[:, 1])
+                assert (rep_a.estimate, rep_a.stderr) == mean_stderr(want[:, 0])
+                assert (rep_b.estimate, rep_b.stderr) == mean_stderr(want[:, 1])
+
+    @pytest.mark.parametrize(
+        "trials,message", [(0, "trials must be >= 1"), (-3, "trials must be >= 1"),
+                           (1, "requires trials >= 2")]
+    )
+    def test_trial_count_errors(self, trials, message):
+        with pytest.raises(ValueError, match=message):
+            check_lattice_averaging(AnnulusIndicator(2, 1.0, 3.0), trials=trials, seed=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_tail_radius_meets_its_target(self, d):
+        for a in np.logspace(-4, 2, 13):
+            phi = GaussianProfile(d, float(a))
+            for eps in (1e-3, 1e-6 * phi.integral_outside(1.0) / 2**d, 1e-12):
+                assert phi.integral_outside(phi.tail_radius(eps)) <= eps
+
+    def test_gaussian_scale_whose_integral_overflows_is_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            GaussianProfile(3, 1e-300)
+        assert GaussianProfile(1, 1e-300).a == 1e-300
 
     def test_gaussian_tail_integral_closed_form(self):
         phi = GaussianProfile(2, 1.0)

@@ -1,5 +1,6 @@
 """Periodization: coefficient formula, Parseval, support, expectations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -257,6 +258,26 @@ class TestSupportRaster:
             mask = gamma.support_mask(grid_n)
             assert mask.shape == (grid_n**d,)
             assert np.array_equal(mask, loop_support_mask(gamma, grid_n))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("grid_n", [2, 3, 5, 7])
+    def test_coarse_grids_cut_axes_into_many_shift_runs(self, d, grid_n):
+        # On coarse grids a piece's raster spans several periods per axis,
+        # so each axis splits into three or more runs of one shift k.
+        rng = np.random.default_rng(10 * d + grid_n)
+        most_runs = 0
+        for _ in range(5):
+            side = rng.uniform(0.5, 2.5)
+            f = Translated(BoxIndicator(AxisBox([0.0] * d, [side] * d)), rng.uniform(-2, 2, d))
+            gamma = Periodization(f, sample_lattice(d, rng))
+            assert np.array_equal(gamma.support_mask(grid_n), loop_support_mask(gamma, grid_n))
+            box = f.support_set().pieces[0]
+            corners = np.array(list(itertools.product(*zip(*box.bounds()))))
+            u = grid_n * gamma.lattice.dilation * gamma.lattice.rotation.apply(corners)
+            lo = np.floor(u.min(axis=0)).astype(int) - 1
+            hi = np.ceil(u.max(axis=0)).astype(int) + 1
+            most_runs = max(most_runs, int(np.max(hi // grid_n - lo // grid_n + 1)))
+        assert most_runs >= 3
 
     def test_single_point_grid(self):
         gamma = Periodization(eighth_box(2), sample_lattice(2, trial_rng(5, 0)))
