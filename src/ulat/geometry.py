@@ -16,6 +16,7 @@ All types are immutable values; operations are pure given a generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -58,6 +59,15 @@ def ball_volume(d: int, radius: float) -> float:
 def _grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Cartesian product of 1-D axes as an (n, len(axes)) array in C order."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, d) array in lexicographic order: one
+    lexsort, then each row kept where it differs from its predecessor."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,16 +232,22 @@ class EuclideanSet:
     def is_empty(self) -> bool:
         return not self.pieces
 
+    # The pieces never change, so each radius is computed on first use and
+    # kept in the instance dict.
+    @functools.cached_property
+    def _bounding_radius(self) -> float:
+        return max((p.bounding_radius() for p in self.pieces), default=0.0)
+
+    @functools.cached_property
+    def _inner_radius(self) -> float:
+        return min((p.inner_radius() for p in self.pieces), default=math.inf)
+
     def bounding_radius(self) -> float:
-        if not self.pieces:
-            return 0.0
-        return max(p.bounding_radius() for p in self.pieces)
+        return self._bounding_radius
 
     def inner_radius(self) -> float:
         """Lower bound for inf{||x|| : x in the set} (0 if the origin is inside)."""
-        if not self.pieces:
-            return math.inf
-        return min(p.inner_radius() for p in self.pieces)
+        return self._inner_radius
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if not self.pieces:
@@ -585,9 +601,7 @@ def _grid_cover_cells(s: EuclideanSet, side: float) -> np.ndarray | None:
             keep = np.einsum("ij,ij->i", gap, gap) <= p.radius**2
             mesh = mesh[keep]
         pieces.append(mesh)
-    cells = np.concatenate(pieces)
-    cells = cells[np.lexsort(cells.T[::-1])]
-    cells = cells[np.concatenate(([True], np.any(cells[1:] != cells[:-1], axis=1)))]
+    cells = _distinct_rows(np.concatenate(pieces))
     # Pieces only add cells, so the union's count caps every running count.
     if len(cells) > _GRID_CELL_CAP:
         return None

@@ -9,6 +9,7 @@ sets, and estimates the expectations that control point counts and orders.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -20,6 +21,7 @@ from scipy.special import gammaincc
 from .geometry import (
     EuclideanSet,
     Rotation,
+    _distinct_rows,
     _haar_stack,
     ball_volume,
     cover_measure_upper,
@@ -93,12 +95,21 @@ class LatticePointSet:
             arr = arr.reshape(0, lattice.dimension)
         if arr.ndim != 2 or arr.shape[1] != lattice.dimension:
             raise ValueError("indices must be an (n, d) integer array")
-        if len(arr) != len({tuple(row) for row in arr.tolist()}):
+        if len(_distinct_rows(arr)) != len(arr):
             raise ValueError("duplicate indices in lattice point set")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "indices", arr)
         object.__setattr__(self, "lattice", lattice)
+
+    @classmethod
+    def _unique(cls, arr: np.ndarray, lattice: RandomLattice) -> "LatticePointSet":
+        """Wrap an (n, d) integer array of distinct rows that no one else holds."""
+        pts = object.__new__(cls)
+        arr.setflags(write=False)
+        object.__setattr__(pts, "indices", arr)
+        object.__setattr__(pts, "lattice", lattice)
+        return pts
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -134,6 +145,12 @@ def order_of(indices) -> int:
 # is 87 172, the thin annulus of radius 6667 behind `ulat sharpness --n 1000`.
 ANNULUS_POINT_CAP = 1 << 22
 
+# integer_vectors_in_annulus memoises the enumerations whose bounding cube
+# (2 kmax + 1)^d holds at most _MEMO_CUBE points, in at most _MEMO_ENTRIES
+# entries.
+_MEMO_CUBE = 1024
+_MEMO_ENTRIES = 128
+
 
 def _annulus_point_bound(r_lo: float, r_hi: float, d: int) -> float:
     """Volume of the shell max(r_lo - p, 0) <= ||x|| <= r_hi + p with
@@ -156,15 +173,26 @@ def _annulus_point_bound(r_lo: float, r_hi: float, d: int) -> float:
 
 
 def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
-    """All k in Z^d with r_lo <= ||k|| <= r_hi, as an (n, d) array in C order.
+    """All k in Z^d with r_lo <= ||k|| <= r_hi, as a read-only (n, d) array
+    in C order.
 
     Every dimension takes one path: the first d - 1 coordinates are walked
-    row by row over the cube |k_i| <= floor(r_hi + 1e-9), and each row's
-    last coordinates c are read off exactly with ``math.isqrt`` from
-    ceil(r_lo^2 - 1e-9) <= s + c^2 <= floor(r_hi^2 + 1e-9), where s is the
-    row's squared norm.  This is the bounding-cube filter's predicate in
-    integer form, so the output equals that filter's, while the memory is
-    (2 kmax + 1)^(d-1) rows plus the output.
+    row by row over the cube |k_i| <= kmax = floor(r_hi + 1e-9), and each
+    row's last coordinates c are read off exactly with ``math.isqrt`` from
+    lo2 <= s + c^2 <= hi2, with lo2 = ceil(r_lo^2 - 1e-9), hi2 =
+    floor(r_hi^2 + 1e-9) and s the row's squared norm.  This is the
+    bounding-cube filter's predicate in integer form, so the output equals
+    that filter's, while the memory is (2 kmax + 1)^(d-1) rows plus the
+    output.
+
+    The integers (lo2, hi2, kmax, d) determine the output, and the walks
+    whose cube holds (2 kmax + 1)^d <= 1024 points are memoised on that
+    key, in at most 128 entries (``functools.lru_cache``).  A memoised
+    array holds at most 1024 rows of d int64s, so the memo pins at most
+    128 * 1024 * 8 * d bytes: 1 MiB per dimension, 3 MiB in d = 3.  Larger
+    cubes, such as thin rings far out whose keys never repeat, are walked
+    on every call.  Every result is read-only, since a memoised one is
+    shared between callers.
 
     Before the walk, the output is bounded by the cube count
     (2 floor(r_hi) + 3)^d and, where that exceeds ``ANNULUS_POINT_CAP``, by
@@ -174,7 +202,9 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
     so small radii, the common case, skip the float bound.
     """
     if r_hi < 0:
-        return np.empty((0, d), dtype=int)
+        out = np.empty((0, d), dtype=int)
+        out.setflags(write=False)
+        return out
     if not r_hi <= ANNULUS_POINT_CAP or (2 * int(r_hi) + 3) ** d > ANNULUS_POINT_CAP:
         bound = _annulus_point_bound(r_lo, r_hi, d)
         if not bound <= ANNULUS_POINT_CAP:
@@ -186,6 +216,13 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
     kmax = int(math.floor(r_hi + 1e-9))
     hi2 = math.floor(r_hi**2 + 1e-9)
     lo2 = math.ceil(r_lo**2 - 1e-9)
+    walk = _annulus_memo if (2 * kmax + 1) ** d <= _MEMO_CUBE else _annulus_walk
+    return walk(lo2, hi2, kmax, d)
+
+
+def _annulus_walk(lo2: int, hi2: int, kmax: int, d: int) -> np.ndarray:
+    """The row walk of integer_vectors_in_annulus over |k_i| <= kmax, as a
+    read-only array."""
     heads, shifts, counts = [], [], []
     total = 0
     for head in itertools.product(range(-kmax, kmax + 1), repeat=d - 1):
@@ -208,7 +245,12 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
     # Row i of the output is heads[j] followed by i + shifts[j] for its run j.
     last = np.arange(total) + np.repeat(np.array(shifts, dtype=int), counts)
     head_cols = np.array(heads, dtype=int).reshape(len(counts), d - 1)
-    return np.column_stack([np.repeat(head_cols, counts, axis=0), last])
+    out = np.column_stack([np.repeat(head_cols, counts, axis=0), last])
+    out.setflags(write=False)
+    return out
+
+
+_annulus_memo = functools.lru_cache(maxsize=_MEMO_ENTRIES)(_annulus_walk)
 
 
 def intersect(lat: RandomLattice, sigma: EuclideanSet) -> LatticePointSet:
@@ -221,14 +263,14 @@ def intersect(lat: RandomLattice, sigma: EuclideanSet) -> LatticePointSet:
     if sigma.dimension != lat.dimension:
         raise ValueError("set dimension does not match lattice dimension")
     if sigma.is_empty():
-        return LatticePointSet(np.empty((0, lat.dimension), dtype=int), lat)
+        return LatticePointSet._unique(np.empty((0, lat.dimension), dtype=int), lat)
     r_hi = sigma.bounding_radius() / lat.dilation + 1e-9
     r_lo = max(sigma.inner_radius() / lat.dilation - 1e-9, 0.0)
     cand = integer_vectors_in_annulus(r_lo, r_hi, lat.dimension)
     if len(cand) == 0:
-        return LatticePointSet(np.empty((0, lat.dimension), dtype=int), lat)
-    mask = sigma.contains(lat.points(cand))
-    return LatticePointSet(cand[mask], lat)
+        return LatticePointSet._unique(np.empty((0, lat.dimension), dtype=int), lat)
+    # The enumeration's rows are distinct, so a masked subset needs no check.
+    return LatticePointSet._unique(cand[sigma.contains(lat.points(cand))], lat)
 
 
 def axis_hit_count(lat: RandomLattice, sigma: EuclideanSet, k_range: int) -> int:
@@ -380,11 +422,19 @@ def check_lattice_averaging(
     orthogonalised in one stacked QR and summed together, sized so that a
     block holds at most ``_LAL_POINT_BUDGET`` rotated points (and at least
     one trial), and the sums equal those of a loop over ``sample_lattice``
-    draws bit for bit.
+    draws bit for bit.  Both reference integrals must be positive, since
+    each report carries the estimate's ratio to its reference; a reference
+    of 0 raises ``ValueError`` before any trial runs.
     """
     d = phi.dimension
     ref_a = phi.integral_outside(1.0)
     ref_b = phi.integral_outside(0.5)
+    for ref, c in ((ref_a, "1"), (ref_b, "1/2")):
+        if not ref > 0:
+            raise ValueError(
+                f"the reference integral of phi over ||x|| >= {c} is {ref}, "
+                "so the ratio to it is undefined"
+            )
     rad_a = _profile_truncation_radius(phi, 1.0, ref_a)  # v >= 1
     rad_b = _profile_truncation_radius(phi, 0.5, ref_b)  # 1/v >= 1/2
     cand_a = integer_vectors_in_annulus(1.0, rad_a, d)
@@ -403,8 +453,8 @@ def check_lattice_averaging(
         values[start : start + len(rngs), 1] = np.sum(phi.value((cand_b @ q.mT) / v), axis=-1)
     est_a, err_a = mean_stderr(values[:, 0])
     est_b, err_b = mean_stderr(values[:, 1])
-    extras_a = {"reference": ref_a, "ratio": est_a / ref_a if ref_a > 0 else math.inf}
-    extras_b = {"reference": ref_b, "ratio": est_b / ref_b if ref_b > 0 else math.inf}
+    extras_a = {"reference": ref_a, "ratio": est_a / ref_a}
+    extras_b = {"reference": ref_b, "ratio": est_b / ref_b}
     rep_a = ExpectationReport(est_a, err_a, trials, ref_a, seed, extras=extras_a)
     rep_b = ExpectationReport(est_b, err_b, trials, ref_b, seed, extras=extras_b)
     return rep_a, rep_b

@@ -1,6 +1,7 @@
 """Annihilating-pair machinery: bounds, ratios, pipeline, sweep, sharpness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,14 @@ class TestDiscRing:
     def test_crowded_ring_rejected(self):
         with pytest.raises(ValueError):
             disc_ring_experiment(16, ring_radius=30.0, trials=10, seed=0)
+
+    def test_unbounded_ring_rejected_without_an_overflow_warning(self):
+        # The set caches its bounding radius on the first call, which must
+        # come inside the experiment's np.errstate(over="ignore").
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no finite bounding radius"):
+                disc_ring_experiment(4, ring_radius=1e308, trials=10, seed=0)
 
     def test_discs_are_disjoint_and_measured_exactly(self):
         from ulat.geometry import lebesgue_measure

@@ -136,6 +136,14 @@ class TestLalCommand:
         assert outer["estimate"] == pytest.approx(np.mean(1e4 / v**2 - 1.0), rel=1e-6)
         assert inner["estimate"] == pytest.approx(np.mean(1e4 * v**2 - 1.0), rel=1e-6)
 
+    @pytest.mark.parametrize("phi", ["ball:0.9", "gaussian:1e300"])
+    def test_zero_reference_is_a_precondition(self, capsys, phi):
+        # A ratio to a reference of 0 has no JSON value; the run stops first.
+        code, out, err = run_cli(capsys, ["lal", "--phi", phi, "--dim", "2", "--trials", "5"])
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert "precondition violated" in err and "Traceback" not in err
+
     def test_gaussian_scale_that_overflows_is_a_precondition(self, capsys):
         code, out, err = run_cli(capsys, ["lal", "--phi", "gaussian:1e-300", "--dim", "3"])
         assert code == EXIT_PRECONDITION

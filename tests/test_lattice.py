@@ -11,11 +11,13 @@ from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from ulat import lattice
-from ulat.geometry import Ball, EuclideanSet, Rotation, sample_rotation
+from ulat.annihilation import disc_ring
+from ulat.geometry import AxisBox, Ball, EuclideanSet, Rotation, sample_rotation
 from ulat.lattice import (
     ANNULUS_POINT_CAP,
     AnnulusIndicator,
     GaussianProfile,
+    LatticePointSet,
     RandomLattice,
     axis_hit_count,
     check_lattice_averaging,
@@ -98,6 +100,33 @@ def annulus_radius_pairs(d: int, count: int) -> list[tuple[float, float]]:
     return pairs
 
 
+def checked_intersect(lat: RandomLattice, sigma: EuclideanSet) -> LatticePointSet:
+    """Reference: every candidate of the set's annulus (the cube filter, with
+    radii taken piece by piece), masked by membership and passed through the
+    public constructor, which checks the rows for duplicates."""
+    d = lat.dimension
+    if sigma.is_empty():
+        return LatticePointSet(np.empty((0, d), dtype=int), lat)
+    r_hi = max(p.bounding_radius() for p in sigma.pieces) / lat.dilation + 1e-9
+    r_lo = max(min(p.inner_radius() for p in sigma.pieces) / lat.dilation - 1e-9, 0.0)
+    cand = cube_filter_annulus(r_lo, r_hi, d)
+    return LatticePointSet(cand[sigma.contains(lat.points(cand))], lat)
+
+
+INTERSECT_SETS = {
+    "disc-R2": EuclideanSet(2, [Ball([0.0, 0.0], 2.0)]),
+    "disc-R4": EuclideanSet(2, [Ball([0.0, 0.0], 4.0)]),
+    "disc-R8": EuclideanSet(2, [Ball([0.0, 0.0], 8.0)]),
+    "ring-16": disc_ring(16, 160.0),
+    "box-and-ball": EuclideanSet(2, [AxisBox([-1.0, -0.5], [3.0, 2.0]), Ball([-2.0, 1.0], 1.5)]),
+    "union-d1": EuclideanSet(1, [AxisBox([-4.0], [-2.5]), AxisBox([1.0], [6.0]), Ball([0.0], 0.7)]),
+    "union-d3": EuclideanSet(
+        3, [Ball([0.0, 0.0, 0.0], 2.5), AxisBox([1.0, -1.0, 0.0], [4.0, 1.0, 2.0])]
+    ),
+    "empty": EuclideanSet(2, []),
+}
+
+
 class TestLatticePoint:
     def test_zero_vector(self):
         lat = identity_lattice(3, 1.5)
@@ -158,6 +187,57 @@ class TestIntersect:
             expected = set(map(tuple, grid[inside].tolist()))
             assert got == expected
 
+    @pytest.mark.parametrize("name", list(INTERSECT_SETS))
+    def test_equals_the_checked_route(self, name):
+        # Values, order and dtype of the indices, the count and the order
+        # statistic, against the checked constructor on seeded lattices.
+        sigma = INTERSECT_SETS[name]
+        draws = 12 if name == "ring-16" else 60
+        for i in range(draws):
+            lat = sample_lattice(sigma.dimension, trial_rng(41, i))
+            got, want = intersect(lat, sigma), checked_intersect(lat, sigma)
+            assert got.indices.dtype == want.indices.dtype
+            assert np.array_equal(got.indices, want.indices), (name, i)
+            assert len(got) == len(want) and got.order() == want.order()
+            assert not got.indices.flags.writeable
+
+
+class TestLatticePointSet:
+    def test_duplicates_rejected_wherever_they_sit(self):
+        lat = identity_lattice(2, 1.5)
+        for rows in ([[0, 0], [1, 2], [0, 0]], [[3, -1], [3, -1]], [[1, 2], [0, 5], [2, 1], [0, 5]]):
+            with pytest.raises(ValueError, match="duplicate indices"):
+                LatticePointSet(rows, lat)
+
+    def test_distinct_rows_keep_their_order_and_are_copied(self):
+        lat = identity_lattice(3, 1.5)
+        rows = np.array([[2, 0, 1], [0, 0, 0], [2, 0, -1], [-1, 4, 0]])
+        pts = LatticePointSet(rows, lat)
+        assert np.array_equal(pts.indices, rows) and pts.indices is not rows
+        assert not pts.indices.flags.writeable
+        assert len(LatticePointSet([], lat)) == 0
+
+
+class TestSetRadii:
+    @pytest.mark.parametrize("name", list(INTERSECT_SETS))
+    def test_cached_radii_equal_the_per_piece_extremes(self, name):
+        sigma = INTERSECT_SETS[name]
+        pieces = sigma.pieces
+        outer = max((p.bounding_radius() for p in pieces), default=0.0)
+        inner = min((p.inner_radius() for p in pieces), default=math.inf)
+        for _ in range(2):
+            assert sigma.bounding_radius() == outer
+            assert sigma.inner_radius() == inner
+        assert (
+            EuclideanSet(sigma.dimension, pieces).inner_radius(),
+            EuclideanSet(sigma.dimension, pieces).bounding_radius(),
+        ) == (inner, outer)
+
+    def test_empty_set_radii(self):
+        empty = EuclideanSet(3, [])
+        assert empty.bounding_radius() == 0.0
+        assert empty.inner_radius() == math.inf
+
 
 class TestOrder:
     def test_two_column_example(self):
@@ -214,10 +294,13 @@ class TestLatticeAveraging:
         assert 1 / 50 <= rep_a.extras["ratio"] <= 50
         assert 1 / 50 <= rep_b.extras["ratio"] <= 50
 
-    def test_small_ball_outer_sum_vanishes(self):
-        phi = AnnulusIndicator(2, 0.0, 0.9)
-        rep_a, _ = check_lattice_averaging(phi, trials=500, seed=1)
-        assert rep_a.estimate == 0.0 and rep_a.stderr == 0.0
+    def test_zero_reference_is_rejected_before_any_trial(self, monkeypatch):
+        # The ball of radius 0.9 has no mass in ||x|| >= 1, and a^(-d/2) of
+        # the Gaussian with a = 1e300 underflows to 0: no ratio is defined.
+        monkeypatch.setattr(lattice, "trial_rng", lambda *a: pytest.fail("a trial ran"))
+        for phi in (AnnulusIndicator(2, 0.0, 0.9), GaussianProfile(2, 1e300)):
+            with pytest.raises(ValueError, match="reference integral .* is 0.0"):
+                check_lattice_averaging(phi, trials=500, seed=1)
 
     def test_gaussian_both_positive_finite(self):
         phi = GaussianProfile(2, 1.0)
@@ -406,6 +489,53 @@ class TestAxisHitCount:
             assert axis_hit_count(lat, small, k) <= axis_hit_count(lat, large, k)
 
 
+class TestAnnulusMemo:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_repeat_calls_equal_the_cube_filter(self, d):
+        for r_lo, r_hi in annulus_radius_pairs(d, count=300):
+            expected = cube_filter_annulus(r_lo, r_hi, d)
+            for _ in range(2):
+                got = integer_vectors_in_annulus(r_lo, r_hi, d)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (r_lo, r_hi)
+
+    @pytest.mark.parametrize(
+        "r_lo, r_hi, d", [(0.0, 3.5, 2), (1.0, 2.0, 3), (0.0, 40.0, 1), (159.5 / 1.3, 160.5 / 1.3, 2),
+                          (0.0, -1.0, 2)]
+    )
+    def test_results_are_read_only(self, r_lo, r_hi, d):
+        for _ in range(2):
+            pts = integer_vectors_in_annulus(r_lo, r_hi, d)
+            assert not pts.flags.writeable
+            if len(pts):
+                with pytest.raises(ValueError, match="read-only"):
+                    pts[0, 0] = 7
+        assert np.array_equal(integer_vectors_in_annulus(r_lo, r_hi, d), cube_filter_annulus(r_lo, r_hi, d))
+
+    def test_ring_sized_annulus_is_not_kept(self):
+        # The disc ring at v = 1.3: a cube of 247^2 points, above the gate.
+        before = lattice._annulus_memo.cache_info()
+        assert len(integer_vectors_in_annulus(159.5 / 1.3, 160.5 / 1.3, 2)) > 0
+        assert lattice._annulus_memo.cache_info() == before
+
+    def test_keys_are_the_integer_radii(self):
+        lattice._annulus_memo.cache_clear()
+        first = integer_vectors_in_annulus(1.0, 3.2, 2)
+        # r_hi^2 in [10, 11) and r_lo^2 in (0, 1] give the same key.
+        assert integer_vectors_in_annulus(0.3, 3.3, 2) is first
+        assert lattice._annulus_memo.cache_info().misses == 1
+        assert integer_vectors_in_annulus(0.3, 3.4, 2) is not first
+
+    def test_card_trials_walk_each_annulus_once(self):
+        # With v in (1, 2) the R = 8 disc has at most 49 keys (r_hi^2 in
+        # (16, 64]); 600 trials must not walk 600 annuli.
+        lattice._annulus_memo.cache_clear()
+        estimate_card(EuclideanSet(2, [Ball([0.0, 0.0], 8.0)]), trials=600, seed=0)
+        info = lattice._annulus_memo.cache_info()
+        assert info.hits + info.misses == 600
+        assert info.misses <= 64
+
+
 class TestEnumeration:
     @given(st.integers(0, 5000))
     @settings(max_examples=30, deadline=None)
@@ -496,10 +626,13 @@ class TestEnumeration:
     def test_guard_cuts_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(lattice, "ANNULUS_POINT_CAP", _annulus_point_bound(2.0, 5.0, 2))
         assert len(integer_vectors_in_annulus(2.0, 5.0, 2)) > 0
+        # Both calls below share that call's memoised key; the guard runs first.
+        memo = lattice._annulus_memo.cache_info()
         with pytest.raises(ValueError, match="above the cap"):
             integer_vectors_in_annulus(2.0, 5.0 + 1e-9, 2)
         with pytest.raises(ValueError, match="above the cap"):
             integer_vectors_in_annulus(2.0 - 1e-9, 5.0, 2)
+        assert lattice._annulus_memo.cache_info() == memo
 
     @pytest.mark.parametrize(
         "r_lo, r_hi, d",
