@@ -1,8 +1,9 @@
 """Geometric functionals of unions of balls and boxes.
 
 Walks through the three quantities the energy bounds depend on: Lebesgue
-measure (exact or Monte Carlo), mean width over random rotations, and the
-certified upper bound for the ball-cover functional sum min(r_i, r_i^d).
+measure (exact or Monte Carlo), mean width over rotations (a fixed rule
+over directions, no random numbers), and the certified upper bound for the
+ball-cover functional sum min(r_i, r_i^d).
 """
 
 import math
@@ -23,7 +24,7 @@ from ulat import (
 disc = EuclideanSet(2, [Ball([0.0, 0.0], 1.0)])
 print("unit disc")
 print("  measure (exact fast path):", lebesgue_measure(disc).value, "=", math.pi)
-print("  mean width:", mean_width(disc, trials=256, seed=0).value, "(diameter, stderr 0)")
+print("  mean width:", mean_width(disc).value, "(the diameter)")
 
 print()
 print("two overlapping unit discs, centers one apart")
@@ -40,8 +41,11 @@ for deg in (0, 45):
     ang = math.radians(deg)
     rot = Rotation(np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]]))
     print(f"  at {deg:>2} degrees: {projection_width(square, rot):.6f}")
-w = mean_width(square, trials=20_000, seed=2)
-print(f"  mean width: {w.value:.4f} +- {w.stderr:.4f}  (exact: 4/pi = {4/math.pi:.4f})")
+w = mean_width(square)
+print(
+    f"  mean width: {w.value:.6f}  (closed form: 4/pi = {4/math.pi:.6f},"
+    f" relative error {w.value / (4 / math.pi) - 1:.1e})"
+)
 
 print()
 print("cover functional upper bounds")

@@ -21,6 +21,7 @@ from .geometry import (
     Ball,
     EuclideanSet,
     _grid_points,
+    _mean_width_mc,
     cover_measure_upper,
     lebesgue_measure,
     mean_width,
@@ -34,12 +35,12 @@ __all__ = [
     "PipelineContext",
     "PipelineTrace",
     "annihilation_bound",
+    "pair_exponent",
     "observed_ratio",
     "pipeline_trace",
     "translated_sweep",
     "disc_ring",
     "disc_ring_experiment",
-    "calibrate_pair_constant",
     "pipeline_grid_size",
     "DEFAULT_PIPELINE_CONSTANT",
     "ANNIHILATED_SENTINEL",
@@ -86,35 +87,66 @@ class AnnihilationInstance:
 # ---------------------------------------------------------------------------
 
 
+def pair_exponent(
+    s_set: EuclideanSet, sigma_set: EuclideanSet, trials: int = 100_000, seed: int = 0
+) -> tuple[dict, str]:
+    """The three terms of the pair exponent min(|S||Sigma|, |S|^{1/d}
+    w(Sigma), w(S) |Sigma|^{1/d}) and the name of the one that attains it.
+
+    Widths come from the deterministic ``mean_width`` rule, which takes
+    d <= 3 and is computed first, so a larger dimension is rejected before
+    any measure.  Measures use the exact fast path when the pieces are
+    disjoint; otherwise they are Monte Carlo estimates of ``trials`` points
+    seeded by ``seed`` and ``seed + 1``.
+    """
+    d = s_set.dimension
+    ws = mean_width(s_set).value
+    wsig = mean_width(sigma_set).value
+    ms = lebesgue_measure(s_set, trials=trials, seed=seed).value
+    msig = lebesgue_measure(sigma_set, trials=trials, seed=seed + 1).value
+    terms = {
+        "measure_product": ms * msig,
+        "s_measure_sigma_width": ms ** (1.0 / d) * wsig,
+        "s_width_sigma_measure": ws * msig ** (1.0 / d),
+    }
+    return terms, min(terms, key=terms.get)
+
+
+def _pair_bound_value(c: float, exponent: float) -> float:
+    """C exp(C m), or inf where it is past the largest float.
+
+    exp(C m) alone overflows first when C < 1, so that case is retried on
+    the log scale.
+    """
+    try:
+        return c * math.exp(c * exponent)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(math.log(c) + c * exponent)
+    except OverflowError:
+        return math.inf
+
+
 def annihilation_bound(
     s_set: EuclideanSet,
     sigma_set: EuclideanSet,
     c: float,
-    width_trials: int = 4096,
     seed: int = 0,
 ) -> dict:
     """Exponential pair bound C exp(C min(|S||Sigma|, |S|^{1/d} w(Sigma),
     w(S) |Sigma|^{1/d})) for a caller-supplied constant C.
 
-    Measures use the exact fast path when available; widths are Monte Carlo
-    estimates.  The report names which of the three terms achieved the min.
+    The exponent comes from ``pair_exponent``; the report names which of
+    the three terms achieved the min.  A bound past the largest float is
+    reported as ``inf``.
     """
     if c <= 0:
         raise ValueError("the bound constant must be positive")
-    d = s_set.dimension
-    ms = lebesgue_measure(s_set, seed=seed)
-    msig = lebesgue_measure(sigma_set, seed=seed + 1)
-    ws = mean_width(s_set, trials=width_trials, seed=seed + 2)
-    wsig = mean_width(sigma_set, trials=width_trials, seed=seed + 3)
-    terms = {
-        "measure_product": ms.value * msig.value,
-        "s_measure_sigma_width": ms.value ** (1.0 / d) * wsig.value,
-        "s_width_sigma_measure": ws.value * msig.value ** (1.0 / d),
-    }
-    which = min(terms, key=terms.get)
+    terms, which = pair_exponent(s_set, sigma_set, seed=seed)
     exponent = terms[which]
     return {
-        "value": c * math.exp(c * exponent),
+        "value": _pair_bound_value(c, exponent),
         "exponent_term": exponent,
         "which": which,
         "terms": terms,
@@ -142,33 +174,6 @@ def observed_ratio(inst: AnnihilationInstance) -> dict:
         "space_tail": t_space.value,
         "freq_tail": t_freq.value,
     }
-
-
-def calibrate_pair_constant(ratios, exponent_terms) -> float:
-    """Smallest C with C exp(C m_i) >= r_i for every instance of a family."""
-    ratios = np.asarray(ratios, dtype=float)
-    terms = np.asarray(exponent_terms, dtype=float)
-    finite = np.isfinite(ratios)
-    ratios, terms = ratios[finite], terms[finite]
-    if len(ratios) == 0:
-        return 0.0
-
-    def ok(c: float) -> bool:
-        return bool(np.all(c * np.exp(c * terms) >= ratios))
-
-    hi = 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > 1e9:
-            return math.inf
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +230,34 @@ class PipelineTrace:
 
 
 def pipeline_grid_size(d: int) -> int:
-    """Default pipeline torus grid per axis: 512 for d <= 2, 64 for d = 3."""
+    """Default pipeline torus grid per axis: 512 for d <= 2, 64 for d = 3.
+
+    The pipeline's nu needs the mean width, which takes d <= 3, so d >= 4 is
+    rejected whatever the grid.
+    """
     if d <= 2:
         return 512
     if d == 3:
         return 64
-    raise ValueError("pipeline grids are limited to d <= 3 unless a grid is given")
+    raise ValueError(f"the pipeline is limited to d <= 3 (the mean width rule), not d = {d}")
 
 
 def build_pipeline_context(
     inst: AnnihilationInstance,
     grid_n: int | None = None,
-    width_trials: int = 2048,
     seed: int = 0,
 ) -> PipelineContext:
-    """Validate the instance and precompute draw-independent quantities."""
+    """Validate the instance and precompute draw-independent quantities.
+
+    ``nu`` is min(cover bound, mean width) of the frequency set, both
+    deterministic; ``seed`` reaches only a Monte Carlo measure of a time
+    support whose pieces overlap.
+    """
     d = inst.dimension
-    grid_n = grid_n or pipeline_grid_size(d)
+    # The default grid is looked up whatever grid_n is: it rejects d >= 4
+    # before any work.
+    default_n = pipeline_grid_size(d)
+    grid_n = grid_n or default_n
     support = inst.f.support_set()
     if support is None:
         raise ValueError(
@@ -258,7 +274,7 @@ def build_pipeline_context(
         raise ValueError("the frequency set must contain the origin")
     tail_hat = tail_energy(inst.f, inst.freq_set, side="hat").value
     cover = cover_measure_upper(inst.freq_set).value
-    width = mean_width(inst.freq_set, trials=width_trials, seed=seed + 1).value
+    width = mean_width(inst.freq_set).value
     fhat0_sq = float(np.abs(inst.f.hat(np.zeros(d))) ** 2)
     return PipelineContext(
         tail_hat=tail_hat,
@@ -502,7 +518,7 @@ def disc_ring_experiment(
 
     values = run_trials(one, trials, seed)
     est, err = mean_stderr(values)
-    width = mean_width(sigma, trials=width_trials, seed=seed + 1)
+    width = _mean_width_mc(sigma, trials=width_trials, seed=seed + 1)
     cover = cover_measure_upper(sigma).value
     return {
         "n": n,

@@ -213,8 +213,7 @@ def cmd_geometry(config: RunConfig) -> int:
     s = _load_set(opts["set"])
     op = opts["op"]
     if op == "mean-width":
-        est = geometry.mean_width(s, trials=config.trials, seed=config.seed)
-        payload = est.to_dict()
+        payload = geometry.mean_width(s).to_dict()
     elif op == "measure":
         est = geometry.lebesgue_measure(s, trials=config.trials, seed=config.seed)
         payload = est.to_dict()
@@ -235,7 +234,13 @@ def _load_instance(opts: dict) -> annihilation.AnnihilationInstance:
 
 def cmd_ratio(config: RunConfig) -> int:
     inst = _load_instance(config.options)
-    _emit(config, annihilation.observed_ratio(inst))
+    # The exponent first: its widths reject d >= 4 before the ratio's work.
+    terms, which = annihilation.pair_exponent(
+        inst.time_support, inst.freq_set, trials=config.trials, seed=config.seed
+    )
+    payload = annihilation.observed_ratio(inst)
+    payload["terms"], payload["which"] = terms, which
+    _emit(config, payload)
     return EXIT_OK
 
 
@@ -421,8 +426,10 @@ def _check_grid(config: RunConfig) -> None:
     """Reject a torus grid below one point per axis or above the point budget.
 
     The grid checked is the one the command will use: --grid, or else the
-    default for the function's dimension, which rejects d >= 4.  The budget
-    is checked on the size n^d alone, before any grid exists.
+    default for the function's dimension.  That default rejects d >= 4, and
+    for pipeline and sweep it is looked up even when --grid is given, since
+    their mean width takes d <= 3.  The budget is checked on the size n^d
+    alone, before any grid exists.
     """
     if config.command not in _GRID_COMMANDS:
         return
@@ -430,13 +437,11 @@ def _check_grid(config: RunConfig) -> None:
     if n is not None and n < 1:
         raise PreconditionError(f"grid must be an integer >= 1, got {n!r}")
     d = _load_function(config.options["function"]).dimension
-    if n is None:
-        default = (
-            periodization.default_grid_size
-            if config.command == "periodize"
-            else annihilation.pipeline_grid_size
-        )
-        n = default(d)
+    if config.command != "periodize":
+        default_n = annihilation.pipeline_grid_size(d)
+        n = n or default_n
+    elif n is None:
+        n = periodization.default_grid_size(d)
     if n**d > GRID_POINT_BUDGET:
         raise PreconditionError(
             f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points"

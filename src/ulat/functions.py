@@ -15,14 +15,13 @@ periodizations and the tail-energy routines.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf, gammaincc
 
-from .geometry import AxisBox, Ball, EuclideanSet, _grid_points
+from .geometry import AxisBox, Ball, EuclideanSet, _grid_points, _quad_nodes
 from .mc import Estimate
 
 __all__ = [
@@ -406,16 +405,6 @@ def _gauss_ball_tail(c_abs2: float, a: float, d: int, radius: float) -> float:
 
 def _side_eval(f: TestFunction, side: str):
     return f.value if side == "space" else f.hat
-
-
-@functools.lru_cache(maxsize=None)
-def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order n, computed once per n and
-    returned read-only, since every caller shares them."""
-    xs, ws = np.polynomial.legendre.leggauss(n)
-    xs.setflags(write=False)
-    ws.setflags(write=False)
-    return xs, ws
 
 
 def _piece_energy(fn, piece, d: int, level: int) -> float:

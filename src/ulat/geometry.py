@@ -1,15 +1,16 @@
 """Subsets of R^d as finite unions of closed balls and axis-aligned boxes.
 
 The module provides exact membership, exact or Monte Carlo Lebesgue
-measure, Haar-random rotations, widths of projections onto random lines,
-the rotation-averaged mean width, and certified upper bounds for the
-ball-cover functional  sum_i min(r_i, r_i^d).
+measure, Haar-random rotations, widths of projections onto lines, the
+rotation-averaged mean width by a fixed quadrature over directions, and
+certified upper bounds for the ball-cover functional  sum_i min(r_i, r_i^d).
 
 Rotations are drawn per trial, each from its own generator, and a block of
 them is orthogonalised by one stacked QR; projection widths are merged row
 by row over a block of directions.  ``sample_rotation`` and
-``projection_width`` are the one-row case of the same code, so the mean
-width equals a loop over one rotation at a time bit for bit.
+``projection_width`` are the one-row case of the same code, so the Monte
+Carlo width ``_mean_width_mc`` equals a loop over one rotation at a time
+bit for bit.
 
 All types are immutable values; operations are pure given a generator.
 """
@@ -42,9 +43,18 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-12
 
-# Trials per stacked block in mean_width: bounds the temporaries of the Haar
-# sampler and the interval merge whatever the trial count.
+# Trials per stacked block in _mean_width_mc: bounds the temporaries of the
+# Haar sampler and the interval merge whatever the trial count.
 _WIDTH_BLOCK = 256
+
+# Directions of the mean-width rule: midpoint angles on [0, pi) in d = 2,
+# and Gauss-Legendre nodes in z on [0, 1] times equally spaced azimuths in
+# d = 3 (4096 directions each).  Directions x pieces per merge block bound
+# the rule's temporaries to a few MB.
+_CIRCLE_ANGLES = 4096
+_SPHERE_Z_NODES = 32
+_SPHERE_AZIMUTHS = 128
+_WIDTH_BLOCK_ENTRIES = 2**18
 
 # Grid covers finer than this cell count are skipped; they cannot beat the
 # candidates already collected for sets that large.
@@ -520,14 +530,16 @@ def projection_width(s: EuclideanSet, rho: Rotation) -> float:
     return float(_projection_widths(s, rho.first_axis_image()[None])[0])
 
 
-def mean_width(s: EuclideanSet, trials: int = 2048, seed: int = 0) -> Estimate:
+def _mean_width_mc(s: EuclideanSet, trials: int = 2048, seed: int = 0) -> Estimate:
     """Monte Carlo average of projection widths over Haar rotations.
 
     Trial i draws its rotation from ``trial_rng(seed, i)``, as
     ``sample_rotation`` would; blocks of ``_WIDTH_BLOCK`` trials are
     orthogonalised in one stacked QR and their widths merged together, so
     the value and stderr equal those of a loop of ``projection_width`` over
-    ``sample_rotation`` draws bit for bit.
+    ``sample_rotation`` draws bit for bit.  ``mean_width`` replaces it
+    everywhere but ``annihilation.disc_ring_experiment``, whose callers
+    choose its trial count; the tests use it as an oracle.
     """
     if trials < 2:
         raise ValueError("mean_width requires trials >= 2")
@@ -537,6 +549,82 @@ def mean_width(s: EuclideanSet, trials: int = 2048, seed: int = 0) -> Estimate:
         q = _haar_stack(s.dimension, [trial_rng(seed, i) for i in range(start, stop)])
         widths[start:stop] = _projection_widths(s, q[:, :, 0])
     return Estimate(*mean_stderr(widths))
+
+
+@functools.lru_cache(maxsize=None)
+def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n, computed once per n and
+    returned read-only, since every caller shares them."""
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
+
+
+@functools.lru_cache(maxsize=None)
+def _direction_rule(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors and weights of the mean-width rule in dimension d (1 to
+    3), read-only.
+
+    The width is even in u, so each rule covers half the directions.  In
+    d = 2 the angles are the midpoints of equal cells of [0, pi).  In d = 3,
+    z = cos(phi) is uniform on [-1, 1] for a uniform direction
+    (Archimedes), so z runs over [0, 1] with Gauss-Legendre nodes and each z
+    carries equally spaced azimuths.
+    """
+    if d == 1:
+        u, w = np.ones((1, 1)), np.ones(1)
+    elif d == 2:
+        t = math.pi * (np.arange(_CIRCLE_ANGLES) + 0.5) / _CIRCLE_ANGLES
+        u = np.column_stack([np.cos(t), np.sin(t)])
+        w = np.full(_CIRCLE_ANGLES, 1.0 / _CIRCLE_ANGLES)
+    else:
+        xs, ws = _quad_nodes(_SPHERE_Z_NODES)
+        z, wz = 0.5 * (xs + 1.0), 0.5 * ws
+        t = 2.0 * math.pi * (np.arange(_SPHERE_AZIMUTHS) + 0.5) / _SPHERE_AZIMUTHS
+        ring = np.sqrt(1.0 - z * z)[:, None]
+        height = np.broadcast_to(z[:, None], (len(z), len(t)))
+        u = np.stack([ring * np.cos(t), ring * np.sin(t), height], axis=-1).reshape(-1, 3)
+        w = np.repeat(wz / _SPHERE_AZIMUTHS, _SPHERE_AZIMUTHS)
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
+def mean_width(s: EuclideanSet) -> Estimate:
+    """Mean width: the average over Haar rotations rho of the length of the
+    projection of the set onto the line spanned by rho(e_1), by a fixed
+    rule over directions (``_direction_rule``) with stderr 0 that draws no
+    random numbers.  The cost is linear in the number of pieces.
+
+    d = 1: rho(e_1) is +1 or -1, and both give the same width (exact).
+    d = 2: 4096 midpoint angles (not exact).  The width is smooth between
+    the angles where two projected endpoints cross, so the error falls like
+    1/angles^2 per crossing: an a x b box gives (a + b) / (4096
+    sin(pi / 8192)), 2.5e-8 relative above 2(a + b)/pi; measured at most
+    1.1e-7 relative over 300 random unions of up to three balls and boxes
+    and 2.1e-5 on a ring of 16 discs, against the exact integral over the
+    arcs between crossings.  The error grows with the number of crossings
+    (8e-3 on a ring of 256 discs).  Balls are exact to rounding.
+    d = 3: 32 Gauss-Legendre nodes in z = cos(phi) times 128 azimuths (not
+    exact).  The width has kinks in the azimuth, so the error falls like
+    1/azimuths^2: at most 1.1e-4 relative over 200 random boxes against
+    (a + b + c)/2 and over 40 random unions of up to three balls and boxes
+    against a 512 x 2048 rule; balls are exact to rounding.
+    d >= 4: ValueError, before anything is allocated.
+    """
+    d = s.dimension
+    if d > 3:
+        raise ValueError(f"mean_width supports dimensions 1 to 3, not {d}")
+    if s.is_empty():
+        raise ValueError("mean width requires a nonempty set")
+    u, w = _direction_rule(d)
+    step = max(1, _WIDTH_BLOCK_ENTRIES // len(s.pieces))
+    value = sum(
+        float(w[k : k + step] @ _projection_widths(s, u[k : k + step]))
+        for k in range(0, len(w), step)
+    )
+    return Estimate(value, 0.0, exact=d == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,8 @@ def estimate_order(
     if sigma.is_empty():
         raise ValueError("estimate_order requires a bounded nonempty set")
     d = sigma.dimension
+    # The width first: it takes d <= 3 and rejects more before the trials.
+    width = mean_width(sigma).value
     values = run_trials(
         lambda rng: float(intersect(sample_lattice(d, rng), sigma).order() - d),
         trials,
@@ -515,12 +517,10 @@ def estimate_order(
     )
     est, err = mean_stderr(values)
     mu_up = cover_measure_upper(sigma).value
-    width = mean_width(sigma, seed=seed + 1)
-    nu = min(mu_up, width.value)
+    nu = min(mu_up, width)
     extras = {
         "cover_upper": mu_up,
-        "mean_width": width.value,
-        "mean_width_stderr": width.stderr,
+        "mean_width": width,
         "nu": nu,
         "ratio_to_nu": est / nu if nu > 0 else 0.0,
     }

@@ -11,19 +11,21 @@ from scipy import stats
 
 from ulat.annihilation import (
     AnnihilationInstance,
+    _pair_bound_value,
     _poly_on_grid,
     annihilation_bound,
     build_pipeline_context,
-    calibrate_pair_constant,
     disc_ring,
     disc_ring_experiment,
     observed_ratio,
+    pair_exponent,
     pipeline_trace,
     translated_sweep,
 )
 from ulat.functions import BoxIndicator, Gaussian, Translated, norm_sq
-from ulat.geometry import AxisBox, Ball, EuclideanSet
-from ulat.lattice import sample_lattice
+from ulat import annihilation, geometry
+from ulat.geometry import AxisBox, Ball, EuclideanSet, cover_measure_upper
+from ulat.lattice import estimate_order, sample_lattice
 from ulat.mc import trial_rng
 from ulat.periodization import Periodization
 
@@ -43,6 +45,33 @@ def eighth_box_instance(sigma_radius: float = 2.0) -> AnnihilationInstance:
 def gaussian_interval_instance(radius: float) -> AnnihilationInstance:
     s = EuclideanSet(1, [Ball([0.0], radius)])
     return AnnihilationInstance(Gaussian(1.0, 1), s, s)
+
+
+def calibrate_pair_constant(ratios, exponent_terms) -> float:
+    """Smallest C with C exp(C m_i) >= r_i for every instance of a family."""
+    ratios = np.asarray(ratios, dtype=float)
+    terms = np.asarray(exponent_terms, dtype=float)
+    finite = np.isfinite(ratios)
+    ratios, terms = ratios[finite], terms[finite]
+    if len(ratios) == 0:
+        return 0.0
+
+    def ok(c: float) -> bool:
+        return bool(np.all(c * np.exp(c * terms) >= ratios))
+
+    hi = 1.0
+    while not ok(hi):
+        hi *= 2.0
+        if hi > 1e9:
+            return math.inf
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestAnnihilationBound:
@@ -77,6 +106,54 @@ class TestAnnihilationBound:
         s = EuclideanSet(2, [Ball([0.0, 0.0], 1.0)])
         with pytest.raises(ValueError):
             annihilation_bound(s, s, 0.0)
+
+    def test_huge_exponent_reports_inf(self):
+        # The mixed terms are sqrt(1800 pi) * w with w > 60, far past e^709.
+        s = EuclideanSet(2, [Ball([0.0, 0.0], 30.0), Ball([100.0, 0.0], 30.0)])
+        rep = annihilation_bound(s, s, 1.0)
+        assert rep["value"] == math.inf and rep["constant"] == 1.0
+        assert math.isfinite(rep["exponent_term"]) and rep["exponent_term"] > 709.0
+
+    def test_bound_is_finite_until_the_float_range_ends(self):
+        # C m = 705: exp is finite and the product is taken as before.
+        assert _pair_bound_value(0.5, 1410.0) == 0.5 * math.exp(705.0)
+        # C m = 709.9: exp(C m) alone overflows, C exp(C m) = exp(709.207) does not.
+        value = _pair_bound_value(0.5, 1419.8)
+        assert math.isfinite(value)
+        assert value == pytest.approx(math.exp(math.log(0.5) + 709.9), rel=1e-12)
+        assert _pair_bound_value(0.5, 1422.0) == math.inf
+        assert _pair_bound_value(2.0, 400.0) == math.inf
+
+    def test_four_dimensions_rejected_before_any_measure(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a measure ran on a 4-D pair")
+
+        monkeypatch.setattr(annihilation, "lebesgue_measure", forbidden)
+        s = EuclideanSet(4, [Ball(np.zeros(4), 1.0)])
+        with pytest.raises(ValueError, match="dimensions 1 to 3"):
+            pair_exponent(s, s)
+
+
+class TestWidthsDrawNoRandomNumbers:
+    @pytest.fixture(autouse=True)
+    def no_geometry_streams(self, monkeypatch):
+        def forbidden(seed, i):
+            raise AssertionError("a width drew random numbers")
+
+        monkeypatch.setattr(geometry, "trial_rng", forbidden)
+
+    def test_pipeline_context(self):
+        inst = eighth_box_instance()
+        ctx = build_pipeline_context(inst, grid_n=32)
+        assert ctx.nu == min(cover_measure_upper(inst.freq_set).value, geometry.mean_width(inst.freq_set).value)
+
+    def test_estimate_order_width(self):
+        rep = estimate_order(EuclideanSet(2, [Ball([0.0, 0.0], 2.0)]), trials=4, seed=1)
+        assert rep.extras["mean_width"] == pytest.approx(4.0, rel=1e-15)
+
+    def test_annihilation_bound(self):
+        s = EuclideanSet(2, [Ball([0.0, 0.0], 1.0), AxisBox([2.0, 2.0], [3.0, 2.5])])
+        assert annihilation_bound(s, s, 1.0, seed=5) == annihilation_bound(s, s, 1.0, seed=6)
 
 
 class TestObservedRatio:
@@ -128,7 +205,8 @@ class TestObservedRatio:
             terms.append(bound["exponent_term"])
         c_star = calibrate_pair_constant(ratios, terms)
         assert math.isfinite(c_star)
-        # Stability across independent width seeds.
+        # The widths draw no random numbers and the intervals are measured
+        # exactly, so another seed gives the same exponent terms.
         terms_b = [
             annihilation_bound(
                 gaussian_interval_instance(float(r)).time_support,
@@ -138,11 +216,27 @@ class TestObservedRatio:
             )["exponent_term"]
             for r in radii
         ]
+        assert terms_b == terms
         c_star_b = calibrate_pair_constant(ratios, terms_b)
         assert abs(c_star_b - c_star) <= 0.1 * c_star
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("grid_n", [None, 8])
+    def test_context_rejects_four_dimensions_before_any_work(self, monkeypatch, grid_n):
+        # The mean width takes d <= 3, so d = 4 fails first, grid or not.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the context did work on a 4-D instance")
+
+        for name in ("lebesgue_measure", "tail_energy", "cover_measure_upper", "mean_width"):
+            monkeypatch.setattr(annihilation, name, forbidden)
+        box = AxisBox([-0.1] * 4, [0.1] * 4)
+        inst = AnnihilationInstance(
+            BoxIndicator(box), EuclideanSet(4, [box]), EuclideanSet(4, [Ball(np.zeros(4), 1.0)])
+        )
+        with pytest.raises(ValueError, match="limited to d <= 3"):
+            build_pipeline_context(inst, grid_n=grid_n)
+
     def test_context_precondition_support_measure(self):
         side = 0.9
         box = AxisBox([-side / 2] * 2, [side / 2] * 2)
@@ -167,7 +261,7 @@ class TestPipeline:
 
     def test_huge_sigma_forces_trivial_remainder(self):
         inst = eighth_box_instance(sigma_radius=24.0)
-        ctx = build_pipeline_context(inst, width_trials=128)
+        ctx = build_pipeline_context(inst)
         for seed in range(5):
             trace = pipeline_trace(inst, seed, context=ctx)
             assert trace.events["remainder_small"]
@@ -215,7 +309,7 @@ class TestPipeline:
 
     def test_grid_must_match_the_context(self):
         inst = eighth_box_instance()
-        ctx = build_pipeline_context(inst, grid_n=32, width_trials=128)
+        ctx = build_pipeline_context(inst, grid_n=32)
         with pytest.raises(ValueError, match="grid_n=64 disagrees"):
             pipeline_trace(inst, 3, context=ctx, grid_n=64)
         same = pipeline_trace(inst, 3, context=ctx, grid_n=32)

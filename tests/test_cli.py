@@ -25,6 +25,7 @@ from ulat.cli import (
     GRID_POINT_BUDGET,
     main,
 )
+from ulat.geometry import EuclideanSet
 from ulat.lattice import sample_lattice
 from ulat.mc import trial_rng
 
@@ -50,7 +51,7 @@ class TestGeometryCommand:
         )
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["payload"]["value"] == pytest.approx(2.0)
+        assert doc["payload"] == {"value": pytest.approx(2.0, rel=1e-15), "stderr": 0.0, "exact": False}
 
     def test_measure_and_cover(self, capsys, doc_dir):
         code, out, _ = run_cli(
@@ -72,6 +73,17 @@ class TestGeometryCommand:
         )
         assert code == EXIT_IO
         assert "i/o error" in err
+
+    def test_mean_width_of_a_four_dimensional_set(self, capsys, tmp_path):
+        doc = tmp_path / "ball4.json"
+        doc.write_text(json.dumps(
+            {"dimension": 4, "pieces": [{"kind": "ball", "center": [0.0] * 4, "radius": 1.0}]}
+        ))
+        code, out, err = run_cli(capsys, ["geometry", "--set", str(doc), "--op", "mean-width"])
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "precondition violated" in err
 
     def test_bad_trials_precondition(self, capsys, doc_dir):
         code, _, err = run_cli(
@@ -161,6 +173,59 @@ class TestPipelineCommands:
         )
         assert code == EXIT_OK
         assert json.loads(out)["payload"]["ratio"] > 1
+
+    def test_ratio_reports_the_pair_exponent(self, capsys, doc_dir):
+        # |S| = 1/8 and w(S) = 4 side/pi for the eighth box, |Sigma| = 4 pi
+        # and w(Sigma) = 4 for the disc of radius 2.
+        argv = ["ratio", "--function", str(doc_dir / "gauss2.json"),
+                "--s-set", str(doc_dir / "box8.json"),
+                "--sigma-set", str(doc_dir / "sigma2.json")]
+        payloads = []
+        for seed in ("0", "5"):
+            code, out, _ = run_cli(capsys, argv + ["--seed", seed])
+            assert code == EXIT_OK
+            payloads.append(json.loads(out)["payload"])
+        assert payloads[0] == payloads[1]
+        terms, side = payloads[0]["terms"], 2.0 ** (-3 / 2)
+        assert terms["measure_product"] == pytest.approx(math.pi / 2, rel=1e-12)
+        assert terms["s_measure_sigma_width"] == pytest.approx(math.sqrt(1 / 8) * 4, rel=1e-12)
+        # The width rule puts a box 2.5e-8 relative above its closed form.
+        assert terms["s_width_sigma_measure"] == pytest.approx(
+            4 * side / math.pi * math.sqrt(4 * math.pi), rel=2.5e-8
+        )
+        assert payloads[0]["which"] == "s_measure_sigma_width"
+        assert "constant" not in payloads[0] and "value" not in payloads[0]
+
+    def test_ratio_measures_follow_trials_and_seed(self, capsys, doc_dir, tmp_path):
+        # Overlapping discs take the Monte Carlo measure, with --trials
+        # points seeded by --seed (Sigma by seed + 1).
+        doc = tmp_path / "overlap.json"
+        doc.write_text(json.dumps({"dimension": 2, "pieces": [
+            {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            {"kind": "ball", "center": [0.8, 0.0], "radius": 1.0},
+        ]}))
+        argv = ["ratio", "--function", str(doc_dir / "gauss2.json"),
+                "--s-set", str(doc_dir / "box8.json"), "--sigma-set", str(doc)]
+        s_set, sigma = (EuclideanSet.from_dict(json.loads(p.read_text())) for p in (doc_dir / "box8.json", doc))
+        seen = []
+        for trials, seed in ((500, 0), (500, 4), (2000, 4)):
+            code, out, _ = run_cli(capsys, argv + ["--trials", str(trials), "--seed", str(seed)])
+            assert code == EXIT_OK
+            terms = json.loads(out)["payload"]["terms"]
+            assert terms == annihilation.pair_exponent(s_set, sigma, trials=trials, seed=seed)[0]
+            seen.append(terms["measure_product"])
+        assert len(set(seen)) == 3
+
+    def test_ratio_in_four_dimensions(self, capsys, tmp_path):
+        box = {"kind": "box", "lower": [-0.1] * 4, "upper": [0.1] * 4}
+        for name, doc in {"f4.json": box, "s4.json": {"dimension": 4, "pieces": [box]}}.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["ratio", "--function", str(tmp_path / "f4.json"),
+                                          "--s-set", str(tmp_path / "s4.json"),
+                                          "--sigma-set", str(tmp_path / "s4.json")])
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "dimensions 1 to 3" in err
 
     def test_pipeline_trace(self, capsys, doc_dir):
         code, out, _ = run_cli(
@@ -432,8 +497,11 @@ class TestGridPreconditions:
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert "precondition violated" in err
-        # A grid within the budget passes the same dry run.
-        assert run_cli(capsys, argv + ["--grid", "16"])[0] == EXIT_OK
+        # A grid within the budget passes the same dry run of periodize.
+        # Pipeline and sweep need the mean width, which takes d <= 3, so they
+        # are rejected whatever the grid, before any work.
+        want = EXIT_OK if command == "periodize" else EXIT_PRECONDITION
+        assert run_cli(capsys, argv + ["--grid", "16"])[0] == want
 
     def test_real_run_checks_the_budget(self, capsys, doc_dir):
         # The JSON summary only echoes the grid, so without the check this

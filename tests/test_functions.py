@@ -16,13 +16,12 @@ from ulat.functions import (
     Modulated,
     Translated,
     _grid_tail,
-    _quad_nodes,
     cross_correlation,
     function_from_dict,
     norm_sq,
     tail_energy,
 )
-from ulat.geometry import AxisBox, Ball, EuclideanSet
+from ulat.geometry import AxisBox, Ball, EuclideanSet, _quad_nodes
 from ulat.lattice import GaussianProfile
 from ulat.mc import trial_rng
 

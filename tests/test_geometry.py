@@ -26,10 +26,12 @@ from ulat.geometry import (
     _WIDTH_BLOCK,
     _check_rotations,
     _cover_value,
+    _mean_width_mc,
     _merged_lengths,
     _projection_widths,
     _grid_cover_cells,
 )
+from ulat import geometry
 from ulat.lattice import sample_lattice
 from ulat.mc import mean_stderr, run_trials, trial_rng
 
@@ -219,29 +221,153 @@ class TestProjectionWidth:
         assert projection_width(s, rho) <= 2 * s.bounding_radius() + 1e-12
 
 
+# Largest relative errors of the width rule, as its docstring states: d = 2
+# on random unions of up to three pieces and on the 16-disc ring, and d = 3.
+CIRCLE_RULE_REL_ERROR = 1.1e-7
+CIRCLE_RULE_RING_REL_ERROR = 2.1e-5
+SPHERE_RULE_REL_ERROR = 1.1e-4
+
+
+def random_width_set(d: int, rng, pieces: int | None = None) -> EuclideanSet:
+    """One to three balls and boxes in [-2, 2]^d with sides and radii up to 2."""
+    out = []
+    for _ in range(pieces or int(rng.integers(1, 4))):
+        if rng.random() < 0.5:
+            out.append(Ball(rng.uniform(-2, 2, d), float(rng.uniform(0.05, 2))))
+        else:
+            lo = rng.uniform(-2, 2, d)
+            out.append(AxisBox(lo, lo + rng.uniform(0.05, 2, d)))
+    return EuclideanSet(d, out)
+
+
 class TestMeanWidth:
     def test_unit_ball_constant_integrand(self):
-        est = mean_width(EuclideanSet(2, [Ball([0, 0], 1.0)]), trials=64, seed=0)
-        assert est.value == pytest.approx(2.0) and est.stderr == 0.0
+        est = mean_width(EuclideanSet(2, [Ball([0, 0], 1.0)]))
+        assert est.value == pytest.approx(2.0, rel=1e-15)
+        assert est.stderr == 0.0 and not est.exact
 
     def test_scaling(self):
-        est = mean_width(EuclideanSet(3, [Ball([0, 0, 0], 2.5)]), trials=64, seed=0)
-        assert est.value == pytest.approx(5.0)
+        est = mean_width(EuclideanSet(3, [Ball([0, 0, 0], 2.5)]))
+        assert est.value == pytest.approx(5.0, rel=1e-14)
+        assert est.stderr == 0.0 and not est.exact
 
     def test_disc_ring_against_angle_sweep_oracle(self):
         from ulat.annihilation import disc_ring
 
-        est = mean_width(disc_ring(16, 100.0), trials=4096, seed=9)
-        assert abs(est.value - DISC_RING_16_100_WIDTH) <= 3 * est.stderr
+        value = mean_width(disc_ring(16, 100.0)).value
+        assert value == pytest.approx(DISC_RING_16_100_WIDTH, rel=CIRCLE_RULE_RING_REL_ERROR)
 
     def test_rotation_invariance_of_ball_union(self):
         pieces = [Ball([1.0, 0.0], 0.6), Ball([-0.4, 0.8], 0.3)]
         s = EuclideanSet(2, pieces)
         q = rotation_2d(1.1).matrix
         rotated = EuclideanSet(2, [Ball(q @ b.center, b.radius) for b in pieces])
-        a = mean_width(s, trials=4096, seed=5)
-        b = mean_width(rotated, trials=4096, seed=6)
-        assert abs(a.value - b.value) <= 3 * (a.stderr + b.stderr)
+        # The rule's angles are fixed, so the two values differ by its error.
+        assert mean_width(rotated).value == pytest.approx(
+            mean_width(s).value, rel=2 * CIRCLE_RULE_REL_ERROR
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_width_is_the_diameter(self, d):
+        est = mean_width(EuclideanSet(d, [Ball(np.linspace(-1, 1, d), 0.7)]))
+        assert est.value == pytest.approx(1.4, rel=1e-14)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.01, 3.0), (5.0, 5.0), (1e-3, 1e-3)])
+    def test_box_in_the_plane(self, a, b):
+        # The midpoint sum of |cos t| over n angles of [0, pi) is
+        # 1 / sin(pi / 2n), so the rule gives exactly (a + b) / (n sin(pi / 2n)),
+        # 2.5e-8 relative above 2 (a + b) / pi at n = 4096.
+        n = geometry._CIRCLE_ANGLES
+        est = mean_width(EuclideanSet(2, [AxisBox([0.3, -1.0], [0.3 + a, -1.0 + b])]))
+        assert est.value == pytest.approx((a + b) / (n * math.sin(math.pi / (2 * n))), rel=1e-12)
+        assert est.value == pytest.approx(2 * (a + b) / math.pi, rel=2.5e-8)
+        assert not est.exact
+
+    @pytest.mark.parametrize("sides", [(1.0, 2.0, 3.0), (0.1, 1.0, 5.0), (1.0, 1.0, 1.0), (4.0, 1e-6, 1e-6)])
+    def test_box_in_space(self, sides):
+        lo = np.array([-0.5, 0.2, 1.0])
+        est = mean_width(EuclideanSet(3, [AxisBox(lo, lo + np.array(sides))]))
+        assert est.value == pytest.approx(sum(sides) / 2, rel=SPHERE_RULE_REL_ERROR)
+
+    @pytest.mark.parametrize("gap", [1.5, 4.0, 50.0])
+    def test_two_separated_discs(self, gap):
+        # Two discs of radius r with centres D apart (D > 2r): the width at
+        # angle t to the centre line is 2r + min(2r, D |cos t|), whose mean
+        # is 2r + (4 r alpha + 2 D (1 - sin alpha)) / pi, alpha = arccos(2r/D).
+        r, dist = 0.5, gap
+        s = EuclideanSet(2, [Ball([0.2, 0.1], r), Ball([0.2 + dist * 0.6, 0.1 + dist * 0.8], r)])
+        alpha = math.acos(2 * r / dist)
+        want = 2 * r + (4 * r * alpha + 2 * dist * (1 - math.sin(alpha))) / math.pi
+        assert mean_width(s).value == pytest.approx(want, rel=CIRCLE_RULE_REL_ERROR)
+
+    def test_disjoint_projections_add(self):
+        # Only on the line can projections be disjoint in every direction:
+        # in the plane and in space two pieces overlap when projected onto a
+        # direction orthogonal to the segment between two of their points.
+        pieces = [AxisBox([-3.0], [-2.5]), Ball([0.0], 0.4), AxisBox([1.0], [2.25])]
+        assert mean_width(EuclideanSet(1, pieces)).value == pytest.approx(0.5 + 0.8 + 1.25, rel=1e-15)
+
+    def test_dimension_four_rejected_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the rule ran on a 4-D set")
+
+        monkeypatch.setattr(geometry, "_projection_widths", forbidden)
+        monkeypatch.setattr(geometry, "_direction_rule", forbidden)
+        with pytest.raises(ValueError, match="dimensions 1 to 3"):
+            mean_width(EuclideanSet(4, [Ball(np.zeros(4), 1.0)]))
+
+    def test_many_pieces_in_the_plane(self):
+        # The rule's cost is linear in the pieces, so a ring of 300 discs
+        # takes no cap; its error grows with the crossings, yet stays far
+        # inside the Monte Carlo window.
+        from ulat.annihilation import disc_ring
+
+        s = disc_ring(300, 3000.0)
+        mc = _mean_width_mc(s, trials=512, seed=3)
+        assert abs(mean_width(s).value - mc.value) <= 4 * mc.stderr
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_merge_blocks_do_not_change_the_value(self, d, monkeypatch):
+        from ulat.annihilation import disc_ring
+
+        s = disc_ring(16, 160.0) if d == 2 else width_oracle_sets()["mixed-3d"]
+        whole = mean_width(s).value
+        monkeypatch.setattr(geometry, "_WIDTH_BLOCK_ENTRIES", 1000)
+        assert mean_width(s).value == pytest.approx(whole, rel=1e-13)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError):
+            mean_width(EuclideanSet(2, []))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @given(seed=st.integers(0, 10_000), scale=st.floats(0.05, 20.0))
+    @settings(max_examples=25, deadline=None)
+    def test_translation_and_scaling(self, d, seed, scale):
+        rng = trial_rng(61, seed)
+        s = random_width_set(d, rng)
+        w = mean_width(s).value
+        shifted = mean_width(s.translate(rng.uniform(-50, 50, d))).value
+        assert shifted == pytest.approx(w, rel=1e-11)
+        assert mean_width(s.scale(scale)).value == pytest.approx(scale * w, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_adding_a_piece_never_lowers_the_width(self, d, seed):
+        rng = trial_rng(62, seed)
+        s = random_width_set(d, rng)
+        bigger = EuclideanSet(d, s.pieces + random_width_set(d, rng, pieces=1).pieces)
+        w = mean_width(s).value
+        assert mean_width(bigger).value >= w * (1 - 1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_agrees_with_monte_carlo_within_four_standard_errors(self, d, seed):
+        s = random_width_set(d, trial_rng(63, seed))
+        rule = mean_width(s).value
+        mc = _mean_width_mc(s, trials=2048, seed=seed)
+        assert abs(rule - mc.value) <= 4 * mc.stderr + 1e-12 * rule
 
 
 class TestCoverUpper:
@@ -458,7 +584,7 @@ class TestStackedSamplerOracle:
     @pytest.mark.parametrize("trials", [_WIDTH_BLOCK - 1, _WIDTH_BLOCK, _WIDTH_BLOCK + 1])
     def test_mean_width_equals_per_trial_loop(self, name, trials):
         s = width_oracle_sets()[name]
-        est = mean_width(s, trials=trials, seed=trials + 7)
+        est = _mean_width_mc(s, trials=trials, seed=trials + 7)
         value, stderr = per_trial_mean_width(s, trials, trials + 7)
         assert est.value == value and est.stderr == stderr
 

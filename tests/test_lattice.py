@@ -411,6 +411,15 @@ class TestEstimateOrder:
         rep = estimate_order(EuclideanSet(2, [Ball([0, 0], 0.5)]), trials=200, seed=0)
         assert rep.estimate == 0.0
 
+    def test_four_dimensions_rejected_before_any_trial(self, monkeypatch):
+        # The mean width takes d <= 3, and it is computed before the trials.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trial ran on a 4-D set")
+
+        monkeypatch.setattr(lattice, "run_trials", forbidden)
+        with pytest.raises(ValueError, match="dimensions 1 to 3"):
+            estimate_order(EuclideanSet(4, [Ball(np.zeros(4), 1.0)]), trials=10)
+
     def test_disc_ring_grows_linearly(self):
         # Width-driven growth: doubling the disc count roughly doubles the
         # order excess (an origin disc is added to satisfy the origin
