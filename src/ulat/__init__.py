@@ -44,11 +44,7 @@ from .functions import (
     norm_sq,
     tail_energy,
 )
-from .periodization import (
-    Periodization,
-    check_energy_expectation,
-    check_tail_coeff_expectation,
-)
+from .periodization import Periodization
 from .turan import (
     TorusSet,
     TrigPolynomial,

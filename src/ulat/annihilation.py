@@ -346,11 +346,11 @@ def pipeline_trace(
     grid_tol = 2.0 * d / ctx.grid_n
 
     mask = gamma.support_mask(ctx.grid_n)
-    zero_fraction = 1.0 - float(np.mean(mask))
+    zero_fraction = 1.0 - np.count_nonzero(mask) / mask.size
 
     threshold = 4.0 * math.sqrt(ctx.c_ref * ctx.tail_hat)
     p_vals = _poly_on_grid(inside.indices, p_coeffs, ctx.grid_n, d)
-    tilde_fraction = float(np.mean((~mask) & (np.abs(p_vals) <= threshold)))
+    tilde_fraction = np.count_nonzero(~mask & (np.abs(p_vals) <= threshold)) / mask.size
 
     p_hat0 = abs(gamma.coefficient(np.zeros(d))) ** 2
     events = {

@@ -27,21 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import Gaussian, TestFunction, cross_correlation, norm_sq, tail_energy
-from .geometry import EuclideanSet, _grid_points
-from .lattice import (
-    RandomLattice,
-    integer_vectors_in_annulus,
-    intersect,
-    polar_constant,
-    sample_lattice,
-)
-from .mc import ExpectationReport, mean_stderr, run_trials
+from .functions import Gaussian, TestFunction, cross_correlation
+from .geometry import _grid_points
+from .lattice import RandomLattice, integer_vectors_in_annulus
 
 __all__ = [
     "Periodization",
-    "check_energy_expectation",
-    "check_tail_coeff_expectation",
     "default_grid_size",
 ]
 
@@ -215,13 +206,25 @@ class Periodization:
         in it splits per axis into t = j mod n and k = j div n.  Per axis,
         the range of j falls into runs on which k is constant, at most
         ceil(len / n) + 1 of them; a product of runs is a rectangular block
-        of the torus grid with a single shift k.  A block's points
-        (t_1/n, ..., t_d/n) are mapped to rho^T(t) / v, its shift to
-        rho^T(k) / v, and one membership test of their sum is ORed into the
-        block's slice of the mask.  These are the floats of the direct sum
-        over k on the full grid, so the mask equals that sum's bit for bit,
-        and no float array spans more than one block; the bool mask spans
-        the n^d grid.
+        of the torus grid with a single shift k.
+
+        Within a block, a row is one point t' of the first d - 1 axes.  Along
+        it, x(j) = x0 + j u with x0 = rho^T(t', 0)/v + rho^T(k)/v and
+        u = rho^T(e_d)/(v n), j the last-axis grid index.  The piece is a
+        box, so each pair of its faces bounds j to one interval per row (all
+        or none of the row where u_i = 0).  Shrinking the faces by a margin
+        delta gives the row's certain run, set by one broadcast comparison
+        of j against the rows' bounds; growing them by delta gives its
+        possible run.  The cells in the possible run but not in the certain
+        one are tested with the piece's own ``contains`` on the floats of
+        the direct sum over k, rho^T(t + k)/v computed as
+        (t @ rho)/v + (k @ rho)/v.  delta = 1e-9 (1 + M), with M the largest
+        |coordinate| that the block's points or the box faces take, exceeds
+        the rounding of both the row form and the direct floats by orders
+        of magnitude, so a certain cell is inside on the direct floats and a
+        cell outside the possible run is outside on them.  The mask
+        therefore equals the direct sum's bit for bit.  No float array spans
+        more than one block's rows; the bool mask spans the n^d grid.
         """
         support = self.source.support_set()
         if support is None:
@@ -229,32 +232,52 @@ class Periodization:
         d = self.dimension
         v = self.lattice.dilation
         mat = self.lattice.rotation.matrix
+        u = mat[-1] / (v * grid_n)
         mask = np.zeros((grid_n,) * d, dtype=bool)
         for piece in support.pieces:
+            lo, hi = piece.lower - 1e-15, piece.upper + 1e-15
+            faces = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
             corners = _grid_points(list(zip(*piece.bounds())))
-            u = (grid_n * v) * self.lattice.rotation.apply(corners)
-            lo = np.floor(u.min(axis=0)).astype(int) - 1
-            hi = np.ceil(u.max(axis=0)).astype(int) + 1
-            # Per axis: the runs (k, t slice) of j = k n + t over lo..hi.
+            g = (grid_n * v) * self.lattice.rotation.apply(corners)
+            first = np.floor(g.min(axis=0)).astype(int) - 1
+            last = np.ceil(g.max(axis=0)).astype(int) + 1
+            # Per axis: the runs (k, t slice) of j = k n + t over first..last.
             runs = [
                 [
                     (k, slice(max(a - k * grid_n, 0), min(b - k * grid_n, grid_n - 1) + 1))
                     for k in range(a // grid_n, b // grid_n + 1)
                 ]
-                for a, b in zip(lo.tolist(), hi.tolist())
+                for a, b in zip(first.tolist(), last.tolist())
             ]
             for block in itertools.product(*runs):
                 ks, cells = zip(*block)
-                view = mask[cells]
-                t_axes = [np.arange(c.start, c.stop) / grid_n for c in cells]
-                base = (_grid_points(t_axes) @ mat) / v
                 off = (np.array(ks, dtype=float) @ mat) / v
-                view |= piece.contains(base + off).reshape(view.shape)
+                head_axes = [np.arange(c.start, c.stop) / grid_n for c in cells[:-1]]
+                heads = _grid_points(head_axes) if head_axes else np.zeros((1, 0))
+                x0 = (heads @ mat[:-1]) / v + off
+                j = np.arange(cells[-1].start, cells[-1].stop, dtype=float)
+                delta = 1e-9 * (1.0 + max(faces, float(np.max(np.abs(off))) + math.sqrt(d) / v))
+                (sure_lo, may_lo), (sure_hi, may_hi) = _row_intervals(
+                    x0, u, np.stack([lo + delta, lo - delta]), np.stack([hi - delta, hi + delta])
+                )
+                sure = (j >= sure_lo[:, None]) & (j <= sure_hi[:, None])
+                # Rows whose possible run holds a cell outside the certain run.
+                p0, p1 = np.maximum(np.ceil(may_lo), j[0]), np.minimum(np.floor(may_hi), j[-1])
+                doubt = (p0 <= p1) & ~((sure_lo <= p0) & (sure_hi >= p1))
+                if doubt.any():
+                    rows = np.flatnonzero(doubt)
+                    maybe = (j >= may_lo[rows, None]) & (j <= may_hi[rows, None]) & ~sure[rows]
+                    r, c = np.nonzero(maybe)
+                    t = np.column_stack([heads[rows[r]], j[c] / grid_n])
+                    sure[rows[r], c] = piece.contains((t @ mat) / v + off)
+                view = mask[cells]
+                view |= sure.reshape(view.shape)
         return mask.reshape(-1)
 
     def support_fraction(self, grid_n: int | None = None) -> float:
         grid_n = grid_n or default_grid_size(self.dimension)
-        return float(np.mean(self.support_mask(grid_n)))
+        mask = self.support_mask(grid_n)
+        return np.count_nonzero(mask) / mask.size
 
     # -- verification ---------------------------------------------------------
 
@@ -297,71 +320,24 @@ class Periodization:
         ]
 
 
+def _row_intervals(x0: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per face pair lo[m], hi[m] and row x0[r], the real interval of j
+    with lo[m] <= x0[r] + j u <= hi[m], as (start, stop) arrays of shape
+    (len(lo), len(x0)); start > stop is an empty run.
+
+    Each coordinate bounds j to [(lo - x0)/u, (hi - x0)/u], the faces
+    swapped where u has its sign bit set.  Where u = 0 the quotients are
+    -inf and inf when lo < x0 < hi; otherwise one of them admits no finite
+    j or is 0/0 = NaN, which compares false.  So such a coordinate keeps
+    all of the row or none.  A face pair with lo > hi gives an empty run.
+    """
+    neg = np.signbit(u)
+    with np.errstate(all="ignore"):
+        start = (np.where(neg, hi, lo)[:, None] - x0) / u
+        stop = (np.where(neg, lo, hi)[:, None] - x0) / u
+    return start.max(axis=2), stop.min(axis=2)
+
+
 def _shell_count_bound(radius: int, d: int) -> float:
     surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     return surface * (radius + 2.0 * math.sqrt(d)) ** (d - 1) + 2.0 * d
-
-
-# ---------------------------------------------------------------------------
-# Expectation checks
-# ---------------------------------------------------------------------------
-
-
-def check_energy_expectation(
-    f: TestFunction, trials: int = 1000, seed: int = 0
-) -> ExpectationReport:
-    """Estimate E[||G||^2] over lattice draws against its analytic bound.
-
-    The bound field carries 2 |fhat(0)|^2 + 2 S(d) ||f||^2 with S(d) the
-    sphere-area scale 1/polar_constant(d), which dominates the averaging
-    constant of the lattice sums.
-    """
-    support = f.support_set()
-    if support is None:
-        raise ValueError("energy expectation check requires a compactly supported source")
-    d = f.dimension
-    values = run_trials(
-        lambda rng: Periodization(f, sample_lattice(d, rng)).energy(),
-        trials,
-        seed,
-    )
-    est, err = mean_stderr(values)
-    fhat0_sq = float(np.abs(f.hat(np.zeros(d))) ** 2)
-    total = norm_sq(f)
-    bound = 2.0 * fhat0_sq + 2.0 * total / polar_constant(d)
-    extras = {
-        "fhat0_sq": fhat0_sq,
-        "norm_sq": total,
-        "respects_bound": bool(est <= bound),
-    }
-    return ExpectationReport(est, err, trials, bound, seed, extras=extras)
-
-
-def check_tail_coeff_expectation(
-    f: TestFunction,
-    sigma: EuclideanSet,
-    trials: int = 1000,
-    seed: int = 0,
-) -> ExpectationReport:
-    """Estimate E[ sum_{m outside the intersection index set} |Ghat(m)|^2 ].
-
-    The out-of-set coefficient mass is the exact torus energy minus the
-    finite in-set sum.  The reference right side is twice the hat-side
-    tail energy of f outside sigma (the averaging constant itself is not
-    asserted, only reported).
-    """
-    if not sigma.contains(np.zeros(sigma.dimension)):
-        raise ValueError("the frequency set must contain the origin")
-    d = f.dimension
-
-    def one(rng: np.random.Generator) -> float:
-        lat = sample_lattice(d, rng)
-        gamma = Periodization(f, lat)
-        inside = intersect(lat, sigma)
-        return max(gamma.energy() - gamma.in_set_energy(inside.indices), 0.0)
-
-    values = run_trials(one, trials, seed)
-    est, err = mean_stderr(values)
-    tail_hat = tail_energy(f, sigma, side="hat").value
-    extras = {"tail_hat": tail_hat, "right_side": 2.0 * tail_hat}
-    return ExpectationReport(est, err, trials, 2.0 * tail_hat, seed, extras=extras)

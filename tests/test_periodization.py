@@ -5,18 +5,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ulat.functions import BoxIndicator, Combination, Gaussian, Translated, norm_sq
-from ulat.geometry import AxisBox, Ball, EuclideanSet
-from ulat.lattice import integer_vectors_in_annulus, sample_lattice
-from ulat.mc import trial_rng
-from ulat.periodization import (
-    Periodization,
-    _torus_grid,
-    check_energy_expectation,
-    check_tail_coeff_expectation,
-    default_grid_size,
+from ulat.functions import (
+    BoxIndicator,
+    Combination,
+    Gaussian,
+    Translated,
+    norm_sq,
+    tail_energy,
 )
+from ulat.geometry import AxisBox, Ball, EuclideanSet, Rotation
+from ulat.lattice import (
+    RandomLattice,
+    integer_vectors_in_annulus,
+    intersect,
+    polar_constant,
+    sample_lattice,
+)
+from ulat.mc import ExpectationReport, mean_stderr, run_trials, trial_rng
+from ulat.periodization import Periodization, _torus_grid, default_grid_size
 
 
 def eighth_box(d: int) -> BoxIndicator:
@@ -152,6 +161,64 @@ class TestSupportFraction:
             default_grid_size(4)
 
 
+def check_energy_expectation(f, trials: int = 1000, seed: int = 0) -> ExpectationReport:
+    """Estimate E[||G||^2] over lattice draws against its analytic bound.
+
+    The bound field carries 2 |fhat(0)|^2 + 2 S(d) ||f||^2 with S(d) the
+    sphere-area scale 1/polar_constant(d), which dominates the averaging
+    constant of the lattice sums.
+    """
+    support = f.support_set()
+    if support is None:
+        raise ValueError("energy expectation check requires a compactly supported source")
+    d = f.dimension
+    values = run_trials(
+        lambda rng: Periodization(f, sample_lattice(d, rng)).energy(),
+        trials,
+        seed,
+    )
+    est, err = mean_stderr(values)
+    fhat0_sq = float(np.abs(f.hat(np.zeros(d))) ** 2)
+    total = norm_sq(f)
+    bound = 2.0 * fhat0_sq + 2.0 * total / polar_constant(d)
+    extras = {
+        "fhat0_sq": fhat0_sq,
+        "norm_sq": total,
+        "respects_bound": bool(est <= bound),
+    }
+    return ExpectationReport(est, err, trials, bound, seed, extras=extras)
+
+
+def check_tail_coeff_expectation(
+    f,
+    sigma: EuclideanSet,
+    trials: int = 1000,
+    seed: int = 0,
+) -> ExpectationReport:
+    """Estimate E[ sum_{m outside the intersection index set} |Ghat(m)|^2 ].
+
+    The out-of-set coefficient mass is the exact torus energy minus the
+    finite in-set sum.  The reference right side is twice the hat-side
+    tail energy of f outside sigma (the averaging constant itself is not
+    asserted, only reported).
+    """
+    if not sigma.contains(np.zeros(sigma.dimension)):
+        raise ValueError("the frequency set must contain the origin")
+    d = f.dimension
+
+    def one(rng: np.random.Generator) -> float:
+        lat = sample_lattice(d, rng)
+        gamma = Periodization(f, lat)
+        inside = intersect(lat, sigma)
+        return max(gamma.energy() - gamma.in_set_energy(inside.indices), 0.0)
+
+    values = run_trials(one, trials, seed)
+    est, err = mean_stderr(values)
+    tail_hat = tail_energy(f, sigma, side="hat").value
+    extras = {"tail_hat": tail_hat, "right_side": 2.0 * tail_hat}
+    return ExpectationReport(est, err, trials, 2.0 * tail_hat, seed, extras=extras)
+
+
 class TestEnergyExpectation:
     def test_eighth_cube_respects_bound_every_seed(self):
         f = eighth_box(2)
@@ -212,21 +279,59 @@ class TestTailCoefficientExpectation:
             )
 
 
-def loop_support_mask(gamma: Periodization, grid_n: int) -> np.ndarray:
-    """Reference mask: every grid point against every integer shift k."""
+def loop_support_mask(gamma: Periodization, grid_n: int, ks=None) -> np.ndarray:
+    """Reference mask: every grid point against every integer shift k.
+
+    By default the shifts are every k with |k| <= v R + sqrt(d), R the
+    support's bounding radius; ``ks`` replaces them by a given superset of
+    the shifts that can reach the support.
+    """
     support = gamma.source.support_set()
     d = gamma.dimension
     v = gamma.lattice.dilation
     grid = _torus_grid(grid_n, d)
     mat = gamma.lattice.rotation.matrix
     base = (grid @ mat) / v
-    radius = v * support.bounding_radius() + math.sqrt(d) + 1e-9
-    ks = integer_vectors_in_annulus(0.0, radius, d)
+    if ks is None:
+        radius = v * support.bounding_radius() + math.sqrt(d) + 1e-9
+        ks = integer_vectors_in_annulus(0.0, radius, d)
     mask = np.zeros(grid.shape[0], dtype=bool)
     for k in ks:
         offset = (k.astype(float) @ mat) / v
         mask |= support.contains(base + offset)
     return mask
+
+
+def reaching_shifts(gamma: Periodization) -> np.ndarray:
+    """Every integer k whose torus cell k + [0, 1)^d meets the preimage
+    v rho(piece) of some support piece: the integer points of each preimage's
+    bounding box, padded by one.  Far from the origin this is much smaller
+    than the default ball of shifts."""
+    rot, v = gamma.lattice.rotation, gamma.lattice.dilation
+    blocks = []
+    for piece in gamma.source.support_set().pieces:
+        u = v * rot.apply(np.array(list(itertools.product(*zip(*piece.bounds())))))
+        lo = np.floor(u.min(axis=0)).astype(int) - 1
+        hi = np.ceil(u.max(axis=0)).astype(int) + 1
+        axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+        blocks.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)))
+    return np.concatenate(blocks)
+
+
+def fallback_points(monkeypatch, gamma: Periodization, grid_n: int):
+    """The mask and the number of points it sent to ``AxisBox.contains``:
+    only cells within the margin of a face reach the box test."""
+    tested = []
+    contains = AxisBox.contains
+
+    def spy(self, points):
+        tested.append(len(points))
+        return contains(self, points)
+
+    with monkeypatch.context() as m:
+        m.setattr(AxisBox, "contains", spy)
+        mask = gamma.support_mask(grid_n)
+    return mask, sum(tested)
 
 
 def two_boxes(d: int, rng) -> Combination:
@@ -282,3 +387,88 @@ class TestSupportRaster:
     def test_single_point_grid(self):
         gamma = Periodization(eighth_box(2), sample_lattice(2, trial_rng(5, 0)))
         assert np.array_equal(gamma.support_mask(1), loop_support_mask(gamma, 1))
+
+    @given(
+        d=st.integers(1, 3),
+        grid_n=st.sampled_from([1, 2, 3, 5, 7, 16, 64]),
+        kind=st.sampled_from(["box", "combination", "translated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_sources_far_and_near(self, d, grid_n, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "box":
+            lo = rng.uniform(-1.0, 1.0, d)
+            f = BoxIndicator(AxisBox(lo, lo + rng.uniform(1e-3, 1.5, d)))
+        elif kind == "combination":
+            f = two_boxes(d, rng)
+        else:
+            f = Translated(two_boxes(d, rng), rng.uniform(-1e3, 1e3, d))
+        gamma = Periodization(f, sample_lattice(d, rng))
+        expected = loop_support_mask(gamma, grid_n, reaching_shifts(gamma))
+        assert np.array_equal(gamma.support_mask(grid_n), expected)
+
+    @pytest.mark.parametrize("v", [1.25, 1.5, 1.75, 4 / 3])
+    @pytest.mark.parametrize(
+        "d,turn",
+        [
+            (1, "none"),
+            (2, "none"),
+            (2, "quarter"),
+            (2, "half"),
+            (3, "none"),
+            (3, "quarter"),
+            (3, "half"),
+        ],
+    )
+    def test_faces_on_grid_points_use_the_exact_fallback(self, monkeypatch, d, turn, v):
+        # With rho the identity or a quarter or half turn of the last two
+        # axes, a face at j / (n v) holds grid points up to rounding, so
+        # those cells fall in the band between the certain and the possible
+        # run.  The half turn's zeros are -0.0, so u carries a signed zero.
+        mat = np.eye(d)
+        if turn == "quarter":
+            mat[-2:, -2:] = [[0.0, -1.0], [1.0, 0.0]]
+        elif turn == "half":
+            mat[-2:, -2:] = -np.eye(2)
+        lattice = RandomLattice(Rotation(mat), v)
+        n = 12 if d == 3 else 16
+        rng = np.random.default_rng(round(100 * v) + 10 * d + len(turn))
+        for _ in range(4):
+            j = rng.integers(-2 * n, 2 * n, d)
+            box = AxisBox(j / (n * v), (j + rng.integers(1, n, d)) / (n * v))
+            gamma = Periodization(BoxIndicator(box), lattice)
+            mask, tested = fallback_points(monkeypatch, gamma, n)
+            assert tested > 0
+            assert np.array_equal(mask, loop_support_mask(gamma, n))
+
+    @pytest.mark.parametrize("far", [1e4, 1e6, 1e8])
+    def test_margin_grows_with_the_coordinates(self, monkeypatch, far):
+        # Far from the origin a coordinate's rounding passes 1e-9, so only a
+        # margin that grows with the coordinates keeps the band exact.
+        v, n = 1.25, 16
+        lattice = RandomLattice(Rotation(np.eye(2)), v)
+        rng = np.random.default_rng(int(math.log10(far)))
+        for _ in range(4):
+            j = rng.integers(-2 * n, 2 * n, 2) + round(far * n * v)
+            box = AxisBox(j / (n * v), (j + rng.integers(1, n, 2)) / (n * v))
+            gamma = Periodization(BoxIndicator(box), lattice)
+            mask, tested = fallback_points(monkeypatch, gamma, n)
+            assert tested > 0
+            assert np.array_equal(mask, loop_support_mask(gamma, n, reaching_shifts(gamma)))
+
+    def test_row_constant_coordinate(self, monkeypatch):
+        # A turn in the plane of axes 0 and 2 leaves x_1 = (t_1 + k_1)/v
+        # constant along each row, so u_1 = 0 exactly and axis 1's faces
+        # keep or drop whole rows; faces at j / (n v) put rows in the band.
+        c, s = math.cos(0.3), math.sin(0.3)
+        lattice = RandomLattice(Rotation([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]]), 1.5)
+        n = 16
+        assert lattice.rotation.matrix[-1][1] == 0.0
+        box = AxisBox([-0.3, 3 / (n * 1.5), -0.2], [0.25, 11 / (n * 1.5), 0.35])
+        gamma = Periodization(BoxIndicator(box), lattice)
+        mask, tested = fallback_points(monkeypatch, gamma, n)
+        assert tested >= n
+        assert np.array_equal(mask, loop_support_mask(gamma, n))
+        rows = mask.reshape(n, n, n).any(axis=(0, 2))
+        assert rows.any() and not rows.all()
