@@ -22,7 +22,6 @@ from .geometry import (
 from .lattice import (
     AnnulusIndicator,
     GaussianProfile,
-    LatticePointSet,
     RandomLattice,
     axis_hit_count,
     check_lattice_averaging,
@@ -56,7 +55,6 @@ from .turan import (
 from .annihilation import (
     AnnihilationInstance,
     PipelineTrace,
-    annihilation_bound,
     disc_ring,
     disc_ring_experiment,
     observed_ratio,

@@ -1,12 +1,13 @@
 """End-to-end annihilating-pair machinery.
 
 Given a pair of finite-measure sets (S time side, Sigma frequency side) and
-a test function, the module evaluates the exponential pair bound, measures
-observed annihilation ratios, runs the full probabilistic proof pipeline on
-single lattice draws (periodize, split into in-set and out-of-set
-coefficient mass, check the four events, close the Turan chain), sweeps the
-pipeline over modulations to control the in-set spectral mass, and runs the
-ring-of-discs sharpness experiment for the order-versus-width bound.
+a test function, the module evaluates the terms of the pair exponent,
+measures observed annihilation ratios, runs the full probabilistic proof
+pipeline on single lattice draws (periodize, split into in-set and
+out-of-set coefficient mass, check the four events, close the Turan chain),
+sweeps the pipeline over modulations to control the in-set spectral mass,
+and runs the ring-of-discs sharpness experiment for the order-versus-width
+bound.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .geometry import (
     lebesgue_measure,
     mean_width,
 )
-from .lattice import axis_hit_count, intersect, sample_lattice
+from .lattice import axis_hit_count, intersect, order_of, sample_lattice
 from .mc import mean_stderr, run_trials, trial_rng
 from .periodization import Periodization
 
@@ -34,7 +35,6 @@ __all__ = [
     "AnnihilationInstance",
     "PipelineContext",
     "PipelineTrace",
-    "annihilation_bound",
     "pair_exponent",
     "observed_ratio",
     "pipeline_trace",
@@ -83,7 +83,7 @@ class AnnihilationInstance:
 
 
 # ---------------------------------------------------------------------------
-# Pair bound and observed ratios
+# Pair exponent and observed ratios
 # ---------------------------------------------------------------------------
 
 
@@ -110,48 +110,6 @@ def pair_exponent(
         "s_width_sigma_measure": ws * msig ** (1.0 / d),
     }
     return terms, min(terms, key=terms.get)
-
-
-def _pair_bound_value(c: float, exponent: float) -> float:
-    """C exp(C m), or inf where it is past the largest float.
-
-    exp(C m) alone overflows first when C < 1, so that case is retried on
-    the log scale.
-    """
-    try:
-        return c * math.exp(c * exponent)
-    except OverflowError:
-        pass
-    try:
-        return math.exp(math.log(c) + c * exponent)
-    except OverflowError:
-        return math.inf
-
-
-def annihilation_bound(
-    s_set: EuclideanSet,
-    sigma_set: EuclideanSet,
-    c: float,
-    seed: int = 0,
-) -> dict:
-    """Exponential pair bound C exp(C min(|S||Sigma|, |S|^{1/d} w(Sigma),
-    w(S) |Sigma|^{1/d})) for a caller-supplied constant C.
-
-    The exponent comes from ``pair_exponent``; the report names which of
-    the three terms achieved the min.  A bound past the largest float is
-    reported as ``inf``.
-    """
-    if c <= 0:
-        raise ValueError("the bound constant must be positive")
-    terms, which = pair_exponent(s_set, sigma_set, seed=seed)
-    exponent = terms[which]
-    return {
-        "value": _pair_bound_value(c, exponent),
-        "exponent_term": exponent,
-        "which": which,
-        "terms": terms,
-        "constant": c,
-    }
 
 
 def observed_ratio(inst: AnnihilationInstance) -> dict:
@@ -334,14 +292,14 @@ def pipeline_trace(
     gamma = Periodization(inst.f, lat)
 
     inside = intersect(lat, inst.freq_set)
-    if not np.any(np.all(inside.indices == 0, axis=1)):
+    if not np.any(np.all(inside == 0, axis=1)):
         raise AssertionError("origin missing from the intersection index set")
-    p_coeffs = np.atleast_1d(gamma.coefficient(inside.indices.astype(float)))
+    p_coeffs = np.atleast_1d(gamma.coefficient(inside.astype(float)))
     p_energy = float(np.sum(np.abs(p_coeffs) ** 2))
     total = gamma.energy()
     r_energy = max(total - p_energy, 0.0)
 
-    order = inside.order()
+    order = order_of(inside)
     exponent = order - d
     grid_tol = 2.0 * d / ctx.grid_n
 
@@ -349,7 +307,7 @@ def pipeline_trace(
     zero_fraction = 1.0 - np.count_nonzero(mask) / mask.size
 
     threshold = 4.0 * math.sqrt(ctx.c_ref * ctx.tail_hat)
-    p_vals = _poly_on_grid(inside.indices, p_coeffs, ctx.grid_n, d)
+    p_vals = _poly_on_grid(inside, p_coeffs, ctx.grid_n, d)
     tilde_fraction = np.count_nonzero(~mask & (np.abs(p_vals) <= threshold)) / mask.size
 
     p_hat0 = abs(gamma.coefficient(np.zeros(d))) ** 2
@@ -379,7 +337,7 @@ def pipeline_trace(
         seed=seed,
         dilation=lat.dilation,
         rotation=lat.rotation.matrix.tolist(),
-        indices=inside.indices,
+        indices=inside,
         p_coefficients=p_coeffs,
         total_energy=total,
         p_energy=p_energy,
@@ -510,11 +468,10 @@ def disc_ring_experiment(
         reach = sigma.bounding_radius()
     if not math.isfinite(reach):
         raise ValueError(f"ring radius {ring_radius!r} leaves the discs no finite bounding radius")
-    k_range = int(math.ceil(reach)) + 1
 
     def one(rng: np.random.Generator) -> float:
         lat = sample_lattice(2, rng)
-        return float(axis_hit_count(lat, sigma, k_range))
+        return float(axis_hit_count(lat, sigma))
 
     values = run_trials(one, trials, seed)
     est, err = mean_stderr(values)

@@ -371,6 +371,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 _DEFAULT_FORMATS = {"turan": "csv", "sweep": "csv"}
 
+# Integer flags that count something, checked >= 1 with --trials before a
+# real or a dry run.
+_COUNT_FLAGS = ("dim", "n", "random", "ygrid")
+
 
 def _config_overrides(path: str, parser: argparse.ArgumentParser) -> dict:
     """Read a --config object and check each value as its flag would be.
@@ -408,8 +412,10 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                 setattr(args, "fmt" if key == "format" else key, value)
             else:
                 options[key] = value
-    if args.trials < 1:
-        raise PreconditionError("trials must be >= 1")
+    counts = {"trials": args.trials, **{k: options[k] for k in _COUNT_FLAGS if k in options}}
+    for key, value in counts.items():
+        if value < 1:
+            raise PreconditionError(f"{key} must be >= 1")
     fmt = args.fmt or _DEFAULT_FORMATS.get(args.command, "json")
     return RunConfig(
         command=args.command,

@@ -123,9 +123,6 @@ class Ball:
     def scale(self, factor: float) -> "Ball":
         return Ball(self.center * factor, self.radius * factor)
 
-    def to_dict(self) -> dict:
-        return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
-
 
 @dataclass(frozen=True, eq=False)
 class AxisBox:
@@ -193,9 +190,6 @@ class AxisBox:
         if factor < 0:
             a, b = b, a
         return AxisBox(a, b)
-
-    def to_dict(self) -> dict:
-        return {"kind": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
 
 Piece = Ball | AxisBox
@@ -283,12 +277,6 @@ class EuclideanSet:
         return True
 
     # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "pieces": [p.to_dict() for p in self.pieces],
-        }
 
     @staticmethod
     def from_dict(doc: dict) -> "EuclideanSet":
@@ -642,31 +630,6 @@ class CoverCandidate:
 
     balls: tuple
     value: float
-
-    def verify_covers(
-        self, target: EuclideanSet, samples: int = 4096, seed: int = 0
-    ) -> bool:
-        """Membership-sampling check that the balls cover the target."""
-        if target.is_empty():
-            return True
-        lo, hi = target.bounding_box()
-        rng = trial_rng(seed, 0)
-        # Rejection-sample points of the target, then test cover membership.
-        found = 0
-        for _ in range(64):
-            pts = rng.uniform(lo, hi, size=(samples, target.dimension))
-            inside = pts[target.contains(pts)]
-            if len(inside) == 0:
-                continue
-            found += len(inside)
-            covered = np.zeros(len(inside), dtype=bool)
-            for b in self.balls:
-                covered |= b.contains(inside)
-            if not bool(np.all(covered)):
-                return False
-            if found >= samples:
-                return True
-        return True
 
 
 def _grid_cover_cells(s: EuclideanSet, side: float) -> np.ndarray | None:

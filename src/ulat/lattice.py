@@ -21,7 +21,6 @@ from scipy.special import gammaincc
 from .geometry import (
     EuclideanSet,
     Rotation,
-    _distinct_rows,
     _haar_stack,
     ball_volume,
     cover_measure_upper,
@@ -33,7 +32,6 @@ from .mc import ExpectationReport, mean_stderr, run_trials, trial_rng
 
 __all__ = [
     "RandomLattice",
-    "LatticePointSet",
     "sample_lattice",
     "intersect",
     "order_of",
@@ -80,46 +78,6 @@ def sample_lattice(d: int, rng: np.random.Generator) -> RandomLattice:
     """Draw (rho, v) with rho Haar and v uniform on (1, 2)."""
     rho = sample_rotation(d, rng)
     return RandomLattice(rho, _draw_dilation(rng))
-
-
-@dataclass(frozen=True, eq=False)
-class LatticePointSet:
-    """Finite set of integer indices k whose embeddings lie in a target set."""
-
-    indices: np.ndarray
-    lattice: RandomLattice
-
-    def __init__(self, indices, lattice: RandomLattice):
-        arr = np.asarray(indices, dtype=int)
-        if arr.size == 0:
-            arr = arr.reshape(0, lattice.dimension)
-        if arr.ndim != 2 or arr.shape[1] != lattice.dimension:
-            raise ValueError("indices must be an (n, d) integer array")
-        if len(_distinct_rows(arr)) != len(arr):
-            raise ValueError("duplicate indices in lattice point set")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "indices", arr)
-        object.__setattr__(self, "lattice", lattice)
-
-    @classmethod
-    def _unique(cls, arr: np.ndarray, lattice: RandomLattice) -> "LatticePointSet":
-        """Wrap an (n, d) integer array of distinct rows that no one else holds."""
-        pts = object.__new__(cls)
-        arr.setflags(write=False)
-        object.__setattr__(pts, "indices", arr)
-        object.__setattr__(pts, "lattice", lattice)
-        return pts
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-    def points(self) -> np.ndarray:
-        return self.lattice.points(self.indices)
-
-    def order(self) -> int:
-        """Sum over axes of the number of distinct index coordinates."""
-        return order_of(self.indices)
 
 
 def order_of(indices) -> int:
@@ -253,8 +211,9 @@ def _annulus_walk(lo2: int, hi2: int, kmax: int, d: int) -> np.ndarray:
 _annulus_memo = functools.lru_cache(maxsize=_MEMO_ENTRIES)(_annulus_walk)
 
 
-def intersect(lat: RandomLattice, sigma: EuclideanSet) -> LatticePointSet:
-    """Exact enumeration of {k : v * rho^T(k) in sigma} for bounded sigma.
+def intersect(lat: RandomLattice, sigma: EuclideanSet) -> np.ndarray:
+    """Exact enumeration of {k : v * rho^T(k) in sigma} for bounded sigma,
+    as a read-only (n, d) integer array of distinct rows in C order.
 
     Since the embedding is an isometry up to the dilation, candidates are
     restricted to ||k|| <= bounding_radius(sigma) / v before the exact
@@ -263,35 +222,22 @@ def intersect(lat: RandomLattice, sigma: EuclideanSet) -> LatticePointSet:
     if sigma.dimension != lat.dimension:
         raise ValueError("set dimension does not match lattice dimension")
     if sigma.is_empty():
-        return LatticePointSet._unique(np.empty((0, lat.dimension), dtype=int), lat)
-    r_hi = sigma.bounding_radius() / lat.dilation + 1e-9
-    r_lo = max(sigma.inner_radius() / lat.dilation - 1e-9, 0.0)
-    cand = integer_vectors_in_annulus(r_lo, r_hi, lat.dimension)
-    if len(cand) == 0:
-        return LatticePointSet._unique(np.empty((0, lat.dimension), dtype=int), lat)
-    # The enumeration's rows are distinct, so a masked subset needs no check.
-    return LatticePointSet._unique(cand[sigma.contains(lat.points(cand))], lat)
+        out = np.empty((0, lat.dimension), dtype=int)
+    else:
+        r_hi = sigma.bounding_radius() / lat.dilation + 1e-9
+        r_lo = max(sigma.inner_radius() / lat.dilation - 1e-9, 0.0)
+        cand = integer_vectors_in_annulus(r_lo, r_hi, lat.dimension)
+        # The enumeration's rows are distinct, so a masked subset is too.
+        out = cand[sigma.contains(lat.points(cand))]
+    out.setflags(write=False)
+    return out
 
 
-def axis_hit_count(lat: RandomLattice, sigma: EuclideanSet, k_range: int) -> int:
+def axis_hit_count(lat: RandomLattice, sigma: EuclideanSet) -> int:
     """Number of nonzero first coordinates k such that some index (k, k')
-    embeds into sigma.
-
-    ``k_range`` must dominate bounding_radius(sigma) / v so that no hit can
-    be missed; the remaining coordinates are enumerated over the induced
-    bounded range.
-    """
-    if sigma.is_empty():
-        return 0
-    needed = sigma.bounding_radius() / lat.dilation
-    if k_range < needed - 1e-9:
-        raise ValueError(f"k_range {k_range} is below bounding_radius/v = {needed:.3f}")
-    hits = intersect(lat, sigma).indices
-    if len(hits) == 0:
-        return 0
-    first = hits[:, 0]
-    first = first[(first != 0) & (np.abs(first) <= k_range)]
-    return int(len(np.unique(first)))
+    embeds into sigma."""
+    first = intersect(lat, sigma)[:, 0]
+    return int(len(np.unique(first[first != 0])))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +267,8 @@ class AnnulusIndicator:
     """Indicator of {r_inner <= ||x|| <= r_outer}; r_inner = 0 gives a ball."""
 
     def __init__(self, dimension: int, r_inner: float, r_outer: float):
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
         if not (0 <= r_inner < r_outer):
             raise ValueError("need 0 <= r_inner < r_outer")
         self.dimension = int(dimension)
@@ -344,6 +292,8 @@ class GaussianProfile:
     """The radial Gaussian exp(-pi * a * ||x||^2)."""
 
     def __init__(self, dimension: int, a: float = 1.0):
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
         a = float(a)
         if not 0 < a < math.inf:
             raise ValueError(f"Gaussian scale must be positive and finite, got {a}")
@@ -437,10 +387,9 @@ def check_lattice_averaging(
             )
     rad_a = _profile_truncation_radius(phi, 1.0, ref_a)  # v >= 1
     rad_b = _profile_truncation_radius(phi, 0.5, ref_b)  # 1/v >= 1/2
-    cand_a = integer_vectors_in_annulus(1.0, rad_a, d)
-    cand_b = integer_vectors_in_annulus(1.0, rad_b, d)
-    cand_a = cand_a[np.any(cand_a != 0, axis=1)].astype(float)
-    cand_b = cand_b[np.any(cand_b != 0, axis=1)].astype(float)
+    # r_lo = 1 leaves out k = 0.
+    cand_a = integer_vectors_in_annulus(1.0, rad_a, d).astype(float)
+    cand_b = integer_vectors_in_annulus(1.0, rad_b, d).astype(float)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     block = min(_LAL_BLOCK, max(_LAL_POINT_BUDGET // max(len(cand_a) + len(cand_b), 1), 1))
@@ -511,7 +460,7 @@ def estimate_order(
     # The width first: it takes d <= 3 and rejects more before the trials.
     width = mean_width(sigma).value
     values = run_trials(
-        lambda rng: float(intersect(sample_lattice(d, rng), sigma).order() - d),
+        lambda rng: float(order_of(intersect(sample_lattice(d, rng), sigma)) - d),
         trials,
         seed,
     )

@@ -46,6 +46,10 @@ def default_grid_size(d: int) -> int:
     raise ValueError("torus grids are limited to d <= 3; use Monte Carlo beyond")
 
 
+# delta / (1 + M) of Periodization.support_mask, derived in its docstring.
+_ROW_MARGIN = 64 * np.finfo(float).eps
+
+
 def _torus_grid(n: int, d: int) -> np.ndarray:
     return _grid_points([np.arange(n) / n] * d)
 
@@ -218,13 +222,29 @@ class Periodization:
         possible run.  The cells in the possible run but not in the certain
         one are tested with the piece's own ``contains`` on the floats of
         the direct sum over k, rho^T(t + k)/v computed as
-        (t @ rho)/v + (k @ rho)/v.  delta = 1e-9 (1 + M), with M the largest
-        |coordinate| that the block's points or the box faces take, exceeds
-        the rounding of both the row form and the direct floats by orders
-        of magnitude, so a certain cell is inside on the direct floats and a
-        cell outside the possible run is outside on them.  The mask
-        therefore equals the direct sum's bit for bit.  No float array spans
-        more than one block's rows; the bool mask spans the n^d grid.
+        (t @ rho)/v + (k @ rho)/v.
+
+        The margin is delta = 64 eps (1 + M), with eps = 2^-52 the machine
+        epsilon and M the largest |coordinate| that the block's points or
+        the box faces take.  Per coordinate, with h = eps/2 the unit
+        roundoff, |t_i| < 1 and every column of rho a unit vector:
+
+        - the direct floats: rounding t = j/n, the d-term dot product, the
+          division by v and the addition of (k @ rho)/v, itself off by at
+          most (d sqrt(d) + 1) h M, leaves x off by at most
+          ((d + 2) sqrt(d) + 1) h (1 + M);
+        - the row form: x0 is off by no more than that; the step u, from
+          two roundings, moves j u by at most 2h, since j |u| <= 1; the
+          face lo +- delta rounds by h (M + delta); and a run end
+          (face - x0)/u, from two roundings, puts the line x0 + j u within
+          2h |face - x0| <= 4h (1 + M) of the face.
+
+        The sum, (2 (d + 2) sqrt(d) + 9) h (1 + M), is below 27 h (1 + M)
+        for d <= 3, a fifth of delta, and below delta for every d <= 13.
+        So a certain cell is inside on the direct floats, a cell outside
+        the possible run is outside on them, and the mask equals the direct
+        sum's bit for bit.  No float array spans more than one block's rows;
+        the bool mask spans the n^d grid.
         """
         support = self.source.support_set()
         if support is None:
@@ -256,7 +276,8 @@ class Periodization:
                 heads = _grid_points(head_axes) if head_axes else np.zeros((1, 0))
                 x0 = (heads @ mat[:-1]) / v + off
                 j = np.arange(cells[-1].start, cells[-1].stop, dtype=float)
-                delta = 1e-9 * (1.0 + max(faces, float(np.max(np.abs(off))) + math.sqrt(d) / v))
+                reach = max(faces, float(np.max(np.abs(off))) + math.sqrt(d) / v)
+                delta = _ROW_MARGIN * (1.0 + reach)
                 (sure_lo, may_lo), (sure_hi, may_hi) = _row_intervals(
                     x0, u, np.stack([lo + delta, lo - delta]), np.stack([hi - delta, hi + delta])
                 )

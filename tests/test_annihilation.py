@@ -11,9 +11,7 @@ from scipy import stats
 
 from ulat.annihilation import (
     AnnihilationInstance,
-    _pair_bound_value,
     _poly_on_grid,
-    annihilation_bound,
     build_pipeline_context,
     disc_ring,
     disc_ring_experiment,
@@ -30,6 +28,48 @@ from ulat.mc import trial_rng
 from ulat.periodization import Periodization
 
 from test_periodization import loop_support_mask
+
+
+def _pair_bound_value(c: float, exponent: float) -> float:
+    """C exp(C m), or inf where it is past the largest float.
+
+    exp(C m) alone overflows first when C < 1, so that case is retried on
+    the log scale.
+    """
+    try:
+        return c * math.exp(c * exponent)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(math.log(c) + c * exponent)
+    except OverflowError:
+        return math.inf
+
+
+def annihilation_bound(
+    s_set: EuclideanSet,
+    sigma_set: EuclideanSet,
+    c: float,
+    seed: int = 0,
+) -> dict:
+    """Exponential pair bound C exp(C min(|S||Sigma|, |S|^{1/d} w(Sigma),
+    w(S) |Sigma|^{1/d})) for a caller-supplied constant C.
+
+    The exponent comes from ``pair_exponent``; the report names which of
+    the three terms achieved the min.  A bound past the largest float is
+    reported as ``inf``.
+    """
+    if c <= 0:
+        raise ValueError("the bound constant must be positive")
+    terms, which = pair_exponent(s_set, sigma_set, seed=seed)
+    exponent = terms[which]
+    return {
+        "value": _pair_bound_value(c, exponent),
+        "exponent_term": exponent,
+        "which": which,
+        "terms": terms,
+        "constant": c,
+    }
 
 
 def eighth_box_instance(sigma_radius: float = 2.0) -> AnnihilationInstance:

@@ -268,18 +268,19 @@ class TestPipelineCommands:
         rows = list(csv.DictReader(out.splitlines()))
         assert {"y1", "y2", "bound", "direct"} <= set(rows[0].keys())
 
+    @pytest.mark.parametrize("extra", [[], ["--dry-run"]])
     @pytest.mark.parametrize("ygrid", ["0", "-3"])
-    def test_sweep_empty_ygrid_precondition(self, capsys, doc_dir, ygrid):
+    def test_sweep_empty_ygrid_precondition(self, capsys, doc_dir, ygrid, extra):
         code, out, err = run_cli(
             capsys,
             ["sweep", "--function", str(doc_dir / "fbox.json"),
              "--s-set", str(doc_dir / "box8.json"),
              "--sigma-set", str(doc_dir / "sigma2.json"),
-             "--ygrid", ygrid, "--grid", "32"],
+             "--ygrid", ygrid, "--grid", "32"] + extra,
         )
         assert code == EXIT_PRECONDITION
         assert out == ""
-        assert "precondition violated: per_axis must be >= 1" in err
+        assert "precondition violated: ygrid must be >= 1" in err
 
 
 class TestPipelineExitCodes:
@@ -391,6 +392,25 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_every_exported_name_has_a_caller():
+    # A name in a module's __all__ is used by the package, the demos or the
+    # benchmark, not by the tests alone.  Its def or class line, the __all__
+    # strings and the import lists are not uses.
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for folder in ("src/ulat", "demos", "perfbench"):
+        for path in sorted((root / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    modules = [importlib.import_module(f"ulat.{m.name}") for m in pkgutil.iter_modules(ulat.__path__)]
+    unused = [f"{mod.__name__}.{name}" for mod in modules for name in getattr(mod, "__all__", ())
+              if name not in used]
+    assert unused == []
+
+
 LAL = ["lal", "--phi", "annulus:1:3"]
 
 
@@ -428,6 +448,28 @@ def test_config_float_flag_takes_an_integer(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["sharpness", "--n", "4", "--config", str(cfg)])
     assert code == EXIT_OK
     assert json.loads(out)["payload"]["ring_radius"] == 50.0
+
+
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]])
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["sharpness", "--n"], "n", 0),
+        (["turan", "--random"], "random", 0),
+        (["lal", "--phi", "ball:2", "--dim"], "dim", 0),
+        (["lal", "--phi", "ball:2", "--dim"], "dim", -1),
+    ],
+)
+def test_count_flag_below_one_is_a_precondition(capsys, tmp_path, argv, key, value, extra):
+    # The same check on the flag and on a --config value, whether or not
+    # the run is dry.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    for call in (argv + [str(value)], argv + ["1", "--config", str(cfg)]):
+        code, out, err = run_cli(capsys, call + ["--trials", "5"] + extra)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert f"precondition violated: {key} must be >= 1" in err
 
 
 def grid_argv(command: str, doc_dir, function: str = "fbox.json") -> list[str]:

@@ -12,12 +12,11 @@ from scipy import integrate
 
 from ulat import lattice
 from ulat.annihilation import disc_ring
-from ulat.geometry import AxisBox, Ball, EuclideanSet, Rotation, sample_rotation
+from ulat.geometry import AxisBox, Ball, EuclideanSet, Rotation, _distinct_rows, sample_rotation
 from ulat.lattice import (
     ANNULUS_POINT_CAP,
     AnnulusIndicator,
     GaussianProfile,
-    LatticePointSet,
     RandomLattice,
     axis_hit_count,
     check_lattice_averaging,
@@ -100,17 +99,19 @@ def annulus_radius_pairs(d: int, count: int) -> list[tuple[float, float]]:
     return pairs
 
 
-def checked_intersect(lat: RandomLattice, sigma: EuclideanSet) -> LatticePointSet:
+def checked_intersect(lat: RandomLattice, sigma: EuclideanSet) -> np.ndarray:
     """Reference: every candidate of the set's annulus (the cube filter, with
-    radii taken piece by piece), masked by membership and passed through the
-    public constructor, which checks the rows for duplicates."""
+    radii taken piece by piece), masked by membership, with its rows checked
+    to be distinct."""
     d = lat.dimension
     if sigma.is_empty():
-        return LatticePointSet(np.empty((0, d), dtype=int), lat)
+        return np.empty((0, d), dtype=int)
     r_hi = max(p.bounding_radius() for p in sigma.pieces) / lat.dilation + 1e-9
     r_lo = max(min(p.inner_radius() for p in sigma.pieces) / lat.dilation - 1e-9, 0.0)
     cand = cube_filter_annulus(r_lo, r_hi, d)
-    return LatticePointSet(cand[sigma.contains(lat.points(cand))], lat)
+    out = cand[sigma.contains(lat.points(cand))]
+    assert len(_distinct_rows(out)) == len(out)
+    return out
 
 
 INTERSECT_SETS = {
@@ -157,16 +158,19 @@ class TestIntersect:
         sigma = EuclideanSet(2, [Ball([0, 0], 0.5)])
         for _ in range(10):
             m = intersect(sample_lattice(2, rng), sigma)
-            assert sorted(map(tuple, m.indices.tolist())) == [(0, 0)]
+            assert not m.flags.writeable
+            assert sorted(map(tuple, m.tolist())) == [(0, 0)]
 
     def test_identity_radius_16(self):
         m = intersect(identity_lattice(2, 1.5), EuclideanSet(2, [Ball([0, 0], 1.6)]))
-        got = sorted(map(tuple, m.indices.tolist()))
+        assert not m.flags.writeable
+        got = sorted(map(tuple, m.tolist()))
         assert got == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
     def test_empty_set(self):
         m = intersect(identity_lattice(2, 1.5), EuclideanSet(2, []))
-        assert len(m) == 0
+        assert m.shape == (0, 2) and m.dtype == int and not m.flags.writeable
+        assert order_of(m) == 0
 
     def test_exact_against_brute_force(self):
         # Enumeration must agree element for element with a full cube scan.
@@ -176,7 +180,9 @@ class TestIntersect:
             center = rng.uniform(-3, 3, 2)
             radius = float(rng.uniform(0.3, 4.0))
             sigma = EuclideanSet(2, [Ball(center, radius)])
-            got = set(map(tuple, intersect(lat, sigma).indices.tolist()))
+            m = intersect(lat, sigma)
+            assert not m.flags.writeable
+            got = set(map(tuple, m.tolist()))
             bound = sigma.bounding_radius() / lat.dilation
             k = int(math.floor(bound)) + 1
             grid = np.stack(
@@ -190,32 +196,16 @@ class TestIntersect:
     @pytest.mark.parametrize("name", list(INTERSECT_SETS))
     def test_equals_the_checked_route(self, name):
         # Values, order and dtype of the indices, the count and the order
-        # statistic, against the checked constructor on seeded lattices.
+        # statistic, against the checked route on seeded lattices.
         sigma = INTERSECT_SETS[name]
         draws = 12 if name == "ring-16" else 60
         for i in range(draws):
             lat = sample_lattice(sigma.dimension, trial_rng(41, i))
             got, want = intersect(lat, sigma), checked_intersect(lat, sigma)
-            assert got.indices.dtype == want.indices.dtype
-            assert np.array_equal(got.indices, want.indices), (name, i)
-            assert len(got) == len(want) and got.order() == want.order()
-            assert not got.indices.flags.writeable
-
-
-class TestLatticePointSet:
-    def test_duplicates_rejected_wherever_they_sit(self):
-        lat = identity_lattice(2, 1.5)
-        for rows in ([[0, 0], [1, 2], [0, 0]], [[3, -1], [3, -1]], [[1, 2], [0, 5], [2, 1], [0, 5]]):
-            with pytest.raises(ValueError, match="duplicate indices"):
-                LatticePointSet(rows, lat)
-
-    def test_distinct_rows_keep_their_order_and_are_copied(self):
-        lat = identity_lattice(3, 1.5)
-        rows = np.array([[2, 0, 1], [0, 0, 0], [2, 0, -1], [-1, 4, 0]])
-        pts = LatticePointSet(rows, lat)
-        assert np.array_equal(pts.indices, rows) and pts.indices is not rows
-        assert not pts.indices.flags.writeable
-        assert len(LatticePointSet([], lat)) == 0
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want), (name, i)
+            assert order_of(got) == order_of(want)
+            assert not got.flags.writeable
 
 
 class TestSetRadii:
@@ -354,6 +344,13 @@ class TestLatticeAveraging:
         with pytest.raises(ValueError, match=message):
             check_lattice_averaging(AnnulusIndicator(2, 1.0, 3.0), trials=trials, seed=0)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_dimension_below_one_rejected(self, d):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            AnnulusIndicator(d, 1.0, 3.0)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            GaussianProfile(d)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_gaussian_tail_radius_meets_its_target(self, d):
         for a in np.logspace(-4, 2, 13):
@@ -463,13 +460,7 @@ class TestAxisHitCount:
         sigma = EuclideanSet(2, [Ball([0, 0], 0.5)])
         for _ in range(5):
             lat = sample_lattice(2, rng)
-            assert axis_hit_count(lat, sigma, 5) == 0
-
-    def test_k_range_too_small_rejected(self):
-        lat = identity_lattice(2, 1.5)
-        sigma = EuclideanSet(2, [Ball([10.0, 0.0], 0.5)])
-        with pytest.raises(ValueError):
-            axis_hit_count(lat, sigma, 2)
+            assert axis_hit_count(lat, sigma) == 0
 
     def test_subadditive_over_unions(self):
         violations = 0
@@ -479,10 +470,9 @@ class TestAxisHitCount:
             b1 = Ball(rng.uniform(-4, 4, 2), float(rng.uniform(0.3, 1.5)))
             b2 = Ball(rng.uniform(-4, 4, 2), float(rng.uniform(0.3, 1.5)))
             u = EuclideanSet(2, [b1, b2])
-            k = int(math.ceil(u.bounding_radius())) + 1
-            m_union = axis_hit_count(lat, u, k)
-            m_1 = axis_hit_count(lat, EuclideanSet(2, [b1]), k)
-            m_2 = axis_hit_count(lat, EuclideanSet(2, [b2]), k)
+            m_union = axis_hit_count(lat, u)
+            m_1 = axis_hit_count(lat, EuclideanSet(2, [b1]))
+            m_2 = axis_hit_count(lat, EuclideanSet(2, [b2]))
             if m_union > m_1 + m_2:
                 violations += 1
         assert violations == 0
@@ -494,8 +484,7 @@ class TestAxisHitCount:
             center = rng.uniform(-2, 2, 2)
             small = EuclideanSet(2, [Ball(center, 1.0)])
             large = EuclideanSet(2, [Ball(center, 2.5)])
-            k = int(math.ceil(large.bounding_radius())) + 1
-            assert axis_hit_count(lat, small, k) <= axis_hit_count(lat, large, k)
+            assert axis_hit_count(lat, small) <= axis_hit_count(lat, large)
 
 
 class TestAnnulusMemo:

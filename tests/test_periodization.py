@@ -210,7 +210,8 @@ def check_tail_coeff_expectation(
         lat = sample_lattice(d, rng)
         gamma = Periodization(f, lat)
         inside = intersect(lat, sigma)
-        return max(gamma.energy() - gamma.in_set_energy(inside.indices), 0.0)
+        assert not inside.flags.writeable
+        return max(gamma.energy() - gamma.in_set_energy(inside), 0.0)
 
     values = run_trials(one, trials, seed)
     est, err = mean_stderr(values)
@@ -456,6 +457,18 @@ class TestSupportRaster:
             mask, tested = fallback_points(monkeypatch, gamma, n)
             assert tested > 0
             assert np.array_equal(mask, loop_support_mask(gamma, n, reaching_shifts(gamma)))
+
+    def test_far_source_keeps_the_band_thin(self, monkeypatch):
+        # The criterion-9 box at (1e8, 1e8), where a coordinate's ulp is
+        # about 1.5e-8: the margin 64 eps (1 + M), about 1.4e-6, keeps the
+        # band of tested cells at the faces, where 1e-9 (1 + M) sent 88 827
+        # cells per mask to the box test.
+        f = Translated(eighth_box(2), [1e8, 1e8])
+        for i in range(10):
+            gamma = Periodization(f, sample_lattice(2, trial_rng(7, i)))
+            mask, tested = fallback_points(monkeypatch, gamma, 512)
+            assert np.array_equal(mask, loop_support_mask(gamma, 512, reaching_shifts(gamma)))
+            assert tested < 0.01 * 88_827
 
     def test_row_constant_coordinate(self, monkeypatch):
         # A turn in the plane of axes 0 and 2 leaves x_1 = (t_1 + k_1)/v
