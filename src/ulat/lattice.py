@@ -454,8 +454,6 @@ def estimate_order(
     minimum.
     """
     _require_origin(sigma)
-    if sigma.is_empty():
-        raise ValueError("estimate_order requires a bounded nonempty set")
     d = sigma.dimension
     # The width first: it takes d <= 3 and rejects more before the trials.
     width = mean_width(sigma).value

@@ -3,6 +3,7 @@
 import ast
 import csv
 import importlib
+import inspect
 import json
 import math
 import os
@@ -392,10 +393,10 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_every_exported_name_has_a_caller():
-    # A name in a module's __all__ is used by the package, the demos or the
-    # benchmark, not by the tests alone.  Its def or class line, the __all__
-    # strings and the import lists are not uses.
+def names_used_outside_tests() -> set:
+    """Every name and attribute read in the package, the demos or the
+    benchmark.  Def and class lines, __all__ strings and import lists are
+    not reads."""
     root = Path(__file__).resolve().parents[1]
     used = set()
     for folder in ("src/ulat", "demos", "perfbench"):
@@ -405,9 +406,39 @@ def test_every_exported_name_has_a_caller():
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-    modules = [importlib.import_module(f"ulat.{m.name}") for m in pkgutil.iter_modules(ulat.__path__)]
-    unused = [f"{mod.__name__}.{name}" for mod in modules for name in getattr(mod, "__all__", ())
+    return used
+
+
+def ulat_modules() -> list:
+    return [importlib.import_module(f"ulat.{m.name}") for m in pkgutil.iter_modules(ulat.__path__)]
+
+
+def test_every_exported_name_has_a_caller():
+    # A name in a module's __all__ is used by the package, the demos or the
+    # benchmark, not by the tests alone.
+    used = names_used_outside_tests()
+    unused = [f"{mod.__name__}.{name}" for mod in ulat_modules() for name in getattr(mod, "__all__", ())
               if name not in used]
+    assert unused == []
+
+
+def test_every_public_method_has_a_caller():
+    # Each public method or property that an exported class defines is used
+    # by the package, the demos or the benchmark, not by the tests alone.
+    used = names_used_outside_tests()
+    unused = []
+    for mod in ulat_modules():
+        for cls_name in getattr(mod, "__all__", ()):
+            cls = getattr(mod, cls_name)
+            if not isinstance(cls, type):
+                continue
+            unused += [
+                f"{mod.__name__}.{cls_name}.{name}"
+                for name, member in vars(cls).items()
+                if not name.startswith("_")
+                and (inspect.isfunction(member) or isinstance(member, (property, classmethod, staticmethod)))
+                and name not in used
+            ]
     assert unused == []
 
 

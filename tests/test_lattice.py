@@ -408,6 +408,12 @@ class TestEstimateOrder:
         rep = estimate_order(EuclideanSet(2, [Ball([0, 0], 0.5)]), trials=200, seed=0)
         assert rep.estimate == 0.0
 
+    def test_empty_set_fails_the_origin_check(self):
+        # An empty set never holds the origin, so no separate emptiness
+        # check is needed.
+        with pytest.raises(ValueError, match="must contain the origin"):
+            estimate_order(EuclideanSet(2, []), trials=10)
+
     def test_four_dimensions_rejected_before_any_trial(self, monkeypatch):
         # The mean width takes d <= 3, and it is computed before the trials.
         def forbidden(*args, **kwargs):
