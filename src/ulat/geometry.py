@@ -56,8 +56,10 @@ _SPHERE_Z_NODES = 32
 _SPHERE_AZIMUTHS = 128
 _WIDTH_BLOCK_ENTRIES = 2**18
 
-# Grid covers finer than this cell count are skipped; they cannot beat the
-# candidates already collected for sets that large.
+# Memory guard: a grid scale whose cells would outnumber this is skipped
+# unbuilt.  A skipped scale may hold a better cover, so the result can be
+# larger than with no cap, but it stays a certified upper bound: the self
+# cover is always a candidate and every candidate covers the set.
 _GRID_CELL_CAP = 200_000
 
 
@@ -667,6 +669,17 @@ def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
     j = 0..6 with each cube replaced by its circumscribed ball.
     The candidates are compared by value, the earliest wins a tie, and only
     the winner's balls are built; they cover the set by construction.
+
+    A scale is skipped before its cells are built when a volume bound rules
+    it out.  Side-s cells that cover the set number at least |Σ|/s^d, so
+    scale s can win only if ceil(|Σ|_low / s^d) · min(r, r^d) < best, with
+    r = s√d/2 and best the value of the earliest candidate so far.
+    |Σ|_low is the sum of the piece volumes when `pairwise_disjoint()`
+    holds and the largest piece volume otherwise; both are lower bounds
+    for |Σ|.  It is shrunk by a relative 1e-12 before the ceiling, so that
+    a piece volume a few ulps too high cannot lift the count bound past the
+    true count.  Skipping at equality keeps the result exact, because a tie
+    goes to the earlier candidate anyway.
     """
     if s.is_empty():
         raise ValueError("cover_measure_upper requires a nonempty set")
@@ -676,14 +689,22 @@ def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
         for p in s.pieces
     )
     best_value = _cover_value(np.array([b.radius for b in self_balls]), d)
+    try:
+        volumes = [p.volume() for p in s.pieces]
+    except OverflowError:  # a ball volume past the float range rules out every scale
+        volumes = [math.inf]
+    volume_low = (sum(volumes) if s.pairwise_disjoint() else max(volumes)) * (1.0 - 1e-12)
     best_cells, best_side = None, 0.0
     for j in range(7):
         side = 2.0**-j
+        r = side * math.sqrt(d) / 2.0
+        ball_value = min(r, r**d)
+        if np.ceil(volume_low / side**d) * ball_value >= best_value:
+            continue
         cells = _grid_cover_cells(s, side)
         if cells is None:
             continue
-        r = side * math.sqrt(d) / 2.0
-        value = len(cells) * min(r, r**d)
+        value = len(cells) * ball_value
         if value < best_value:
             best_value, best_cells, best_side = value, cells, side
     if best_cells is None:

@@ -36,30 +36,68 @@ from ulat.lattice import sample_lattice
 from ulat.mc import mean_stderr, run_trials, trial_rng
 
 
-def verify_covers(
-    cover: CoverCandidate, target: EuclideanSet, samples: int = 4096, seed: int = 0
-) -> bool:
-    """Membership-sampling check that the cover's balls cover the target."""
-    if target.is_empty():
-        return True
-    lo, hi = target.bounding_box()
-    rng = trial_rng(seed, 0)
-    # Rejection-sample points of the target, then test cover membership.
-    found = 0
-    for _ in range(64):
-        pts = rng.uniform(lo, hi, size=(samples, target.dimension))
-        inside = pts[target.contains(pts)]
-        if len(inside) == 0:
-            continue
-        found += len(inside)
-        covered = np.zeros(len(inside), dtype=bool)
-        for b in cover.balls:
-            covered |= b.contains(inside)
-        if not bool(np.all(covered)):
-            return False
-        if found >= samples:
-            return True
+def piece_cells(p, side: float) -> np.ndarray:
+    """The side-s grid cells that a piece meets, as the rows of an (n, d)
+    int array: a box's bounding cell range, or the cells of a ball's
+    bounding range within its radius."""
+    lo, hi = p.bounds()
+    axes = map(np.arange, np.floor(lo / side).astype(int), np.ceil(hi / side).astype(int))
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.dimension)
+    if isinstance(p, Ball):
+        gap = np.maximum(np.maximum(mesh * side - p.center, p.center - (mesh * side + side)), 0)
+        mesh = mesh[np.sum(gap * gap, axis=1) <= p.radius**2]
+    return mesh
+
+
+def certify_self_cover(cover: CoverCandidate, target: EuclideanSet) -> bool:
+    """Exact check of a self cover: ball i is piece i where that piece is a
+    ball, and holds all 2^d corners of piece i where it is a box."""
+    if len(cover.balls) != len(target.pieces):
+        return False
+    for b, p in zip(cover.balls, target.pieces):
+        if isinstance(p, Ball):
+            if not (np.array_equal(b.center, p.center) and b.radius == p.radius):
+                return False
+        else:
+            corners = np.array(list(itertools.product(*zip(p.lower, p.upper))))
+            if not bool(np.all(b.contains(corners))):
+                return False
     return True
+
+
+def certify_grid_cover(cover: CoverCandidate, target: EuclideanSet) -> bool:
+    """Exact check of a grid cover: every ball is the circumscribed ball of a
+    dyadic side-s cell and holds that cell's corners, and every cell that a
+    piece meets is among those cells."""
+    d = target.dimension
+    r = cover.balls[0].radius
+    side = 2.0 ** round(math.log2(2.0 * r / math.sqrt(d)))
+    if side * math.sqrt(d) / 2.0 != r or any(b.radius != r for b in cover.balls):
+        return False
+    centers = np.array([b.center for b in cover.balls])
+    cells = np.rint(centers / side - 0.5)
+    if not np.array_equal((cells + 0.5) * side, centers):
+        return False
+    # Each cell's corners against its ball, as Ball.contains tests them.
+    corners = cells[:, None, :] * side + np.array(list(itertools.product((0.0, side), repeat=d)))
+    diff = corners - centers[:, None, :]
+    if not bool(np.all(np.einsum("bci,bci->bc", diff, diff) <= r**2 + 1e-15)):
+        return False
+    winner = cells.astype(int)
+    needed = np.concatenate([piece_cells(p, side) for p in target.pieces])
+    # Rows as keys of one mixed-radix code over the joint index range.
+    both = np.concatenate([winner, needed])
+    lo = both.min(axis=0)
+    keys = [np.ravel_multi_index(tuple((x - lo).T), both.max(axis=0) - lo + 1) for x in (winner, needed)]
+    return bool(np.all(np.isin(keys[1], keys[0])))
+
+
+def certify_cover(cover: CoverCandidate, target: EuclideanSet) -> bool:
+    """Exact check that the cover's balls cover the target, as a self cover
+    or as a grid cover."""
+    if not cover.balls:
+        return target.is_empty()
+    return certify_self_cover(cover, target) or certify_grid_cover(cover, target)
 
 
 # Union area of two unit discs with centers one apart, evaluated by hand
@@ -430,7 +468,24 @@ class TestCoverUpper:
     def test_cover_actually_covers(self):
         s = EuclideanSet(2, [Ball([0.4, -0.2], 0.9), AxisBox([1.0, 1.0], [2.0, 1.7])])
         cover = cover_measure_upper(s)
-        assert verify_covers(cover, s, samples=2000, seed=0)
+        assert certify_cover(cover, s)
+
+    def test_certificate_rejects_broken_covers(self):
+        thin = EuclideanSet(2, [AxisBox([0.0, 0.0], [1.0, 0.01])])
+        grid = cover_measure_upper(thin)
+        assert certify_grid_cover(grid, thin)
+        assert not certify_cover(CoverCandidate(grid.balls[:-1], grid.value), thin)
+        # One cell up: still a cell's circumscribed ball, but not the box's cell.
+        side = grid.balls[1].center[0] - grid.balls[0].center[0]
+        moved = Ball(grid.balls[0].center + [0.0, side], grid.balls[0].radius)
+        assert not certify_cover(CoverCandidate((moved,) + grid.balls[1:], grid.value), thin)
+        s = EuclideanSet(2, [Ball([0.4, -0.2], 0.9), AxisBox([1.0, 1.0], [2.0, 1.7])])
+        own = cover_measure_upper(s)
+        assert certify_self_cover(own, s)
+        box_ball = own.balls[1]
+        shrunk = Ball(box_ball.center, box_ball.radius * (1 - 1e-9))
+        assert not certify_cover(CoverCandidate((own.balls[0], shrunk), own.value), s)
+        assert not certify_cover(CoverCandidate((), 0.0), s)
 
     @pytest.mark.parametrize(
         "upper",
@@ -460,11 +515,7 @@ def set_grid_cover_cells(s: EuclideanSet, side: float) -> list[tuple[int, ...]] 
         hi_idx = np.ceil(hi / side).astype(int) - 1
         if np.prod(hi_idx - lo_idx + 1, dtype=float) > _GRID_CELL_CAP:
             return None
-        mesh = np.array(list(itertools.product(*map(range, lo_idx, hi_idx + 1))))
-        if isinstance(p, Ball):
-            gap = np.maximum(np.maximum(mesh * side - p.center, p.center - (mesh * side + side)), 0)
-            mesh = mesh[np.sum(gap * gap, axis=1) <= p.radius**2]
-        cells.update(map(tuple, mesh.tolist()))
+        cells.update(map(tuple, piece_cells(p, side).tolist()))
         if len(cells) > _GRID_CELL_CAP:
             return None
     return sorted(cells)
@@ -492,18 +543,20 @@ def eight_candidate_cover(s: EuclideanSet, max_level: int = 6) -> CoverCandidate
     return min(candidates, key=lambda c: c.value)
 
 
+# The four frequency-set templates of the sweep benchmark.
+SWEEP_TEMPLATES = [
+    [Ball([0.0, 0.0], 1.0)],
+    [Ball([0.0, 0.0], 0.8), Ball([1.5, 0.0], 0.5)],
+    [AxisBox([-0.7, -0.5], [0.7, 0.5]), Ball([0.0, 1.0], 0.35)],
+    [Ball([0.0, 0.0], 0.7), AxisBox([0.9, -0.4], [1.6, 0.4])],
+]
+
+
 def cover_oracle_sets() -> list[EuclideanSet]:
     from ulat.annihilation import disc_ring
 
     sets = [disc_ring(n, 10.0 * n) for n in (1, 4, 8, 16)]
-    # The four frequency-set templates of the sweep benchmark, at three scales.
-    templates = [
-        [Ball([0.0, 0.0], 1.0)],
-        [Ball([0.0, 0.0], 0.8), Ball([1.5, 0.0], 0.5)],
-        [AxisBox([-0.7, -0.5], [0.7, 0.5]), Ball([0.0, 1.0], 0.35)],
-        [Ball([0.0, 0.0], 0.7), AxisBox([0.9, -0.4], [1.6, 0.4])],
-    ]
-    sets += [EuclideanSet(2, t).scale(k) for t in templates for k in (0.9, 1.0, 1.1)]
+    sets += [EuclideanSet(2, t).scale(k) for t in SWEEP_TEMPLATES for k in (0.9, 1.0, 1.1)]
     sets += [
         EuclideanSet(2, [AxisBox([0.0, 0.0], [1.0, 0.01])]),
         EuclideanSet(2, [Ball([0.0, 0.0], 40.0)]),  # finest grids exceed the cell cap
@@ -546,9 +599,138 @@ class TestCoverOracle:
         got, expected = cover_measure_upper(s), eight_candidate_cover(s)
         assert got.value == expected.value
         assert isinstance(got.balls, tuple)
-        assert len(got.balls) == len(expected.balls)
-        for a, b in zip(got.balls, expected.balls):
-            assert np.array_equal(a.center, b.center) and a.radius == b.radius
+        assert_same_balls(got, expected)
+        assert certify_cover(got, s)
+
+
+def assert_same_balls(got: CoverCandidate, expected: CoverCandidate) -> None:
+    assert len(got.balls) == len(expected.balls)
+    for a, b in zip(got.balls, expected.balls):
+        assert np.array_equal(a.center, b.center) and a.radius == b.radius
+
+
+@st.composite
+def cover_test_sets(draw):
+    """Unions of one to four balls and boxes in d = 1-3: thin boxes (where a
+    grid cover wins), pieces centred inside the previous piece (overlap),
+    boxes sharing a face or a corner with the previous one and balls at the
+    touching distance (`pairwise_disjoint` fails for touching pieces), and
+    coordinates on the 1/64 grid (whole cell counts)."""
+    d = draw(st.integers(1, 3))
+    reach = (2.0, 1.0, 0.5)[d - 1]  # keeps the oracle's finest meshes small
+    coord = st.one_of(
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+        st.integers(-128, 128).map(lambda k: k / 64),
+    )
+    size = st.floats(0.01, reach)
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+        placement = draw(st.sampled_from(["free", "overlap", "touch"])) if pieces else "free"
+        if placement == "overlap":
+            lo, hi = pieces[-1].bounds()
+            c = (lo + hi) / 2
+        kind = draw(st.sampled_from(["ball", "box", "thin"]))
+        if kind == "ball":
+            r = draw(size) / 2
+            if placement == "touch" and isinstance(pieces[-1], Ball):
+                c = pieces[-1].center.copy()
+                c[0] += pieces[-1].radius + r
+            pieces.append(Ball(c, r))
+            continue
+        if kind == "box":
+            widths = np.array(draw(st.lists(size, min_size=d, max_size=d)))
+        else:
+            widths = np.array(draw(st.lists(st.floats(0.001, 0.05), min_size=d, max_size=d)))
+            widths[draw(st.integers(0, d - 1))] = draw(st.floats(0.5, 2.0))
+        if placement == "touch" and isinstance(pieces[-1], AxisBox):
+            c = pieces[-1].upper.copy()
+            c[0] = pieces[-1].upper[0] if draw(st.booleans()) else pieces[-1].lower[0] - widths[0]
+        pieces.append(AxisBox(c, c + widths))
+    return EuclideanSet(d, pieces)
+
+
+class TestCoverPrune:
+    @given(s=cover_test_sets())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_pruned_cover_equals_the_full_candidate_minimum(self, s):
+        got, expected = cover_measure_upper(s), eight_candidate_cover(s)
+        assert got.value == expected.value
+        assert_same_balls(got, expected)
+        assert certify_cover(got, s)
+
+    # |Σ|/s^d is a whole number at every scale; a grid ties the self cover
+    # ([0,1]^d) or beats it at s = 1/2 with exactly 2 cells ([0,0.5]x[0,1]).
+    UNIT_CUBES = [
+        ([1.0], 0.5, [[0.5]], 0.5),
+        ([1.0, 1.0], 0.5000000000000001, [[0.5, 0.5]], 0.7071067811865476),
+        ([1.0, 1.0, 1.0], 0.6495190528383289, [[0.5, 0.5, 0.5]], 0.8660254037844386),
+        ([0.5, 1.0], 0.25000000000000006, [[0.25, 0.25], [0.25, 0.75]], 0.3535533905932738),
+    ]
+
+    @pytest.mark.parametrize("upper, value, centers, radius", UNIT_CUBES)
+    def test_whole_cell_counts_keep_their_cover(self, upper, value, centers, radius):
+        s = EuclideanSet(len(upper), [AxisBox(np.zeros(len(upper)), upper)])
+        cover = cover_measure_upper(s)
+        assert cover.value == value
+        assert [b.center.tolist() for b in cover.balls] == centers
+        assert all(b.radius == radius for b in cover.balls)
+        assert_same_balls(cover, eight_candidate_cover(s))
+
+    @pytest.mark.parametrize("ulps", [1, 4, 64])
+    def test_volume_a_few_ulps_high_keeps_the_grid_winner(self, monkeypatch, ulps):
+        # Without the 1e-12 shrink, an area of 0.5 plus one ulp over a cell
+        # area of 1/4 gives a count bound of 3 > 2 cells and skips the
+        # winning scale.
+        exact = AxisBox.volume
+        monkeypatch.setattr(
+            AxisBox, "volume", lambda box: float(exact(box) * (1.0 + ulps * 2.0**-52))
+        )
+        s = EuclideanSet(2, [AxisBox([0.0, 0.0], [0.5, 1.0])])
+        cover = cover_measure_upper(s)
+        assert cover.value == 0.25000000000000006 and len(cover.balls) == 2
+
+    @staticmethod
+    def count_grid_builds(monkeypatch) -> list[float]:
+        sides: list[float] = []
+        build = geometry._grid_cover_cells
+
+        def counted(s, side):
+            sides.append(side)
+            return build(s, side)
+
+        monkeypatch.setattr(geometry, "_grid_cover_cells", counted)
+        return sides
+
+    @pytest.mark.parametrize("name", ["disc-ring-16", "sweep-0", "sweep-1", "two-balls-3d"])
+    def test_disjoint_balls_build_no_scale(self, monkeypatch, name):
+        from ulat.annihilation import disc_ring
+
+        s = {
+            "disc-ring-16": disc_ring(16, 160.0),
+            "sweep-0": EuclideanSet(2, SWEEP_TEMPLATES[0]),
+            "sweep-1": EuclideanSet(2, SWEEP_TEMPLATES[1]),
+            "two-balls-3d": EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 0.3), Ball([2.0, 0.0, 0.0], 1.5)]),
+        }[name]
+        sides = self.count_grid_builds(monkeypatch)
+        cover = cover_measure_upper(s)
+        assert sides == []
+        assert all(b is p for b, p in zip(cover.balls, s.pieces))
+
+    def test_thin_box_builds_the_scales_that_can_win(self, monkeypatch):
+        # |Σ| = 0.01: side 1 is ruled out (one cell, value 1/2 against the
+        # self cover's 0.25), every finer side is built.
+        s = EuclideanSet(2, [AxisBox([0.0, 0.0], [1.0, 0.01])])
+        sides = self.count_grid_builds(monkeypatch)
+        cover_measure_upper(s)
+        assert sides == [2.0**-j for j in range(1, 7)]
+
+    def test_ball_volume_past_the_float_range_rules_out_every_scale(self, monkeypatch):
+        s = EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 1e120)])
+        sides = self.count_grid_builds(monkeypatch)
+        with np.errstate(over="ignore"):
+            cover = cover_measure_upper(s)
+        assert sides == [] and cover.value == 1e120 and cover.balls[0] is s.pieces[0]
 
 
 def per_matrix_rotation(d: int, rng) -> np.ndarray:
