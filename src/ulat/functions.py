@@ -15,6 +15,7 @@ periodizations and the tail-energy routines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -98,19 +99,36 @@ class _Leaf:
         return self._finish(out)
 
     def hat(self, xi: np.ndarray) -> np.ndarray:
-        if np.any(self.modulation):
-            xi = xi + self.modulation
+        shift = self.modulation if np.any(self.modulation) else None
         if self.is_gauss:
+            if shift is not None:
+                xi = xi + shift
             n2 = np.einsum("...i,...i->...", xi, xi)
             out = (self.a ** (-self.dimension / 2.0) * np.exp(-math.pi * n2 / self.a)).astype(
                 complex
             )
             if np.any(self.center):
                 out = out * np.exp(_TWO_PI_I * (xi @ self.center))
+            return self._finish(out)
+        # The sinc factors multiply one axis column at a time, left to right:
+        # the bits of a product over the last axis, far cheaper when that
+        # axis is only d long.  Each column takes its own modulation, so the
+        # shifted (..., d) array is built only for a nonzero centre's phase.
+        widths = self.box.upper - self.box.lower
+        prod = None
+        for i, w in enumerate(widths):
+            x = xi[..., i] if shift is None else xi[..., i] + shift[i]
+            term = w * np.sinc(w * x)
+            prod = term if prod is None else prod * term
+        center = self.box.center()
+        if np.any(center):
+            if shift is not None:
+                xi = xi + shift
+            out = prod * np.exp(_TWO_PI_I * (xi @ center))
         else:
-            widths = self.box.upper - self.box.lower
-            prod = np.prod(widths * np.sinc(widths * xi), axis=-1)
-            out = prod * np.exp(_TWO_PI_I * (xi @ self.box.center()))
+            # A real p times exp(0j) = 1 + 0j is p - 0*0 + (p*0 + 0*1)j, which
+            # is (p, +0.0) for every finite p: the bits astype gives.
+            out = prod.astype(complex)
         return self._finish(out)
 
     def envelope(self, r: np.ndarray) -> np.ndarray:
@@ -407,6 +425,14 @@ def _side_eval(f: TestFunction, side: str):
     return f.value if side == "space" else f.hat
 
 
+def _ball_nodes(center: np.ndarray, r: np.ndarray, dirs) -> np.ndarray:
+    """The points center + r_j * u_k as rows, j major, built one coordinate
+    at a time from the direction columns ``dirs``."""
+    return np.stack([c + r[:, None] * u for c, u in zip(center, dirs)], axis=-1).reshape(
+        -1, len(dirs)
+    )
+
+
 def _piece_energy(fn, piece, d: int, level: int) -> float:
     """Quadrature of |fn|^2 over one ball or box piece (smooth integrands)."""
     n = 24 * 2**level
@@ -419,7 +445,8 @@ def _piece_energy(fn, piece, d: int, level: int) -> float:
             axes.append(0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
             weights.append(0.5 * (hi - lo) * ws)
         mesh = _grid_points(axes)
-        wmesh = np.prod(_grid_points(weights), axis=1)
+        # w_0 * w_1 * ... left to right, the order of a product over a mesh row.
+        wmesh = functools.reduce(np.multiply.outer, weights).ravel()
         vals = np.abs(fn(mesh)) ** 2
         return float(np.sum(wmesh * vals))
     if not isinstance(piece, Ball):
@@ -435,9 +462,8 @@ def _piece_energy(fn, piece, d: int, level: int) -> float:
         wr = 0.5 * piece.radius * ws * r
         m = 2 * n
         theta = 2.0 * math.pi * np.arange(m) / m
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        pts = piece.center + r[:, None, None] * dirs[None, :, :]
-        vals = np.abs(fn(pts.reshape(-1, 2)).reshape(len(r), m)) ** 2
+        pts = _ball_nodes(piece.center, r, (np.cos(theta), np.sin(theta)))
+        vals = np.abs(fn(pts).reshape(len(r), m)) ** 2
         return float((2.0 * math.pi / m) * np.sum(wr * np.sum(vals, axis=1)))
     if d == 3:
         xs, ws = _quad_nodes(n)
@@ -447,16 +473,13 @@ def _piece_energy(fn, piece, d: int, level: int) -> float:
         m = 2 * n
         theta = 2.0 * math.pi * np.arange(m) / m
         sin_phi = np.sqrt(1.0 - cs**2)
-        dirs = np.stack(
-            [
-                sin_phi[:, None] * np.cos(theta)[None, :],
-                sin_phi[:, None] * np.sin(theta)[None, :],
-                np.broadcast_to(cs[:, None], (n, m)),
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
-        pts = piece.center + r[:, None, None] * dirs[None, :, :]
-        vals = np.abs(fn(pts.reshape(-1, 3))).reshape(len(r), len(dirs)) ** 2
+        dirs = (
+            np.multiply.outer(sin_phi, np.cos(theta)).ravel(),
+            np.multiply.outer(sin_phi, np.sin(theta)).ravel(),
+            np.repeat(cs, m),
+        )
+        pts = _ball_nodes(piece.center, r, dirs)
+        vals = np.abs(fn(pts)).reshape(len(r), n * m) ** 2
         ang_w = np.repeat(wc, m) * (2.0 * math.pi / m)
         return float(np.sum(wr * (vals @ ang_w)))
     raise ValueError("piece quadrature supports d <= 3")

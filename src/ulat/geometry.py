@@ -61,6 +61,8 @@ _WIDTH_BLOCK_ENTRIES = 2**18
 # larger than with no cap, but it stays a certified upper bound: the self
 # cover is always a candidate and every candidate covers the set.
 _GRID_CELL_CAP = 200_000
+# Largest cell index magnitude whose float, int cast and counts are exact.
+_EXACT_INDEX = 2.0**53
 
 
 def ball_volume(d: int, radius: float) -> float:
@@ -238,8 +240,8 @@ class EuclideanSet:
     def is_empty(self) -> bool:
         return not self.pieces
 
-    # The pieces never change, so each radius is computed on first use and
-    # kept in the instance dict.
+    # The pieces never change, so each radius and the disjointness test are
+    # computed on first use and kept in the instance dict.
     @functools.cached_property
     def _bounding_radius(self) -> float:
         return max((p.bounding_radius() for p in self.pieces), default=0.0)
@@ -270,13 +272,17 @@ class EuclideanSet:
     def scale(self, factor: float) -> "EuclideanSet":
         return EuclideanSet(self.dimension, [p.scale(factor) for p in self.pieces])
 
+    @functools.cached_property
+    def _pairwise_disjoint(self) -> bool:
+        return all(
+            _surely_disjoint(a, b)
+            for i, a in enumerate(self.pieces)
+            for b in self.pieces[i + 1 :]
+        )
+
     def pairwise_disjoint(self) -> bool:
         """Conservative disjointness test used by the exact-measure fast path."""
-        for i, a in enumerate(self.pieces):
-            for b in self.pieces[i + 1 :]:
-                if not _surely_disjoint(a, b):
-                    return False
-        return True
+        return self._pairwise_disjoint
 
     # -- serialization ------------------------------------------------------
 
@@ -453,8 +459,13 @@ def _merged_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     (lo, hi) and swept left to right: an interval that starts past the
     current union closes it and opens a new one, any other extends it.
     """
-    order = np.lexsort((hi, lo), axis=-1)
-    lo, hi = np.take_along_axis(lo, order, -1), np.take_along_axis(hi, order, -1)
+    # One complex key per interval sorts by (lo, hi), as a lexsort would.
+    # The parts are assigned, not computed, so signed zeros survive; ties
+    # are equal pairs, so their order does not change the sweep.
+    key = np.empty(lo.shape, dtype=complex)
+    key.real, key.imag = lo, hi
+    key.sort(axis=-1)
+    lo, hi = key.real, key.imag
     total = np.zeros(lo.shape[0])
     cur_lo, cur_hi = lo[:, 0], hi[:, 0]
     for j in range(1, lo.shape[1]):
@@ -636,12 +647,19 @@ class CoverCandidate:
 
 def _grid_cover_cells(s: EuclideanSet, side: float) -> np.ndarray | None:
     """Integer grid cells (side-aligned cubes) intersecting the set, as the
-    rows of an (n, d) integer array in lexicographic order, without repeats."""
+    rows of an (n, d) integer array in lexicographic order, without repeats.
+
+    None when the cells would pass ``_GRID_CELL_CAP`` or a cell index would
+    pass 2^53 in magnitude; below that the float indices, their int casts
+    and the per-axis counts are all exact.
+    """
     pieces = []
     for p in s.pieces:
         lo, hi = p.bounds()
-        lo_idx = np.floor(lo / side).astype(int)
-        hi_idx = np.ceil(hi / side).astype(int) - 1
+        lo_idx, hi_idx = np.floor(lo / side), np.ceil(hi / side)
+        if not np.all(np.abs([lo_idx, hi_idx]) <= _EXACT_INDEX):
+            return None
+        lo_idx, hi_idx = lo_idx.astype(int), hi_idx.astype(int) - 1
         counts = hi_idx - lo_idx + 1
         if np.prod(counts, dtype=float) > _GRID_CELL_CAP:
             return None

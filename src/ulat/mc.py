@@ -7,7 +7,10 @@ pair, and reductions happen over arrays in trial order.
 The stream of trial i of seed s is ``PCG64(SeedSequence((s, i)))`` bit for
 bit.  The SeedSequence hash (NumPy's documented, stream-stable algorithm
 with pool size 4) is computed here for 256 trials at a time in one numpy
-pass, and each generator is seeded from those cached words.  So
+pass, and each generator is seeded from those cached words.  The first
+trial of a block (row 0) takes its words from ``SeedSequence`` itself
+instead, without hashing the block: a caller that draws only trial 0 of a
+fresh seed, as every sweep attempt does, pays for one hash, not 256.  So
 ``trial_rng(s, i).bit_generator.seed_seq`` is a private ``ISeedSequence``
 that only answers PCG64's seeding request, not a ``SeedSequence``; it has
 no ``entropy`` and cannot ``spawn``.
@@ -177,12 +180,21 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     ``bit_generator.seed_seq`` is not a SeedSequence.  ``seed`` and
     ``trial`` must be nonnegative integers (ValueError for negatives,
     TypeError for non-integers, as SeedSequence).
+
+    The first trial of a 256-trial block gets its words from one
+    ``SeedSequence`` and leaves the block cache alone; any other trial
+    hashes (or finds cached) its whole block.
     """
     seed, trial = operator.index(seed), operator.index(trial)
     if seed < 0 or trial < 0:
         raise ValueError(f"seed and trial must be nonnegative, got ({seed}, {trial})")
     block, row = divmod(trial, _SEED_BLOCK)
-    return np.random.Generator(np.random.PCG64(_TrialSeed(_block_words(seed, block)[row])))
+    if row:
+        words = _block_words(seed, block)[row]
+    else:
+        words = np.random.SeedSequence((seed, trial)).generate_state(_STATE_WORDS, np.uint64)
+        words.flags.writeable = False
+    return np.random.Generator(np.random.PCG64(_TrialSeed(words)))
 
 
 def run_trials(

@@ -67,6 +67,15 @@ class TestGeometryCommand:
         )
         assert code == EXIT_OK
 
+    def test_cover_of_a_ball_past_the_cell_index_range(self, capsys, tmp_path):
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps(
+            {"dimension": 1, "pieces": [{"kind": "ball", "center": [0.0], "radius": 1e300}]}
+        ))
+        code, out, err = run_cli(capsys, ["geometry", "--set", str(doc), "--op", "cover-upper"])
+        assert code == EXIT_OK and "Traceback" not in err
+        assert json.loads(out)["payload"] == {"value": 1e300, "balls": 1}
+
     def test_missing_file_is_io_error(self, capsys, doc_dir):
         code, _, err = run_cli(
             capsys,

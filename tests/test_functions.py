@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erfc
 
@@ -16,12 +18,13 @@ from ulat.functions import (
     Modulated,
     Translated,
     _grid_tail,
+    _piece_energy,
     cross_correlation,
     function_from_dict,
     norm_sq,
     tail_energy,
 )
-from ulat.geometry import AxisBox, Ball, EuclideanSet, _quad_nodes
+from ulat.geometry import AxisBox, Ball, EuclideanSet, _grid_points, _quad_nodes
 from ulat.lattice import GaussianProfile
 from ulat.mc import trial_rng
 
@@ -312,3 +315,133 @@ class TestEnvelopes:
         assert s.contains(np.array([1.2, -0.8]))
         assert not s.contains(np.array([0.2, 0.2]))
         assert Gaussian(1.0, 2).support_set() is None
+
+
+# ---------------------------------------------------------------------------
+# Per-axis forms against the short-axis forms they replace, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reduction_box_hat(f, xi) -> np.ndarray:
+    """Oracle: each box leaf's hat as one product over the last axis, times
+    the centre phase whether or not the centre is zero."""
+    xi = np.asarray(xi, dtype=float)
+    terms = []
+    for leaf in f.leaves:
+        x = xi + leaf.modulation if np.any(leaf.modulation) else xi
+        widths = leaf.box.upper - leaf.box.lower
+        prod = np.prod(widths * np.sinc(widths * x), axis=-1)
+        out = prod * np.exp(2j * math.pi * (x @ leaf.box.center()))
+        terms.append(out if leaf.coef == 1 else leaf.coef * out)
+    return terms[0] if len(terms) == 1 else sum(terms)
+
+
+# Coordinates with signed zeros, negatives and values on sinc's zeros; a
+# frequency may also be so large that a product of sinc factors underflows
+# to a signed zero.
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 0.25, -0.75]), st.floats(-6.0, 6.0)
+)
+FREQS = st.one_of(COORDS, st.sampled_from([1e200, -1e200]))
+
+
+@st.composite
+def box_functions(draw):
+    d = draw(st.integers(1, 3))
+
+    def vector(coords=COORDS):
+        return draw(st.lists(coords, min_size=d, max_size=d))
+
+    def box():
+        widths = np.array(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 0.7, 3.0]),
+                                        min_size=d, max_size=d)))
+        if draw(st.booleans()):  # centre exactly zero
+            return BoxIndicator(AxisBox(-widths / 2, widths / 2))
+        lower = np.array(vector())
+        return BoxIndicator(AxisBox(lower, lower + widths))
+
+    kind = draw(st.sampled_from(["plain", "modulated", "translated", "combination"]))
+    if kind == "plain":
+        f = box()
+    elif kind == "modulated":
+        f = Modulated(box(), vector(FREQS))
+    elif kind == "translated":
+        f = Translated(box(), vector())
+    else:
+        f = Combination([(1.0, box()), (-0.5 + 2j, Modulated(box(), vector())),
+                         (0.25, Translated(box(), vector()))])
+    lead = draw(st.sampled_from([(), (1,), (7,), (2, 3)]))
+    xi = np.array(draw(st.lists(FREQS, min_size=d * math.prod(lead),
+                                max_size=d * math.prod(lead)))).reshape(lead + (d,))
+    return f, xi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(box_functions())
+def test_box_hat_equals_the_reduction_form(case):
+    f, xi = case
+    got, want = np.asarray(f.hat(xi)), np.asarray(reduction_box_hat(f, xi))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def mesh_piece_energy(fn, piece, d: int, level: int) -> float:
+    """Oracle: the piece quadrature with nodes as centre + r * direction
+    rows and box weights as the product over each row of the weight mesh."""
+    n = 24 * 2**level
+    xs, ws = _quad_nodes(n)
+    if isinstance(piece, AxisBox):
+        half = 0.5 * (piece.upper - piece.lower)
+        mid = 0.5 * (piece.upper + piece.lower)
+        axes = [half[i] * xs + mid[i] for i in range(d)]
+        weights = [half[i] * ws for i in range(d)]
+        mesh = _grid_points(axes)
+        wmesh = np.prod(_grid_points(weights), axis=1)
+        return float(np.sum(wmesh * np.abs(fn(mesh)) ** 2))
+    if d == 1:
+        vals = np.abs(fn((piece.center[0] + piece.radius * xs)[:, None])) ** 2
+        return float(piece.radius * np.sum(ws * vals))
+    r = 0.5 * piece.radius * (xs + 1.0)
+    m = 2 * n
+    theta = 2.0 * math.pi * np.arange(m) / m
+    if d == 2:
+        wr = 0.5 * piece.radius * ws * r
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        pts = piece.center + r[:, None, None] * dirs[None, :, :]
+        vals = np.abs(fn(pts.reshape(-1, 2)).reshape(len(r), m)) ** 2
+        return float((2.0 * math.pi / m) * np.sum(wr * np.sum(vals, axis=1)))
+    wr = 0.5 * piece.radius * ws * r * r
+    sin_phi = np.sqrt(1.0 - xs**2)
+    dirs = np.stack(
+        [
+            sin_phi[:, None] * np.cos(theta)[None, :],
+            sin_phi[:, None] * np.sin(theta)[None, :],
+            np.broadcast_to(xs[:, None], (n, m)),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    pts = piece.center + r[:, None, None] * dirs[None, :, :]
+    vals = np.abs(fn(pts.reshape(-1, 3))).reshape(len(r), len(dirs)) ** 2
+    ang_w = np.repeat(ws, m) * (2.0 * math.pi / m)
+    return float(np.sum(wr * (vals @ ang_w)))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ball", "box"])
+def test_piece_nodes_and_weights_equal_the_mesh_builders(kind, d, level):
+    piece = {
+        "ball": Ball([0.3, -1.7, 0.55][:d], 1.3),
+        "box": AxisBox([-0.4, 1.1, -2.0][:d], [0.9, 1.35, -0.6][:d]),
+    }[kind]
+    f = Modulated(Translated(Gaussian(0.8, d), [0.2, -0.1, 0.4][:d]), [1.5, -0.5, 0.25][:d])
+    seen = {"got": [], "want": []}
+
+    def recorded(key):
+        return lambda x: seen[key].append(x.copy()) or f.hat(x)
+
+    got = _piece_energy(recorded("got"), piece, d, level)
+    want = mesh_piece_energy(recorded("want"), piece, d, level)
+    assert got.hex() == want.hex()
+    (nodes,), (ref,) = seen["got"], seen["want"]
+    assert nodes.shape == ref.shape and nodes.tobytes() == ref.tobytes()

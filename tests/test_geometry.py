@@ -212,6 +212,22 @@ class TestMeasure:
         assert not est.exact
         assert abs(est.value - TWO_DISC_UNION) <= 3 * est.stderr
 
+    def test_disjointness_is_tested_once_per_set(self, monkeypatch):
+        from ulat.functions import Gaussian, band_energy
+
+        pairs = []
+        surely_disjoint = geometry._surely_disjoint
+        monkeypatch.setattr(
+            geometry, "_surely_disjoint", lambda a, b: pairs.append(1) or surely_disjoint(a, b)
+        )
+        pieces = [Ball([0.0, 0.0], 0.5), Ball([3.0, 0.0], 0.5), AxisBox([0.0, 2.0], [1.0, 3.0])]
+        s = EuclideanSet(2, pieces)
+        lebesgue_measure(s)
+        band_energy(Gaussian(1.0, 2), s, "hat")
+        cover_measure_upper(s)
+        assert s.pairwise_disjoint() and len(pairs) == 3
+        assert EuclideanSet(2, pieces).pairwise_disjoint() and len(pairs) == 6
+
     def test_monotone_under_piece_inclusion(self):
         small = EuclideanSet(2, [Ball([0, 0], 1.0), Ball([0.5, 0], 0.8)])
         big = EuclideanSet(2, list(small.pieces) + [Ball([-0.5, 0.3], 0.7)])
@@ -488,6 +504,23 @@ class TestCoverUpper:
         assert not certify_cover(CoverCandidate((), 0.0), s)
 
     @pytest.mark.parametrize(
+        "s",
+        [
+            EuclideanSet(1, [Ball([0.0], 1e17)]),
+            EuclideanSet(2, [AxisBox([1e18, 0.0], [1e18 + 256, 0.01])]),
+            EuclideanSet(1, [Ball([0.0], 1e300)]),
+        ],
+        ids=["ball-1e17", "box-at-1e18", "ball-1e300"],
+    )
+    def test_cell_indices_past_two_to_the_53_skip_their_scale(self, s):
+        # Each scale's cell indices pass 2^53, where the int cast and the
+        # per-axis count would wrap, so the self cover stands.
+        assert all(_grid_cover_cells(s, 2.0**-j) is None for j in range(7))
+        cover = cover_measure_upper(s)
+        assert certify_cover(cover, s)
+        assert len(cover.balls) == 1
+
+    @pytest.mark.parametrize(
         "upper",
         [[1 + 1e-13, 1 + 1e-13], [0.5 + 1e-14, 2.0], [1.0, 0.25 + 1e-15], [3 + 2e-12, 1 + 4e-16]],
     )
@@ -760,6 +793,21 @@ def scalar_projection_width(s: EuclideanSet, u: np.ndarray) -> float:
     return merged_length(intervals)
 
 
+def lexsort_merged_lengths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Oracle: the row-wise sweep merge after a lexsort by (lo, hi) and two
+    gathers, the order the complex-key sort must reproduce."""
+    order = np.lexsort((hi, lo), axis=-1)
+    lo, hi = np.take_along_axis(lo, order, -1), np.take_along_axis(hi, order, -1)
+    total = np.zeros(lo.shape[0])
+    cur_lo, cur_hi = lo[:, 0], hi[:, 0]
+    for j in range(1, lo.shape[1]):
+        gap = lo[:, j] > cur_hi
+        total = np.where(gap, total + (cur_hi - cur_lo), total)
+        cur_lo = np.where(gap, lo[:, j], cur_lo)
+        cur_hi = np.where(gap, hi[:, j], np.maximum(cur_hi, hi[:, j]))
+    return total + (cur_hi - cur_lo)
+
+
 def per_trial_mean_width(s: EuclideanSet, trials: int, seed: int) -> tuple[float, float]:
     """Oracle: one rotation, one projection and one merge per trial."""
     widths = run_trials(
@@ -826,8 +874,16 @@ class TestStackedSamplerOracle:
         for n in range(1, 13):
             lo = np.round(rng.uniform(-3, 3, (200, n)), 1)  # rounded, so that ends tie
             hi = lo + np.round(rng.uniform(0, 2, (200, n)), 1)
+            # Some ends at -0.0 or +0.0, which tie with each other in the sort.
+            zero_lo = rng.random((200, n)) < 0.15
+            lo[zero_lo] = np.copysign(0.0, rng.uniform(-1, 1, zero_lo.sum()))
+            hi = np.where(hi < lo, lo, hi)
+            zero_hi = (lo <= 0) & (rng.random((200, n)) < 0.3)
+            hi[zero_hi] = np.copysign(0.0, rng.uniform(-1, 1, zero_hi.sum()))
+            got = _merged_lengths(lo, hi)
             expected = [merged_length(list(zip(a, b))) for a, b in zip(lo.tolist(), hi.tolist())]
-            assert _merged_lengths(lo, hi).tolist() == expected
+            assert got.tolist() == expected
+            assert got.tobytes() == lexsort_merged_lengths(lo, hi).tobytes()
 
     def test_stacked_check_rejects_a_bad_matrix_anywhere_in_the_stack(self):
         good = np.stack([rotation_2d(a).matrix for a in (0.1, 0.7, 2.0)])

@@ -84,6 +84,18 @@ class TestFreshGenerators:
         assert not handed.flags.writeable
         assert np.array_equal(handed, np.random.SeedSequence((5, 300)).generate_state(4, np.uint64))
 
+    def test_first_trial_of_a_block_leaves_the_block_cache_alone(self):
+        # A seed no other test draws, so a block hash would be a cache miss.
+        seed = 2**61 + 4099
+        before = _block_words.cache_info().misses
+        for trial in (0, _SEED_BLOCK, 2**32):
+            assert_same_stream(seed, trial)
+            handed = trial_rng(seed, trial).bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert not handed.flags.writeable
+        assert _block_words.cache_info().misses == before
+        assert_same_stream(seed, 1)
+        assert _block_words.cache_info().misses == before + 1
+
     def test_seed_words_answer_only_pcg64(self):
         seed_seq = trial_rng(0, 0).bit_generator.seed_seq
         with pytest.raises(ValueError):
