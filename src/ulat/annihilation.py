@@ -267,25 +267,15 @@ def _poly_on_grid(indices: np.ndarray, coeffs: np.ndarray, n: int, d: int) -> np
     return out.reshape(-1)
 
 
-def pipeline_trace(
-    inst: AnnihilationInstance,
-    seed: int,
-    context: PipelineContext | None = None,
-    grid_n: int | None = None,
-) -> PipelineTrace:
+def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineContext) -> PipelineTrace:
     """One full proof-pipeline trace for a single lattice draw.
 
     Draws (rho, v), splits the periodization into the in-set polynomial
     part and the out-of-set remainder, computes the four event flags,
-    grid-estimates the zero set and its Chebyshev-thinned subset, and
-    evaluates the closing Turan-chain bound against |fhat(0)|^2.  A
-    ``grid_n`` given with a ``context`` must equal the context's grid.
+    grid-estimates the zero set and its Chebyshev-thinned subset on the
+    context's grid, and evaluates the closing Turan-chain bound against
+    |fhat(0)|^2.  ``context`` is ``build_pipeline_context(inst, ...)``.
     """
-    if context is not None and grid_n is not None and grid_n != context.grid_n:
-        raise ValueError(
-            f"grid_n={grid_n} disagrees with the context's grid_n={context.grid_n}"
-        )
-    ctx = context or build_pipeline_context(inst, grid_n=grid_n)
     d = inst.dimension
     rng = trial_rng(seed, 0)
     lat = sample_lattice(d, rng)
@@ -301,37 +291,37 @@ def pipeline_trace(
 
     order = order_of(inside)
     exponent = order - d
-    grid_tol = 2.0 * d / ctx.grid_n
+    grid_tol = 2.0 * d / context.grid_n
 
-    mask = gamma.support_mask(ctx.grid_n)
+    mask = gamma.support_mask(context.grid_n)
     zero_fraction = 1.0 - np.count_nonzero(mask) / mask.size
 
-    threshold = 4.0 * math.sqrt(ctx.c_ref * ctx.tail_hat)
-    p_vals = _poly_on_grid(inside, p_coeffs, ctx.grid_n, d)
+    threshold = 4.0 * math.sqrt(context.c_ref * context.tail_hat)
+    p_vals = _poly_on_grid(inside, p_coeffs, context.grid_n, d)
     tilde_fraction = np.count_nonzero(~mask & (np.abs(p_vals) <= threshold)) / mask.size
 
     p_hat0 = abs(gamma.coefficient(np.zeros(d))) ** 2
     events = {
-        "remainder_small": bool(r_energy <= 4.0 * ctx.c_ref * ctx.tail_hat),
-        "order_small": bool(order <= 2.0 * (ctx.c_ref * ctx.nu + d)),
+        "remainder_small": bool(r_energy <= 4.0 * context.c_ref * context.tail_hat),
+        "order_small": bool(order <= 2.0 * (context.c_ref * context.nu + d)),
         "zero_set_large": bool(zero_fraction >= 0.5 - grid_tol),
-        "zero_coeff_dominated": bool(ctx.fhat0_sq <= p_hat0 + 1e-15),
+        "zero_coeff_dominated": bool(context.fhat0_sq <= p_hat0 + 1e-15),
     }
 
     # Chain bound evaluated in log space; the factor exponentiates fast.
-    if ctx.tail_hat > 0:
+    if context.tail_hat > 0:
         log_chain = 2.0 * (
             exponent * math.log(14.0 * d / _TILDE_FLOOR)
             + math.log(4.0)
-            + 0.5 * math.log(ctx.c_ref * ctx.tail_hat)
+            + 0.5 * math.log(context.c_ref * context.tail_hat)
         )
         chain_value = math.exp(log_chain) if log_chain < 700.0 else math.inf
         chain_holds = bool(
-            ctx.fhat0_sq <= 0.0 or math.log(ctx.fhat0_sq) <= log_chain + 1e-12
+            context.fhat0_sq <= 0.0 or math.log(context.fhat0_sq) <= log_chain + 1e-12
         )
     else:
         chain_value = 0.0
-        chain_holds = bool(ctx.fhat0_sq <= 0.0)
+        chain_holds = bool(context.fhat0_sq <= 0.0)
 
     return PipelineTrace(
         seed=seed,
@@ -347,11 +337,11 @@ def pipeline_trace(
         events=events,
         zero_fraction=zero_fraction,
         tilde_fraction=tilde_fraction,
-        tail_hat=ctx.tail_hat,
-        nu=ctx.nu,
-        c_ref=ctx.c_ref,
+        tail_hat=context.tail_hat,
+        nu=context.nu,
+        c_ref=context.c_ref,
         chain_value=chain_value,
-        fhat0_sq=ctx.fhat0_sq,
+        fhat0_sq=context.fhat0_sq,
         chain_holds=chain_holds,
     )
 

@@ -40,7 +40,6 @@ SCHEMA_VERSION = 1
 
 # Largest torus grid a plan may request, in points n^d: 1024^2 and 128^3 fit.
 GRID_POINT_BUDGET = 2**21
-_GRID_COMMANDS = {"periodize", "pipeline", "sweep"}
 
 
 @dataclass
@@ -97,14 +96,6 @@ def _load_function(path: str):
     return _load_doc(path, function_from_dict, "function")
 
 
-_DOCUMENT_LOADERS = {
-    "set": _load_set,
-    "s_set": _load_set,
-    "sigma_set": _load_set,
-    "function": _load_function,
-}
-
-
 def _emit(config: RunConfig, payload, rows=None, header=None) -> None:
     """Write the artifact.  JSON payloads are key-sorted so identical
     configurations are byte-identical; wall time lives outside the payload."""
@@ -144,11 +135,22 @@ def _json_default(obj):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand inputs and implementations
 # ---------------------------------------------------------------------------
 
 
-def _profile_from_spec(spec: str, d: int):
+def _check_grid(n: int, d: int) -> None:
+    """Reject a torus grid below one point per axis or above the point
+    budget.  The budget is checked on the size n^d alone, before any grid
+    exists."""
+    if n < 1:
+        raise PreconditionError(f"grid must be an integer >= 1, got {n!r}")
+    if n**d > GRID_POINT_BUDGET:
+        raise PreconditionError(f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points")
+
+
+def _profile_from_spec(opts: dict):
+    spec, d = opts["phi"], opts["dim"]
     kind, *args = spec.split(":")
     if kind == "annulus" and len(args) == 2:
         return lattice.AnnulusIndicator(d, float(args[0]), float(args[1]))
@@ -159,15 +161,43 @@ def _profile_from_spec(spec: str, d: int):
     raise PreconditionError(f"bad profile spec {spec!r}; use annulus:r1:r2, ball:r or gaussian[:a]")
 
 
-def cmd_lal(config: RunConfig) -> int:
-    opts = config.options
-    phi = _profile_from_spec(opts["phi"], opts["dim"])
+def _load_periodize(opts: dict):
+    """The function and the grid per axis: --grid, or else the default for
+    the function's dimension."""
+    f = _load_function(opts["function"])
+    n = opts["grid"] if "grid" in opts else periodization.default_grid_size(f.dimension)
+    _check_grid(n, f.dimension)
+    return f, n
+
+
+def _load_instance(opts: dict) -> annihilation.AnnihilationInstance:
+    return annihilation.AnnihilationInstance(
+        _load_function(opts["function"]), _load_set(opts["s_set"]), _load_set(opts["sigma_set"])
+    )
+
+
+def _load_grid_instance(opts: dict) -> annihilation.AnnihilationInstance:
+    """The instance, with the pipeline grid checked on its dimension.  The
+    default grid is looked up whatever --grid says: it rejects d >= 4, which
+    the pipeline's mean width cannot take."""
+    inst = _load_instance(opts)
+    default_n = annihilation.pipeline_grid_size(inst.dimension)
+    _check_grid(opts.get("grid", default_n), inst.dimension)
+    return inst
+
+
+def _load_pipeline(opts: dict):
+    inst = _load_grid_instance(opts)
+    return inst, annihilation.build_pipeline_context(inst, grid_n=opts.get("grid"))
+
+
+def cmd_lal(config: RunConfig, phi) -> int:
     rep_a, rep_b = lattice.check_lattice_averaging(phi, trials=config.trials, seed=config.seed)
     _emit(config, {"outer_dilation": rep_a.to_dict(), "inner_dilation": rep_b.to_dict()})
     return EXIT_OK
 
 
-def cmd_turan(config: RunConfig) -> int:
+def cmd_turan(config: RunConfig, _) -> int:
     opts = config.options
     rows = turan.run_campaign(opts["dim"], opts["random"], seed=config.seed)
     violations = [r for r in rows if not r["holds"]]
@@ -186,12 +216,10 @@ def cmd_turan(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_periodize(config: RunConfig) -> int:
-    opts = config.options
-    f = _load_function(opts["function"])
+def cmd_periodize(config: RunConfig, inputs) -> int:
+    f, n = inputs
     lat = lattice.sample_lattice(f.dimension, trial_rng(config.seed, 0))
     gamma = periodization.Periodization(f, lat)
-    n = opts.get("grid") or periodization.default_grid_size(f.dimension)
     if config.fmt == "csv":
         rows = gamma.grid_rows(n)
         header = [f"t{i+1}" for i in range(f.dimension)] + ["re", "im"]
@@ -208,10 +236,8 @@ def cmd_periodize(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_geometry(config: RunConfig) -> int:
-    opts = config.options
-    s = _load_set(opts["set"])
-    op = opts["op"]
+def cmd_geometry(config: RunConfig, s: EuclideanSet) -> int:
+    op = config.options["op"]
     if op == "mean-width":
         payload = geometry.mean_width(s).to_dict()
     elif op == "measure":
@@ -226,14 +252,7 @@ def cmd_geometry(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_instance(opts: dict) -> annihilation.AnnihilationInstance:
-    return annihilation.AnnihilationInstance(
-        _load_function(opts["function"]), _load_set(opts["s_set"]), _load_set(opts["sigma_set"])
-    )
-
-
-def cmd_ratio(config: RunConfig) -> int:
-    inst = _load_instance(config.options)
+def cmd_ratio(config: RunConfig, inst: annihilation.AnnihilationInstance) -> int:
     # The exponent first: its widths reject d >= 4 before the ratio's work.
     terms, which = annihilation.pair_exponent(
         inst.time_support, inst.freq_set, trials=config.trials, seed=config.seed
@@ -244,10 +263,9 @@ def cmd_ratio(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(config: RunConfig) -> int:
-    opts = config.options
-    inst = _load_instance(opts)
-    trace = annihilation.pipeline_trace(inst, seed=config.seed, grid_n=opts.get("grid"))
+def cmd_pipeline(config: RunConfig, inputs) -> int:
+    inst, ctx = inputs
+    trace = annihilation.pipeline_trace(inst, seed=config.seed, context=ctx)
     if not trace.events["zero_coeff_dominated"]:
         log.error("zero-coefficient domination failed; this must never happen")
         return EXIT_ASSERTION
@@ -258,9 +276,8 @@ def cmd_pipeline(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(config: RunConfig, inst: annihilation.AnnihilationInstance) -> int:
     opts = config.options
-    inst = _load_instance(opts)
     result = annihilation.translated_sweep(
         inst, per_axis=opts.get("ygrid", 5), seed=config.seed, grid_n=opts.get("grid")
     )
@@ -274,7 +291,7 @@ def cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sharpness(config: RunConfig) -> int:
+def cmd_sharpness(config: RunConfig, _) -> int:
     opts = config.options
     report = annihilation.disc_ring_experiment(
         opts["n"],
@@ -286,15 +303,17 @@ def cmd_sharpness(config: RunConfig) -> int:
     return EXIT_OK
 
 
+# Each command's (loader, implementation): the loader builds the command's
+# inputs from its options, and the implementation runs on them.
 _COMMANDS = {
-    "lal": cmd_lal,
-    "turan": cmd_turan,
-    "periodize": cmd_periodize,
-    "geometry": cmd_geometry,
-    "ratio": cmd_ratio,
-    "pipeline": cmd_pipeline,
-    "sweep": cmd_sweep,
-    "sharpness": cmd_sharpness,
+    "lal": (_profile_from_spec, cmd_lal),
+    "turan": (lambda opts: None, cmd_turan),
+    "periodize": (_load_periodize, cmd_periodize),
+    "geometry": (lambda opts: _load_set(opts["set"]), cmd_geometry),
+    "ratio": (_load_instance, cmd_ratio),
+    "pipeline": (_load_pipeline, cmd_pipeline),
+    "sweep": (_load_grid_instance, cmd_sweep),
+    "sharpness": (lambda opts: None, cmd_sharpness),
 }
 
 
@@ -428,44 +447,16 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     )
 
 
-def _check_grid(config: RunConfig) -> None:
-    """Reject a torus grid below one point per axis or above the point budget.
-
-    The grid checked is the one the command will use: --grid, or else the
-    default for the function's dimension.  That default rejects d >= 4, and
-    for pipeline and sweep it is looked up even when --grid is given, since
-    their mean width takes d <= 3.  The budget is checked on the size n^d
-    alone, before any grid exists.
-    """
-    if config.command not in _GRID_COMMANDS:
-        return
-    n = config.options.get("grid")
-    if n is not None and n < 1:
-        raise PreconditionError(f"grid must be an integer >= 1, got {n!r}")
-    d = _load_function(config.options["function"]).dimension
-    if config.command != "periodize":
-        default_n = annihilation.pipeline_grid_size(d)
-        n = n or default_n
-    elif n is None:
-        n = periodization.default_grid_size(d)
-    if n**d > GRID_POINT_BUDGET:
-        raise PreconditionError(
-            f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points"
-        )
-
-
 def run(config: RunConfig) -> int:
-    """Dispatch one resolved configuration; returns the process exit code."""
-    _check_grid(config)
+    """Dispatch one resolved configuration; returns the process exit code.
+    Real and dry runs both build the command's inputs with its loader; a dry
+    run then prints the plan instead of running the command."""
+    load, command = _COMMANDS[config.command]
+    inputs = load(config.options)
     if config.dry_run:
-        plan = config.plan()
-        # Parse referenced documents without computing.
-        for key, load in _DOCUMENT_LOADERS.items():
-            if key in config.options:
-                load(config.options[key])
-        sys.stdout.write(json.dumps({"dry_run": True, "plan": plan}, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps({"dry_run": True, "plan": config.plan()}, sort_keys=True, indent=2) + "\n")
         return EXIT_OK
-    return _COMMANDS[config.command](config)
+    return command(config, inputs)
 
 
 def main(argv: list[str] | None = None) -> int:

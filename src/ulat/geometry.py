@@ -634,7 +634,17 @@ def mean_width(s: EuclideanSet) -> Estimate:
 
 
 def _cover_value(radii: np.ndarray, d: int) -> float:
-    return float(np.sum(np.minimum(radii, radii**d)))
+    # Where r^d overflows to inf, min(r, r^d) is r.
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.minimum(radii, radii**d)))
+
+
+def _half_diagonal(box: AxisBox) -> float:
+    """The norm of a box's half widths.  ``math.hypot`` rescales, and is
+    taken only where the plain norm overflows, so finite values keep their bits."""
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(box.half_widths()))
+    return math.hypot(*box.half_widths()) if math.isinf(r) else r
 
 
 @dataclass(frozen=True, eq=False)
@@ -703,7 +713,7 @@ def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
         raise ValueError("cover_measure_upper requires a nonempty set")
     d = s.dimension
     self_balls = tuple(
-        p if isinstance(p, Ball) else Ball(p.center(), float(np.linalg.norm(p.half_widths())))
+        p if isinstance(p, Ball) else Ball(p.center(), _half_diagonal(p))
         for p in s.pieces
     )
     best_value = _cover_value(np.array([b.radius for b in self_balls]), d)

@@ -10,9 +10,7 @@ sets, and estimates the expectations that control point counts and orders.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,16 +114,13 @@ def _annulus_point_bound(r_lo: float, r_hi: float, d: int) -> float:
     that integer_vectors_in_annulus returns (the 1e-4 covers its 1e-9
     tolerance on squared norms and the rounding here).
 
-    The difference of the two powers is factored, a^d - b^d = (a - b) *
-    sum a^(d-1-i) b^i, with a - b taken from the radii, so a thin shell at a
-    large radius keeps its width; inf where the float overflows.
+    The caller keeps r_hi below 2^26, where the plain difference of the two
+    volumes keeps a thin shell's width to about 1e-8 relative; inf where a
+    volume overflows (large d).
     """
     pad = math.sqrt(d) / 2.0 + 1e-4
-    outer = r_hi + pad
-    inner = max(r_lo - pad, 0.0)
-    width = outer if inner == 0.0 else max(r_hi - r_lo + 2.0 * pad, 0.0)
     try:
-        return ball_volume(d, 1.0) * width * sum(outer ** (d - 1 - i) * inner**i for i in range(d))
+        return max(ball_volume(d, r_hi + pad) - ball_volume(d, max(r_lo - pad, 0.0)), 0.0)
     except OverflowError:
         return math.inf
 
@@ -134,14 +129,15 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
     """All k in Z^d with r_lo <= ||k|| <= r_hi, as a read-only (n, d) array
     in C order.
 
-    Every dimension takes one path: the first d - 1 coordinates are walked
-    row by row over the cube |k_i| <= kmax = floor(r_hi + 1e-9), and each
-    row's last coordinates c are read off exactly with ``math.isqrt`` from
-    lo2 <= s + c^2 <= hi2, with lo2 = ceil(r_lo^2 - 1e-9), hi2 =
-    floor(r_hi^2 + 1e-9) and s the row's squared norm.  This is the
-    bounding-cube filter's predicate in integer form, so the output equals
-    that filter's, while the memory is (2 kmax + 1)^(d-1) rows plus the
-    output.
+    Every dimension takes one path: the rows of the first d - 1 coordinates
+    over the cube |k_i| <= kmax = floor(r_hi + 1e-9) are taken at once, and
+    each row's last coordinates c are read off exactly with an int64
+    integer square root from lo2 <= s + c^2 <= hi2, with lo2 =
+    ceil(r_lo^2 - 1e-9), hi2 = floor(r_hi^2 + 1e-9) and s the row's squared
+    norm.  This is the bounding-cube filter's predicate in integer form, so
+    the output equals that filter's, while the memory is (2 kmax + 1)^(d-1)
+    rows plus the output.  Float and int64 squares are exact only below
+    2^52, so an r_hi with r_hi^2 >= 2^52 (or NaN) raises ``ValueError``.
 
     The integers (lo2, hi2, kmax, d) determine the output, and the walks
     whose cube holds (2 kmax + 1)^d <= 1024 points are memoised on that
@@ -163,14 +159,17 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
         out = np.empty((0, d), dtype=int)
         out.setflags(write=False)
         return out
-    if not r_hi <= ANNULUS_POINT_CAP or (2 * int(r_hi) + 3) ** d > ANNULUS_POINT_CAP:
+    if not r_hi * r_hi < 2.0**52:
+        raise ValueError(f"the annulus radius {r_hi:.6g} squares to 2^52 or more, past exact squares")
+    if (2 * int(r_hi) + 3) ** d > ANNULUS_POINT_CAP:
         bound = _annulus_point_bound(r_lo, r_hi, d)
         if not bound <= ANNULUS_POINT_CAP:
             raise ValueError(
                 f"the annulus {r_lo:.6g} <= ||k|| <= {r_hi:.6g} in dimension {d} may hold "
                 f"{bound:.3g} integer points, above the cap of {ANNULUS_POINT_CAP}"
             )
-    r_lo = max(r_lo, 0.0)
+    # Every r_lo past r_hi + 1 gives the same empty annulus; the clamp keeps lo2 in int64.
+    r_lo = min(max(r_lo, 0.0), r_hi + 1.0)
     kmax = int(math.floor(r_hi + 1e-9))
     hi2 = math.floor(r_hi**2 + 1e-9)
     lo2 = math.ceil(r_lo**2 - 1e-9)
@@ -178,32 +177,33 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
     return walk(lo2, hi2, kmax, d)
 
 
+def _isqrt(m: np.ndarray) -> np.ndarray:
+    """floor(sqrt(m)) of an int64 array with 0 <= m < 2^52: the float root,
+    within 1 of it there, corrected by +-1."""
+    r = np.sqrt(m).astype(np.int64)
+    r -= r * r > m
+    r += (r + 1) * (r + 1) <= m
+    return r
+
+
 def _annulus_walk(lo2: int, hi2: int, kmax: int, d: int) -> np.ndarray:
-    """The row walk of integer_vectors_in_annulus over |k_i| <= kmax, as a
-    read-only array."""
-    heads, shifts, counts = [], [], []
-    total = 0
-    for head in itertools.product(range(-kmax, kmax + 1), repeat=d - 1):
-        s = sum(map(operator.mul, head, head))
-        if s > hi2:
-            continue
-        h = min(math.isqrt(hi2 - s), kmax)
-        low = math.isqrt(lo2 - s - 1) + 1 if lo2 > s else 0
-        if low == 0:
-            runs = ((-h, 2 * h + 1),)
-        elif low <= h:
-            runs = ((-h, h - low + 1), (low, h - low + 1))
-        else:
-            continue
-        for start, count in runs:
-            heads.append(head)
-            shifts.append(start - total)
-            counts.append(count)
-            total += count
-    # Row i of the output is heads[j] followed by i + shifts[j] for its run j.
-    last = np.arange(total) + np.repeat(np.array(shifts, dtype=int), counts)
-    head_cols = np.array(heads, dtype=int).reshape(len(counts), d - 1)
-    out = np.column_stack([np.repeat(head_cols, counts, axis=0), last])
+    """The rows of integer_vectors_in_annulus over |k_i| <= kmax, read-only.
+    Each head (the first d - 1 coordinates, squared norm s) holds the runs
+    -h..-low and max(low, 1)..h of its last coordinate, either possibly
+    empty: h is the largest c <= kmax with s + c^2 <= hi2 (-1 if none) and
+    low the smallest c >= 0 with s + c^2 >= lo2."""
+    m = 2 * kmax + 1
+    heads = np.indices((m,) * (d - 1)).reshape(d - 1, m ** (d - 1)).T - kmax
+    s = np.einsum("ij,ij->i", heads, heads)
+    h = np.where(s <= hi2, np.minimum(_isqrt(np.maximum(hi2 - s, 0)), kmax), -1)
+    low = np.where(s < lo2, _isqrt(np.maximum(lo2 - s - 1, 0)) + 1, 0)
+    starts = np.stack([-h, np.maximum(low, 1)], axis=1)
+    counts = np.maximum(h[:, None] + 1 - np.stack([low, starts[:, 1]], axis=1), 0)
+    # Row i of the output is its head followed by i + shift for its run.
+    runs = counts.ravel()
+    shifts = starts.ravel() - (np.cumsum(runs) - runs)
+    last = np.arange(runs.sum()) + np.repeat(shifts, runs)
+    out = np.column_stack([np.repeat(heads, counts.sum(axis=1), axis=0), last])
     out.setflags(write=False)
     return out
 

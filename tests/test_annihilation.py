@@ -337,7 +337,7 @@ class TestPipeline:
 
     def test_trace_serializes(self):
         inst = eighth_box_instance()
-        trace = pipeline_trace(inst, 0)
+        trace = pipeline_trace(inst, 0, context=build_pipeline_context(inst))
         doc = trace.to_dict()
         assert set(doc["events"]) == {
             "remainder_small",
@@ -346,14 +346,6 @@ class TestPipeline:
             "zero_coeff_dominated",
         }
         assert doc["exponent"] == doc["order"] - 2
-
-    def test_grid_must_match_the_context(self):
-        inst = eighth_box_instance()
-        ctx = build_pipeline_context(inst, grid_n=32)
-        with pytest.raises(ValueError, match="grid_n=64 disagrees"):
-            pipeline_trace(inst, 3, context=ctx, grid_n=64)
-        same = pipeline_trace(inst, 3, context=ctx, grid_n=32)
-        assert same.to_dict() == pipeline_trace(inst, 3, context=ctx).to_dict()
 
     def test_fractions_equal_the_loop_oracles(self):
         # Criterion-9 draws at 512^2: the raster mask and the per-axis P give
@@ -429,7 +421,7 @@ class TestPolyOnGrid:
 
     def test_pipeline_indices(self):
         inst = eighth_box_instance()
-        trace = pipeline_trace(inst, seed=4, grid_n=64)
+        trace = pipeline_trace(inst, seed=4, context=build_pipeline_context(inst, grid_n=64))
         got = _poly_on_grid(trace.indices, trace.p_coefficients, 64, 2)
         want = loop_poly_on_grid(trace.indices, trace.p_coefficients, 64, 2)
         assert np.max(np.abs(got - want)) <= 1e-12

@@ -359,9 +359,53 @@ def test_malformed_input_is_a_precondition(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == EXIT_PRECONDITION
     assert "precondition violated" in err
-    if any(a.endswith(".json") for a in argv):
-        # A dry run parses the documents too, so it fails the same way.
-        assert run_cli(capsys, argv + ["--dry-run"])[0] == EXIT_PRECONDITION
+    # A dry run builds the same inputs, so it fails the same way.
+    assert run_cli(capsys, argv + ["--dry-run"])[0] == EXIT_PRECONDITION
+
+
+def instance_argv(command: str, doc_dir, function="fbox.json", s_set="box8.json",
+                  sigma_set="sigma2.json") -> list[str]:
+    return [command, "--function", str(doc_dir / function), "--s-set", str(doc_dir / s_set),
+            "--sigma-set", str(doc_dir / sigma_set)]
+
+
+DRY_RUN_DOCS = {
+    "sigma4.json": {"dimension": 4, "pieces": [{"kind": "ball", "center": [0.0] * 4, "radius": 1.0}]},
+    "empty.json": {"dimension": 2, "pieces": []},
+    "square.json": {"dimension": 2, "pieces": [{"kind": "box", "lower": [-1, -1], "upper": [1, 1]}]},
+    "off-origin.json": {"dimension": 2, "pieces": [{"kind": "ball", "center": [5.0, 5.0], "radius": 1.0}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda docs: ["lal", "--phi", "bogus"],
+        lambda docs: ["lal", "--phi", "gaussian:1e-300", "--dim", "3"],
+        lambda docs: instance_argv("ratio", docs, sigma_set="sigma4.json"),
+        lambda docs: instance_argv("ratio", docs, sigma_set="empty.json"),
+        lambda docs: instance_argv("pipeline", docs, s_set="empty.json"),
+        lambda docs: instance_argv("sweep", docs, sigma_set="empty.json"),
+        lambda docs: instance_argv("pipeline", docs, s_set="square.json"),
+        lambda docs: instance_argv("pipeline", docs, sigma_set="off-origin.json"),
+        lambda docs: instance_argv("pipeline", docs, function="gauss2.json"),
+    ],
+    ids=[
+        "lal-bad-spec", "lal-gaussian-overflow", "ratio-4d-sigma", "ratio-no-pieces",
+        "pipeline-empty-set", "sweep-empty-set", "pipeline-large-support",
+        "pipeline-sigma-without-origin", "pipeline-gaussian-source",
+    ],
+)
+def test_dry_run_exits_as_the_real_run(capsys, doc_dir, argv):
+    # Each input is rejected by the command's loader, which a dry run runs too.
+    for name, doc in DRY_RUN_DOCS.items():
+        (doc_dir / name).write_text(json.dumps(doc))
+    argv = argv(doc_dir) + ["--trials", "5"]
+    for call in (argv, argv + ["--dry-run"]):
+        code, out, err = run_cli(capsys, call)
+        assert code == EXIT_PRECONDITION, call
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("precondition violated")
 
 
 def test_precondition_reported_once(tmp_path):
@@ -371,7 +415,8 @@ def test_precondition_reported_once(tmp_path):
     src = str(Path(ulat.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "UL_LOG": "warning"}
     proc = subprocess.run(
-        [sys.executable, "-m", "ulat.cli", "geometry", "--set", str(doc), "--op", "measure"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ulat.cli",
+         "geometry", "--set", str(doc), "--op", "measure"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == EXIT_PRECONDITION

@@ -21,8 +21,10 @@ def test_demos_are_found():
 def test_demo_runs(demo):
     src = str(Path(ulat.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    # The suite's RuntimeWarning-as-error policy, carried into the demo's process.
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT, timeout=300
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -23,6 +23,7 @@ from ulat.geometry import (
     projection_width,
     sample_rotation,
     _GRID_CELL_CAP,
+    _half_diagonal,
     _WIDTH_BLOCK,
     _check_rotations,
     _cover_value,
@@ -520,6 +521,28 @@ class TestCoverUpper:
         assert certify_cover(cover, s)
         assert len(cover.balls) == 1
 
+    def test_wide_box_self_cover_is_finite(self):
+        # The plain norm of the half widths (5e199, 0.5, 0.5) overflows; the
+        # self cover's ball has radius 5e199 and value min(r, r^3) = r.
+        s = EuclideanSet(3, [AxisBox([0.0, 0.0, 0.0], [1e200, 1.0, 1.0])])
+        cover = cover_measure_upper(s)
+        assert cover.value == 5e199
+        assert cover.balls[0].radius == 5e199
+
+    def test_disc_whose_square_overflows(self):
+        s = EuclideanSet(2, [Ball([0.0, 0.0], 1e300)])
+        cover = cover_measure_upper(s)
+        assert cover.value == 1e300 and cover.balls[0] is s.pieces[0]
+
+    def test_half_diagonal_keeps_the_plain_norm_where_it_is_finite(self):
+        rng = trial_rng(41, 0)
+        for d in (1, 2, 3):
+            for _ in range(200):
+                lower = rng.uniform(-10, 10, d) * 10.0 ** rng.integers(-150, 150, d)
+                upper = np.maximum(lower + 10.0 ** rng.uniform(-150, 150, d), np.nextafter(lower, np.inf))
+                box = AxisBox(lower, upper)
+                assert _half_diagonal(box) == float(np.linalg.norm(box.half_widths()))
+
     @pytest.mark.parametrize(
         "upper",
         [[1 + 1e-13, 1 + 1e-13], [0.5 + 1e-14, 2.0], [1.0, 0.25 + 1e-15], [3 + 2e-12, 1 + 4e-16]],
@@ -761,8 +784,7 @@ class TestCoverPrune:
     def test_ball_volume_past_the_float_range_rules_out_every_scale(self, monkeypatch):
         s = EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 1e120)])
         sides = self.count_grid_builds(monkeypatch)
-        with np.errstate(over="ignore"):
-            cover = cover_measure_upper(s)
+        cover = cover_measure_upper(s)
         assert sides == [] and cover.value == 1e120 and cover.balls[0] is s.pieces[0]
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from ulat.lattice import (
     polar_constant,
     sample_lattice,
     _annulus_point_bound,
+    _annulus_walk,
+    _isqrt,
     _profile_truncation_radius,
 )
 from ulat.mc import mean_stderr, run_trials, trial_rng
@@ -73,6 +76,36 @@ def cube_filter_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
     norm2 = np.einsum("ij,ij->i", mesh, mesh)
     keep = (norm2 <= r_hi**2 + 1e-9) & (norm2 >= r_lo**2 - 1e-9)
     return mesh[keep].astype(int)
+
+
+def loop_annulus_walk(lo2: int, hi2: int, kmax: int, d: int) -> np.ndarray:
+    """Oracle: the annulus walk as a per-row Python loop.  Each head of the
+    first d - 1 coordinates is skipped, or emits one run -h..h, or the two
+    runs -h..-low and low..h, read off with ``math.isqrt``."""
+    heads, shifts, counts = [], [], []
+    total = 0
+    for head in itertools.product(range(-kmax, kmax + 1), repeat=d - 1):
+        s = sum(map(operator.mul, head, head))
+        if s > hi2:
+            continue
+        h = min(math.isqrt(hi2 - s), kmax)
+        low = math.isqrt(lo2 - s - 1) + 1 if lo2 > s else 0
+        if low == 0:
+            runs = ((-h, 2 * h + 1),)
+        elif low <= h:
+            runs = ((-h, h - low + 1), (low, h - low + 1))
+        else:
+            continue
+        for start, count in runs:
+            heads.append(head)
+            shifts.append(start - total)
+            counts.append(count)
+            total += count
+    last = np.arange(total) + np.repeat(np.array(shifts, dtype=int), counts)
+    head_cols = np.array(heads, dtype=int).reshape(len(counts), d - 1)
+    out = np.column_stack([np.repeat(head_cols, counts, axis=0), last])
+    out.setflags(write=False)
+    return out
 
 
 def annulus_radius_pairs(d: int, count: int) -> list[tuple[float, float]]:
@@ -540,6 +573,57 @@ class TestAnnulusMemo:
         assert info.misses <= 64
 
 
+def forbid_walks(monkeypatch):
+    """Make every call that reaches the annulus walk, memoised or not, fail."""
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(lattice, "_annulus_walk", walk)
+    monkeypatch.setattr(lattice, "_annulus_memo", walk)
+
+
+@st.composite
+def walk_keys(draw):
+    """(lo2, hi2, kmax, d) with hi2 and lo2 at, or 1 off, perfect squares
+    around the cube's reach (an occasional lo2 past hi2 or below 0)."""
+    d = draw(st.integers(1, 3))
+    kmax = draw(st.integers(0, {1: 10**5, 2: 300, 3: 40}[d]))
+    top = math.isqrt(d * kmax * kmax) + 2
+    m_hi = draw(st.integers(0, top))
+    m_lo = draw(st.integers(0, m_hi + 1))
+    hi2 = m_hi * m_hi + draw(st.integers(-1, 1))
+    lo2 = m_lo * m_lo + draw(st.integers(-1, 1))
+    return lo2, hi2, kmax, d
+
+
+class TestAnnulusRows:
+    @given(walk_keys())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_loop(self, key):
+        got, expected = _annulus_walk(*key), loop_annulus_walk(*key)
+        assert got.dtype == expected.dtype == np.dtype(int)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert not got.flags.writeable
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_and_single_point_keys(self, d):
+        for key in ((0, -1, 0, d), (2, 1, 3, d), (0, 0, 0, d), (1, 0, 5, d), (5, 4, 2, d)):
+            got, expected = _annulus_walk(*key), loop_annulus_walk(*key)
+            assert got.shape == expected.shape and np.array_equal(got, expected), key
+
+    def test_isqrt_is_exact_next_to_squares(self):
+        m = np.unique(np.concatenate([
+            np.arange(0, 5000), np.geomspace(1, 2**26 - 1, 4000).astype(np.int64), [2**26 - 1],
+        ]))
+        sq = m * m
+        near = np.concatenate([sq - 1, sq, sq + 1])
+        near = near[(near >= 0) & (near < 2**52)]
+        expected = np.array([math.isqrt(int(x)) for x in near], dtype=np.int64)
+        assert np.array_equal(_isqrt(near), expected)
+        assert _isqrt(np.array([2**52 - 1]))[0] == 2**26 - 1
+
+
 class TestEnumeration:
     @given(st.integers(0, 5000))
     @settings(max_examples=30, deadline=None)
@@ -623,8 +707,10 @@ class TestEnumeration:
         assert _annulus_point_bound(0.0, 7.0, 3) == pytest.approx(
             4 / 3 * math.pi * (7 + math.sqrt(3) / 2 + 1e-4) ** 3
         )
-        # A thin shell far out keeps its width instead of cancelling to 0.
-        assert _annulus_point_bound(1e16, 1e16, 2) == pytest.approx(2 * math.pi * 1e16 * 2 * s)
+        # A thin shell just inside the radius guard (r^2 < 2^52) keeps its
+        # width to about 1e-8 relative.
+        r = 0.99 * 2.0**26
+        assert _annulus_point_bound(r, r, 2) == pytest.approx(2 * math.pi * r * 2 * s, rel=3e-8)
         assert _annulus_point_bound(0.0, 1e300, 40) == math.inf
 
     def test_guard_cuts_at_the_cap(self, monkeypatch):
@@ -638,14 +724,34 @@ class TestEnumeration:
             integer_vectors_in_annulus(2.0 - 1e-9, 5.0, 2)
         assert lattice._annulus_memo.cache_info() == memo
 
-    @pytest.mark.parametrize(
-        "r_lo, r_hi, d",
-        [(1.0, 30000.0, 2), (1e16, 1e16, 2), (0.0, 400.0, 3), (0.0, math.inf, 2), (0.0, math.nan, 1)],
-    )
-    def test_guard_rejects_before_the_walk(self, r_lo, r_hi, d):
+    @pytest.mark.parametrize("r_lo, r_hi, d", [(1.0, 30000.0, 2), (0.0, 400.0, 3)])
+    def test_guard_rejects_before_the_walk(self, monkeypatch, r_lo, r_hi, d):
         assert not _annulus_point_bound(r_lo, r_hi, d) <= ANNULUS_POINT_CAP
+        forbid_walks(monkeypatch)
         with pytest.raises(ValueError, match="above the cap"):
             integer_vectors_in_annulus(r_lo, r_hi, d)
+
+    @pytest.mark.parametrize(
+        "r_lo, r_hi, d",
+        [(1e16, 1e16, 2), (1e16, 1e16 + 0.5, 1), (1e300, 1e300, 1), (0.0, 2.0**26, 1),
+         (0.0, math.inf, 2), (0.0, math.nan, 1)],
+    )
+    def test_radius_past_exact_squares_rejected_before_the_walk(self, monkeypatch, r_lo, r_hi, d):
+        # From r^2 = 2^52 on, float and int64 squares stop being exact: the
+        # 1-D shell at 1e16 used to come back empty, missing +-1e16, and the
+        # one at 1e300 ended in an OverflowError.
+        forbid_walks(monkeypatch)
+        with pytest.raises(ValueError, match=r"2\^52"):
+            integer_vectors_in_annulus(r_lo, r_hi, d)
+
+    @pytest.mark.parametrize("r_lo", [4.0, 1e10, 1e300])
+    def test_inner_radius_past_the_outer_gives_no_points(self, r_lo):
+        pts = integer_vectors_in_annulus(r_lo, 3.0, 2)
+        assert pts.shape == (0, 2) and pts.dtype == np.dtype(int)
+
+    def test_largest_radius_below_the_squares_guard(self):
+        r = 2.0**26 - 1.0
+        assert integer_vectors_in_annulus(r - 0.5, r, 1).tolist() == [[-(2**26 - 1)], [2**26 - 1]]
 
     def test_dilation_validation(self):
         with pytest.raises(ValueError):
