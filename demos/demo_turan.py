@@ -27,9 +27,12 @@ print("certified sup-norm bracket on a random 5-term polynomial")
 from ulat.mc import trial_rng
 from ulat.turan import random_polynomial
 
-rp = random_polynomial(1, trial_rng(3, 0), max_terms=5, max_freq=8)
+rng = trial_rng(3, 0)
+rp = random_polynomial(1, rng, max_terms=5, max_freq=8)
 est = sup_norm(rp)
 print(f"  sup in [{est.value:.5f}, {est.upper:.5f}]")
+scattered = float(abs(rp.evaluate(rng.uniform(0.0, 1.0, (4096, 1)))).max())
+print(f"  largest |p| at 4096 random points {scattered:.5f} <= {est.upper:.5f}")
 
 print()
 for d in (1, 2):

@@ -30,6 +30,7 @@ from .geometry import (
 from .lattice import axis_hit_count, intersect, order_of, sample_lattice
 from .mc import mean_stderr, run_trials, trial_rng
 from .periodization import Periodization
+from .turan import _coefficient_tensor, _product_grid_values
 
 __all__ = [
     "AnnihilationInstance",
@@ -250,21 +251,14 @@ def _poly_on_grid(indices: np.ndarray, coeffs: np.ndarray, n: int, d: int) -> np
     On the grid t = j/n the phase of m depends only on m mod n, so the
     indices are reduced mod n (exact for any |m|) and the coefficients are
     summed into a dense tensor over the distinct residues A_i of each axis.
-    The sum then factors axis by axis: the tensor is contracted one axis at
-    a time, last axis first, against the (A_i, n) table of exact n-th roots
-    exp(2 i pi ((a j) mod n) / n).  The last step is one
-    (n, A_1) @ (A_1, n^(d-1)) product, so the cost is about A_1 n^d.
+    ``turan._product_grid_values`` contracts it against the (n, A_i) tables
+    of exact n-th roots exp(2 i pi ((a j) mod n) / n), each the transpose
+    view of an (A_i, n) table, so the cost is about A_1 n^d.
     """
-    residues = np.mod(indices, n)
-    axes = [np.unique(residues[:, i], return_inverse=True) for i in range(d)]
-    out = np.zeros(tuple(len(a) for a, _ in axes), dtype=complex)
-    np.add.at(out, tuple(inv for _, inv in axes), coeffs)
+    values, tensor = _coefficient_tensor(np.mod(indices, n), coeffs)
     j = np.arange(n)
-    for i in reversed(range(d)):
-        a = axes[i][0]
-        table = np.exp((2j * math.pi / n) * ((a[:, None] * j) % n))
-        out = table.T @ out.reshape(-1, len(a), n ** (d - 1 - i))
-    return out.reshape(-1)
+    tables = [np.exp((2j * math.pi / n) * ((a[:, None] * j) % n)).T for a in values]
+    return _product_grid_values(tensor, tables)
 
 
 def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineContext) -> PipelineTrace:

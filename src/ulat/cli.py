@@ -149,16 +149,20 @@ def _check_grid(n: int, d: int) -> None:
         raise PreconditionError(f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points")
 
 
-def _profile_from_spec(opts: dict):
+def _load_profile(opts: dict):
+    """The profile of --phi, checked as check_lattice_averaging checks it."""
     spec, d = opts["phi"], opts["dim"]
     kind, *args = spec.split(":")
     if kind == "annulus" and len(args) == 2:
-        return lattice.AnnulusIndicator(d, float(args[0]), float(args[1]))
-    if kind == "ball" and len(args) == 1:
-        return lattice.AnnulusIndicator(d, 0.0, float(args[0]))
-    if kind == "gaussian" and len(args) <= 1:
-        return lattice.GaussianProfile(d, float(args[0]) if args else 1.0)
-    raise PreconditionError(f"bad profile spec {spec!r}; use annulus:r1:r2, ball:r or gaussian[:a]")
+        phi = lattice.AnnulusIndicator(d, float(args[0]), float(args[1]))
+    elif kind == "ball" and len(args) == 1:
+        phi = lattice.AnnulusIndicator(d, 0.0, float(args[0]))
+    elif kind == "gaussian" and len(args) <= 1:
+        phi = lattice.GaussianProfile(d, float(args[0]) if args else 1.0)
+    else:
+        raise PreconditionError(f"bad profile spec {spec!r}; use annulus:r1:r2, ball:r or gaussian[:a]")
+    lattice.averaging_setup(phi)
+    return phi
 
 
 def _load_periodize(opts: dict):
@@ -306,7 +310,7 @@ def cmd_sharpness(config: RunConfig, _) -> int:
 # Each command's (loader, implementation): the loader builds the command's
 # inputs from its options, and the implementation runs on them.
 _COMMANDS = {
-    "lal": (_profile_from_spec, cmd_lal),
+    "lal": (_load_profile, cmd_lal),
     "turan": (lambda opts: None, cmd_turan),
     "periodize": (_load_periodize, cmd_periodize),
     "geometry": (lambda opts: _load_set(opts["set"]), cmd_geometry),

@@ -183,7 +183,10 @@ class AxisBox:
         return 0.5 * (self.lower + self.upper)
 
     def half_widths(self) -> np.ndarray:
-        return 0.5 * (self.upper - self.lower)
+        # Halving first keeps a box wider than the float range finite.  The
+        # halvings are exact for coordinates 0 or of magnitude at least
+        # 2^-1021, so there the bits are those of 0.5 * (upper - lower).
+        return 0.5 * self.upper - 0.5 * self.lower
 
     def translate(self, offset) -> "AxisBox":
         offset = np.asarray(offset, dtype=float)
@@ -717,9 +720,12 @@ def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
         for p in s.pieces
     )
     best_value = _cover_value(np.array([b.radius for b in self_balls]), d)
+    # A volume past the float range (inf for a box, OverflowError for a
+    # ball) rules out every scale.
     try:
-        volumes = [p.volume() for p in s.pieces]
-    except OverflowError:  # a ball volume past the float range rules out every scale
+        with np.errstate(over="ignore"):
+            volumes = [p.volume() for p in s.pieces]
+    except OverflowError:
         volumes = [math.inf]
     volume_low = (sum(volumes) if s.pairwise_disjoint() else max(volumes)) * (1.0 - 1e-12)
     best_cells, best_side = None, 0.0

@@ -34,6 +34,7 @@ __all__ = [
     "intersect",
     "order_of",
     "polar_constant",
+    "averaging_setup",
     "check_lattice_averaging",
     "estimate_card",
     "estimate_order",
@@ -125,6 +126,21 @@ def _annulus_point_bound(r_lo: float, r_hi: float, d: int) -> float:
         return math.inf
 
 
+def _check_annulus(r_lo: float, r_hi: float, d: int) -> None:
+    """Raise ``ValueError`` where integer_vectors_in_annulus cannot
+    enumerate the annulus: r_hi^2 >= 2^52 (or NaN), or a point bound above
+    ``ANNULUS_POINT_CAP``.  Nothing is allocated."""
+    if not r_hi * r_hi < 2.0**52:
+        raise ValueError(f"the annulus radius {r_hi:.6g} squares to 2^52 or more, past exact squares")
+    if (2 * int(r_hi) + 3) ** d > ANNULUS_POINT_CAP:
+        bound = _annulus_point_bound(r_lo, r_hi, d)
+        if not bound <= ANNULUS_POINT_CAP:
+            raise ValueError(
+                f"the annulus {r_lo:.6g} <= ||k|| <= {r_hi:.6g} in dimension {d} may hold "
+                f"{bound:.3g} integer points, above the cap of {ANNULUS_POINT_CAP}"
+            )
+
+
 def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
     """All k in Z^d with r_lo <= ||k|| <= r_hi, as a read-only (n, d) array
     in C order.
@@ -159,15 +175,7 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
         out = np.empty((0, d), dtype=int)
         out.setflags(write=False)
         return out
-    if not r_hi * r_hi < 2.0**52:
-        raise ValueError(f"the annulus radius {r_hi:.6g} squares to 2^52 or more, past exact squares")
-    if (2 * int(r_hi) + 3) ** d > ANNULUS_POINT_CAP:
-        bound = _annulus_point_bound(r_lo, r_hi, d)
-        if not bound <= ANNULUS_POINT_CAP:
-            raise ValueError(
-                f"the annulus {r_lo:.6g} <= ||k|| <= {r_hi:.6g} in dimension {d} may hold "
-                f"{bound:.3g} integer points, above the cap of {ANNULUS_POINT_CAP}"
-            )
+    _check_annulus(r_lo, r_hi, d)
     # Every r_lo past r_hi + 1 gives the same empty annulus; the clamp keeps lo2 in int64.
     r_lo = min(max(r_lo, 0.0), r_hi + 1.0)
     kmax = int(math.floor(r_hi + 1e-9))
@@ -356,6 +364,32 @@ _LAL_BLOCK = 256
 _LAL_POINT_BUDGET = 1 << 18
 
 
+def averaging_setup(phi) -> tuple[float, float, float, float]:
+    """The reference integrals and index truncation radii of the two
+    lattice-averaging sums, (ref_a, ref_b, rad_a, rad_b), after checking
+    that ``check_lattice_averaging`` can run on ``phi``.
+
+    Both reference integrals must be positive, since each report carries
+    the estimate's ratio to its reference, and both index annuli
+    1 <= ||k|| <= rad must pass the enumeration bound of
+    ``integer_vectors_in_annulus``; otherwise ``ValueError`` is raised
+    before any point is enumerated.
+    """
+    ref_a = phi.integral_outside(1.0)
+    ref_b = phi.integral_outside(0.5)
+    for ref, c in ((ref_a, "1"), (ref_b, "1/2")):
+        if not ref > 0:
+            raise ValueError(
+                f"the reference integral of phi over ||x|| >= {c} is {ref}, "
+                "so the ratio to it is undefined"
+            )
+    rad_a = _profile_truncation_radius(phi, 1.0, ref_a)  # v >= 1
+    rad_b = _profile_truncation_radius(phi, 0.5, ref_b)  # 1/v >= 1/2
+    for rad in (rad_a, rad_b):
+        _check_annulus(1.0, rad, phi.dimension)
+    return ref_a, ref_b, rad_a, rad_b
+
+
 def check_lattice_averaging(
     phi, trials: int = 10_000, seed: int = 0
 ) -> tuple[ExpectationReport, ExpectationReport]:
@@ -372,21 +406,10 @@ def check_lattice_averaging(
     orthogonalised in one stacked QR and summed together, sized so that a
     block holds at most ``_LAL_POINT_BUDGET`` rotated points (and at least
     one trial), and the sums equal those of a loop over ``sample_lattice``
-    draws bit for bit.  Both reference integrals must be positive, since
-    each report carries the estimate's ratio to its reference; a reference
-    of 0 raises ``ValueError`` before any trial runs.
+    draws bit for bit.  ``averaging_setup`` checks the profile first.
     """
     d = phi.dimension
-    ref_a = phi.integral_outside(1.0)
-    ref_b = phi.integral_outside(0.5)
-    for ref, c in ((ref_a, "1"), (ref_b, "1/2")):
-        if not ref > 0:
-            raise ValueError(
-                f"the reference integral of phi over ||x|| >= {c} is {ref}, "
-                "so the ratio to it is undefined"
-            )
-    rad_a = _profile_truncation_radius(phi, 1.0, ref_a)  # v >= 1
-    rad_b = _profile_truncation_radius(phi, 0.5, ref_b)  # 1/v >= 1/2
+    ref_a, ref_b, rad_a, rad_b = averaging_setup(phi)
     # r_lo = 1 leaves out k = 0.
     cand_a = integer_vectors_in_annulus(1.0, rad_a, d).astype(float)
     cand_b = integer_vectors_in_annulus(1.0, rad_b, d).astype(float)

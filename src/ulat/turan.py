@@ -7,6 +7,14 @@ where m_i + 1 counts the distinct frequencies along axis i.  In d = 1 this
 is Nazarov's (14/|E|)^(m-1) for m terms.  This module evaluates both sides with
 certified sup-norm brackets, each a grid maximum (a feasible lower bound)
 plus a gradient window, and runs randomized campaigns.
+
+Every grid here is a product of per-axis samples, so a polynomial is
+evaluated on it by ``_product_grid_values``: a dense coefficient tensor over
+the distinct frequencies of each axis, contracted against one exp table per
+axis.  ``turan_check`` builds each table once over the samples of the full
+torus and of every piece of E; the pipeline's grid polynomial in
+``annihilation`` passes its exact n-th-root tables to the same contraction.
+``TrigPolynomial.evaluate`` is the evaluator at scattered points.
 """
 
 from __future__ import annotations
@@ -122,20 +130,21 @@ def box_union_measure(boxes: list[AxisBox]) -> float:
     """Exact volume of a union of axis boxes by recursive slab sweep."""
     if not boxes:
         return 0.0
-    d = boxes[0].dimension
-    if d == 1:
-        return merged_length([(float(b.lower[0]), float(b.upper[0])) for b in boxes])
-    cuts = sorted({float(b.lower[0]) for b in boxes} | {float(b.upper[0]) for b in boxes})
+    return _slab_sweep([(b.lower.tolist(), b.upper.tolist()) for b in boxes])
+
+
+def _slab_sweep(boxes: list) -> float:
+    # Boxes as (lower, upper) coordinate lists: each slab of the first axis
+    # recurses on the remaining coordinates of the boxes that span it.
+    if len(boxes[0][0]) == 1:
+        return merged_length([(lo[0], hi[0]) for lo, hi in boxes])
+    cuts = sorted({lo[0] for lo, _ in boxes} | {hi[0] for _, hi in boxes})
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (lo + hi)
-        active = [
-            AxisBox(b.lower[1:], b.upper[1:])
-            for b in boxes
-            if b.lower[0] <= mid <= b.upper[0]
-        ]
+        active = [(b_lo[1:], b_hi[1:]) for b_lo, b_hi in boxes if b_lo[0] <= mid <= b_hi[0]]
         if active:
-            total += (hi - lo) * box_union_measure(active)
+            total += (hi - lo) * _slab_sweep(active)
     return total
 
 
@@ -192,6 +201,72 @@ def _box_axis_grid(lo: float, hi: float, density: float) -> np.ndarray:
     return np.linspace(lo, hi, n + 1)
 
 
+def _coefficient_tensor(freqs: np.ndarray, coefs: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values A_i of each column of the (n, d) integer array
+    ``freqs``, and the dense (A_1, ..., A_d) tensor of the coefficients
+    summed at their frequencies (repeated rows add up)."""
+    axes = [np.unique(freqs[:, i], return_inverse=True) for i in range(freqs.shape[1])]
+    tensor = np.zeros(tuple(len(a) for a, _ in axes), dtype=complex)
+    np.add.at(tensor, tuple(inv for _, inv in axes), coefs)
+    return [a for a, _ in axes], tensor
+
+
+def _product_grid_values(tensor: np.ndarray, tables: list) -> np.ndarray:
+    """sum_a c_a prod_i T_i[j_i, a_i] over the product grid, flattened in C
+    order.
+
+    ``tensor`` holds the coefficients over the distinct frequencies A_i of
+    each axis, and ``tables[i]`` is the (N_i, A_i) table of exp(2 i pi t a)
+    over the N_i samples t of axis i.  The sum factors axis by axis: the
+    tensor is contracted one axis at a time, last axis first, so the last
+    step is one (N_1, A_1) @ (A_1, N_2 ... N_d) product and the cost is
+    about A_1 N_1 ... N_d.
+    """
+    out, later = tensor, 1
+    for table in reversed(tables):
+        out = table @ out.reshape(-1, table.shape[1], later)
+        later *= table.shape[0]
+    return out.reshape(-1)
+
+
+def _sup_estimates(p: TrigPolynomial, regions: list) -> list:
+    """Certified brackets for sup |p| over each region, from one exp table
+    per axis over the grid samples of every box of every region."""
+    for region in regions:
+        if region.measure <= 0:
+            raise ValueError("sup_norm region must have positive measure")
+    density = GRID_DENSITY_FACTOR * (int(np.max(np.abs(p.freqs))) + 1)
+    grad = p.gradient_bound()
+    values, tensor = _coefficient_tensor(p.freqs, p.coefs)
+    grids = [
+        [
+            [_box_axis_grid(float(box.lower[i]), float(box.upper[i]), density) for i in range(p.dimension)]
+            for box in region.pieces
+        ]
+        for region in regions
+    ]
+    boxes = [axes for region in grids for axes in region]
+    tables = [
+        np.exp(2j * math.pi * (np.concatenate([axes[i] for axes in boxes])[:, None] * values[i]))
+        for i in range(p.dimension)
+    ]
+    start = [0] * p.dimension
+    estimates = []
+    for region in grids:
+        value = upper = -1.0
+        for axes in region:
+            box_tables = []
+            for i, ax in enumerate(axes):
+                box_tables.append(tables[i][start[i] : start[i] + len(ax)])
+                start[i] += len(ax)
+            box_max = float(np.max(np.abs(_product_grid_values(tensor, box_tables))))
+            spacings = np.array([ax[1] - ax[0] for ax in axes])
+            value = max(value, box_max)
+            upper = max(upper, box_max + grad * 0.5 * float(np.linalg.norm(spacings)))
+        estimates.append(SupEstimate(value, upper))
+    return estimates
+
+
 def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
     """Certified bracket for sup |p| over a region (default: full torus).
 
@@ -200,24 +275,10 @@ def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
     The value is the largest |p| over the grid points.  Each box certifies
     its grid maximum plus the gradient bound times the half-diagonal of one
     of its grid cells, and the upper end is the largest of these, which need
-    not come from the box that holds the value.
+    not come from the box that holds the value.  The grid values come from
+    per-axis exp tables through ``_product_grid_values``.
     """
-    region = region or TorusSet.full(p.dimension)
-    if region.measure <= 0:
-        raise ValueError("sup_norm region must have positive measure")
-    density = GRID_DENSITY_FACTOR * (int(np.max(np.abs(p.freqs))) + 1)
-    grad = p.gradient_bound()
-    value = upper = -1.0
-    for box in region.pieces:
-        axes = [
-            _box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
-            for i in range(p.dimension)
-        ]
-        box_max = float(np.max(np.abs(p.evaluate(_grid_points(axes)))))
-        spacings = np.array([ax[1] - ax[0] for ax in axes])
-        value = max(value, box_max)
-        upper = max(upper, box_max + grad * 0.5 * float(np.linalg.norm(spacings)))
-    return SupEstimate(value, upper)
+    return _sup_estimates(p, [region or TorusSet.full(p.dimension)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +304,9 @@ def turan_check(p: TrigPolynomial, e: TorusSet) -> TuranResult:
     if p.dimension != e.dimension:
         raise ValueError("polynomial and set dimensions differ")
     factor = (14.0 * p.dimension / e.measure) ** poly_order(p).fm_exponent
-    lhs = sup_norm(p).value
-    rhs = factor * sup_norm(p, e).upper
+    full, region = _sup_estimates(p, [TorusSet.full(p.dimension), e])
+    lhs = full.value
+    rhs = factor * region.upper
     return TuranResult(lhs, rhs, factor, bool(lhs <= rhs * (1.0 + 1e-12) + 1e-300))
 
 

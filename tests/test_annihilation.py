@@ -375,6 +375,21 @@ def loop_poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
     return out
 
 
+def root_table_loop(indices, coeffs, n: int, d: int) -> np.ndarray:
+    """Reference: _poly_on_grid as a loop over the (A_i, n) root tables,
+    before the contraction moved into turan."""
+    residues = np.mod(indices, n)
+    axes = [np.unique(residues[:, i], return_inverse=True) for i in range(d)]
+    out = np.zeros(tuple(len(a) for a, _ in axes), dtype=complex)
+    np.add.at(out, tuple(inv for _, inv in axes), coeffs)
+    j = np.arange(n)
+    for i in reversed(range(d)):
+        a = axes[i][0]
+        table = np.exp((2j * math.pi / n) * ((a[:, None] * j) % n))
+        out = table.T @ out.reshape(-1, len(a), n ** (d - 1 - i))
+    return out.reshape(-1)
+
+
 @st.composite
 def grid_polynomials(draw):
     """(d, n, indices, coefficients) with |m| up to 3n + 2 and repeated rows."""
@@ -418,6 +433,17 @@ class TestPolyOnGrid:
         want = loop_poly_on_grid(indices, coeffs, n, d)
         assert got.shape == (n**d,)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_equals_the_root_table_loop_bit_for_bit(self):
+        # Criterion-9 draws at 512^2: the shared product-grid contraction,
+        # fed the transposed root tables, repeats the old loop's matmuls.
+        inst = eighth_box_instance()
+        ctx = build_pipeline_context(inst)
+        for seed in range(12):
+            trace = pipeline_trace(inst, seed, context=ctx)
+            got = _poly_on_grid(trace.indices, trace.p_coefficients, 512, 2)
+            want = root_table_loop(trace.indices, trace.p_coefficients, 512, 2)
+            assert got.tobytes() == want.tobytes()
 
     def test_pipeline_indices(self):
         inst = eighth_box_instance()

@@ -76,6 +76,24 @@ class TestGeometryCommand:
         assert code == EXIT_OK and "Traceback" not in err
         assert json.loads(out)["payload"] == {"value": 1e300, "balls": 1}
 
+    def test_cover_of_a_box_wider_than_the_float_range(self, tmp_path):
+        # upper - lower overflows; the self cover's radius, about 1e308, does
+        # not.  The process treats a RuntimeWarning as an error, and the
+        # output must be JSON without the Infinity token.
+        doc = tmp_path / "wide.json"
+        doc.write_text(json.dumps(
+            {"dimension": 2, "pieces": [{"kind": "box", "lower": [-1e308, 0.0], "upper": [1e308, 1.0]}]}
+        ))
+        src = str(Path(ulat.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ulat.cli",
+             "geometry", "--set", str(doc), "--op", "cover-upper"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        doc = json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
+        assert doc["payload"] == {"value": 1e308, "balls": 1}
+
     def test_missing_file_is_io_error(self, capsys, doc_dir):
         code, _, err = run_cli(
             capsys,
@@ -382,6 +400,8 @@ DRY_RUN_DOCS = {
     [
         lambda docs: ["lal", "--phi", "bogus"],
         lambda docs: ["lal", "--phi", "gaussian:1e-300", "--dim", "3"],
+        lambda docs: ["lal", "--phi", "annulus:1:30000"],
+        lambda docs: ["lal", "--phi", "ball:0.9"],
         lambda docs: instance_argv("ratio", docs, sigma_set="sigma4.json"),
         lambda docs: instance_argv("ratio", docs, sigma_set="empty.json"),
         lambda docs: instance_argv("pipeline", docs, s_set="empty.json"),
@@ -391,7 +411,8 @@ DRY_RUN_DOCS = {
         lambda docs: instance_argv("pipeline", docs, function="gauss2.json"),
     ],
     ids=[
-        "lal-bad-spec", "lal-gaussian-overflow", "ratio-4d-sigma", "ratio-no-pieces",
+        "lal-bad-spec", "lal-gaussian-overflow", "lal-annulus-past-the-cap", "lal-zero-reference",
+        "ratio-4d-sigma", "ratio-no-pieces",
         "pipeline-empty-set", "sweep-empty-set", "pipeline-large-support",
         "pipeline-sigma-without-origin", "pipeline-gaussian-source",
     ],

@@ -529,6 +529,40 @@ class TestCoverUpper:
         assert cover.value == 5e199
         assert cover.balls[0].radius == 5e199
 
+    def test_box_wider_than_the_float_range(self, monkeypatch):
+        # upper - lower overflows on the first axis, but the half widths
+        # (1e308, 0.5) and the half-diagonal are finite; the box volume is
+        # inf, which rules out every grid scale.
+        box = AxisBox([-1e308, 0.0], [1e308, 1.0])
+        assert box.half_widths().tolist() == [1e308, 0.5]
+        sides = TestCoverPrune.count_grid_builds(monkeypatch)
+        cover = cover_measure_upper(EuclideanSet(2, [box]))
+        assert sides == []
+        assert cover.value == 1e308 and cover.balls[0].radius == 1e308
+
+    def test_half_widths_halve_the_plain_difference(self):
+        # 0.5 * upper - 0.5 * lower has the bits of 0.5 * (upper - lower)
+        # wherever the difference is finite and the halvings are exact, that
+        # is for coordinates of magnitude 0 or at least 2^-1021.
+        def exact(x):
+            return (x == 0) | (np.abs(x) >= 2.0**-1021)
+
+        rng = trial_rng(42, 0)
+        checked = 0
+        for d in (1, 2, 3):
+            for _ in range(300):
+                ends = rng.uniform(-1, 1, (2, d)) * 10.0 ** rng.integers(-300, 309, (2, d))
+                ends[rng.random((2, d)) < 0.1] = 0.0
+                lower = np.min(ends, axis=0)
+                upper = np.maximum(np.max(ends, axis=0), np.nextafter(lower, np.inf))
+                box = AxisBox(lower, upper)
+                with np.errstate(over="ignore"):
+                    plain = 0.5 * (box.upper - box.lower)
+                keep = np.isfinite(plain) & exact(box.lower) & exact(box.upper)
+                assert box.half_widths()[keep].tobytes() == plain[keep].tobytes()
+                checked += int(np.count_nonzero(keep))
+        assert checked > 1000
+
     def test_disc_whose_square_overflows(self):
         s = EuclideanSet(2, [Ball([0.0, 0.0], 1e300)])
         cover = cover_measure_upper(s)

@@ -20,6 +20,7 @@ from ulat.lattice import (
     GaussianProfile,
     RandomLattice,
     axis_hit_count,
+    averaging_setup,
     check_lattice_averaging,
     estimate_card,
     estimate_order,
@@ -324,6 +325,21 @@ class TestLatticeAveraging:
         for phi in (AnnulusIndicator(2, 0.0, 0.9), GaussianProfile(2, 1e300)):
             with pytest.raises(ValueError, match="reference integral .* is 0.0"):
                 check_lattice_averaging(phi, trials=500, seed=1)
+
+    def test_annuli_past_the_cap_are_rejected_before_any_enumeration(self, monkeypatch):
+        # Index radii of about 30000 (d = 2) and 3000 (d = 3) pass the point cap.
+        forbid_walks(monkeypatch)
+        for phi in (AnnulusIndicator(2, 1.0, 30000.0), AnnulusIndicator(3, 0.0, 1500.0)):
+            with pytest.raises(ValueError, match="above the cap"):
+                averaging_setup(phi)
+            with pytest.raises(ValueError, match="above the cap"):
+                check_lattice_averaging(phi, trials=5, seed=0)
+
+    def test_setup_gives_the_references_and_radii(self):
+        phi = AnnulusIndicator(2, 1.0, 3.0)
+        ref_a, ref_b, rad_a, rad_b = averaging_setup(phi)
+        assert (ref_a, ref_b) == (phi.integral_outside(1.0), phi.integral_outside(0.5))
+        assert (rad_a, rad_b) == (3.0 + 1e-9, 6.0 + 1e-9)
 
     def test_gaussian_both_positive_finite(self):
         phi = GaussianProfile(2, 1.0)

@@ -1,17 +1,25 @@
 """Turan-type inequalities: evaluation, order, certified sup norms, campaigns."""
 
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ulat.geometry import AxisBox, _grid_points
+from ulat.geometry import AxisBox, _grid_points, merged_length
 from ulat.mc import trial_rng
 from ulat.turan import (
+    _CAMPAIGN_DRAWS,
     GRID_DENSITY_FACTOR,
+    SupEstimate,
     TorusSet,
     TrigPolynomial,
     _box_axis_grid,
+    _coefficient_tensor,
+    _product_grid_values,
     box_union_measure,
     poly_order,
     random_polynomial,
@@ -259,3 +267,139 @@ class TestTorusSet:
         # covers the whole square.
         with pytest.raises(ValueError, match="256 draws"):
             random_torus_set(2, trial_rng(5, 1), min_measure=1.0)
+
+
+def axis_tables(p: TrigPolynomial, axes) -> tuple[np.ndarray, list]:
+    """The coefficient tensor of p and its (N_i, A_i) exp tables on the axes."""
+    values, tensor = _coefficient_tensor(p.freqs, p.coefs)
+    tables = [np.exp(2j * math.pi * (ax[:, None] * a)) for ax, a in zip(axes, values)]
+    return tensor, tables
+
+
+@st.composite
+def polynomials_on_axes(draw):
+    """(p, axes): up to 10 terms with |k_i| <= 8 in d = 1-3, and one array
+    of 1-12 samples in [0, 1] per axis, repeats and unsorted allowed."""
+    d = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(-8, 8)] * d), min_size=1, max_size=10, unique=True))
+    part = st.floats(-1.0, 1.0)
+    coefs = [complex(draw(part), draw(part)) for _ in keys]
+    assume(any(c != 0 for c in coefs))
+    sample = st.floats(0.0, 1.0)
+    axes = [draw(arrays(float, draw(st.integers(1, 12)), elements=sample)) for _ in range(d)]
+    return TrigPolynomial(d, dict(zip(keys, coefs))), axes
+
+
+class TestProductGrid:
+    @given(polynomials_on_axes())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_pointwise_evaluation(self, case):
+        p, axes = case
+        got = _product_grid_values(*axis_tables(p, axes))
+        want = p.evaluate(_grid_points(axes))
+        assert got.shape == want.shape == (math.prod(len(ax) for ax in axes),)
+        assert np.max(np.abs(got - want)) <= 1e-13 * float(np.sum(np.abs(p.coefs)))
+
+    def test_sup_norm_and_turan_check_never_evaluate_pointwise(self, monkeypatch):
+        monkeypatch.setattr(TrigPolynomial, "evaluate", lambda *a: pytest.fail("evaluate ran"))
+        rng = trial_rng(8, 0)
+        for d in (1, 2, 3):
+            p = random_polynomial(d, rng, max_terms=6, max_freq=4)
+            e = random_torus_set(d, rng, min_measure=0.05)
+            assert sup_norm(p).value > 0
+            assert turan_check(p, e).holds
+
+
+def oracle_sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
+    """Reference: the bracket from ``TrigPolynomial.evaluate`` on every grid
+    point of every box, as sup_norm computed it before the per-axis tables."""
+    region = region or TorusSet.full(p.dimension)
+    density = GRID_DENSITY_FACTOR * (int(np.max(np.abs(p.freqs))) + 1)
+    grad = p.gradient_bound()
+    value = upper = -1.0
+    for box in region.pieces:
+        axes = [
+            _box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
+            for i in range(p.dimension)
+        ]
+        box_max = float(np.max(np.abs(p.evaluate(_grid_points(axes)))))
+        spacings = np.array([ax[1] - ax[0] for ax in axes])
+        value = max(value, box_max)
+        upper = max(upper, box_max + grad * 0.5 * float(np.linalg.norm(spacings)))
+    return SupEstimate(value, upper)
+
+
+def oracle_campaign(d: int, count: int, seed: int) -> list[dict]:
+    """Reference: run_campaign's rows with turan_check on ``oracle_sup_norm``."""
+    max_terms, max_freq, max_per_axis, min_measure = _CAMPAIGN_DRAWS[min(d, 2)]
+    rows = []
+    for i in range(count):
+        rng = trial_rng(seed, i)
+        p = random_polynomial(d, rng, max_terms=max_terms, max_freq=max_freq,
+                              max_per_axis=max_per_axis)
+        e = random_torus_set(d, rng, min_measure=min_measure)
+        factor = (14.0 * d / e.measure) ** poly_order(p).fm_exponent
+        lhs = oracle_sup_norm(p).value
+        rhs = factor * oracle_sup_norm(p, e).upper
+        holds = bool(lhs <= rhs * (1.0 + 1e-12) + 1e-300)
+        rows.append({"seed": i, "lhs": lhs, "rhs": rhs, "factor": factor, "holds": holds})
+    return rows
+
+
+class TestCampaignAgainstPointwiseOracle:
+    @pytest.mark.parametrize("seed", [101, 7, 3])
+    def test_one_dimensional_rows_byte_identical(self, seed):
+        # In d = 1 each table entry is the oracle's exp of the same product,
+        # and the contraction is the same matrix-vector product.
+        assert json.dumps(run_campaign(1, 1000, seed=seed)) == json.dumps(oracle_campaign(1, 1000, seed))
+
+    @pytest.mark.parametrize("seed", [101, 7, 3])
+    def test_two_dimensional_rows_within_rounding(self, seed):
+        # A product of per-axis exps rounds differently from the exp of the
+        # summed phase.  Across 3000 rows on these seeds the largest move
+        # is 10 ulps (1.7e-15 relative); the bound is 16 ulps.
+        rows, want = run_campaign(2, 1000, seed=seed), oracle_campaign(2, 1000, seed)
+        for row, ref in zip(rows, want, strict=True):
+            assert (row["seed"], row["factor"], row["holds"]) == (ref["seed"], ref["factor"], ref["holds"])
+            for key in ("lhs", "rhs"):
+                assert abs(row[key] - ref[key]) <= 16 * np.spacing(ref[key]), (row, ref)
+
+
+def oracle_box_union_measure(boxes: list[AxisBox]) -> float:
+    """Reference: the slab sweep that built an AxisBox per active slab."""
+    if not boxes:
+        return 0.0
+    if boxes[0].dimension == 1:
+        return merged_length([(float(b.lower[0]), float(b.upper[0])) for b in boxes])
+    cuts = sorted({float(b.lower[0]) for b in boxes} | {float(b.upper[0]) for b in boxes})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        active = [AxisBox(b.lower[1:], b.upper[1:]) for b in boxes if b.lower[0] <= mid <= b.upper[0]]
+        if active:
+            total += (hi - lo) * oracle_box_union_measure(active)
+    return total
+
+
+@st.composite
+def box_unions(draw):
+    """One to six boxes in [0, 1]^d, d = 1-3; half of the draws put their
+    corners on the 1/8 lattice, so that faces coincide and boxes nest."""
+    d = draw(st.integers(1, 3))
+    snap = draw(st.booleans())
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        if snap:
+            lo = [draw(st.integers(0, 7)) / 8 for _ in range(d)]
+            hi = [a + draw(st.integers(1, 8 - int(8 * a))) / 8 for a in lo]
+        else:
+            lo = [draw(st.floats(0.0, 0.9)) for _ in range(d)]
+            hi = [min(a + draw(st.floats(0.02, 0.5)), 1.0) for a in lo]
+        boxes.append(AxisBox(lo, hi))
+    return boxes
+
+
+@given(box_unions())
+@settings(max_examples=200, deadline=None)
+def test_box_union_measure_equals_the_box_sweep_bit_for_bit(boxes):
+    assert box_union_measure(boxes).hex() == oracle_box_union_measure(boxes).hex()
