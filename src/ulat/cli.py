@@ -174,6 +174,19 @@ def _load_periodize(opts: dict):
     return f, n
 
 
+# The preconditions of the geometry ops, which the library checks with the
+# same validators.
+_GEOMETRY_CHECKS = {"mean-width": geometry.check_mean_width, "cover-upper": geometry.check_cover}
+
+
+def _load_geometry(opts: dict) -> EuclideanSet:
+    """The set, checked against the precondition of --op."""
+    s = _load_set(opts["set"])
+    if opts["op"] in _GEOMETRY_CHECKS:
+        _GEOMETRY_CHECKS[opts["op"]](s)
+    return s
+
+
 def _load_instance(opts: dict) -> annihilation.AnnihilationInstance:
     return annihilation.AnnihilationInstance(
         _load_function(opts["function"]), _load_set(opts["s_set"]), _load_set(opts["sigma_set"])
@@ -313,7 +326,7 @@ _COMMANDS = {
     "lal": (_load_profile, cmd_lal),
     "turan": (lambda opts: None, cmd_turan),
     "periodize": (_load_periodize, cmd_periodize),
-    "geometry": (lambda opts: _load_set(opts["set"]), cmd_geometry),
+    "geometry": (_load_geometry, cmd_geometry),
     "ratio": (_load_instance, cmd_ratio),
     "pipeline": (_load_pipeline, cmd_pipeline),
     "sweep": (_load_grid_instance, cmd_sweep),

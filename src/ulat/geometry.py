@@ -34,8 +34,10 @@ __all__ = [
     "CoverCandidate",
     "sample_rotation",
     "projection_width",
+    "check_mean_width",
     "mean_width",
     "lebesgue_measure",
+    "check_cover",
     "cover_measure_upper",
     "ball_volume",
     "merged_length",
@@ -180,7 +182,11 @@ class AxisBox:
         return self.lower, self.upper
 
     def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
+        # Halving first keeps the centre of a box whose ends add past the
+        # float range finite; as in half_widths, the bits are those of
+        # 0.5 * (lower + upper) wherever that sum is finite and the
+        # halvings are exact.
+        return 0.5 * self.lower + 0.5 * self.upper
 
     def half_widths(self) -> np.ndarray:
         # Halving first keeps a box wider than the float range finite.  The
@@ -595,6 +601,15 @@ def _direction_rule(d: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
+def check_mean_width(s: EuclideanSet) -> None:
+    """Raise ValueError unless ``mean_width`` can run on the set: a
+    dimension from 1 to 3 and at least one piece."""
+    if s.dimension > 3:
+        raise ValueError(f"mean_width supports dimensions 1 to 3, not {s.dimension}")
+    if s.is_empty():
+        raise ValueError("mean width requires a nonempty set")
+
+
 def mean_width(s: EuclideanSet) -> Estimate:
     """Mean width: the average over Haar rotations rho of the length of the
     projection of the set onto the line spanned by rho(e_1), by a fixed
@@ -615,13 +630,10 @@ def mean_width(s: EuclideanSet) -> Estimate:
     1/azimuths^2: at most 1.1e-4 relative over 200 random boxes against
     (a + b + c)/2 and over 40 random unions of up to three balls and boxes
     against a 512 x 2048 rule; balls are exact to rounding.
-    d >= 4: ValueError, before anything is allocated.
+    d >= 4: ValueError, before anything is allocated (``check_mean_width``).
     """
+    check_mean_width(s)
     d = s.dimension
-    if d > 3:
-        raise ValueError(f"mean_width supports dimensions 1 to 3, not {d}")
-    if s.is_empty():
-        raise ValueError("mean width requires a nonempty set")
     u, w = _direction_rule(d)
     step = max(1, _WIDTH_BLOCK_ENTRIES // len(s.pieces))
     value = sum(
@@ -692,6 +704,13 @@ def _grid_cover_cells(s: EuclideanSet, side: float) -> np.ndarray | None:
     return cells
 
 
+def check_cover(s: EuclideanSet) -> None:
+    """Raise ValueError unless ``cover_measure_upper`` can run on the set:
+    at least one piece."""
+    if s.is_empty():
+        raise ValueError("cover_measure_upper requires a nonempty set")
+
+
 def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
     """Certified upper bound for the cover functional inf sum min(r_i, r_i^d).
 
@@ -712,8 +731,7 @@ def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
     true count.  Skipping at equality keeps the result exact, because a tie
     goes to the earlier candidate anyway.
     """
-    if s.is_empty():
-        raise ValueError("cover_measure_upper requires a nonempty set")
+    check_cover(s)
     d = s.dimension
     self_balls = tuple(
         p if isinstance(p, Ball) else Ball(p.center(), _half_diagonal(p))

@@ -43,6 +43,22 @@ def payload_of(text: str) -> str:
     return json.dumps(doc["payload"], sort_keys=True)
 
 
+def cover_under_warning_errors(tmp_path, lower, upper) -> dict:
+    """The payload of ``geometry --op cover-upper`` on one 2-D box, run in a
+    process that treats a RuntimeWarning as an error; the run must exit 0
+    with an empty stderr and print JSON without the Infinity token."""
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps({"dimension": 2, "pieces": [{"kind": "box", "lower": lower, "upper": upper}]}))
+    src = str(Path(ulat.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ulat.cli",
+         "geometry", "--set", str(doc), "--op", "cover-upper"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    return json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))["payload"]
+
+
 class TestGeometryCommand:
     def test_mean_width_unit_ball(self, capsys, doc_dir):
         code, out, _ = run_cli(
@@ -78,21 +94,12 @@ class TestGeometryCommand:
 
     def test_cover_of_a_box_wider_than_the_float_range(self, tmp_path):
         # upper - lower overflows; the self cover's radius, about 1e308, does
-        # not.  The process treats a RuntimeWarning as an error, and the
-        # output must be JSON without the Infinity token.
-        doc = tmp_path / "wide.json"
-        doc.write_text(json.dumps(
-            {"dimension": 2, "pieces": [{"kind": "box", "lower": [-1e308, 0.0], "upper": [1e308, 1.0]}]}
-        ))
-        src = str(Path(ulat.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ulat.cli",
-             "geometry", "--set", str(doc), "--op", "cover-upper"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
-        )
-        assert proc.returncode == EXIT_OK and proc.stderr == ""
-        doc = json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
-        assert doc["payload"] == {"value": 1e308, "balls": 1}
+        # not.
+        assert cover_under_warning_errors(tmp_path, [-1e308, 0.0], [1e308, 1.0]) == {"value": 1e308, "balls": 1}
+
+    def test_cover_of_a_box_whose_ends_add_past_the_float_range(self, tmp_path):
+        # lower + upper overflows; the self cover's centre does not.
+        assert cover_under_warning_errors(tmp_path, [1e308, 0.0], [1.5e308, 1.0]) == {"value": 2.5e307, "balls": 1}
 
     def test_missing_file_is_io_error(self, capsys, doc_dir):
         code, _, err = run_cli(
@@ -409,12 +416,15 @@ DRY_RUN_DOCS = {
         lambda docs: instance_argv("pipeline", docs, s_set="square.json"),
         lambda docs: instance_argv("pipeline", docs, sigma_set="off-origin.json"),
         lambda docs: instance_argv("pipeline", docs, function="gauss2.json"),
+        lambda docs: ["geometry", "--set", str(docs / "empty.json"), "--op", "cover-upper"],
+        lambda docs: ["geometry", "--set", str(docs / "sigma4.json"), "--op", "mean-width"],
     ],
     ids=[
         "lal-bad-spec", "lal-gaussian-overflow", "lal-annulus-past-the-cap", "lal-zero-reference",
         "ratio-4d-sigma", "ratio-no-pieces",
         "pipeline-empty-set", "sweep-empty-set", "pipeline-large-support",
         "pipeline-sigma-without-origin", "pipeline-gaussian-source",
+        "geometry-cover-empty-set", "geometry-width-4d-ball",
     ],
 )
 def test_dry_run_exits_as_the_real_run(capsys, doc_dir, argv):

@@ -452,6 +452,30 @@ class TestMeanWidth:
         assert abs(rule - mc.value) <= 4 * mc.stderr + 1e-12 * rule
 
 
+def assert_halving_keeps_the_plain_bits(method, plain_form):
+    """``method(box)`` has the bits of ``plain_form(box)`` on random boxes
+    in d = 1-3, wherever the plain form is finite and the halvings are
+    exact, that is for coordinates of magnitude 0 or at least 2^-1021."""
+    def exact(x):
+        return (x == 0) | (np.abs(x) >= 2.0**-1021)
+
+    rng = trial_rng(42, 0)
+    checked = 0
+    for d in (1, 2, 3):
+        for _ in range(300):
+            ends = rng.uniform(-1, 1, (2, d)) * 10.0 ** rng.integers(-300, 309, (2, d))
+            ends[rng.random((2, d)) < 0.1] = 0.0
+            lower = np.min(ends, axis=0)
+            upper = np.maximum(np.max(ends, axis=0), np.nextafter(lower, np.inf))
+            box = AxisBox(lower, upper)
+            with np.errstate(over="ignore"):
+                plain = plain_form(box)
+            keep = np.isfinite(plain) & exact(box.lower) & exact(box.upper)
+            assert method(box)[keep].tobytes() == plain[keep].tobytes()
+            checked += int(np.count_nonzero(keep))
+    assert checked > 1000
+
+
 class TestCoverUpper:
     def test_small_ball_self_cover(self):
         cover = cover_measure_upper(EuclideanSet(2, [Ball([0, 0], 0.5)]))
@@ -542,26 +566,24 @@ class TestCoverUpper:
 
     def test_half_widths_halve_the_plain_difference(self):
         # 0.5 * upper - 0.5 * lower has the bits of 0.5 * (upper - lower)
-        # wherever the difference is finite and the halvings are exact, that
-        # is for coordinates of magnitude 0 or at least 2^-1021.
-        def exact(x):
-            return (x == 0) | (np.abs(x) >= 2.0**-1021)
+        # wherever the difference is finite and the halvings are exact.
+        assert_halving_keeps_the_plain_bits(AxisBox.half_widths, lambda box: 0.5 * (box.upper - box.lower))
 
-        rng = trial_rng(42, 0)
-        checked = 0
-        for d in (1, 2, 3):
-            for _ in range(300):
-                ends = rng.uniform(-1, 1, (2, d)) * 10.0 ** rng.integers(-300, 309, (2, d))
-                ends[rng.random((2, d)) < 0.1] = 0.0
-                lower = np.min(ends, axis=0)
-                upper = np.maximum(np.max(ends, axis=0), np.nextafter(lower, np.inf))
-                box = AxisBox(lower, upper)
-                with np.errstate(over="ignore"):
-                    plain = 0.5 * (box.upper - box.lower)
-                keep = np.isfinite(plain) & exact(box.lower) & exact(box.upper)
-                assert box.half_widths()[keep].tobytes() == plain[keep].tobytes()
-                checked += int(np.count_nonzero(keep))
-        assert checked > 1000
+    def test_center_halves_the_plain_sum(self):
+        # 0.5 * lower + 0.5 * upper has the bits of 0.5 * (lower + upper)
+        # wherever the sum is finite and the halvings are exact.
+        assert_halving_keeps_the_plain_bits(AxisBox.center, lambda box: 0.5 * (box.lower + box.upper))
+
+    def test_box_whose_ends_add_past_the_float_range(self):
+        # lower + upper overflows on the first axis, but the centre
+        # (1.25e308, 0.5) is finite, and so are the self cover's ball there
+        # and the mean width 2 (0.5e308 + 1) / pi.
+        box = AxisBox([1e308, 0.0], [1.5e308, 1.0])
+        assert box.center().tolist() == [1.25e308, 0.5]
+        cover = cover_measure_upper(EuclideanSet(2, [box]))
+        assert cover.value == 2.5e307 and len(cover.balls) == 1
+        assert cover.balls[0].center.tolist() == [1.25e308, 0.5]
+        assert mean_width(EuclideanSet(2, [box])).value == pytest.approx(1e308 / math.pi, rel=1e-7)
 
     def test_disc_whose_square_overflows(self):
         s = EuclideanSet(2, [Ball([0.0, 0.0], 1e300)])

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ulat import turan
 from ulat.geometry import AxisBox, _grid_points, merged_length
 from ulat.mc import trial_rng
 from ulat.turan import (
@@ -17,7 +18,7 @@ from ulat.turan import (
     SupEstimate,
     TorusSet,
     TrigPolynomial,
-    _box_axis_grid,
+    _box_axis_grids,
     _coefficient_tensor,
     _product_grid_values,
     box_union_measure,
@@ -125,7 +126,7 @@ class TestSupNorm:
                 dense = 0.0
                 for box in (region or TorusSet.full(2)).pieces:
                     axes = [
-                        _box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
+                        box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
                         for i in range(2)
                     ]
                     fine = [np.linspace(ax[0], ax[-1], 12 * (len(ax) - 1) + 1) for ax in axes]
@@ -310,6 +311,147 @@ class TestProductGrid:
             assert turan_check(p, e).holds
 
 
+def box_axis_grid(lo: float, hi: float, density: float) -> np.ndarray:
+    """Reference: one box's samples along one axis, from np.linspace."""
+    n = max(int(math.ceil((hi - lo) * density)), 2)
+    return np.linspace(lo, hi, n + 1)
+
+
+def reference_sup_estimates(p: TrigPolynomial, regions: list) -> list:
+    """Reference: the per-instance evaluator that the block evaluator
+    replaced, one exp table per axis over the boxes of one polynomial's
+    regions and one linspace per box and axis."""
+    for region in regions:
+        if region.measure <= 0:
+            raise ValueError("sup_norm region must have positive measure")
+    density = GRID_DENSITY_FACTOR * (int(np.max(np.abs(p.freqs))) + 1)
+    grad = p.gradient_bound()
+    values, tensor = _coefficient_tensor(p.freqs, p.coefs)
+    grids = [
+        [
+            [box_axis_grid(float(box.lower[i]), float(box.upper[i]), density) for i in range(p.dimension)]
+            for box in region.pieces
+        ]
+        for region in regions
+    ]
+    boxes = [axes for region in grids for axes in region]
+    tables = [
+        np.exp(2j * math.pi * (np.concatenate([axes[i] for axes in boxes])[:, None] * values[i]))
+        for i in range(p.dimension)
+    ]
+    start = [0] * p.dimension
+    estimates = []
+    for region in grids:
+        value = upper = -1.0
+        for axes in region:
+            box_tables = []
+            for i, ax in enumerate(axes):
+                box_tables.append(tables[i][start[i] : start[i] + len(ax)])
+                start[i] += len(ax)
+            box_max = float(np.max(np.abs(_product_grid_values(tensor, box_tables))))
+            spacings = np.array([ax[1] - ax[0] for ax in axes])
+            value = max(value, box_max)
+            upper = max(upper, box_max + grad * 0.5 * float(np.linalg.norm(spacings)))
+        estimates.append(SupEstimate(value, upper))
+    return estimates
+
+
+def reference_turan_check(p: TrigPolynomial, e: TorusSet) -> dict:
+    """Reference: turan_check on ``reference_sup_estimates``."""
+    factor = (14.0 * p.dimension / e.measure) ** poly_order(p).fm_exponent
+    full, region = reference_sup_estimates(p, [TorusSet.full(p.dimension), e])
+    lhs, rhs = full.value, factor * region.upper
+    return {"lhs": lhs, "rhs": rhs, "factor": factor, "holds": bool(lhs <= rhs * (1.0 + 1e-12) + 1e-300)}
+
+
+def reference_campaign(d: int, count: int, seed: int) -> list[dict]:
+    """Reference: run_campaign's rows, one instance at a time."""
+    max_terms, max_freq, max_per_axis, min_measure = _CAMPAIGN_DRAWS[min(d, 2)]
+    rows = []
+    for i in range(count):
+        rng = trial_rng(seed, i)
+        p = random_polynomial(d, rng, max_terms=max_terms, max_freq=max_freq,
+                              max_per_axis=max_per_axis)
+        e = random_torus_set(d, rng, min_measure=min_measure)
+        rows.append({"seed": i, **reference_turan_check(p, e)})
+    return rows
+
+
+class TestBlockEvaluator:
+    @staticmethod
+    def assert_same_bytes(rows, want):
+        for row, ref in zip(rows, want, strict=True):
+            assert json.dumps(row) == json.dumps(ref)
+
+    @pytest.mark.parametrize("d, seed", [(1, 101), (1, 7), (1, 3), (1, 0), (2, 202), (2, 7), (2, 3), (2, 0)])
+    def test_campaign_rows_byte_identical(self, d, seed):
+        self.assert_same_bytes(run_campaign(d, 1000, seed=seed), reference_campaign(d, 1000, seed))
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_rows_do_not_depend_on_the_blocks(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(turan, "_CAMPAIGN_BLOCK", block)
+        size = turan._CAMPAIGN_BLOCK
+        for d in (1, 2, 3):
+            want = reference_campaign(d, 200, seed=11)
+            for count in sorted({1, max(size - 1, 1), size, size + 1, 200}):
+                self.assert_same_bytes(run_campaign(d, count, seed=11), want[:count])
+
+    def test_turan_check_and_sup_norm_equal_the_reference(self):
+        rng = trial_rng(13, 0)
+        for d in (1, 2, 3):
+            for _ in range(30):
+                p = random_polynomial(d, rng, max_terms=6, max_freq=7)
+                e = random_torus_set(d, rng, min_measure=0.05)
+                res = turan_check(p, e)
+                assert vars(res) == reference_turan_check(p, e)
+                full, region = reference_sup_estimates(p, [TorusSet.full(d), e])
+                assert sup_norm(p) == full
+                assert sup_norm(p, e) == region
+        # A region whose upper end and value come from different boxes.
+        p = TrigPolynomial(1, {(0,): 1.0, (2,): 1.0})
+        e = TorusSet.arcs([(0.0159, 0.0169), (0.32, 0.72)])
+        assert sup_norm(p, e) == reference_sup_estimates(p, [e])[0]
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(8, 2000)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_axis_grids_equal_linspace_bit_for_bit(self, boxes):
+        boxes = [(min(a, b), max(a, b), k) for a, b, k in boxes]
+        assume(all(lo < hi for lo, hi, _ in boxes))
+        lo, hi, density = (np.array(c) for c in zip(*boxes))
+        t, first = _box_axis_grids(lo, hi, density)
+        want = [box_axis_grid(a, b, k) for a, b, k in boxes]
+        assert first.tolist() == np.cumsum([0] + [len(w) for w in want[:-1]]).tolist()
+        assert t.tobytes() == np.concatenate(want).tobytes()
+
+    def test_axis_grids_at_the_two_interval_floor(self):
+        # (hi - lo) * density <= 2 gives n = 2, down to denormal widths.
+        lo = np.array([0.25, 0.5, 0.0, 0.1])
+        hi = np.array([0.25 + 2 / 8, 0.5 + 1e-9, 5e-324, 0.1 + 1 / 2000])
+        t, first = _box_axis_grids(lo, hi, np.array([8, 2000, 2000, 2000]))
+        assert first.tolist() == [0, 3, 6, 9]
+        want = np.concatenate([np.linspace(a, b, 3) for a, b in zip(lo, hi)])
+        assert t.tobytes() == want.tobytes()
+
+    def test_region_dimension_must_match_the_polynomial(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            sup_norm(TrigPolynomial(1, {(1,): 1.0}), TorusSet.full(2))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            sup_norm(TrigPolynomial(2, {(1, 0): 1.0}), TorusSet.arcs([(0.0, 0.5)]))
+
+    @pytest.mark.parametrize("d", [0, -1, 1.5, "1"])
+    def test_campaign_dimension_rejected_before_any_draw(self, monkeypatch, d):
+        monkeypatch.setattr(turan, "trial_rng", lambda *a: pytest.fail("drew an instance"))
+        with pytest.raises(ValueError, match="integer dimension"):
+            run_campaign(d, 3)
+
+
 def oracle_sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
     """Reference: the bracket from ``TrigPolynomial.evaluate`` on every grid
     point of every box, as sup_norm computed it before the per-axis tables."""
@@ -319,7 +461,7 @@ def oracle_sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEst
     value = upper = -1.0
     for box in region.pieces:
         axes = [
-            _box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
+            box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
             for i in range(p.dimension)
         ]
         box_max = float(np.max(np.abs(p.evaluate(_grid_points(axes)))))
