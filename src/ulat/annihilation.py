@@ -41,6 +41,7 @@ __all__ = [
     "pipeline_trace",
     "translated_sweep",
     "disc_ring",
+    "disc_ring_setup",
     "disc_ring_experiment",
     "pipeline_grid_size",
     "DEFAULT_PIPELINE_CONSTANT",
@@ -429,6 +430,24 @@ def disc_ring(n: int, ring_radius: float) -> EuclideanSet:
     return EuclideanSet(2, [Ball(c, 0.5) for c in centers])
 
 
+def disc_ring_setup(n: int, ring_radius: float | None = None) -> tuple[float, EuclideanSet]:
+    """The ring radius (10 n by default) and the ring of ``n`` discs, after
+    checking that ``disc_ring_experiment`` can run on them: the radius must
+    exceed 2 n, so that the discs stay well separated, and the discs must
+    have a finite bounding radius; otherwise ``ValueError``."""
+    ring_radius = 10.0 * n if ring_radius is None else float(ring_radius)
+    if ring_radius <= 2.0 * n:
+        raise ValueError(
+            "ring radius must exceed twice the disc count so discs stay well separated"
+        )
+    sigma = disc_ring(n, ring_radius)
+    with np.errstate(over="ignore"):
+        reach = sigma.bounding_radius()
+    if not math.isfinite(reach):
+        raise ValueError(f"ring radius {ring_radius!r} leaves the discs no finite bounding radius")
+    return ring_radius, sigma
+
+
 def disc_ring_experiment(
     n: int,
     ring_radius: float | None = None,
@@ -440,18 +459,9 @@ def disc_ring_experiment(
 
     The hit count grows like the number of discs, matching the disc union's
     measure and mean width rather than its area alone; the report carries
-    all three reference scales.
+    all three reference scales.  ``disc_ring_setup`` checks the ring first.
     """
-    ring_radius = 10.0 * n if ring_radius is None else float(ring_radius)
-    if ring_radius <= 2.0 * n:
-        raise ValueError(
-            "ring radius must exceed twice the disc count so discs stay well separated"
-        )
-    sigma = disc_ring(n, ring_radius)
-    with np.errstate(over="ignore"):
-        reach = sigma.bounding_radius()
-    if not math.isfinite(reach):
-        raise ValueError(f"ring radius {ring_radius!r} leaves the discs no finite bounding radius")
+    ring_radius, sigma = disc_ring_setup(n, ring_radius)
 
     def one(rng: np.random.Generator) -> float:
         lat = sample_lattice(2, rng)

@@ -193,6 +193,15 @@ def _load_instance(opts: dict) -> annihilation.AnnihilationInstance:
     )
 
 
+def _load_ratio(opts: dict) -> annihilation.AnnihilationInstance:
+    """The instance, with both sets checked as ``pair_exponent``'s mean
+    widths check them."""
+    inst = _load_instance(opts)
+    geometry.check_mean_width(inst.time_support)
+    geometry.check_mean_width(inst.freq_set)
+    return inst
+
+
 def _load_grid_instance(opts: dict) -> annihilation.AnnihilationInstance:
     """The instance, with the pipeline grid checked on its dimension.  The
     default grid is looked up whatever --grid says: it rejects d >= 4, which
@@ -206,6 +215,12 @@ def _load_grid_instance(opts: dict) -> annihilation.AnnihilationInstance:
 def _load_pipeline(opts: dict):
     inst = _load_grid_instance(opts)
     return inst, annihilation.build_pipeline_context(inst, grid_n=opts.get("grid"))
+
+
+def _load_sharpness(opts: dict) -> None:
+    """The ring of --n discs at --ring-radius, checked as
+    ``disc_ring_experiment`` checks it."""
+    annihilation.disc_ring_setup(opts["n"], opts.get("ring_radius"))
 
 
 def cmd_lal(config: RunConfig, phi) -> int:
@@ -327,10 +342,10 @@ _COMMANDS = {
     "turan": (lambda opts: None, cmd_turan),
     "periodize": (_load_periodize, cmd_periodize),
     "geometry": (_load_geometry, cmd_geometry),
-    "ratio": (_load_instance, cmd_ratio),
+    "ratio": (_load_ratio, cmd_ratio),
     "pipeline": (_load_pipeline, cmd_pipeline),
     "sweep": (_load_grid_instance, cmd_sweep),
-    "sharpness": (lambda opts: None, cmd_sharpness),
+    "sharpness": (_load_sharpness, cmd_sharpness),
 }
 
 

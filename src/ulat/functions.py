@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf, gammaincc
 
 from .geometry import AxisBox, Ball, EuclideanSet, _grid_points, _quad_nodes
 from .mc import Estimate
@@ -322,6 +321,8 @@ def _exp_integral(lo, hi, omega: float):
 
 def _gauss_segment(alpha, beta, a: float, gamma, omega: float):
     """integral_alpha^beta exp(-pi a (x - gamma)^2 + 2 i pi omega x) dx."""
+    from scipy.special import erf
+
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -416,6 +417,8 @@ def _closed_form_case(f: TestFunction, s: EuclideanSet, side: str) -> tuple[_Lea
 
 def _gauss_ball_tail(c_abs2: float, a: float, d: int, radius: float) -> float:
     """integral_{||x|| >= radius} |c exp(-pi a ||x||^2)|^2 dx."""
+    from scipy.special import gammaincc
+
     return c_abs2 * (2.0 * a) ** (-d / 2.0) * float(
         gammaincc(d / 2.0, 2.0 * math.pi * a * radius * radius)
     )
@@ -533,6 +536,8 @@ def tail_energy(f: TestFunction, s: EuclideanSet, side: str = "space") -> Estima
         c2 = abs(leaf.coef) ** 2
         if side == "space":
             return Estimate(_gauss_ball_tail(c2, leaf.a, f.dimension, radius), 0.0, exact=True)
+        from scipy.special import gammaincc
+
         # |fhat|^2 = |c|^2 a^-d exp(-2 pi ||xi||^2 / a)
         d = f.dimension
         value = c2 * leaf.a ** (-d) * (leaf.a / 2.0) ** (d / 2.0) * float(

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .geometry import (
     EuclideanSet,
@@ -321,6 +320,8 @@ class GaussianProfile:
         return np.exp(-math.pi * self.a * n2)
 
     def integral_outside(self, c: float) -> float:
+        from scipy.special import gammaincc
+
         d, a = self.dimension, self.a
         return a ** (-d / 2.0) * float(gammaincc(d / 2.0, math.pi * a * c * c))
 

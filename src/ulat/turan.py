@@ -359,11 +359,14 @@ def turan_check(p: TrigPolynomial, e: TorusSet) -> TuranResult:
 
 def _turan_results(pairs: list) -> list:
     """``turan_check`` on each (p, E) pair of one dimension, with one
-    ``_sup_estimates`` call over the full torus and E of every pair."""
-    factors = [(14.0 * p.dimension / e.measure) ** poly_order(p).fm_exponent for p, e in pairs]
+    ``_sup_estimates`` call over the full torus and E of every pair.  The
+    evaluator runs first, so a region it rejects (a dimension mismatch, or
+    E of measure 0) is its ValueError before any factor divides by |E|."""
     full = TorusSet.full(pairs[0][0].dimension)
+    sups = _sup_estimates([(p, [full, e]) for p, e in pairs])
     results = []
-    for factor, (whole, region) in zip(factors, _sup_estimates([(p, [full, e]) for p, e in pairs])):
+    for (p, e), (whole, region) in zip(pairs, sups):
+        factor = (14.0 * p.dimension / e.measure) ** poly_order(p).fm_exponent
         lhs = whole.value
         rhs = factor * region.upper
         results.append(TuranResult(lhs, rhs, factor, bool(lhs <= rhs * (1.0 + 1e-12) + 1e-300)))
@@ -454,9 +457,9 @@ def run_campaign(d: int, count: int, seed: int = 0) -> list[dict]:
 
     The instances are checked in blocks of ``_CAMPAIGN_BLOCK``.  A block is
     drawn first, each instance as one instance at a time would draw it:
-    trial_rng(seed, i), then the polynomial, then the set.  Then each
-    factor's ``poly_order`` is taken, and one ``_sup_estimates`` call
-    evaluates the whole block.  The rows
+    trial_rng(seed, i), then the polynomial, then the set.  Then one
+    ``_sup_estimates`` call evaluates the whole block, and each factor's
+    ``poly_order`` is taken.  The rows
     equal those of ``turan_check`` on each instance bit for bit, whatever
     the block size.  The block size bounds the memory of one call: the
     block's grid samples and exp tables are held at once, the grid values

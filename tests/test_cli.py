@@ -399,6 +399,8 @@ DRY_RUN_DOCS = {
     "empty.json": {"dimension": 2, "pieces": []},
     "square.json": {"dimension": 2, "pieces": [{"kind": "box", "lower": [-1, -1], "upper": [1, 1]}]},
     "off-origin.json": {"dimension": 2, "pieces": [{"kind": "ball", "center": [5.0, 5.0], "radius": 1.0}]},
+    "fbox4.json": {"kind": "box", "lower": [-0.1] * 4, "upper": [0.1] * 4},
+    "box4.json": {"dimension": 4, "pieces": [{"kind": "box", "lower": [-0.1] * 4, "upper": [0.1] * 4}]},
 }
 
 
@@ -411,6 +413,8 @@ DRY_RUN_DOCS = {
         lambda docs: ["lal", "--phi", "ball:0.9"],
         lambda docs: instance_argv("ratio", docs, sigma_set="sigma4.json"),
         lambda docs: instance_argv("ratio", docs, sigma_set="empty.json"),
+        lambda docs: instance_argv("ratio", docs, function="fbox4.json", s_set="box4.json",
+                                   sigma_set="sigma4.json"),
         lambda docs: instance_argv("pipeline", docs, s_set="empty.json"),
         lambda docs: instance_argv("sweep", docs, sigma_set="empty.json"),
         lambda docs: instance_argv("pipeline", docs, s_set="square.json"),
@@ -418,13 +422,16 @@ DRY_RUN_DOCS = {
         lambda docs: instance_argv("pipeline", docs, function="gauss2.json"),
         lambda docs: ["geometry", "--set", str(docs / "empty.json"), "--op", "cover-upper"],
         lambda docs: ["geometry", "--set", str(docs / "sigma4.json"), "--op", "mean-width"],
+        lambda docs: ["sharpness", "--n", "5", "--ring-radius", "3"],
+        lambda docs: ["sharpness", "--n", "5", "--ring-radius", "1e200"],
     ],
     ids=[
         "lal-bad-spec", "lal-gaussian-overflow", "lal-annulus-past-the-cap", "lal-zero-reference",
-        "ratio-4d-sigma", "ratio-no-pieces",
+        "ratio-4d-sigma", "ratio-no-pieces", "ratio-4d-documents",
         "pipeline-empty-set", "sweep-empty-set", "pipeline-large-support",
         "pipeline-sigma-without-origin", "pipeline-gaussian-source",
         "geometry-cover-empty-set", "geometry-width-4d-ball",
+        "sharpness-discs-too-close", "sharpness-reach-not-finite",
     ],
 )
 def test_dry_run_exits_as_the_real_run(capsys, doc_dir, argv):
@@ -467,6 +474,74 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def import_time_nodes(nodes):
+    """The nodes that run when a module is imported: all but function bodies."""
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            yield from import_time_nodes(ast.iter_child_nodes(node))
+
+
+def test_package_imports_scipy_only_inside_functions():
+    # Importing scipy.special costs more than the rest of the package's
+    # import, and only the Gaussian closed forms and the grid tail's
+    # quadrature need scipy.
+    found = []
+    for path in sorted(Path(ulat.__file__).parent.glob("*.py")):
+        for node in import_time_nodes(ast.parse(path.read_text(encoding="utf-8")).body):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def scipy_special_after(lines: list[str]) -> bool:
+    """Whether ``scipy.special`` is loaded after the Python ``lines`` run in a
+    fresh process that treats a RuntimeWarning as an error."""
+    src = str(Path(ulat.__file__).resolve().parents[1])
+    script = "\n".join(["import sys", *lines, "print('scipy.special' in sys.modules)"])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+
+def test_import_leaves_scipy_special_unloaded():
+    assert scipy_special_after(["import ulat.cli"]) is False
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["geometry", "--set", "ball.json", "--op", "cover-upper"], False),
+        (["turan", "--random", "20"], False),
+        (["sharpness", "--n", "4"], False),
+        (["lal", "--phi", "annulus:1:3"], False),
+        (instance_argv("pipeline", Path()), False),
+        (instance_argv("sweep", Path()) + ["--ygrid", "2"], False),
+        # The Gaussian profile's reference integrals call gammaincc.
+        (["lal", "--phi", "gaussian"], True),
+    ],
+    ids=["geometry", "turan", "sharpness", "lal-annulus", "pipeline", "sweep", "lal-gaussian"],
+)
+def test_commands_load_scipy_special_only_for_closed_forms(doc_dir, argv, loads):
+    argv = [str(doc_dir / arg) if arg.endswith(".json") else arg for arg in argv] + ["--trials", "20"]
+    lines = [
+        "import contextlib, io, ulat.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = ulat.cli.main({argv!r})",
+        "if code != 0:",
+        "    sys.exit(f'exit {code}')",
+    ]
+    assert scipy_special_after(lines) is loads
 
 
 def test_every_exported_name_resolves():

@@ -158,8 +158,17 @@ class TestSupNorm:
             assert region.value <= full.upper + 1e-9
 
     def test_zero_measure_region_rejected(self):
-        p = TrigPolynomial(1, {(0,): 1.0})
-        with pytest.raises(ValueError):
+        # The box has positive sides, but their product underflows to 0.0.
+        p = TrigPolynomial(2, {(0, 0): 1.0, (1, 0): 1.0})
+        e = TorusSet(2, [AxisBox([0.0, 0.0], [5e-324, 5e-324])])
+        assert e.measure == 0.0
+        with pytest.raises(ValueError, match="positive measure"):
+            sup_norm(p, e)
+        with pytest.raises(ValueError, match="positive measure"):
+            turan_check(p, e)
+
+    def test_empty_torus_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one piece"):
             TorusSet(1, [])
 
 
