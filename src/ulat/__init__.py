@@ -23,7 +23,6 @@ from .lattice import (
     AnnulusIndicator,
     GaussianProfile,
     RandomLattice,
-    axis_hit_count,
     check_lattice_averaging,
     estimate_card,
     estimate_order,

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    Ball,
     EuclideanSet,
     Rotation,
+    _distinct_rows,
     _haar_stack,
     ball_volume,
     cover_measure_upper,
@@ -37,7 +39,6 @@ __all__ = [
     "check_lattice_averaging",
     "estimate_card",
     "estimate_order",
-    "axis_hit_count",
     "integer_vectors_in_annulus",
     "AnnulusIndicator",
     "GaussianProfile",
@@ -174,14 +175,18 @@ def integer_vectors_in_annulus(r_lo: float, r_hi: float, d: int) -> np.ndarray:
         out = np.empty((0, d), dtype=int)
         out.setflags(write=False)
         return out
+    lo2, hi2, kmax = _annulus_key(r_lo, r_hi, d)
+    walk = _annulus_memo if (2 * kmax + 1) ** d <= _MEMO_CUBE else _annulus_walk
+    return walk(lo2, hi2, kmax, d)
+
+
+def _annulus_key(r_lo: float, r_hi: float, d: int) -> tuple[int, int, int]:
+    """The integers (lo2, hi2, kmax) of integer_vectors_in_annulus for
+    r_hi >= 0, after ``_check_annulus``."""
     _check_annulus(r_lo, r_hi, d)
     # Every r_lo past r_hi + 1 gives the same empty annulus; the clamp keeps lo2 in int64.
     r_lo = min(max(r_lo, 0.0), r_hi + 1.0)
-    kmax = int(math.floor(r_hi + 1e-9))
-    hi2 = math.floor(r_hi**2 + 1e-9)
-    lo2 = math.ceil(r_lo**2 - 1e-9)
-    walk = _annulus_memo if (2 * kmax + 1) ** d <= _MEMO_CUBE else _annulus_walk
-    return walk(lo2, hi2, kmax, d)
+    return math.ceil(r_lo**2 - 1e-9), math.floor(r_hi**2 + 1e-9), int(math.floor(r_hi + 1e-9))
 
 
 def _isqrt(m: np.ndarray) -> np.ndarray:
@@ -240,11 +245,103 @@ def intersect(lat: RandomLattice, sigma: EuclideanSet) -> np.ndarray:
     return out
 
 
-def axis_hit_count(lat: RandomLattice, sigma: EuclideanSet) -> int:
-    """Number of nonzero first coordinates k such that some index (k, k')
-    embeds into sigma."""
-    first = intersect(lat, sigma)[:, 0]
-    return int(len(np.unique(first[first != 0])))
+def _preimage_frames(sigma: EuclideanSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Centres (p, d), box half-widths (p, d; 0 for a ball) and ball radii
+    (p,; 0 for a box) of the set's pieces, and the pad of their preimages
+    in _block_hits: 1e-7, above the sqrt(1e-15) < 3.2e-8 by which
+    Ball.contains may pass a point outside a ball (and the 1e-15 of
+    AxisBox.contains), plus 1e-12 d (1 + R), R the set's bounding radius,
+    above the rounding of the points and of the preimages (a few d^1.5 ulps
+    of R)."""
+    d = sigma.dimension
+    centre = np.array([p.center if isinstance(p, Ball) else p.center() for p in sigma.pieces])
+    half = np.array([np.zeros(d) if isinstance(p, Ball) else p.half_widths() for p in sigma.pieces])
+    radius = np.array([p.radius if isinstance(p, Ball) else 0.0 for p in sigma.pieces])
+    pad = 1e-7 + 1e-12 * d * (1.0 + sigma.bounding_radius())
+    return centre.reshape(-1, d), half.reshape(-1, d), radius, pad
+
+
+def _block_hits(sigma: EuclideanSet, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``intersect`` on a block of lattices at once: lattice t has the
+    rotation matrix q[t] and the dilation v[t].  Returns (trial, rows), the
+    rows in trial order, where rows[trial == t] equals ``intersect``'s rows
+    for lattice t in values, order and dtype.
+
+    A point x = v q^T k lies in a piece exactly when k lies in the piece's
+    preimage q(piece)/v: for a ball, the ball of centre q c / v and radius
+    r / v; for a box, inside the bounding box of its rotated corners, of
+    half-widths |q| h / v.  The candidates of each (trial, piece) are the
+    integer points of that box, padded as ``_preimage_frames`` says and cut
+    to |k_i| <= kmax.  They keep what passes intersect's integer
+    annulus test lo2 <= ||k||^2 <= hi2, become points v * (k @ q[t]) one
+    trial at a time, as ``RandomLattice.points`` computes them, and are
+    tested against their own piece's ``contains``; the hits of each trial
+    are merged into distinct rows in C order.  ``ValueError`` comes, before
+    anything is allocated, on exactly the inputs where ``intersect`` raises,
+    with the message of the first such trial.
+    """
+    d = sigma.dimension
+    if q.shape[-1] != d:
+        raise ValueError("set dimension does not match lattice dimension")
+    if sigma.is_empty():
+        return np.empty(0, dtype=int), np.empty((0, d), dtype=int)
+    outer, inner = sigma.bounding_radius(), sigma.inner_radius()
+    lo2, hi2, kmax = np.array(
+        [_annulus_key(max(inner / s - 1e-9, 0.0), outer / s + 1e-9, d) for s in v.tolist()]
+    ).T
+    centre, half, radius, pad = _preimage_frames(sigma)
+    scale = v[:, None, None]
+    mid = np.einsum("tij,pj->tpi", q, centre) / scale
+    reach = (np.einsum("tij,pj->tpi", np.abs(q), half) + radius[:, None]) / scale + pad
+    cap = kmax[:, None, None]
+    lo = np.clip(np.ceil(mid - reach), -cap, cap + 1).astype(np.int64).reshape(-1, d)
+    hi = np.clip(np.floor(mid + reach), -cap - 1, cap).astype(np.int64).reshape(-1, d)
+    # Each (trial, piece) pair's box in C order, its last axis fastest.
+    width = np.maximum(hi - lo + 1, 0)
+    counts = width.prod(axis=1)
+    pair = np.repeat(np.arange(len(counts)), counts)
+    j = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.empty((len(pair), d), dtype=np.int64)
+    for i in range(d - 1, -1, -1):
+        j, rows[:, i] = np.divmod(j, width[pair, i])
+        rows[:, i] += lo[pair, i]
+    trial, piece = np.divmod(pair, len(sigma.pieces))
+    norm2 = np.einsum("ij,ij->i", rows, rows)
+    keep = (norm2 >= lo2[trial]) & (norm2 <= hi2[trial])
+    rows, trial, piece = rows[keep], trial[keep], piece[keep]
+    points = rows.astype(float)
+    edges = np.searchsorted(trial, np.arange(len(v) + 1))
+    for t in range(len(v)):
+        block = slice(edges[t], edges[t + 1])
+        points[block] = v[t] * (points[block] @ q[t])
+    inside = np.empty(len(rows), dtype=bool)
+    order = np.argsort(piece, kind="stable")
+    edges = np.searchsorted(piece[order], np.arange(len(sigma.pieces) + 1))
+    for p, a, b in zip(sigma.pieces, edges[:-1], edges[1:]):
+        inside[order[a:b]] = p.contains(points[order[a:b]])
+    hits = _distinct_rows(np.column_stack([trial[inside], rows[inside]]))
+    return hits[:, 0], hits[:, 1:]
+
+
+def _hit_blocks(sigma: EuclideanSet, trials: int, seed: int):
+    """Yield (n, trial, rows) for the blocks of ``_lattice_blocks``: the n
+    trials of a block and ``_block_hits`` on their lattices.  A trial's
+    points are bounded by its candidates: each piece's padded preimage box
+    at v = 1, no wider than the kmax cube.  A bound past the float range is
+    inf, a block of one trial, on which ``_block_hits`` raises."""
+    d, outer = sigma.dimension, sigma.bounding_radius()
+    _, half, radius, pad = _preimage_frames(sigma)
+    side = np.minimum(2.0 * (np.linalg.norm(half, axis=1) + radius + pad) + 1.0, 2.0 * outer + 3.0)
+    with np.errstate(over="ignore"):
+        bound = float(np.sum(side**d))
+    for q, v in _lattice_blocks(d, trials, seed, bound):
+        yield (len(v), *_block_hits(sigma, q, v))
+
+
+def _distinct_per_trial(trial: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The number of distinct values of each trial 0..n-1 among the pairs
+    (trial[i], values[i])."""
+    return np.bincount(_distinct_rows(np.column_stack([trial, values]))[:, 0], minlength=n)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +455,30 @@ def _profile_truncation_radius(phi, scale_min: float, reference: float) -> float
     return r / scale_min + math.sqrt(d) + 1.0
 
 
-# Trials per block of check_lattice_averaging, and the rotated candidate
-# points one block may hold: bounds its temporaries however far the
-# truncation radius reaches.
-_LAL_BLOCK = 256
-_LAL_POINT_BUDGET = 1 << 18
+# Trials per block of _lattice_blocks, and the points one block may hold:
+# bounds the temporaries of its callers however far a truncation radius or
+# a set reaches.
+_BLOCK_TRIALS = 256
+_BLOCK_POINTS = 1 << 18
+
+
+def _lattice_blocks(d: int, trials: int, seed: int, points_per_trial: float):
+    """Yield (q, v) for trials 0..trials-1 of ``seed`` in blocks: q stacks
+    the trials' rotation matrices and v their dilations.  Trial i draws its
+    normals and then v from ``trial_rng(seed, i)``, as ``sample_lattice``
+    does, and a block's rotations come from one stacked QR, so each trial's
+    lattice equals ``sample_lattice``'s bit for bit.  A block holds at most
+    _BLOCK_TRIALS trials and, at ``points_per_trial`` each, at most
+    _BLOCK_POINTS points, but at least one trial; ``ValueError`` for
+    trials < 1.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    block = int(min(_BLOCK_TRIALS, max(_BLOCK_POINTS // max(points_per_trial, 1), 1)))
+    for start in range(0, trials, block):
+        rngs = [trial_rng(seed, i) for i in range(start, min(start + block, trials))]
+        q = _haar_stack(d, rngs)
+        yield q, np.array([_draw_dilation(rng) for rng in rngs])
 
 
 def averaging_setup(phi) -> tuple[float, float, float, float]:
@@ -402,11 +518,9 @@ def check_lattice_averaging(
     (b)  E[ sum_{k != 0} phi(rho(k) / v) ]   against  int_{||x|| >= 1/2} phi.
 
     The inner sums are truncated where the declared decay of phi makes the
-    tail below 1e-6 of the reference scale.  Trial i draws its lattice from
-    ``trial_rng(seed, i)`` as ``sample_lattice`` would; blocks of trials are
-    orthogonalised in one stacked QR and summed together, sized so that a
-    block holds at most ``_LAL_POINT_BUDGET`` rotated points (and at least
-    one trial), and the sums equal those of a loop over ``sample_lattice``
+    tail below 1e-6 of the reference scale.  The lattices come from
+    ``_lattice_blocks``, a block's rotated candidates at most its point
+    budget, and the sums equal those of a loop over ``sample_lattice``
     draws bit for bit.  ``averaging_setup`` checks the profile first.
     """
     d = phi.dimension
@@ -414,18 +528,14 @@ def check_lattice_averaging(
     # r_lo = 1 leaves out k = 0.
     cand_a = integer_vectors_in_annulus(1.0, rad_a, d).astype(float)
     cand_b = integer_vectors_in_annulus(1.0, rad_b, d).astype(float)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    block = min(_LAL_BLOCK, max(_LAL_POINT_BUDGET // max(len(cand_a) + len(cand_b), 1), 1))
-    values = np.empty((trials, 2))
-    for start in range(0, trials, block):
-        rngs = [trial_rng(seed, i) for i in range(start, min(start + block, trials))]
-        q = _haar_stack(d, rngs)
-        v = np.array([_draw_dilation(rng) for rng in rngs])[:, None, None]
-        values[start : start + len(rngs), 0] = np.sum(phi.value(v * (cand_a @ q.mT)), axis=-1)
-        values[start : start + len(rngs), 1] = np.sum(phi.value((cand_b @ q.mT) / v), axis=-1)
-    est_a, err_a = mean_stderr(values[:, 0])
-    est_b, err_b = mean_stderr(values[:, 1])
+    sums = []
+    for q, v in _lattice_blocks(d, trials, seed, len(cand_a) + len(cand_b)):
+        v = v[:, None, None]
+        sum_a = np.sum(phi.value(v * (cand_a @ q.mT)), axis=-1)
+        sums.append([sum_a, np.sum(phi.value((cand_b @ q.mT) / v), axis=-1)])
+    values = np.concatenate(sums, axis=1)
+    est_a, err_a = mean_stderr(values[0])
+    est_b, err_b = mean_stderr(values[1])
     extras_a = {"reference": ref_a, "ratio": est_a / ref_a}
     extras_b = {"reference": ref_b, "ratio": est_b / ref_b}
     rep_a = ExpectationReport(est_a, err_a, trials, ref_a, seed, extras=extras_a)
@@ -475,17 +585,21 @@ def estimate_order(
 
     The report carries the cover-functional upper bound and the mean width
     as reference scales; the bound field is polar_constant(d) times their
-    minimum.
+    minimum.  The trials' index sets come in blocks from ``_hit_blocks``,
+    and the orders equal those of a loop of ``order_of`` over
+    ``sample_lattice`` and ``intersect`` bit for bit.
     """
     _require_origin(sigma)
     d = sigma.dimension
     # The width first: it takes d <= 3 and rejects more before the trials.
     width = mean_width(sigma).value
-    values = run_trials(
-        lambda rng: float(order_of(intersect(sample_lattice(d, rng), sigma)) - d),
-        trials,
-        seed,
-    )
+    # order_of of each trial: the distinct coordinates of each axis.
+    values = np.concatenate(
+        [
+            sum(_distinct_per_trial(trial, col, size) for col in rows.T) - d
+            for size, trial, rows in _hit_blocks(sigma, trials, seed)
+        ]
+    ).astype(float)
     est, err = mean_stderr(values)
     mu_up = cover_measure_upper(sigma).value
     nu = min(mu_up, width)

@@ -206,6 +206,13 @@ def run_trials(
 
     ``fn`` may return a scalar or a fixed-length vector.  The returned
     array is indexed by trial.
+
+    In the package its one caller is ``lattice.estimate_card``.  The other
+    lattice estimators draw their trials in blocks
+    (``lattice._lattice_blocks``); ``estimate_card`` keeps one
+    ``sample_lattice`` and one ``intersect`` per trial because the
+    benchmark's tracing test pins those per-trial calls, until the
+    benchmark change of ROADMAP item 9 unpins them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -361,14 +361,19 @@ def _turan_results(pairs: list) -> list:
     """``turan_check`` on each (p, E) pair of one dimension, with one
     ``_sup_estimates`` call over the full torus and E of every pair.  The
     evaluator runs first, so a region it rejects (a dimension mismatch, or
-    E of measure 0) is its ValueError before any factor divides by |E|."""
+    E of measure 0) is its ValueError before any factor divides by |E|.  A
+    factor past the float range is inf, and so is the right-hand side: the
+    bound is vacuous and holds."""
     full = TorusSet.full(pairs[0][0].dimension)
     sups = _sup_estimates([(p, [full, e]) for p, e in pairs])
     results = []
     for (p, e), (whole, region) in zip(pairs, sups):
-        factor = (14.0 * p.dimension / e.measure) ** poly_order(p).fm_exponent
+        try:
+            factor = (14.0 * p.dimension / e.measure) ** poly_order(p).fm_exponent
+        except OverflowError:
+            factor = math.inf
         lhs = whole.value
-        rhs = factor * region.upper
+        rhs = factor * region.upper if factor < math.inf else math.inf
         results.append(TuranResult(lhs, rhs, factor, bool(lhs <= rhs * (1.0 + 1e-12) + 1e-300)))
     return results
 

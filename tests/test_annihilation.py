@@ -24,9 +24,10 @@ from ulat.functions import BoxIndicator, Gaussian, Translated, norm_sq
 from ulat import annihilation, geometry
 from ulat.geometry import AxisBox, Ball, EuclideanSet, cover_measure_upper
 from ulat.lattice import estimate_order, sample_lattice
-from ulat.mc import trial_rng
+from ulat.mc import mean_stderr, trial_rng
 from ulat.periodization import Periodization
 
+from test_lattice import loop_axis_hits
 from test_periodization import loop_support_mask
 
 
@@ -517,6 +518,19 @@ class TestDiscRing:
         est = lebesgue_measure(ring)
         assert est.exact
         assert est.value == pytest.approx(8 * math.pi / 4)
+
+    @pytest.mark.parametrize("n, ring_radius, trials", [(16, None, 100), (3, 7.0, 300), (1, 12.0, 257)])
+    def test_hit_counts_equal_the_per_trial_loop(self, monkeypatch, n, ring_radius, trials):
+        seen = []
+        monkeypatch.setattr(
+            annihilation, "mean_stderr", lambda x: seen.append(np.array(x)) or mean_stderr(x)
+        )
+        for seed in (0, 5, 9173):
+            seen.clear()
+            rep = disc_ring_experiment(n, ring_radius, trials=trials, seed=seed, width_trials=8)
+            want = loop_axis_hits(disc_ring(n, rep["ring_radius"]), trials, seed)
+            assert np.array_equal(seen[0], want)
+            assert (rep["m_estimate"], rep["m_stderr"]) == mean_stderr(want)
 
     def test_report_schema_complete(self):
         rep = disc_ring_experiment(4, trials=60, seed=3, width_trials=128)

@@ -19,7 +19,6 @@ from ulat.lattice import (
     AnnulusIndicator,
     GaussianProfile,
     RandomLattice,
-    axis_hit_count,
     averaging_setup,
     check_lattice_averaging,
     estimate_card,
@@ -60,6 +59,29 @@ def loop_lattice_sums(phi, trials: int, seed: int) -> np.ndarray:
         return np.array([sum_a, sum_b])
 
     return run_trials(one, trials, seed)
+
+
+def axis_hit_count(lat: RandomLattice, sigma: EuclideanSet) -> int:
+    """Reference: the number of nonzero first coordinates k such that some
+    index (k, k') embeds into sigma."""
+    first = intersect(lat, sigma)[:, 0]
+    return int(len(np.unique(first[first != 0])))
+
+
+def loop_axis_hits(sigma: EuclideanSet, trials: int, seed: int) -> np.ndarray:
+    """Reference: disc_ring_experiment's per-trial values, one sample_lattice
+    draw and one axis_hit_count per trial through run_trials."""
+    d = sigma.dimension
+    return run_trials(lambda rng: float(axis_hit_count(sample_lattice(d, rng), sigma)), trials, seed)
+
+
+def loop_orders(sigma: EuclideanSet, trials: int, seed: int) -> np.ndarray:
+    """Reference: estimate_order's per-trial values, order_of the intersect
+    of one sample_lattice draw per trial through run_trials."""
+    d = sigma.dimension
+    return run_trials(
+        lambda rng: float(order_of(intersect(sample_lattice(d, rng), sigma)) - d), trials, seed
+    )
 
 
 def identity_lattice(d: int, v: float) -> RandomLattice:
@@ -240,6 +262,129 @@ class TestIntersect:
             assert np.array_equal(got, want), (name, i)
             assert order_of(got) == order_of(want)
             assert not got.flags.writeable
+
+
+@st.composite
+def block_hit_cases(draw):
+    """A block of 1-6 lattices and a set of 0-4 pieces: balls and boxes of
+    sizes down to 1e-9, balls whose sphere passes through a lattice point
+    of the first lattice (so the point touches the annulus bounds when the
+    ball is centred on its ray), boxes with a face within 1e-9 of such a
+    point, tiny balls next to one, and, with a cap of 2000 points, pieces
+    whose annulus ``intersect`` rejects for some or all dilations."""
+    d = draw(st.integers(1, 3))
+    q, v = next(lattice._lattice_blocks(d, draw(st.integers(1, 6)), draw(st.integers(0, 2**20)), 1))
+    coord = st.floats(-5.0, 5.0)
+    size = st.floats(-9.0, 0.6).map(lambda e: 10.0**e)
+    near = st.sampled_from([0.0, 1e-15, -1e-15, 1e-9, -1e-9, 3e-8, -3e-8, 1e-7])
+    pieces = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["ball", "box", "sphere", "face", "dot", "far"]))
+        k = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), dtype=float)
+        x = v[0] * (k @ q[0])
+        if kind == "ball":
+            pieces.append(Ball([draw(coord) for _ in range(d)], draw(size)))
+        elif kind == "box":
+            lower = np.array([draw(coord) for _ in range(d)])
+            pieces.append(AxisBox(lower, lower + np.array([draw(size) for _ in range(d)])))
+        elif kind == "sphere":
+            # Centre on the ray through x (at the origin, or past x) or anywhere.
+            stretch = draw(st.sampled_from([0.0, 0.5, 2.0, None]))
+            centre = np.array([draw(coord) for _ in range(d)]) if stretch is None else stretch * x
+            radius = float(np.linalg.norm(x - centre)) + draw(near)
+            if radius > 0:
+                pieces.append(Ball(centre, radius))
+        elif kind == "face":
+            axis = draw(st.integers(0, d - 1))
+            lower = x - np.array([draw(size) for _ in range(d)])
+            upper = x + np.array([draw(size) for _ in range(d)])
+            if draw(st.booleans()):
+                lower[axis] = x[axis] + draw(near)
+            else:
+                upper[axis] = x[axis] + draw(near)
+            if np.all(lower < upper):
+                pieces.append(AxisBox(lower, upper))
+        elif kind == "dot":
+            # Along x's ray the slack of a tiny ball reaches past the annulus
+            # bounds: Ball.contains passes x, and the annulus leaves it out.
+            if np.any(x) and draw(st.booleans()):
+                direction = x / np.linalg.norm(x)
+            else:
+                direction = np.eye(d)[draw(st.integers(0, d - 1))]
+            pieces.append(Ball(x + draw(near) * direction, draw(st.sampled_from([1e-9, 1e-12, 2e-8]))))
+        else:
+            pieces.append(Ball(np.zeros(d), draw(st.sampled_from([20.0, 30.0, 45.0, 1e8]))))
+    return EuclideanSet(d, pieces), q, v
+
+
+class TestBlockHits:
+    @settings(max_examples=300, deadline=None)
+    @given(block_hit_cases())
+    def test_rows_equal_intersect_per_trial(self, case):
+        sigma, q, v = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "ANNULUS_POINT_CAP", 2000)
+            want, error = [], None
+            for t in range(len(v)):
+                try:
+                    want.append(intersect(RandomLattice(Rotation(q[t]), float(v[t])), sigma))
+                except ValueError as exc:
+                    error = str(exc)
+                    break
+            if error is not None:
+                # Rejected before anything is allocated, with the first
+                # rejected trial's message.
+                mp.setattr(lattice, "_preimage_frames", lambda s: pytest.fail("built after a rejection"))
+                with pytest.raises(ValueError) as info:
+                    lattice._block_hits(sigma, q, v)
+                assert str(info.value) == error
+                return
+            trial, rows = lattice._block_hits(sigma, q, v)
+        assert np.all(np.diff(trial) >= 0)
+        assert rows.dtype == want[0].dtype
+        for t, expected in enumerate(want):
+            assert np.array_equal(rows[trial == t], expected), t
+
+    @pytest.mark.parametrize("shift", [-3e-8, 3e-8])
+    def test_contains_slack_past_the_annulus(self, shift):
+        # A ball of radius 1e-9 whose centre lies 3e-8 from the lattice point
+        # x on x's ray: Ball.contains passes x (9e-16 <= 1e-18 + 1e-15), but
+        # ||x|| lies outside the set's radii, so intersect leaves it out.
+        q, v = next(lattice._lattice_blocks(2, 1, 4, 1))
+        x = v[0] * (np.array([3.0, -2.0]) @ q[0])
+        sigma = EuclideanSet(2, [Ball(x * (1.0 + shift / np.linalg.norm(x)), 1e-9)])
+        assert sigma.contains(x)
+        lat = RandomLattice(Rotation(q[0]), float(v[0]))
+        assert len(intersect(lat, sigma)) == 0
+        assert len(lattice._block_hits(sigma, q, v)[1]) == 0
+
+    def test_dimension_mismatch_rejected(self):
+        q, v = next(lattice._lattice_blocks(2, 3, 0, 1))
+        with pytest.raises(ValueError, match="does not match"):
+            lattice._block_hits(INTERSECT_SETS["union-d3"], q, v)
+
+    @pytest.mark.parametrize("seed", [1, 4000])
+    @pytest.mark.parametrize("budget", [1, 1000])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, budget, seed):
+        # A budget of 1 point gives one trial per block; one of 1000 gives
+        # blocks of 1000 // bound trials.
+        from ulat.annihilation import disc_ring_experiment
+
+        ring = disc_ring(8, 80.0)
+        runs = []
+        for cut in (False, True):
+            if cut:
+                monkeypatch.setattr(lattice, "_BLOCK_POINTS", budget)
+            sigma = EuclideanSet(2, list(ring.pieces) + [Ball([0.0, 0.0], 1.3)])
+            averaging = check_lattice_averaging(AnnulusIndicator(2, 1.0, 3.0), 70, seed)
+            runs.append(
+                (
+                    disc_ring_experiment(8, trials=70, seed=seed, width_trials=16),
+                    estimate_order(sigma, trials=70, seed=seed).to_dict(),
+                    [rep.to_dict() for rep in averaging],
+                )
+            )
+        assert runs[0] == runs[1]
 
 
 class TestSetRadii:
@@ -468,9 +613,32 @@ class TestEstimateOrder:
         def forbidden(*args, **kwargs):
             raise AssertionError("a trial ran on a 4-D set")
 
-        monkeypatch.setattr(lattice, "run_trials", forbidden)
+        monkeypatch.setattr(lattice, "_lattice_blocks", forbidden)
         with pytest.raises(ValueError, match="dimensions 1 to 3"):
             estimate_order(EuclideanSet(4, [Ball(np.zeros(4), 1.0)]), trials=10)
+
+    def test_radius_past_exact_squares_rejected(self):
+        # Its candidate bound, 2e120^3, passes the float range: a block of one
+        # trial, whose annulus check raises as intersect's does.
+        with pytest.raises(ValueError, match="past exact squares"):
+            estimate_order(EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 1e120)]), trials=5)
+
+    @pytest.mark.parametrize(
+        "name, trials",
+        [("ring-16", 50), ("disc-R4", 300), ("box-and-ball", 257), ("union-d1", 300), ("union-d3", 257)],
+    )
+    def test_values_equal_the_per_trial_loop(self, monkeypatch, name, trials):
+        sigma = INTERSECT_SETS[name]
+        if name == "ring-16":
+            sigma = EuclideanSet(2, list(sigma.pieces) + [Ball([0.0, 0.0], 0.4)])
+        seen = []
+        monkeypatch.setattr(lattice, "mean_stderr", lambda x: seen.append(np.array(x)) or mean_stderr(x))
+        for seed in (0, 8, 9173):
+            seen.clear()
+            rep = estimate_order(sigma, trials=trials, seed=seed)
+            want = loop_orders(sigma, trials, seed)
+            assert np.array_equal(seen[0], want)
+            assert (rep.estimate, rep.stderr) == mean_stderr(want)
 
     def test_disc_ring_grows_linearly(self):
         # Width-driven growth: doubling the disc count roughly doubles the

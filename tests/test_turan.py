@@ -193,6 +193,18 @@ class TestTuranOneDimensional:
         rows = run_campaign(1, 200, seed=0)
         assert all(r["holds"] for r in rows)
 
+    def test_factor_past_the_float_range_is_vacuous(self):
+        # (14 / 1e-200)^2 overflows a float: the factor and the bound are
+        # inf, and the inequality holds.
+        p = TrigPolynomial(1, {(0,): 1.0, (3,): 1.0, (5,): 1.0})
+        res = turan_check(p, TorusSet(1, [AxisBox([0.0], [1e-200])]))
+        assert res.factor == math.inf
+        assert res.rhs == math.inf
+        assert res.holds
+        assert res.lhs == pytest.approx(3.0, abs=1e-9)
+        # A factor inside the range keeps its bits.
+        assert turan_check(p, TorusSet(1, [AxisBox([0.0], [1e-100])])).factor == (14.0 / 1e-100) ** 2
+
     def test_dimension_guard(self):
         p = TrigPolynomial(2, {(0, 0): 1.0})
         with pytest.raises(ValueError, match="dimensions differ"):
