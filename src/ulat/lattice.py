@@ -316,8 +316,8 @@ def _block_hits(sigma: EuclideanSet, q: np.ndarray, v: np.ndarray) -> tuple[np.n
         points[block] = v[t] * (points[block] @ q[t])
     inside = np.empty(len(rows), dtype=bool)
     order = np.argsort(piece, kind="stable")
-    edges = np.searchsorted(piece[order], np.arange(len(sigma.pieces) + 1))
-    for p, a, b in zip(sigma.pieces, edges[:-1], edges[1:]):
+    cuts = np.searchsorted(piece[order], np.arange(len(sigma.pieces) + 1))
+    for p, a, b in zip(sigma.pieces, cuts[:-1], cuts[1:]):
         inside[order[a:b]] = p.contains(points[order[a:b]])
     hits = _distinct_rows(np.column_stack([trial[inside], rows[inside]]))
     return hits[:, 0], hits[:, 1:]

@@ -210,9 +210,9 @@ def run_trials(
     In the package its one caller is ``lattice.estimate_card``.  The other
     lattice estimators draw their trials in blocks
     (``lattice._lattice_blocks``); ``estimate_card`` keeps one
-    ``sample_lattice`` and one ``intersect`` per trial because the
-    benchmark's tracing test pins those per-trial calls, until the
-    benchmark change of ROADMAP item 9 unpins them.
+    ``sample_lattice`` and one ``intersect`` per trial because perfbench's
+    tracing test (``perfbench/test_perfbench.py``) pins those per-trial
+    calls, and it can move to the blocks once that test no longer does.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
