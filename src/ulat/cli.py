@@ -84,7 +84,7 @@ def _load_json(path: str) -> dict:
 def _load_doc(path: str, build, what: str):
     try:
         return build(_load_json(path))
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as exc:
         raise PreconditionError(f"malformed {what} document {path}: {exc!r}") from exc
 
 
@@ -115,7 +115,7 @@ def _emit(config: RunConfig, payload, rows=None, header=None) -> None:
             "payload": payload,
             "wall_time_ms": round(1000.0 * (time.perf_counter() - config.started), 3),
         }
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+        text = json.dumps(_json_ready(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if config.output:
         try:
             with open(config.output, "w", encoding="utf-8") as fh:
@@ -126,12 +126,16 @@ def _emit(config: RunConfig, payload, rows=None, header=None) -> None:
         sys.stdout.write(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+def _json_ready(obj):
+    """``obj`` with numpy values as Python ones and non-finite floats as None
+    (null); flags beside them say why (``annihilated``, ``solved_fraction``)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +207,13 @@ def _load_ratio(opts: dict) -> annihilation.AnnihilationInstance:
 
 
 def _load_grid_instance(opts: dict) -> annihilation.AnnihilationInstance:
-    """The instance, with the pipeline grid checked on its dimension.  The
-    default grid is looked up whatever --grid says: it rejects d >= 4, which
-    the pipeline's mean width cannot take."""
+    """The instance, with its source checked by ``pipeline_source_setup`` and
+    the grid on its dimension: the default grid is looked up whatever --grid
+    says, and rejects d >= 4, which the pipeline's mean width cannot take."""
     inst = _load_instance(opts)
     default_n = annihilation.pipeline_grid_size(inst.dimension)
     _check_grid(opts.get("grid", default_n), inst.dimension)
+    annihilation.pipeline_source_setup(inst)
     return inst
 
 

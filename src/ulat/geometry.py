@@ -63,8 +63,28 @@ _WIDTH_BLOCK_ENTRIES = 2**18
 # larger than with no cap, but it stays a certified upper bound: the self
 # cover is always a candidate and every candidate covers the set.
 _GRID_CELL_CAP = 200_000
-# Largest cell index magnitude whose float, int cast and counts are exact.
-_EXACT_INDEX = 2.0**53
+
+
+@functools.lru_cache(maxsize=None)
+def _magnitude_bound(d: int) -> float:
+    """M(d) = 2^floor(min(40, 1000/d - 2 - log2(d)/2)), 2^40 for d <= 22: with
+    (4 sqrt(d) M)^d <= 2^1000, every square, volume and self-cover radius^d is
+    finite, and every cover-cell index at scale 2^-6 is below 2^47 < 2^53."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return 2.0 ** math.floor(min(40.0, 1000.0 / d - 2.0 - math.log2(d) / 2.0))
+
+
+def _check_range(values, d: int, what: str, scale: bool = False) -> None:
+    """The input contract of the package, checked when an object is built:
+    ValueError unless every one of ``values`` lies in [-M(d), M(d)], or in
+    [1/M(d), M(d)] for a Gaussian ``scale``.  NaN fails the comparisons."""
+    bound = _magnitude_bound(d)
+    values = np.asarray(values, dtype=float)
+    if not ((values >= (1.0 / bound if scale else -bound)) & (values <= bound)).all():
+        e = int(math.log2(bound))
+        span = f"[2^{-e}, 2^{e}]" if scale else f"[-2^{e}, 2^{e}]"
+        raise ValueError(f"{what} must lie in {span} in dimension {d}, not {values.tolist()}")
 
 
 def ball_volume(d: int, radius: float) -> float:
@@ -99,9 +119,18 @@ class Ball:
             raise ValueError("ball center must be a vector")
         if not radius > 0:
             raise ValueError("ball radius must be positive")
+        _check_range(np.append(center, radius), len(center), "ball centre and radius")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(radius))
+
+    @classmethod
+    def _covering(cls, center: np.ndarray, radius: float) -> "Ball":
+        """A cover ball of checked pieces, unchecked: its radius may reach sqrt(d) M(d)."""
+        ball = object.__new__(cls)
+        center.setflags(write=False)
+        ball.__dict__.update(center=center, radius=float(radius))
+        return ball
 
     @property
     def dimension(self) -> int:
@@ -142,7 +171,10 @@ class AxisBox:
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("box corners must be vectors of equal dimension")
-        if not np.all(lower < upper):
+        # One pass tests -M <= lower < upper <= M, which also fails on NaN.
+        bound = _magnitude_bound(len(lower))
+        if not ((lower < upper) & (lower >= -bound) & (upper <= bound)).all():
+            _check_range(np.append(lower, upper), len(lower), "box corners")
             raise ValueError("box corners must satisfy lower < upper coordinatewise")
         lower.setflags(write=False)
         upper.setflags(write=False)
@@ -182,16 +214,9 @@ class AxisBox:
         return self.lower, self.upper
 
     def center(self) -> np.ndarray:
-        # Halving first keeps the centre of a box whose ends add past the
-        # float range finite; as in half_widths, the bits are those of
-        # 0.5 * (lower + upper) wherever that sum is finite and the
-        # halvings are exact.
         return 0.5 * self.lower + 0.5 * self.upper
 
     def half_widths(self) -> np.ndarray:
-        # Halving first keeps a box wider than the float range finite.  The
-        # halvings are exact for coordinates 0 or of magnitude at least
-        # 2^-1021, so there the bits are those of 0.5 * (upper - lower).
         return 0.5 * self.upper - 0.5 * self.lower
 
     def translate(self, offset) -> "AxisBox":
@@ -648,20 +673,6 @@ def mean_width(s: EuclideanSet) -> Estimate:
 # ---------------------------------------------------------------------------
 
 
-def _cover_value(radii: np.ndarray, d: int) -> float:
-    # Where r^d overflows to inf, min(r, r^d) is r.
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.minimum(radii, radii**d)))
-
-
-def _half_diagonal(box: AxisBox) -> float:
-    """The norm of a box's half widths.  ``math.hypot`` rescales, and is
-    taken only where the plain norm overflows, so finite values keep their bits."""
-    with np.errstate(over="ignore"):
-        r = float(np.linalg.norm(box.half_widths()))
-    return math.hypot(*box.half_widths()) if math.isinf(r) else r
-
-
 @dataclass(frozen=True, eq=False)
 class CoverCandidate:
     """A ball cover of a target set with value sum_i min(r_i, r_i^d)."""
@@ -674,17 +685,12 @@ def _grid_cover_cells(s: EuclideanSet, side: float) -> np.ndarray | None:
     """Integer grid cells (side-aligned cubes) intersecting the set, as the
     rows of an (n, d) integer array in lexicographic order, without repeats.
 
-    None when the cells would pass ``_GRID_CELL_CAP`` or a cell index would
-    pass 2^53 in magnitude; below that the float indices, their int casts
-    and the per-axis counts are all exact.
+    None when the cells would pass ``_GRID_CELL_CAP``.
     """
     pieces = []
     for p in s.pieces:
         lo, hi = p.bounds()
-        lo_idx, hi_idx = np.floor(lo / side), np.ceil(hi / side)
-        if not np.all(np.abs([lo_idx, hi_idx]) <= _EXACT_INDEX):
-            return None
-        lo_idx, hi_idx = lo_idx.astype(int), hi_idx.astype(int) - 1
+        lo_idx, hi_idx = np.floor(lo / side).astype(int), np.ceil(hi / side).astype(int) - 1
         counts = hi_idx - lo_idx + 1
         if np.prod(counts, dtype=float) > _GRID_CELL_CAP:
             return None
@@ -734,17 +740,12 @@ def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
     check_cover(s)
     d = s.dimension
     self_balls = tuple(
-        p if isinstance(p, Ball) else Ball(p.center(), _half_diagonal(p))
+        p if isinstance(p, Ball) else Ball._covering(p.center(), float(np.linalg.norm(p.half_widths())))
         for p in s.pieces
     )
-    best_value = _cover_value(np.array([b.radius for b in self_balls]), d)
-    # A volume past the float range (inf for a box, OverflowError for a
-    # ball) rules out every scale.
-    try:
-        with np.errstate(over="ignore"):
-            volumes = [p.volume() for p in s.pieces]
-    except OverflowError:
-        volumes = [math.inf]
+    radii = np.array([b.radius for b in self_balls])
+    best_value = float(np.sum(np.minimum(radii, radii**d)))
+    volumes = [p.volume() for p in s.pieces]
     volume_low = (sum(volumes) if s.pairwise_disjoint() else max(volumes)) * (1.0 - 1e-12)
     best_cells, best_side = None, 0.0
     for j in range(7):
@@ -762,5 +763,5 @@ def cover_measure_upper(s: EuclideanSet) -> CoverCandidate:
     if best_cells is None:
         return CoverCandidate(self_balls, best_value)
     r = best_side * math.sqrt(d) / 2.0
-    balls = tuple(Ball((c + 0.5) * best_side, r) for c in best_cells.astype(float))
+    balls = tuple(Ball._covering((c + 0.5) * best_side, r) for c in best_cells.astype(float))
     return CoverCandidate(balls, best_value)

@@ -19,6 +19,7 @@ from .geometry import (
     Ball,
     EuclideanSet,
     Rotation,
+    _check_range,
     _distinct_rows,
     _haar_stack,
     ball_volume,
@@ -327,13 +328,11 @@ def _hit_blocks(sigma: EuclideanSet, trials: int, seed: int):
     """Yield (n, trial, rows) for the blocks of ``_lattice_blocks``: the n
     trials of a block and ``_block_hits`` on their lattices.  A trial's
     points are bounded by its candidates: each piece's padded preimage box
-    at v = 1, no wider than the kmax cube.  A bound past the float range is
-    inf, a block of one trial, on which ``_block_hits`` raises."""
+    at v = 1, no wider than the kmax cube."""
     d, outer = sigma.dimension, sigma.bounding_radius()
     _, half, radius, pad = _preimage_frames(sigma)
     side = np.minimum(2.0 * (np.linalg.norm(half, axis=1) + radius + pad) + 1.0, 2.0 * outer + 3.0)
-    with np.errstate(over="ignore"):
-        bound = float(np.sum(side**d))
+    bound = float(np.sum(side**d))
     for q, v in _lattice_blocks(d, trials, seed, bound):
         yield (len(v), *_block_hits(sigma, q, v))
 
@@ -371,8 +370,7 @@ class AnnulusIndicator:
     """Indicator of {r_inner <= ||x|| <= r_outer}; r_inner = 0 gives a ball."""
 
     def __init__(self, dimension: int, r_inner: float, r_outer: float):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_range([r_inner, r_outer], dimension, "annulus radii")
         if not (0 <= r_inner < r_outer):
             raise ValueError("need 0 <= r_inner < r_outer")
         self.dimension = int(dimension)
@@ -396,20 +394,9 @@ class GaussianProfile:
     """The radial Gaussian exp(-pi * a * ||x||^2)."""
 
     def __init__(self, dimension: int, a: float = 1.0):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        a = float(a)
-        if not 0 < a < math.inf:
-            raise ValueError(f"Gaussian scale must be positive and finite, got {a}")
-        dimension = int(dimension)
-        try:
-            a ** (-dimension / 2.0)
-        except OverflowError:
-            raise ValueError(
-                f"Gaussian scale {a} is too small: its integral a^(-d/2) overflows in d = {dimension}"
-            ) from None
-        self.dimension = dimension
-        self.a = a
+        _check_range(a, dimension, "Gaussian scale", scale=True)
+        self.dimension = int(dimension)
+        self.a = float(a)
         self.support_radius = math.inf
 
     def value(self, points: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .functions import Combination, Gaussian, Modulated, TestFunction, cross_correlation
 from .geometry import _grid_points
-from .lattice import RandomLattice, integer_vectors_in_annulus
+from .lattice import ANNULUS_POINT_CAP, RandomLattice, integer_vectors_in_annulus
 
 __all__ = [
     "Periodization",
@@ -103,15 +103,18 @@ class Periodization:
         Plain Gaussian sources factor into one-dimensional theta sums;
         other kinds use the generic sum.  The CSV export of ``grid_rows``
         goes through here, and at 64^3 in d = 3 the theta sums take a few
-        milliseconds where the generic sum takes seconds.
+        milliseconds where the generic sum takes seconds.  Theta sums of
+        more than ``ANNULUS_POINT_CAP`` terms raise ValueError unallocated.
         """
         d = self.dimension
         v = self.lattice.dilation
         if isinstance(self.source, Gaussian):
             a = self.source.a
+            reach = math.ceil(v * math.sqrt(math.log(1e18) / (math.pi * a)) + 2.0)
+            if (2 * reach + 1) * n > ANNULUS_POINT_CAP:
+                raise ValueError(f"theta sums of a = {a:.6g} on {n} points pass {ANNULUS_POINT_CAP} terms")
             s = np.arange(n) / n
-            reach = v * math.sqrt(math.log(1e18) / (math.pi * a)) + 2.0
-            ks = np.arange(-int(math.ceil(reach)), int(math.ceil(reach)) + 1)
+            ks = np.arange(-reach, reach + 1)
             theta = np.exp(
                 -math.pi * a * (ks[:, None] + s[None, :]) ** 2 / (v * v)
             ).sum(axis=0)

@@ -504,12 +504,13 @@ class TestDiscRing:
             disc_ring_experiment(16, ring_radius=30.0, trials=10, seed=0)
 
     def test_unbounded_ring_rejected_without_an_overflow_warning(self):
-        # The set caches its bounding radius on the first call, which must
-        # come inside the experiment's np.errstate(over="ignore").
+        # The discs' centres reach the ring radius, so a radius past the
+        # input range is rejected when the discs are built, before any norm.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="no finite bounding radius"):
-                disc_ring_experiment(4, ring_radius=1e308, trials=10, seed=0)
+            for radius in (1e308, math.inf, math.nan, 2.0**41):
+                with pytest.raises(ValueError, match="must lie in"):
+                    disc_ring_experiment(4, ring_radius=radius, trials=10, seed=0)
 
     def test_discs_are_disjoint_and_measured_exactly(self):
         from ulat.geometry import lebesgue_measure

@@ -1,8 +1,10 @@
 """Command-line interface: dispatch, exit codes, determinism, formats."""
 
 import ast
+import contextlib
 import csv
 import importlib
+import io
 import inspect
 import json
 import math
@@ -15,6 +17,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ulat
 from ulat import annihilation, turan
@@ -31,9 +35,18 @@ from ulat.lattice import sample_lattice
 from ulat.mc import trial_rng
 
 
+def strict_json(text: str):
+    """``text`` parsed as JSON (RFC 8259), which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+
+
 def run_cli(capsys, argv):
+    """Exit code, stdout and stderr of one in-process run; JSON on stdout
+    must be strict."""
     code = main(argv)
     out = capsys.readouterr()
+    if out.out.startswith("{"):
+        strict_json(out.out)
     return code, out.out, out.err
 
 
@@ -43,10 +56,10 @@ def payload_of(text: str) -> str:
     return json.dumps(doc["payload"], sort_keys=True)
 
 
-def cover_under_warning_errors(tmp_path, lower, upper) -> dict:
-    """The payload of ``geometry --op cover-upper`` on one 2-D box, run in a
-    process that treats a RuntimeWarning as an error; the run must exit 0
-    with an empty stderr and print JSON without the Infinity token."""
+def cover_under_warning_errors(tmp_path, lower, upper) -> str:
+    """The stderr of ``geometry --op cover-upper`` on one 2-D box, run in a
+    process that treats a RuntimeWarning as an error; the run must exit 2
+    with nothing on stdout and one line on stderr."""
     doc = tmp_path / "wide.json"
     doc.write_text(json.dumps({"dimension": 2, "pieces": [{"kind": "box", "lower": lower, "upper": upper}]}))
     src = str(Path(ulat.__file__).resolve().parents[1])
@@ -55,8 +68,9 @@ def cover_under_warning_errors(tmp_path, lower, upper) -> dict:
          "geometry", "--set", str(doc), "--op", "cover-upper"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
-    assert proc.returncode == EXIT_OK and proc.stderr == ""
-    return json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))["payload"]
+    assert proc.returncode == EXIT_PRECONDITION and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    return proc.stderr
 
 
 class TestGeometryCommand:
@@ -84,22 +98,26 @@ class TestGeometryCommand:
         assert code == EXIT_OK
 
     def test_cover_of_a_ball_past_the_cell_index_range(self, capsys, tmp_path):
+        # Cell indices past 2^53 need a radius past the input range; at its
+        # edge the self cover stands.
         doc = tmp_path / "huge.json"
-        doc.write_text(json.dumps(
-            {"dimension": 1, "pieces": [{"kind": "ball", "center": [0.0], "radius": 1e300}]}
-        ))
-        code, out, err = run_cli(capsys, ["geometry", "--set", str(doc), "--op", "cover-upper"])
-        assert code == EXIT_OK and "Traceback" not in err
-        assert json.loads(out)["payload"] == {"value": 1e300, "balls": 1}
+        for radius, code_want in ((1e300, EXIT_PRECONDITION), (2.0**40, EXIT_OK)):
+            doc.write_text(json.dumps(
+                {"dimension": 1, "pieces": [{"kind": "ball", "center": [0.0], "radius": radius}]}
+            ))
+            code, out, err = run_cli(capsys, ["geometry", "--set", str(doc), "--op", "cover-upper"])
+            assert code == code_want and "Traceback" not in err
+        assert json.loads(out)["payload"] == {"value": 2.0**40, "balls": 1}
+        assert err == ""
 
     def test_cover_of_a_box_wider_than_the_float_range(self, tmp_path):
-        # upper - lower overflows; the self cover's radius, about 1e308, does
-        # not.
-        assert cover_under_warning_errors(tmp_path, [-1e308, 0.0], [1e308, 1.0]) == {"value": 1e308, "balls": 1}
+        # upper - lower would overflow; the box is past the input range.
+        assert "box corners must lie in [-2^40, 2^40]" in cover_under_warning_errors(
+            tmp_path, [-1e308, 0.0], [1e308, 1.0])
 
     def test_cover_of_a_box_whose_ends_add_past_the_float_range(self, tmp_path):
-        # lower + upper overflows; the self cover's centre does not.
-        assert cover_under_warning_errors(tmp_path, [1e308, 0.0], [1.5e308, 1.0]) == {"value": 2.5e307, "balls": 1}
+        # lower + upper would overflow; the box is past the input range.
+        assert "box corners must lie in" in cover_under_warning_errors(tmp_path, [1e308, 0.0], [1.5e308, 1.0])
 
     def test_missing_file_is_io_error(self, capsys, doc_dir):
         code, _, err = run_cli(
@@ -183,19 +201,22 @@ class TestLalCommand:
         assert outer["estimate"] == pytest.approx(np.mean(1e4 / v**2 - 1.0), rel=1e-6)
         assert inner["estimate"] == pytest.approx(np.mean(1e4 * v**2 - 1.0), rel=1e-6)
 
-    @pytest.mark.parametrize("phi", ["ball:0.9", "gaussian:1e300"])
+    @pytest.mark.parametrize("phi", ["ball:0.9", "gaussian:1e300", f"gaussian:{2.0**40!r}"])
     def test_zero_reference_is_a_precondition(self, capsys, phi):
         # A ratio to a reference of 0 has no JSON value; the run stops first.
+        # The tail of a Gaussian of a = 2^40, the largest scale in range,
+        # underflows to 0; a = 1e300 is past the range.
         code, out, err = run_cli(capsys, ["lal", "--phi", phi, "--dim", "2", "--trials", "5"])
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert "precondition violated" in err and "Traceback" not in err
 
     def test_gaussian_scale_that_overflows_is_a_precondition(self, capsys):
+        # a^(-d/2) would overflow; the scale is past the input range.
         code, out, err = run_cli(capsys, ["lal", "--phi", "gaussian:1e-300", "--dim", "3"])
         assert code == EXIT_PRECONDITION
         assert out == ""
-        assert "precondition violated" in err and "overflows" in err
+        assert "precondition violated" in err and "Gaussian scale must lie in [2^-40, 2^40]" in err
 
 
 class TestPipelineCommands:
@@ -420,6 +441,8 @@ DRY_RUN_DOCS = {
         lambda docs: instance_argv("pipeline", docs, s_set="square.json"),
         lambda docs: instance_argv("pipeline", docs, sigma_set="off-origin.json"),
         lambda docs: instance_argv("pipeline", docs, function="gauss2.json"),
+        lambda docs: instance_argv("sweep", docs, function="gauss2.json"),
+        lambda docs: instance_argv("sweep", docs, s_set="square.json"),
         lambda docs: ["geometry", "--set", str(docs / "empty.json"), "--op", "cover-upper"],
         lambda docs: ["geometry", "--set", str(docs / "sigma4.json"), "--op", "mean-width"],
         lambda docs: ["sharpness", "--n", "5", "--ring-radius", "3"],
@@ -430,6 +453,7 @@ DRY_RUN_DOCS = {
         "ratio-4d-sigma", "ratio-no-pieces", "ratio-4d-documents",
         "pipeline-empty-set", "sweep-empty-set", "pipeline-large-support",
         "pipeline-sigma-without-origin", "pipeline-gaussian-source",
+        "sweep-gaussian-source", "sweep-large-support",
         "geometry-cover-empty-set", "geometry-width-4d-ball",
         "sharpness-discs-too-close", "sharpness-reach-not-finite",
     ],
@@ -501,11 +525,11 @@ def test_package_imports_scipy_only_inside_functions():
     assert found == []
 
 
-def scipy_special_after(lines: list[str]) -> bool:
-    """Whether ``scipy.special`` is loaded after the Python ``lines`` run in a
+def module_loaded_after(lines: list[str], module: str = "scipy.special") -> bool:
+    """Whether ``module`` is loaded after the Python ``lines`` run in a
     fresh process that treats a RuntimeWarning as an error."""
     src = str(Path(ulat.__file__).resolve().parents[1])
-    script = "\n".join(["import sys", *lines, "print('scipy.special' in sys.modules)"])
+    script = "\n".join(["import sys", *lines, f"print({module!r} in sys.modules)"])
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
@@ -515,7 +539,7 @@ def scipy_special_after(lines: list[str]) -> bool:
 
 
 def test_import_leaves_scipy_special_unloaded():
-    assert scipy_special_after(["import ulat.cli"]) is False
+    assert module_loaded_after(["import ulat.cli"]) is False
 
 
 @pytest.mark.parametrize(
@@ -527,10 +551,11 @@ def test_import_leaves_scipy_special_unloaded():
         (["lal", "--phi", "annulus:1:3"], False),
         (instance_argv("pipeline", Path()), False),
         (instance_argv("sweep", Path()) + ["--ygrid", "2"], False),
+        (instance_argv("ratio", Path()), False),
         # The Gaussian profile's reference integrals call gammaincc.
         (["lal", "--phi", "gaussian"], True),
     ],
-    ids=["geometry", "turan", "sharpness", "lal-annulus", "pipeline", "sweep", "lal-gaussian"],
+    ids=["geometry", "turan", "sharpness", "lal-annulus", "pipeline", "sweep", "ratio", "lal-gaussian"],
 )
 def test_commands_load_scipy_special_only_for_closed_forms(doc_dir, argv, loads):
     argv = [str(doc_dir / arg) if arg.endswith(".json") else arg for arg in argv] + ["--trials", "20"]
@@ -541,7 +566,10 @@ def test_commands_load_scipy_special_only_for_closed_forms(doc_dir, argv, loads)
         "if code != 0:",
         "    sys.exit(f'exit {code}')",
     ]
-    assert scipy_special_after(lines) is loads
+    assert module_loaded_after(lines) is loads
+    if argv[0] == "ratio":
+        # The grid tail's envelope leak is a Gauss-Legendre rule, not quad.
+        assert module_loaded_after(lines, "scipy.integrate") is False
 
 
 def test_every_exported_name_resolves():
@@ -782,12 +810,14 @@ class TestSharpnessCommand:
 
     @pytest.mark.parametrize("radius", ["1e308", "inf", "nan"])
     def test_unbounded_ring_radius_precondition(self, capsys, radius):
+        # The ring's discs are built with centres at the radius, past the
+        # input range.
         code, out, err = run_cli(
             capsys, ["sharpness", "--n", "4", "--ring-radius", radius, "--trials", "10"]
         )
         assert code == EXIT_PRECONDITION
         assert out == ""
-        assert "no finite bounding radius" in err
+        assert "ball centre and radius must lie in" in err
 
     def test_crowded_ring_precondition(self, capsys):
         code, _, _ = run_cli(
@@ -834,3 +864,145 @@ class TestDeterminismAndPlanning:
         )
         assert code == EXIT_OK
         assert json.loads(out_path.read_text())["payload"]["value"] > 3.14
+
+
+OUT_OF_RANGE_SETS = {
+    "ball-1e300": {"dimension": 2, "pieces": [{"kind": "ball", "center": [0.0, 0.0], "radius": 1e300}]},
+    "ball-nan-centre": {"dimension": 2, "pieces": [{"kind": "ball", "center": [math.nan, 0.0], "radius": 1.0}]},
+    "box-to-infinity": {"dimension": 2, "pieces": [{"kind": "box", "lower": [0.0, 0.0], "upper": [math.inf, 1.0]}]},
+    "box-1e308": {"dimension": 2, "pieces": [{"kind": "box", "lower": [-1e308, 0.0], "upper": [1e308, 1.0]}]},
+}
+
+
+@pytest.mark.parametrize("op", ["measure", "mean-width", "cover-upper"])
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_SETS))
+def test_sets_past_the_range_exit_2(capsys, tmp_path, op, name):
+    # The documents hold NaN and Infinity tokens, which json reads.
+    doc = tmp_path / "set.json"
+    doc.write_text(json.dumps(OUT_OF_RANGE_SETS[name]))
+    code, out, err = run_cli(capsys, ["geometry", "--set", str(doc), "--op", op])
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert len(err.splitlines()) == 1 and "must lie in" in err
+
+
+@pytest.mark.parametrize("command", ["periodize", "ratio"])
+def test_gaussian_past_the_range_exits_2(capsys, doc_dir, command):
+    (doc_dir / "wide.json").write_text(json.dumps({"kind": "gaussian", "a": 1e300, "dimension": 2}))
+    argv = (["periodize", "--function", str(doc_dir / "wide.json")] if command == "periodize"
+            else instance_argv("ratio", doc_dir, function="wide.json"))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == "precondition violated: Gaussian scale must lie in [2^-40, 2^40] in dimension 2, not 1e+300\n"
+
+
+def test_csv_theta_sums_past_the_cap_exit_2(capsys, doc_dir):
+    (doc_dir / "flat.json").write_text(json.dumps({"kind": "gaussian", "a": 2.0**-40, "dimension": 2}))
+    code, out, err = run_cli(capsys, ["periodize", "--function", str(doc_dir / "flat.json"), "--format", "csv"])
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert len(err.splitlines()) == 1 and "pass 4194304 terms" in err
+
+
+def test_non_finite_payload_values_are_null(capsys, doc_dir):
+    # An annihilated instance's ratio is the library's inf sentinel, which
+    # the payload writes as null beside "annihilated": true.
+    (doc_dir / "big.json").write_text(json.dumps(
+        {"dimension": 2, "pieces": [{"kind": "ball", "center": [0.0, 0.0], "radius": 1000.0}]}))
+    code, out, _ = run_cli(capsys, instance_argv("ratio", doc_dir, s_set="big.json", sigma_set="big.json")
+                           + ["--trials", "10"])
+    assert code == EXIT_OK
+    payload = strict_json(out)["payload"]
+    assert payload["annihilated"] is True and payload["ratio"] is None
+    assert annihilation.ANNIHILATED_SENTINEL == math.inf
+
+
+# Values for every number of a property run: zero, the edges of the float
+# range, its infinities and NaN.
+SPECIAL = [0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def cli_runs(draw, command):
+    """One argv of ``command`` and the documents it reads, as (argv, {name:
+    document}).  Every number the run reads is the documents' ordinary value
+    but one or two, which take special values."""
+    slots = []  # (list, index) of every number the run reads
+
+    def numbers(*ordinary):
+        values = list(ordinary)
+        slots.extend((values, i) for i in range(len(values)))
+        return values
+
+    def function():
+        half = 2.0 ** (-5 / 2)
+        fbox = {"kind": "box", "lower": numbers(-half, -half), "upper": numbers(half, half)}
+        kind = draw(st.sampled_from(["box", "gaussian", "modulated", "translated", "combination"]))
+        return fbox, {
+            "box": lambda: fbox,
+            "gaussian": lambda: {"kind": "gaussian", "a": numbers(1.0), "dimension": numbers(2)},
+            "modulated": lambda: {"kind": "modulated", "y": numbers(0.5, -0.25), "children": [fbox]},
+            "translated": lambda: {"kind": "translated", "x0": numbers(0.05, 0.0), "children": [fbox]},
+            "combination": lambda: {"kind": "combination",
+                                    "children": [{"coef": numbers(1.0, 0.0), "function": fbox}]},
+        }[kind]()
+
+    def ball():
+        return {"dimension": numbers(2), "pieces": [{"kind": "ball", "center": numbers(0.0, 0.0),
+                                                     "radius": numbers(2.0)}]}
+
+    def box_set(fbox):
+        return {"dimension": numbers(2), "pieces": [{"kind": "box", "lower": fbox["lower"],
+                                                     "upper": fbox["upper"]}]}
+
+    docs, instance = {}, ["--function", "f.json", "--s-set", "s.json", "--sigma-set", "sigma.json"]
+    if command in ("periodize", "ratio", "pipeline", "sweep"):
+        fbox, docs["f.json"] = function()
+        if command != "periodize":
+            docs["s.json"], docs["sigma.json"] = box_set(fbox), ball()
+    elif command == "geometry":
+        docs["set.json"] = draw(st.sampled_from([ball, lambda: box_set(function()[0])]))()
+    radii = numbers(1.0, 3.0) if command == "lal" else numbers(30.0) if command == "sharpness" else []
+    for i in draw(st.sets(st.integers(0, len(slots) - 1), min_size=1, max_size=2)) if slots else ():
+        values, k = slots[i]
+        values[k] = draw(st.sampled_from(SPECIAL))
+    for item in [*docs.values(), *(p for doc in docs.values() for p in doc.get("pieces", []))]:
+        for key in ("a", "dimension", "radius"):  # one-number lists stand for scalars
+            if isinstance(item.get(key), list):
+                item[key] = item[key][0]
+    argv = {
+        "lal": lambda: ["lal", "--phi", draw(st.sampled_from(
+            [f"annulus:{radii[0]!r}:{radii[1]!r}", f"ball:{radii[1]!r}", f"gaussian:{radii[0]!r}"])),
+            "--trials", "3"],
+        "turan": lambda: ["turan", "--random", "2", "--format", "json"],
+        "periodize": lambda: ["periodize", "--function", "f.json", "--grid", "4"],
+        "geometry": lambda: ["geometry", "--set", "set.json", "--op",
+                             draw(st.sampled_from(["measure", "mean-width", "cover-upper"])), "--trials", "50"],
+        "ratio": lambda: ["ratio", *instance, "--trials", "50"],
+        "pipeline": lambda: ["pipeline", *instance, "--grid", "8"],
+        "sweep": lambda: ["sweep", *instance, "--ygrid", "1", "--grid", "8", "--format", "json"],
+        "sharpness": lambda: ["sharpness", "--n", "2", f"--ring-radius={radii[0]!r}", "--trials", "3"],
+    }[command]()
+    return argv, docs
+
+
+@pytest.mark.parametrize(
+    "command", ["lal", "turan", "periodize", "geometry", "ratio", "pipeline", "sweep", "sharpness"]
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_run_exits_0_with_strict_json_or_2_with_one_line(tmp_path_factory, command, data):
+    # RuntimeWarning is an error under the suite's filter, so a warning, a
+    # traceback or any other exception leaves main and fails the run.
+    argv, docs = data.draw(cli_runs(command))
+    where = tmp_path_factory.mktemp("docs")
+    for name, doc in docs.items():
+        (where / name).write_text(json.dumps(doc))
+    argv = [str(where / arg) if arg.endswith(".json") else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == EXIT_OK:
+        strict_json(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        assert code == EXIT_PRECONDITION, (argv, err.getvalue())
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1

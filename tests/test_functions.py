@@ -17,6 +17,7 @@ from ulat.functions import (
     Gaussian,
     Modulated,
     Translated,
+    _envelope_leak,
     _grid_tail,
     _piece_energy,
     cross_correlation,
@@ -201,6 +202,42 @@ class TestTailEnergy:
         grid = _grid_tail(Gaussian(1.0, 1), s, "space", 0.01)
         assert grid.value == pytest.approx(closed.value, abs=5 * grid.stderr + 1e-6)
 
+    @pytest.mark.parametrize(
+        "f, side",
+        [
+            (Gaussian(1.0, 1), "space"),
+            (Modulated(Gaussian(0.5, 2), [1.0, -2.0]), "hat"),
+            (Translated(Gaussian(0.5, 3), [1.0, -2.0, 0.5]), "hat"),
+            (Combination([(1.0, BoxIndicator(AxisBox([-0.2, -0.1], [0.3, 0.4]))),
+                          (0.5, Gaussian(3.0, 2))]), "space"),
+            (Gaussian(2.0**-40, 1), "space"),
+        ],
+        ids=["gauss", "modulated-hat", "translated-hat", "box-and-gauss", "wide"],
+    )
+    def test_envelope_leak_equals_quad(self, f, side):
+        # The grid tail's envelope mass outside its window, against quad
+        # with tolerances far below the leak: quad's default epsabs,
+        # 1.5e-8, lets it stop at 5e-16 where the first case's leak is
+        # 6.9e-16.
+        extent = f.spatial_radius(1e-7) if side == "space" else f.hat_radius(1e-7)
+        env = f.envelope if side == "space" else f.envelope_hat
+        d = f.dimension
+        want, _ = integrate.quad(
+            lambda r: float(env(np.array([r]))[0]) ** 2 * r ** (d - 1),
+            extent, extent + 64.0, epsabs=0.0, epsrel=1e-10, limit=500,
+        )
+        surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        assert _envelope_leak(env, d, extent) == pytest.approx(surface * want, rel=1e-12)
+
+    def test_envelope_leak_resolves_the_narrowest_gaussian(self):
+        # At a = 2^40 the envelope falls within 1e-6 of the window's start,
+        # where quad finds nothing; the closed form is
+        # erfc(sqrt(2 pi a) e) / sqrt(2 a) up to a tail past e + 64 of 0.
+        f = Gaussian(2.0**40, 1)
+        extent = f.spatial_radius(1e-7)
+        want = erfc(math.sqrt(2 * math.pi * f.a) * extent) / math.sqrt(2 * f.a)
+        assert _envelope_leak(f.envelope, 1, extent) == pytest.approx(want, rel=1e-12)
+
 
 def test_quadrature_nodes_are_computed_once_and_shared_read_only():
     xs, ws = _quad_nodes(48)
@@ -214,10 +251,22 @@ def test_quadrature_nodes_are_computed_once_and_shared_read_only():
     "build", [lambda a: Gaussian(a, 2), lambda a: GaussianProfile(2, a)],
     ids=["Gaussian", "GaussianProfile"],
 )
-@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0, 1e300, 1e-300])
 def test_gaussian_scale_must_be_positive_and_finite(build, a):
     with pytest.raises(ValueError):
         build(a)
+
+
+def test_function_parameters_past_the_range_are_rejected():
+    box = BoxIndicator(AxisBox([0.0], [1.0]))
+    for bad in (1e200, math.inf, math.nan):
+        with pytest.raises(ValueError, match="modulation frequency must lie in"):
+            Modulated(box, [bad])
+        with pytest.raises(ValueError, match="translation offset must lie in"):
+            Translated(box, [bad])
+        with pytest.raises(ValueError, match="combination coefficients must lie in"):
+            Combination([(complex(1.0, bad), box)])
+    assert Modulated(box, [2.0**40]).leaves[0].modulation.tolist() == [2.0**40]
 
 
 class TestSerialization:
@@ -343,6 +392,8 @@ COORDS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 0.25, -0.75]), st.floats(-6.0, 6.0)
 )
 FREQS = st.one_of(COORDS, st.sampled_from([1e200, -1e200]))
+# Modulations take numbers inside the input range, up to 2^40.
+MODULATIONS = st.one_of(COORDS, st.sampled_from([2.0**40, -(2.0**40)]))
 
 
 @st.composite
@@ -364,7 +415,7 @@ def box_functions(draw):
     if kind == "plain":
         f = box()
     elif kind == "modulated":
-        f = Modulated(box(), vector(FREQS))
+        f = Modulated(box(), vector(MODULATIONS))
     elif kind == "translated":
         f = Translated(box(), vector())
     else:

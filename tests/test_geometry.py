@@ -23,10 +23,9 @@ from ulat.geometry import (
     projection_width,
     sample_rotation,
     _GRID_CELL_CAP,
-    _half_diagonal,
     _WIDTH_BLOCK,
     _check_rotations,
-    _cover_value,
+    _magnitude_bound,
     _mean_width_mc,
     _merged_lengths,
     _projection_widths,
@@ -454,8 +453,9 @@ class TestMeanWidth:
 
 def assert_halving_keeps_the_plain_bits(method, plain_form):
     """``method(box)`` has the bits of ``plain_form(box)`` on random boxes
-    in d = 1-3, wherever the plain form is finite and the halvings are
-    exact, that is for coordinates of magnitude 0 or at least 2^-1021."""
+    in d = 1-3 with coordinates inside the input range, below 1e12 < 2^40,
+    wherever the halvings are exact, that is for coordinates of magnitude 0
+    or at least 2^-1021."""
     def exact(x):
         return (x == 0) | (np.abs(x) >= 2.0**-1021)
 
@@ -463,14 +463,13 @@ def assert_halving_keeps_the_plain_bits(method, plain_form):
     checked = 0
     for d in (1, 2, 3):
         for _ in range(300):
-            ends = rng.uniform(-1, 1, (2, d)) * 10.0 ** rng.integers(-300, 309, (2, d))
+            ends = rng.uniform(-1, 1, (2, d)) * 10.0 ** rng.integers(-300, 12, (2, d))
             ends[rng.random((2, d)) < 0.1] = 0.0
             lower = np.min(ends, axis=0)
             upper = np.maximum(np.max(ends, axis=0), np.nextafter(lower, np.inf))
             box = AxisBox(lower, upper)
-            with np.errstate(over="ignore"):
-                plain = plain_form(box)
-            keep = np.isfinite(plain) & exact(box.lower) & exact(box.upper)
+            plain = plain_form(box)
+            keep = exact(box.lower) & exact(box.upper)
             assert method(box)[keep].tobytes() == plain[keep].tobytes()
             checked += int(np.count_nonzero(keep))
     assert checked > 1000
@@ -529,40 +528,47 @@ class TestCoverUpper:
         assert not certify_cover(CoverCandidate((), 0.0), s)
 
     @pytest.mark.parametrize(
-        "s",
-        [
-            EuclideanSet(1, [Ball([0.0], 1e17)]),
-            EuclideanSet(2, [AxisBox([1e18, 0.0], [1e18 + 256, 0.01])]),
-            EuclideanSet(1, [Ball([0.0], 1e300)]),
-        ],
+        "piece",
+        [lambda: Ball([0.0], 1e17), lambda: AxisBox([1e18, 0.0], [1e18 + 256, 0.01]),
+         lambda: Ball([0.0], 1e300)],
         ids=["ball-1e17", "box-at-1e18", "ball-1e300"],
     )
-    def test_cell_indices_past_two_to_the_53_skip_their_scale(self, s):
-        # Each scale's cell indices pass 2^53, where the int cast and the
-        # per-axis count would wrap, so the self cover stands.
+    def test_cell_indices_past_two_to_the_53_skip_their_scale(self, piece):
+        # Cell indices past 2^53, where the int cast and the per-axis count
+        # would wrap, need numbers past the input range, which no piece
+        # takes.  At the range's edge the grid scales pass the cell cap and
+        # the self cover stands.
+        with pytest.raises(ValueError, match="must lie in"):
+            piece()
+        s = EuclideanSet(1, [Ball([0.0], 2.0**40)])
         assert all(_grid_cover_cells(s, 2.0**-j) is None for j in range(7))
         cover = cover_measure_upper(s)
         assert certify_cover(cover, s)
-        assert len(cover.balls) == 1
+        assert cover.balls == s.pieces
 
     def test_wide_box_self_cover_is_finite(self):
-        # The plain norm of the half widths (5e199, 0.5, 0.5) overflows; the
-        # self cover's ball has radius 5e199 and value min(r, r^3) = r.
-        s = EuclideanSet(3, [AxisBox([0.0, 0.0, 0.0], [1e200, 1.0, 1.0])])
+        # A box of width 1e200 is past the range.  At its edge, 2^40, the
+        # self cover's ball has the plain norm of the half widths (2^39,
+        # 0.5, 0.5), 2^39, as radius and value min(r, r^3) = r.
+        with pytest.raises(ValueError, match="must lie in"):
+            AxisBox([0.0, 0.0, 0.0], [1e200, 1.0, 1.0])
+        s = EuclideanSet(3, [AxisBox([0.0, 0.0, 0.0], [2.0**40, 1.0, 1.0])])
         cover = cover_measure_upper(s)
-        assert cover.value == 5e199
-        assert cover.balls[0].radius == 5e199
+        assert cover.value == 2.0**39
+        assert cover.balls[0].radius == 2.0**39
 
     def test_box_wider_than_the_float_range(self, monkeypatch):
-        # upper - lower overflows on the first axis, but the half widths
-        # (1e308, 0.5) and the half-diagonal are finite; the box volume is
-        # inf, which rules out every grid scale.
-        box = AxisBox([-1e308, 0.0], [1e308, 1.0])
-        assert box.half_widths().tolist() == [1e308, 0.5]
+        # [-1e308, 1e308] is past the range.  A box of the widest range,
+        # [-2^40, 2^40] x [0, 2], has a finite volume that rules out every
+        # grid scale, and its self cover's radius is its half-diagonal.
+        with pytest.raises(ValueError, match="must lie in"):
+            AxisBox([-1e308, 0.0], [1e308, 1.0])
+        box = AxisBox([-(2.0**40), 0.0], [2.0**40, 2.0])
+        assert box.half_widths().tolist() == [2.0**40, 1.0]
         sides = TestCoverPrune.count_grid_builds(monkeypatch)
         cover = cover_measure_upper(EuclideanSet(2, [box]))
         assert sides == []
-        assert cover.value == 1e308 and cover.balls[0].radius == 1e308
+        assert cover.value == 2.0**40 and cover.balls[0].radius == 2.0**40
 
     def test_half_widths_halve_the_plain_difference(self):
         # 0.5 * upper - 0.5 * lower has the bits of 0.5 * (upper - lower)
@@ -575,29 +581,40 @@ class TestCoverUpper:
         assert_halving_keeps_the_plain_bits(AxisBox.center, lambda box: 0.5 * (box.lower + box.upper))
 
     def test_box_whose_ends_add_past_the_float_range(self):
-        # lower + upper overflows on the first axis, but the centre
-        # (1.25e308, 0.5) is finite, and so are the self cover's ball there
-        # and the mean width 2 (0.5e308 + 1) / pi.
-        box = AxisBox([1e308, 0.0], [1.5e308, 1.0])
-        assert box.center().tolist() == [1.25e308, 0.5]
+        # [1e308, 1.5e308] is past the range.  At its edge, the box
+        # [2^39, 2^40] x [0, 1] has its self cover's ball at the centre
+        # (1.5 2^39, 0.5), and mean width 2 (2^39 + 1) / pi.
+        with pytest.raises(ValueError, match="must lie in"):
+            AxisBox([1e308, 0.0], [1.5e308, 1.0])
+        box = AxisBox([2.0**39, 0.0], [2.0**40, 1.0])
+        assert box.center().tolist() == [1.5 * 2.0**39, 0.5]
         cover = cover_measure_upper(EuclideanSet(2, [box]))
-        assert cover.value == 2.5e307 and len(cover.balls) == 1
-        assert cover.balls[0].center.tolist() == [1.25e308, 0.5]
-        assert mean_width(EuclideanSet(2, [box])).value == pytest.approx(1e308 / math.pi, rel=1e-7)
+        assert cover.value == 2.0**38 and len(cover.balls) == 1
+        assert cover.balls[0].center.tolist() == [1.5 * 2.0**39, 0.5]
+        assert mean_width(EuclideanSet(2, [box])).value == pytest.approx(2.0**40 / math.pi, rel=1e-7)
 
     def test_disc_whose_square_overflows(self):
-        s = EuclideanSet(2, [Ball([0.0, 0.0], 1e300)])
+        # The square of 1e300 overflows, so the disc is past the range; a
+        # disc of radius 2^40 is its own cover.
+        with pytest.raises(ValueError, match="must lie in"):
+            Ball([0.0, 0.0], 1e300)
+        s = EuclideanSet(2, [Ball([0.0, 0.0], 2.0**40)])
         cover = cover_measure_upper(s)
-        assert cover.value == 1e300 and cover.balls[0] is s.pieces[0]
+        assert cover.value == 2.0**40 and cover.balls[0] is s.pieces[0]
 
     def test_half_diagonal_keeps_the_plain_norm_where_it_is_finite(self):
+        # Boxes of every width from 1e3 to 1e11 in range: the self cover
+        # wins, and its ball has the box's centre and, as radius, the plain
+        # norm of the half widths.
         rng = trial_rng(41, 0)
         for d in (1, 2, 3):
             for _ in range(200):
-                lower = rng.uniform(-10, 10, d) * 10.0 ** rng.integers(-150, 150, d)
-                upper = np.maximum(lower + 10.0 ** rng.uniform(-150, 150, d), np.nextafter(lower, np.inf))
-                box = AxisBox(lower, upper)
-                assert _half_diagonal(box) == float(np.linalg.norm(box.half_widths()))
+                lower = rng.uniform(-10, 10, d) * 10.0 ** rng.integers(-12, 10, d)
+                box = AxisBox(lower, lower + 10.0 ** rng.uniform(3, 11, d))
+                cover = cover_measure_upper(EuclideanSet(d, [box]))
+                assert len(cover.balls) == 1
+                assert cover.balls[0].radius == float(np.linalg.norm(box.half_widths()))
+                assert cover.balls[0].center.tobytes() == box.center().tobytes()
 
     @pytest.mark.parametrize(
         "upper",
@@ -643,7 +660,7 @@ def eight_candidate_cover(s: EuclideanSet, max_level: int = 6) -> CoverCandidate
         else:
             self_balls.append(Ball(p.center(), float(np.linalg.norm(p.half_widths()))))
     radii = np.array([b.radius for b in self_balls])
-    candidates = [CoverCandidate(tuple(self_balls), _cover_value(radii, d))]
+    candidates = [CoverCandidate(tuple(self_balls), float(np.sum(np.minimum(radii, radii**d))))]
     for j in range(max_level + 1):
         side = 2.0**-j
         cells = set_grid_cover_cells(s, side)
@@ -838,10 +855,14 @@ class TestCoverPrune:
         assert sides == [2.0**-j for j in range(1, 7)]
 
     def test_ball_volume_past_the_float_range_rules_out_every_scale(self, monkeypatch):
-        s = EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 1e120)])
+        # The volume of a 3-D ball of radius 1e120 overflows, so the ball is
+        # past the range; at its edge, 2^40, the volume rules out every scale.
+        with pytest.raises(ValueError, match="must lie in"):
+            Ball([0.0, 0.0, 0.0], 1e120)
+        s = EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 2.0**40)])
         sides = self.count_grid_builds(monkeypatch)
         cover = cover_measure_upper(s)
-        assert sides == [] and cover.value == 1e120 and cover.balls[0] is s.pieces[0]
+        assert sides == [] and cover.value == 2.0**40 and cover.balls[0] is s.pieces[0]
 
 
 def per_matrix_rotation(d: int, rng) -> np.ndarray:
@@ -1031,3 +1052,35 @@ class TestValidation:
             _check_rotations(stack, np.ones(3))
         with pytest.raises(ValueError):
             _check_rotations(np.stack([np.eye(d)] * 3), np.array([1.0, np.nan, 1.0]))
+
+
+class TestInputRange:
+    def test_bound_keeps_every_power_finite(self):
+        # (4 sqrt(d) M)^d <= 2^1000 for M = 2^e: d (2 + log2(d)/2 + e) <=
+        # 1000, with e the largest such exponent up to 40.
+        for d in range(1, 400):
+            e = math.log2(_magnitude_bound(d))
+            assert e == int(e) and d * (2 + math.log2(d) / 2 + e) <= 1000
+            assert e == 40 or d * (3 + math.log2(d) / 2 + e) > 1000
+        assert [_magnitude_bound(d) for d in (1, 3, 22, 23)] == [2.0**40] * 3 + [2.0**39]
+        with pytest.raises(ValueError, match="dimension"):
+            _magnitude_bound(0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**40 * (1 + 2**-52), -1e300])
+    def test_pieces_reject_numbers_past_the_range(self, bad):
+        with pytest.raises(ValueError, match="must lie in"):
+            Ball([bad, 0.0], 1.0)
+        with pytest.raises(ValueError, match=r"must lie in \[-2\^40, 2\^40\] in dimension 2"):
+            AxisBox([0.0, min(bad, 0.0)], [1.0, max(bad, 1.0)] if bad == bad else [1.0, bad])
+        if bad > 0:
+            with pytest.raises(ValueError, match="must lie in"):
+                Ball([0.0, 0.0], bad)
+
+    def test_pieces_at_the_edge_of_the_range(self):
+        m = 2.0**40
+        assert Ball([-m, m], m).radius == m
+        assert AxisBox([-m, -m], [m, m]).volume() == 4 * m * m
+        with pytest.raises(ValueError, match="lower < upper"):
+            AxisBox([m, 0.0], [m, 1.0])
+        with pytest.raises(ValueError, match="must lie in"):
+            AxisBox([0.0] * 23, [2.0**39 * 1.5] + [1.0] * 22)

@@ -464,10 +464,13 @@ class TestLatticeAveraging:
         assert 1 / 50 <= rep_b.extras["ratio"] <= 50
 
     def test_zero_reference_is_rejected_before_any_trial(self, monkeypatch):
-        # The ball of radius 0.9 has no mass in ||x|| >= 1, and a^(-d/2) of
-        # the Gaussian with a = 1e300 underflows to 0: no ratio is defined.
+        # The ball of radius 0.9 has no mass in ||x|| >= 1, and the tail of
+        # the Gaussian with a = 2^40, at the edge of the input range,
+        # underflows to 0: no ratio is defined.  a = 1e300 is past the range.
         monkeypatch.setattr(lattice, "trial_rng", lambda *a: pytest.fail("a trial ran"))
-        for phi in (AnnulusIndicator(2, 0.0, 0.9), GaussianProfile(2, 1e300)):
+        with pytest.raises(ValueError, match="must lie in"):
+            GaussianProfile(2, 1e300)
+        for phi in (AnnulusIndicator(2, 0.0, 0.9), GaussianProfile(2, 2.0**40)):
             with pytest.raises(ValueError, match="reference integral .* is 0.0"):
                 check_lattice_averaging(phi, trials=500, seed=1)
 
@@ -553,9 +556,13 @@ class TestLatticeAveraging:
                 assert phi.integral_outside(phi.tail_radius(eps)) <= eps
 
     def test_gaussian_scale_whose_integral_overflows_is_rejected(self):
-        with pytest.raises(ValueError, match="overflows"):
-            GaussianProfile(3, 1e-300)
-        assert GaussianProfile(1, 1e-300).a == 1e-300
+        # a^(-d/2) overflows at a = 1e-300 in d = 3; the scale is past the
+        # input range [2^-40, 2^40] in every dimension, and at its edge the
+        # integral, 2^60 in d = 3, is finite.
+        for d in (1, 3):
+            with pytest.raises(ValueError, match=r"must lie in \[2\^-40, 2\^40\]"):
+                GaussianProfile(d, 1e-300)
+        assert GaussianProfile(3, 2.0**-40).integral_outside(0.0) == 2.0**60
 
     def test_gaussian_tail_integral_closed_form(self):
         phi = GaussianProfile(2, 1.0)
@@ -618,10 +625,13 @@ class TestEstimateOrder:
             estimate_order(EuclideanSet(4, [Ball(np.zeros(4), 1.0)]), trials=10)
 
     def test_radius_past_exact_squares_rejected(self):
-        # Its candidate bound, 2e120^3, passes the float range: a block of one
-        # trial, whose annulus check raises as intersect's does.
+        # A radius of 1e120 is past the input range.  At its edge, 2^40, the
+        # candidate bound of about 2^123 gives a block of one trial, whose
+        # annulus check raises as intersect's does.
+        with pytest.raises(ValueError, match="must lie in"):
+            Ball([0.0, 0.0, 0.0], 1e120)
         with pytest.raises(ValueError, match="past exact squares"):
-            estimate_order(EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 1e120)]), trials=5)
+            estimate_order(EuclideanSet(3, [Ball([0.0, 0.0, 0.0], 2.0**40)]), trials=5)
 
     @pytest.mark.parametrize(
         "name, trials",

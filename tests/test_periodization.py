@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ class TestValues:
         gamma = Periodization(Gaussian(1.3, d), lat)
         n = 12
         assert np.max(np.abs(gamma.value_grid(n) - gamma.value(_torus_grid(n, d)))) <= 1e-12
+
+    def test_theta_sums_past_the_cap_raise_before_allocating(self):
+        # At a = 2^-40, the low end of the input range, the theta sums on a
+        # 256 grid hold about 4e9 terms, some 31 GB per float64 temporary.
+        gamma = Periodization(Gaussian(2.0**-40, 2), sample_lattice(2, trial_rng(13, 0)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="pass 4194304 terms"):
+                gamma.value_grid(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 GAUSSIAN_KINDS = [
