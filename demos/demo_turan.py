@@ -25,7 +25,7 @@ print(f"  global sup {res.lhs:.3f}, factor {res.factor:.0f}, holds={res.holds}")
 print()
 print("certified sup-norm bracket on a random 5-term polynomial")
 from ulat.mc import trial_rng
-from ulat.turan import random_polynomial
+from ulat.turan import random_polynomial, random_torus_set
 
 rng = trial_rng(3, 0)
 rp = random_polynomial(1, rng, max_terms=5, max_freq=8)
@@ -33,6 +33,10 @@ est = sup_norm(rp)
 print(f"  sup in [{est.value:.5f}, {est.upper:.5f}]")
 scattered = float(abs(rp.evaluate(rng.uniform(0.0, 1.0, (4096, 1)))).max())
 print(f"  largest |p| at 4096 random points {scattered:.5f} <= {est.upper:.5f}")
+e = random_torus_set(1, rng)
+res = turan_check(rp, e)
+print(f"  on a random union of {len(e.pieces)} arcs of measure {e.measure:.3f}:"
+      f" factor {res.factor:.4g}, holds={res.holds}")
 
 print()
 for d in (1, 2):

@@ -41,6 +41,11 @@ SCHEMA_VERSION = 1
 # Largest torus grid a plan may request, in points n^d: 1024^2 and 128^3 fit.
 GRID_POINT_BUDGET = 2**21
 
+# Largest value of a count flag: 2^40, the bound M(d) on every number of a
+# set for d <= 22, so that a count converts to a float exactly and stays in
+# the range the library's objects accept.
+COUNT_CEILING = 2**40
+
 
 @dataclass
 class RunConfig:
@@ -427,8 +432,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 _DEFAULT_FORMATS = {"turan": "csv", "sweep": "csv"}
 
-# Integer flags that count something, checked >= 1 with --trials before a
-# real or a dry run.
+# Integer flags that count something, checked to lie in [1, COUNT_CEILING]
+# with --trials before a real or a dry run.
 _COUNT_FLAGS = ("dim", "n", "random", "ygrid")
 
 
@@ -472,6 +477,8 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     for key, value in counts.items():
         if value < 1:
             raise PreconditionError(f"{key} must be >= 1")
+        if value > COUNT_CEILING:
+            raise PreconditionError(f"{key} must be <= {COUNT_CEILING}")
     fmt = args.fmt or _DEFAULT_FORMATS.get(args.command, "json")
     return RunConfig(
         command=args.command,

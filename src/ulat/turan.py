@@ -13,14 +13,22 @@ evaluated on it by ``_product_grid_values``: a dense coefficient tensor over
 the distinct frequencies of each axis, contracted against one exp table per
 axis.  One evaluator, ``_sup_estimates``, serves ``sup_norm`` (one
 polynomial, one region), ``turan_check`` (one polynomial, the full torus and
-E) and ``run_campaign`` (a block of instances): it builds the grid samples
-of every box of every polynomial in the call, and each axis's exp tables,
-at once, then contracts box by box.  ``run_campaign`` draws its instances in
-order and checks them in blocks of ``_CAMPAIGN_BLOCK``, which bounds the
-memory of one call; its rows equal those of ``turan_check`` instance by
-instance, bit for bit.  The pipeline's grid polynomial in ``annihilation``
-passes its exact n-th-root tables to the same contraction.
-``TrigPolynomial.evaluate`` is the evaluator at scattered points.
+E) and ``run_campaign`` (a block of instances).  It works on arrays: each
+polynomial comes as one ``_spectrum`` pass over its sorted frequencies (the
+distinct values of each axis, the coefficient tensor, the order and its
+chain checks, the grid density and the gradient bound), and each region as
+the corner lists of its boxes and its measure; ``sup_norm`` and
+``turan_check`` convert their objects at that edge.  The evaluator builds
+the grid samples of every box of every polynomial in the call, and each
+axis's exp tables, at once, contracts box by box, and takes every box
+maximum from one reduction.  ``run_campaign`` draws each instance as arrays
+(``_draw_spectrum`` and ``_draw_boxes``, which ``random_polynomial`` and
+``random_torus_set`` wrap into objects) and checks them in blocks of
+``_CAMPAIGN_BLOCK``, which bounds the memory of one call; its rows equal
+those of ``turan_check`` instance by instance, bit for bit.  The pipeline's
+grid polynomial in ``annihilation`` passes its exact n-th-root tables to the
+same contraction.  ``TrigPolynomial.evaluate`` is the evaluator at scattered
+points.
 """
 
 from __future__ import annotations
@@ -28,10 +36,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import AxisBox, _grid_points, merged_length
+from .geometry import AxisBox, merged_length
 from .mc import trial_rng
 
 __all__ = [
@@ -97,8 +106,12 @@ class TrigPolynomial:
 
     def gradient_bound(self) -> float:
         """Global bound for ||grad p||_2: 2 pi sum |c_k| ||k||_2."""
-        norms = np.linalg.norm(self.freqs.astype(float), axis=1)
-        return 2.0 * math.pi * float(np.sum(np.abs(self.coefs) * norms))
+        return _gradient_bound(self.freqs, self.coefs)
+
+
+def _gradient_bound(freqs: np.ndarray, coefs: np.ndarray) -> float:
+    norms = np.linalg.norm(freqs.astype(float), axis=1)
+    return 2.0 * math.pi * float(np.sum(np.abs(coefs) * norms))
 
 
 @dataclass(frozen=True)
@@ -115,15 +128,18 @@ class PolyOrder:
 
 
 def poly_order(p: TrigPolynomial) -> PolyOrder:
-    per_axis = tuple(len(np.unique(p.freqs[:, i])) - 1 for i in range(p.dimension))
+    return _order(tuple(len(np.unique(p.freqs[:, i])) - 1 for i in range(p.dimension)), len(p.coefs))
+
+
+def _order(per_axis: tuple, card: int) -> PolyOrder:
+    """The order of a spectrum of ``card`` terms from its per-axis orders,
+    after the spectrum-count chains that every valid spectrum satisfies."""
     fm = int(sum(per_axis))
-    card = len(p.coefs)
-    # Spectrum-count chains that every valid spectrum satisfies.
-    if fm > p.dimension * max(per_axis):
+    if fm > len(per_axis) * max(per_axis):
         raise AssertionError(f"order {fm} exceeds d * max per-axis order")
     if max(per_axis) > card - 1:
         raise AssertionError(f"per-axis order {max(per_axis)} exceeds term count - 1")
-    if card > int(np.prod([m + 1 for m in per_axis])):
+    if card > math.prod(m + 1 for m in per_axis):
         raise AssertionError(f"term count {card} exceeds the product of axis counts")
     return PolyOrder(per_axis=per_axis, fm_exponent=fm)
 
@@ -225,10 +241,10 @@ def _coefficient_tensor(freqs: np.ndarray, coefs: np.ndarray) -> tuple[list, np.
     """The distinct values A_i of each column of the (n, d) integer array
     ``freqs``, and the dense (A_1, ..., A_d) tensor of the coefficients
     summed at their frequencies (repeated rows add up)."""
-    axes = [np.unique(freqs[:, i], return_inverse=True) for i in range(freqs.shape[1])]
-    tensor = np.zeros(tuple(len(a) for a, _ in axes), dtype=complex)
-    np.add.at(tensor, tuple(inv for _, inv in axes), coefs)
-    return [a for a, _ in axes], tensor
+    values = [np.unique(freqs[:, i]) for i in range(freqs.shape[1])]
+    tensor = np.zeros(tuple(len(a) for a in values), dtype=complex)
+    np.add.at(tensor, tuple(np.searchsorted(a, freqs[:, i]) for i, a in enumerate(values)), coefs)
+    return values, tensor
 
 
 def _product_grid_values(tensor: np.ndarray, tables: list) -> np.ndarray:
@@ -249,73 +265,106 @@ def _product_grid_values(tensor: np.ndarray, tables: list) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _sup_estimates(jobs: list) -> list:
-    """Certified brackets for sup |p| over each region of each (p, regions)
-    job; the jobs share one dimension.  Returns one list of SupEstimate per
-    job, in the order of its regions.
+class _Spectrum(NamedTuple):
+    """One polynomial as the evaluator and the Turan factor use it."""
 
-    Each job keeps its own grid density, gradient bound and coefficient
-    tensor.  Along each axis, the grid samples of every box of every job
-    come from one ``_box_axis_grids`` call, and one elementwise exp covers
-    every (sample, distinct frequency of the sample's job) pair, so each
-    box's table holds the bits of an exp table built for that box alone.
-    Each box's values come from its own ``_product_grid_values``
-    call, and its window from the norm of its spacings; the value and the
-    upper end of each region are the maxima over its run of boxes.
+    values: list  # the distinct frequencies of each axis, ascending
+    tensor: np.ndarray  # the coefficients over the product of ``values``
+    order: PolyOrder
+    density: int  # grid samples per unit length along each axis
+    grad: float  # the gradient bound 2 pi sum |c_k| ||k||_2
+
+
+def _spectrum(freqs: np.ndarray, coefs: np.ndarray, grad: float) -> _Spectrum:
+    """The one pass over a spectrum of distinct frequencies in lexicographic
+    order (as ``TrigPolynomial`` holds them), with gradient bound ``grad``.
+
+    The distinct values of each axis serve both the coefficient tensor and
+    the order's chain checks.  In d = 1 the sorted frequencies are already
+    the axis's distinct values, and the coefficients are the tensor.
     """
-    for p, regions in jobs:
-        for region in regions:
-            if region.dimension != p.dimension:
-                raise ValueError(
-                    f"polynomial and region dimensions differ: {p.dimension} and {region.dimension}"
-                )
-            if region.measure <= 0:
-                raise ValueError("sup_norm region must have positive measure")
-    d = jobs[0][0].dimension
-    density, grad, tensors, values = [], [], [], []
-    boxes, box_job, region_first = [], [], []
-    for j, (p, regions) in enumerate(jobs):
-        density.append(GRID_DENSITY_FACTOR * (int(np.max(np.abs(p.freqs))) + 1))
-        grad.append(p.gradient_bound())
-        a, tensor = _coefficient_tensor(p.freqs, p.coefs)
-        values.append(a)
-        tensors.append(tensor)
-        for region in regions:
-            region_first.append(len(boxes))
-            boxes += region.pieces
-            box_job += [j] * len(region.pieces)
-    box_job = np.array(box_job)
-    box_density = np.array(density)[box_job]
-    lower = np.array([b.lower for b in boxes])
-    upper = np.array([b.upper for b in boxes])
-    spacings = np.empty((len(boxes), d))
+    if freqs.shape[1] == 1:
+        values, tensor = [freqs[:, 0]], coefs
+    else:
+        values, tensor = _coefficient_tensor(freqs, coefs)
+    order = _order(tuple(len(a) - 1 for a in values), len(coefs))
+    density = GRID_DENSITY_FACTOR * (int(np.max(np.abs(freqs))) + 1)
+    return _Spectrum(values, tensor, order, density, grad)
+
+
+def _sup_estimates(spectra: list, regions: list) -> tuple[list, list]:
+    """Certified brackets for sup |p| over regions: the value and the upper
+    end of each region, in order.
+
+    ``spectra`` holds one ``_Spectrum`` per polynomial, all of one
+    dimension, and each region is (j, lower, upper, measure): the index of
+    its polynomial, the lower and the upper corners of its boxes, and its
+    measure.  A region whose dimension differs from its polynomial's, or of
+    measure 0, is a ValueError.
+
+    Each polynomial keeps its own grid density, gradient bound and
+    coefficient tensor.  Along each axis, the grid samples of every box come
+    from one ``_box_axis_grids`` call, and each run of consecutive boxes of
+    one polynomial gets one exp table over its samples and the polynomial's
+    distinct frequencies, so each box's rows hold the bits of an exp table
+    built for that box alone.  Each box's values come from its own
+    ``_product_grid_values`` call, and one ``np.maximum.reduceat`` over the
+    moduli of every box's values gives the box maxima; the norms of the
+    boxes' spacings give their windows.  The value and the upper end of each
+    region are the maxima over its run of boxes.
+    """
+    for j, rows, _, measure in regions:
+        dim = len(spectra[j].values)
+        if len(rows[0]) != dim:
+            raise ValueError(f"polynomial and region dimensions differ: {dim} and {len(rows[0])}")
+        if measure <= 0:
+            raise ValueError("sup_norm region must have positive measure")
+    pieces = np.array([len(rows) for _, rows, _, _ in regions])
+    region_first = np.cumsum(pieces) - pieces
+    box_job = np.repeat([j for j, _, _, _ in regions], pieces)
+    lower = np.array([row for _, rows, _, _ in regions for row in rows], dtype=float)
+    upper = np.array([row for _, _, rows, _ in regions for row in rows], dtype=float)
+    d = lower.shape[1]
+    box_density = np.array([s.density for s in spectra])[box_job]
+    # Runs of consecutive boxes of one polynomial, as (first box, end box).
+    runs = np.flatnonzero(np.diff(box_job, prepend=-1)).tolist()
+    runs = list(zip(runs, runs[1:] + [len(box_job)]))
+    spacings = np.empty(lower.shape)
+    size = np.ones(len(box_job), dtype=int)
     tables = []
     for i in range(d):
         t, first = _box_axis_grids(lower[:, i], upper[:, i], box_density)
         spacings[:, i] = t[first + 1] - t[first]
-        # Pair each sample with the distinct frequencies of its job, sample
-        # by sample, as the rows of each box's (samples, frequencies) table.
-        counts = np.array([len(a[i]) for a in values])
-        offsets = np.cumsum(counts) - counts
-        samples = np.diff(first, append=t.size)
-        job = np.repeat(box_job, samples)
-        pair_first = np.cumsum(counts[job]) - counts[job]
-        sample = np.repeat(np.arange(t.size), counts[job])
-        freq = offsets[job[sample]] + np.arange(sample.size) - pair_first[sample]
-        flat = np.exp(2j * math.pi * (t[sample] * np.concatenate([a[i] for a in values])[freq]))
-        shapes = zip(pair_first[first].tolist(), samples.tolist(), counts[box_job].tolist())
-        tables.append([flat[s : s + n * a].reshape(n, a) for s, n, a in shapes])
-    box_max = np.empty(len(boxes))
-    window = np.empty(len(boxes))
+        size *= np.diff(first, append=t.size)
+        ends = first.tolist() + [t.size]
+        # One exp table over the samples of each run and the distinct
+        # frequencies of its polynomial; each box's table is its rows.
+        axis = []
+        for b0, b1 in runs:
+            s0 = ends[b0]
+            run = np.exp(2j * math.pi * np.multiply.outer(t[s0 : ends[b1]], spectra[box_job[b0]].values[i]))
+            axis += [run[f - s0 : g - s0] for f, g in zip(ends[b0:b1], ends[b0 + 1 : b1 + 1])]
+        tables.append(axis)
+    # Each box's |grid| goes into one buffer, and one reduction over the
+    # boxes' runs in it gives every box maximum.
+    start = np.cumsum(size) - size
+    grid_abs = np.empty(int(size.sum()))
     for b, j in enumerate(box_job.tolist()):
-        grid = _product_grid_values(tensors[j], [axis[b] for axis in tables])
-        box_max[b] = np.max(np.abs(grid))
-        window[b] = np.linalg.norm(spacings[b])
-    box_upper = box_max + np.array(grad)[box_job] * 0.5 * window
-    value = np.maximum.reduceat(box_max, region_first).tolist()
-    upper = np.maximum.reduceat(box_upper, region_first).tolist()
-    estimates = iter(SupEstimate(v, u) for v, u in zip(value, upper))
-    return [[next(estimates) for _ in regions] for _, regions in jobs]
+        grid = _product_grid_values(spectra[j].tensor, [axis[b] for axis in tables])
+        np.abs(grid, out=grid_abs[start[b] : start[b] + size[b]])
+    box_max = np.maximum.reduceat(grid_abs, start)
+    # np.linalg.norm of each row: vecdot takes the same dot product per row.
+    window = np.sqrt(np.vecdot(spacings, spacings))
+    box_upper = box_max + np.array([s.grad for s in spectra])[box_job] * 0.5 * window
+    return (
+        np.maximum.reduceat(box_max, region_first).tolist(),
+        np.maximum.reduceat(box_upper, region_first).tolist(),
+    )
+
+
+def _region(j: int, region: TorusSet) -> tuple:
+    """A TorusSet as a region of polynomial j of ``_sup_estimates``."""
+    return j, [b.lower for b in region.pieces], [b.upper for b in region.pieces], region.measure
 
 
 def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
@@ -327,11 +376,13 @@ def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
     its grid maximum plus the gradient bound times the half-diagonal of one
     of its grid cells, and the upper end is the largest of these, which need
     not come from the box that holds the value.  The grid values come from
-    per-axis exp tables through ``_product_grid_values``, in the one-job
+    per-axis exp tables through ``_product_grid_values``, in the one-region
     call of the evaluator that ``turan_check`` and ``run_campaign`` use.
     A region whose dimension differs from the polynomial's is a ValueError.
     """
-    return _sup_estimates([(p, [region or TorusSet.full(p.dimension)])])[0][0]
+    spectrum = _spectrum(p.freqs, p.coefs, p.gradient_bound())
+    (value,), (upper,) = _sup_estimates([spectrum], [_region(0, region or TorusSet.full(p.dimension))])
+    return SupEstimate(value, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -354,26 +405,29 @@ def turan_check(p: TrigPolynomial, e: TorusSet) -> TuranResult:
     bound (14/|E|)^(m-1).  A violation needs the certified lower bound of
     the global sup to exceed the certified upper bound of the right-hand side.
     """
-    return _turan_results([(p, e)])[0]
+    spectrum = _spectrum(p.freqs, p.coefs, p.gradient_bound())
+    return _turan_results([spectrum], [_region(0, e)])[0]
 
 
-def _turan_results(pairs: list) -> list:
-    """``turan_check`` on each (p, E) pair of one dimension, with one
-    ``_sup_estimates`` call over the full torus and E of every pair.  The
-    evaluator runs first, so a region it rejects (a dimension mismatch, or
-    E of measure 0) is its ValueError before any factor divides by |E|.  A
+def _turan_results(spectra: list, sets: list) -> list:
+    """``turan_check`` on each polynomial of ``spectra`` and its set, a
+    region (j, lower, upper, measure) of ``_sup_estimates``, with one
+    evaluator call over the full torus and E of every pair.  The evaluator
+    runs first, so a region it rejects (a dimension mismatch, or E of
+    measure 0) is its ValueError before any factor divides by |E|.  A
     factor past the float range is inf, and so is the right-hand side: the
     bound is vacuous and holds."""
-    full = TorusSet.full(pairs[0][0].dimension)
-    sups = _sup_estimates([(p, [full, e]) for p, e in pairs])
+    d = len(spectra[0].values)
+    full = [[0.0] * d], [[1.0] * d], 1.0
+    value, upper = _sup_estimates(spectra, [r for j, e in enumerate(sets) for r in ((j, *full), e)])
     results = []
-    for (p, e), (whole, region) in zip(pairs, sups):
+    for j, (s, (_, _, _, measure)) in enumerate(zip(spectra, sets)):
         try:
-            factor = (14.0 * p.dimension / e.measure) ** poly_order(p).fm_exponent
+            factor = (14.0 * d / measure) ** s.order.fm_exponent
         except OverflowError:
             factor = math.inf
-        lhs = whole.value
-        rhs = factor * region.upper if factor < math.inf else math.inf
+        lhs = value[2 * j]
+        rhs = factor * upper[2 * j + 1] if factor < math.inf else math.inf
         results.append(TuranResult(lhs, rhs, factor, bool(lhs <= rhs * (1.0 + 1e-12) + 1e-300)))
     return results
 
@@ -381,6 +435,36 @@ def _turan_results(pairs: list) -> list:
 # ---------------------------------------------------------------------------
 # Randomized campaigns
 # ---------------------------------------------------------------------------
+
+
+def _draw_spectrum(
+    d: int, rng: np.random.Generator, max_terms: int, max_freq: int, max_per_axis: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``random_polynomial``'s draw as arrays: its distinct (n, d) integer
+    frequencies in lexicographic order, and their coefficients."""
+    if max_per_axis is not None:
+        axes = [
+            rng.choice(np.arange(-max_freq, max_freq + 1), size=max_per_axis, replace=False)
+            for _ in range(d)
+        ]
+        # Row k of the C-order product grid of the axes.
+        n = int(rng.integers(1, max_per_axis**d + 1))
+        pick = np.unravel_index(rng.choice(max_per_axis**d, size=n, replace=False), (max_per_axis,) * d)
+        freqs = np.stack([a[k] for a, k in zip(axes, pick)], axis=1)
+    else:
+        n = int(rng.integers(1, max_terms + 1))
+        pool = np.arange(-max_freq, max_freq + 1)
+        if d == 1:
+            vals = rng.choice(pool, size=n, replace=False)
+            freqs = vals[:, None]
+        else:
+            seen = set()
+            while len(seen) < n:
+                seen.add(tuple(int(x) for x in rng.integers(-max_freq, max_freq + 1, d)))
+            freqs = np.array(sorted(seen), dtype=int)
+    coefs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+    order = np.lexsort(freqs.T[::-1])
+    return freqs[order], coefs[order]
 
 
 def random_polynomial(
@@ -395,28 +479,26 @@ def random_polynomial(
     ``max_per_axis`` restricts the number of distinct frequency values per
     axis (spectra inside a small product set), as used in the 2-D campaigns.
     """
-    if max_per_axis is not None:
-        axes = [
-            rng.choice(np.arange(-max_freq, max_freq + 1), size=max_per_axis, replace=False)
-            for _ in range(d)
-        ]
-        grid = _grid_points(axes)
-        n = int(rng.integers(1, len(grid) + 1))
-        pick = rng.choice(len(grid), size=n, replace=False)
-        freqs = grid[pick]
-    else:
-        n = int(rng.integers(1, max_terms + 1))
-        pool = np.arange(-max_freq, max_freq + 1)
-        if d == 1:
-            vals = rng.choice(pool, size=n, replace=False)
-            freqs = vals[:, None]
-        else:
-            seen = set()
-            while len(seen) < n:
-                seen.add(tuple(int(x) for x in rng.integers(-max_freq, max_freq + 1, d)))
-            freqs = np.array(sorted(seen), dtype=int)
-    coefs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+    freqs, coefs = _draw_spectrum(d, rng, max_terms, max_freq, max_per_axis)
     return TrigPolynomial(d, dict(zip(map(tuple, freqs.tolist()), coefs)))
+
+
+def _draw_boxes(d: int, rng: np.random.Generator, min_measure: float) -> tuple[list, list, float]:
+    """``random_torus_set``'s draw as corner lists: the lower and the upper
+    corners of its boxes, and the measure of their union."""
+    if not 0.0 < min_measure <= 1.0:
+        raise ValueError(f"min_measure must lie in (0, 1], got {min_measure!r}")
+    for _ in range(256):
+        lower, upper = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            lo = rng.uniform(0.0, 0.9, d)
+            width = rng.uniform(0.02, 0.5, d)
+            lower.append(lo.tolist())
+            upper.append(np.minimum(lo + width, 1.0).tolist())
+        measure = _slab_sweep(list(zip(lower, upper)))
+        if measure >= min_measure:
+            return lower, upper, measure
+    raise ValueError(f"no torus set of measure at least {min_measure} in 256 draws")
 
 
 def random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1) -> TorusSet:
@@ -425,20 +507,8 @@ def random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1)
     ``min_measure`` must lie in (0, 1].  Up to 256 unions are drawn; a
     ValueError reports that none reached the measure.
     """
-    if not 0.0 < min_measure <= 1.0:
-        raise ValueError(f"min_measure must lie in (0, 1], got {min_measure!r}")
-    for _ in range(256):
-        n = int(rng.integers(1, 5))
-        boxes = []
-        for _ in range(n):
-            lo = rng.uniform(0.0, 0.9, d)
-            width = rng.uniform(0.02, 0.5, d)
-            hi = np.minimum(lo + width, 1.0)
-            boxes.append(AxisBox(lo, hi))
-        ts = TorusSet(d, boxes)
-        if ts.measure >= min_measure:
-            return ts
-    raise ValueError(f"no torus set of measure at least {min_measure} in 256 draws")
+    lower, upper, _ = _draw_boxes(d, rng, min_measure)
+    return TorusSet(d, [AxisBox(lo, hi) for lo, hi in zip(lower, upper)])
 
 
 # Campaign draws per dimension: (max_terms, max_freq, max_per_axis,
@@ -446,8 +516,9 @@ def random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1)
 _CAMPAIGN_DRAWS = {1: (8, 16, None, 0.1), 2: (8, 4, 3, 0.05)}
 
 # Campaign instances per ``_sup_estimates`` call.  With the draws above, one
-# call on 16 instances peaks at about 1.0 MB of numpy memory in d = 1,
-# 0.3 MB in d = 2 and 2.0 MB in d = 3 (tracemalloc, worst of 40 blocks).
+# block of 16 instances peaks at about 0.4 MB of numpy memory in d = 1,
+# 0.5 MB in d = 2 and 11 MB in d = 3, most of it the moduli of the block's
+# grid values (tracemalloc after a warm-up block, worst of 40 blocks).
 _CAMPAIGN_BLOCK = 16
 
 
@@ -461,30 +532,36 @@ def run_campaign(d: int, count: int, seed: int = 0) -> list[dict]:
     measure at least 0.05.
 
     The instances are checked in blocks of ``_CAMPAIGN_BLOCK``.  A block is
-    drawn first, each instance as one instance at a time would draw it:
-    trial_rng(seed, i), then the polynomial, then the set.  Then one
-    ``_sup_estimates`` call evaluates the whole block, and each factor's
-    ``poly_order`` is taken.  The rows
-    equal those of ``turan_check`` on each instance bit for bit, whatever
-    the block size.  The block size bounds the memory of one call: the
-    block's grid samples and exp tables are held at once, the grid values
-    one box at a time.  A d that is not an integer >= 1, or a count below
-    1, is a ValueError before any draw.
+    drawn first, each instance as arrays with the generator calls that
+    ``random_polynomial`` and ``random_torus_set`` make, in their order:
+    trial_rng(seed, i), then the spectrum, then the boxes.  Each spectrum
+    gets its ``_spectrum`` pass (so its order's chain checks run), the
+    block's boxes are checked to lie in [0, 1]^d, and one ``_sup_estimates``
+    call evaluates the whole block.  The rows equal those of ``turan_check``
+    on each instance bit for bit, whatever the block size.  The block size
+    bounds the memory of one call: the block's grid samples, exp tables and
+    the moduli of its grid values are held at once.  A d that is not an
+    integer >= 1, or a count that is not an integer >= 1, is a ValueError
+    before any draw.
     """
     if not isinstance(d, numbers.Integral) or d < 1:
         raise ValueError(f"a campaign needs an integer dimension >= 1, got {d!r}")
-    if count < 1:
-        raise ValueError(f"a campaign needs at least one instance, got {count}")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"a campaign needs an integer count >= 1, got {count!r}")
     max_terms, max_freq, max_per_axis, min_measure = _CAMPAIGN_DRAWS[min(d, 2)]
     rows = []
     for start in range(0, count, _CAMPAIGN_BLOCK):
-        pairs = []
-        for i in range(start, min(start + _CAMPAIGN_BLOCK, count)):
+        spectra, sets = [], []
+        for j, i in enumerate(range(start, min(start + _CAMPAIGN_BLOCK, count))):
             rng = trial_rng(seed, i)
-            p = random_polynomial(d, rng, max_terms=max_terms, max_freq=max_freq,
-                                  max_per_axis=max_per_axis)
-            pairs.append((p, random_torus_set(d, rng, min_measure=min_measure)))
-        for i, res in enumerate(_turan_results(pairs), start):
+            freqs, coefs = _draw_spectrum(d, rng, max_terms, max_freq, max_per_axis)
+            spectra.append(_spectrum(freqs, coefs, _gradient_bound(freqs, coefs)))
+            sets.append((j, *_draw_boxes(d, rng, min_measure)))
+        lower = np.array([row for _, lo, _, _ in sets for row in lo])
+        upper = np.array([row for _, _, hi, _ in sets for row in hi])
+        if not (np.all(0.0 <= lower) and np.all(lower < upper) and np.all(upper <= 1.0)):
+            raise ValueError("torus set pieces must lie inside [0, 1]^d")
+        for i, res in enumerate(_turan_results(spectra, sets), start):
             rows.append(
                 {"seed": i, "lhs": res.lhs, "rhs": res.rhs, "factor": res.factor, "holds": res.holds}
             )

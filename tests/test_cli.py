@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 import ulat
 from ulat import annihilation, turan
+from ulat import cli
 from ulat.cli import (
+    COUNT_CEILING,
     EXIT_ASSERTION,
     EXIT_IO,
     EXIT_OK,
@@ -689,6 +691,38 @@ def test_count_flag_below_one_is_a_precondition(capsys, tmp_path, argv, key, val
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert f"precondition violated: {key} must be >= 1" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]])
+@pytest.mark.parametrize("value", [COUNT_CEILING + 1, 10**400])
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["sharpness", "--n"], "n"),
+        (["turan", "--random"], "random"),
+        (["lal", "--phi", "annulus:1:3", "--dim"], "dim"),
+        (["lal", "--phi", "annulus:1:3", "--trials"], "trials"),
+    ],
+)
+def test_count_flag_past_the_ceiling_is_a_precondition(capsys, monkeypatch, tmp_path, argv, key, value, extra):
+    # One line and exit 2 before any loader or command runs, dry or real,
+    # from the flag and from --config.  (At the parent, n and dim ended in
+    # an OverflowError traceback, trials ran without end, and the turan dry
+    # run exited 0.)
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the run started"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    for call in (argv + [str(value)], argv + ["1", "--config", str(cfg)]):
+        code, out, err = run_cli(capsys, call + extra)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == f"precondition violated: {key} must be <= {COUNT_CEILING}\n"
+
+
+def test_count_flag_at_the_ceiling_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, ["turan", "--random", str(COUNT_CEILING), "--dry-run"])
+    assert code == EXIT_OK
+    assert json.loads(out)["plan"]["options"]["random"] == COUNT_CEILING
 
 
 def grid_argv(command: str, doc_dir, function: str = "fbox.json") -> list[str]:

@@ -1,5 +1,6 @@
 """Turan-type inequalities: evaluation, order, certified sup norms, campaigns."""
 
+import copy
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ulat import turan
+from ulat.cli import EXIT_ASSERTION, main
 from ulat.geometry import AxisBox, _grid_points, merged_length
 from ulat.mc import trial_rng
 from ulat.turan import (
@@ -385,15 +387,67 @@ def reference_turan_check(p: TrigPolynomial, e: TorusSet) -> dict:
     return {"lhs": lhs, "rhs": rhs, "factor": factor, "holds": bool(lhs <= rhs * (1.0 + 1e-12) + 1e-300)}
 
 
+def oracle_random_polynomial(
+    d: int,
+    rng: np.random.Generator,
+    max_terms: int = 8,
+    max_freq: int = 16,
+    max_per_axis: int | None = None,
+) -> TrigPolynomial:
+    """Reference: random_polynomial as it drew before the array draws, a
+    product grid of the axes and a dict through the constructor."""
+    if max_per_axis is not None:
+        axes = [
+            rng.choice(np.arange(-max_freq, max_freq + 1), size=max_per_axis, replace=False)
+            for _ in range(d)
+        ]
+        grid = _grid_points(axes)
+        n = int(rng.integers(1, len(grid) + 1))
+        pick = rng.choice(len(grid), size=n, replace=False)
+        freqs = grid[pick]
+    else:
+        n = int(rng.integers(1, max_terms + 1))
+        pool = np.arange(-max_freq, max_freq + 1)
+        if d == 1:
+            vals = rng.choice(pool, size=n, replace=False)
+            freqs = vals[:, None]
+        else:
+            seen = set()
+            while len(seen) < n:
+                seen.add(tuple(int(x) for x in rng.integers(-max_freq, max_freq + 1, d)))
+            freqs = np.array(sorted(seen), dtype=int)
+    coefs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+    return TrigPolynomial(d, dict(zip(map(tuple, freqs.tolist()), coefs)))
+
+
+def oracle_random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1) -> TorusSet:
+    """Reference: random_torus_set as it drew before the array draws, one
+    AxisBox per box and one TorusSet per union."""
+    if not 0.0 < min_measure <= 1.0:
+        raise ValueError(f"min_measure must lie in (0, 1], got {min_measure!r}")
+    for _ in range(256):
+        n = int(rng.integers(1, 5))
+        boxes = []
+        for _ in range(n):
+            lo = rng.uniform(0.0, 0.9, d)
+            width = rng.uniform(0.02, 0.5, d)
+            hi = np.minimum(lo + width, 1.0)
+            boxes.append(AxisBox(lo, hi))
+        ts = TorusSet(d, boxes)
+        if ts.measure >= min_measure:
+            return ts
+    raise ValueError(f"no torus set of measure at least {min_measure} in 256 draws")
+
+
 def reference_campaign(d: int, count: int, seed: int) -> list[dict]:
     """Reference: run_campaign's rows, one instance at a time."""
     max_terms, max_freq, max_per_axis, min_measure = _CAMPAIGN_DRAWS[min(d, 2)]
     rows = []
     for i in range(count):
         rng = trial_rng(seed, i)
-        p = random_polynomial(d, rng, max_terms=max_terms, max_freq=max_freq,
-                              max_per_axis=max_per_axis)
-        e = random_torus_set(d, rng, min_measure=min_measure)
+        p = oracle_random_polynomial(d, rng, max_terms=max_terms, max_freq=max_freq,
+                                     max_per_axis=max_per_axis)
+        e = oracle_random_torus_set(d, rng, min_measure=min_measure)
         rows.append({"seed": i, **reference_turan_check(p, e)})
     return rows
 
@@ -472,6 +526,77 @@ class TestBlockEvaluator:
         with pytest.raises(ValueError, match="integer dimension"):
             run_campaign(d, 3)
 
+    @pytest.mark.parametrize("count", [0, -2, 2.5, 3.0, "3"])
+    def test_campaign_count_rejected_before_any_draw(self, monkeypatch, count):
+        monkeypatch.setattr(turan, "trial_rng", lambda *a: pytest.fail("drew an instance"))
+        with pytest.raises(ValueError, match="integer count"):
+            run_campaign(1, count)
+
+    @pytest.mark.parametrize(
+        "lower, upper", [([-1e-12], [0.5]), ([0.5], [1.0 + 1e-12]), ([0.5], [0.5]), ([0.6], [0.5])]
+    )
+    def test_drawn_boxes_checked_inside_the_unit_cube(self, monkeypatch, lower, upper):
+        # The campaign builds no TorusSet, so its own block check stands in
+        # for the one the objects made.
+        monkeypatch.setattr(turan, "_draw_boxes", lambda d, rng, m: ([[0.1], lower], [[0.9], upper], 0.8))
+        with pytest.raises(ValueError, match=r"inside \[0, 1\]\^d"):
+            run_campaign(1, 3)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (lambda per_axis, card: tuple(0 for _ in per_axis), "exceeds the product of axis counts"),
+            (lambda per_axis, card: tuple(card for _ in per_axis), "exceeds term count - 1"),
+        ],
+    )
+    def test_chain_checks_fire_inside_the_campaign(self, monkeypatch, capsys, counts, message):
+        # Per-axis counts that no spectrum has reach the order's chain
+        # checks, in the library and through the CLI.
+        order = turan._order
+        monkeypatch.setattr(turan, "_order", lambda per_axis, card: order(counts(per_axis, card), card))
+        for d in (1, 2):
+            with pytest.raises(AssertionError, match=message):
+                run_campaign(d, 40, seed=1)
+            assert main(["turan", "--dim", str(d), "--random", "40"]) == EXIT_ASSERTION
+            assert message in capsys.readouterr().err
+
+
+def needs_redraw(d: int, rng: np.random.Generator, min_measure: float) -> bool:
+    """Whether the first union that rng would draw falls below min_measure."""
+    return oracle_random_torus_set(d, copy.deepcopy(rng), min_measure=5e-324).measure < min_measure
+
+
+class TestDraws:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("max_per_axis", [None, 3])
+    def test_draws_equal_the_oracles(self, d, max_per_axis):
+        # The array draws, and the objects built from them, equal the old
+        # object draws, and leave the generator in the same state.
+        # Measures that a third or more of the first unions miss, so that
+        # redraws occur.
+        min_measure = {1: 0.3, 2: 0.1, 3: 0.05}[d]
+        kw = dict(max_terms=8, max_freq=16 if max_per_axis is None else 4, max_per_axis=max_per_axis)
+        redraws = 0
+        for i in range(60):
+            arrays, objects, oracle = trial_rng(29, i), trial_rng(29, i), trial_rng(29, i)
+            want = oracle_random_polynomial(d, oracle, **kw)
+            freqs, coefs = turan._draw_spectrum(d, arrays, *kw.values())
+            p = random_polynomial(d, objects, **kw)
+            assert freqs.tobytes() == p.freqs.tobytes() == want.freqs.tobytes()
+            assert coefs.tobytes() == p.coefs.tobytes() == want.coefs.tobytes()
+            assert arrays.bit_generator.state == objects.bit_generator.state == oracle.bit_generator.state
+            redraws += needs_redraw(d, oracle, min_measure)
+            want = oracle_random_torus_set(d, oracle, min_measure)
+            lower, upper, measure = turan._draw_boxes(d, arrays, min_measure)
+            e = random_torus_set(d, objects, min_measure)
+            assert [(b.lower.tolist(), b.upper.tolist()) for b in want.pieces] == list(zip(lower, upper))
+            assert [(b.lower.tobytes(), b.upper.tobytes()) for b in e.pieces] == [
+                (b.lower.tobytes(), b.upper.tobytes()) for b in want.pieces
+            ]
+            assert measure.hex() == e.measure.hex() == want.measure.hex()
+            assert arrays.bit_generator.state == objects.bit_generator.state == oracle.bit_generator.state
+        assert redraws > 0
+
 
 def oracle_sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
     """Reference: the bracket from ``TrigPolynomial.evaluate`` on every grid
@@ -498,9 +623,9 @@ def oracle_campaign(d: int, count: int, seed: int) -> list[dict]:
     rows = []
     for i in range(count):
         rng = trial_rng(seed, i)
-        p = random_polynomial(d, rng, max_terms=max_terms, max_freq=max_freq,
-                              max_per_axis=max_per_axis)
-        e = random_torus_set(d, rng, min_measure=min_measure)
+        p = oracle_random_polynomial(d, rng, max_terms=max_terms, max_freq=max_freq,
+                                     max_per_axis=max_per_axis)
+        e = oracle_random_torus_set(d, rng, min_measure=min_measure)
         factor = (14.0 * d / e.measure) ** poly_order(p).fm_exponent
         lhs = oracle_sup_norm(p).value
         rhs = factor * oracle_sup_norm(p, e).upper
