@@ -6,8 +6,10 @@ rotation-averaged mean width by a fixed quadrature over directions, and
 certified upper bounds for the ball-cover functional  sum_i min(r_i, r_i^d).
 
 Rotations are drawn per trial, each from its own generator, and a block of
-them is orthogonalised by one stacked QR; projection widths are merged row
-by row over a block of directions.  ``sample_rotation`` and
+them is orthogonalised by one stacked QR.  The QR and the determinant call
+numpy's LAPACK gufuncs (``qr_r_raw``, ``qr_reduced``, ``det``) without the
+``np.linalg`` wrappers, whose fixed cost is most of a one-matrix draw.
+Projection widths are merged row by row over a block of directions.  ``sample_rotation`` and
 ``projection_width`` are the one-row case of the same code, so the Monte
 Carlo width ``_mean_width_mc`` equals a loop over one rotation at a time
 bit for bit.
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .mc import Estimate, mean_stderr, trial_rng
 
@@ -114,12 +117,16 @@ class Ball:
     radius: float
 
     def __init__(self, center, radius: float):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        center = np.array(center, dtype=float, ndmin=1, copy=None)
         if center.ndim != 1:
             raise ValueError("ball center must be a vector")
         if not radius > 0:
             raise ValueError("ball radius must be positive")
-        _check_range(np.append(center, radius), len(center), "ball centre and radius")
+        # -M <= x <= M on Python floats, which also fails on NaN; only a
+        # failing ball pays for the joined array of the message.
+        bound = _magnitude_bound(len(center))
+        if not (radius <= bound and all(-bound <= x <= bound for x in center.tolist())):
+            _check_range(np.append(center, radius), len(center), "ball centre and radius")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(radius))
@@ -167,13 +174,14 @@ class AxisBox:
     upper: np.ndarray
 
     def __init__(self, lower, upper):
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        lower = np.array(lower, dtype=float, ndmin=1, copy=None)
+        upper = np.array(upper, dtype=float, ndmin=1, copy=None)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("box corners must be vectors of equal dimension")
-        # One pass tests -M <= lower < upper <= M, which also fails on NaN.
+        # One pass tests -M <= lower < upper <= M on Python floats, which
+        # also fails on NaN.
         bound = _magnitude_bound(len(lower))
-        if not ((lower < upper) & (lower >= -bound) & (upper <= bound)).all():
+        if not all(-bound <= a < b <= bound for a, b in zip(lower.tolist(), upper.tolist())):
             _check_range(np.append(lower, upper), len(lower), "box corners")
             raise ValueError("box corners must satisfy lower < upper coordinatewise")
         lower.setflags(write=False)
@@ -395,13 +403,21 @@ class Rotation:
         return self.matrix[:, 0].copy()
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity of _check_rotations, built once per dimension."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _check_rotations(m: np.ndarray, det: np.ndarray) -> None:
     """Raise ValueError unless every (d, d) matrix of the stack ``m``, with
     determinants ``det``, is a rotation: orthogonal within 1e-12 and of
     determinant +1 within 1e-9 (for d = 1, +1 or -1 within 1e-12).  The
     tests read ``not err <= tol``, so that a NaN fails them."""
     d = m.shape[-1]
-    if not np.abs(m.mT @ m - np.eye(d)).max() <= ORTHOGONALITY_TOL:
+    if not np.abs(m.mT @ m - _identity(d)).max() <= ORTHOGONALITY_TOL:
         raise ValueError("matrix is not orthogonal within tolerance 1e-12")
     if d == 1:
         if not np.abs(np.abs(det) - 1.0).max() <= ORTHOGONALITY_TOL:
@@ -420,14 +436,28 @@ def _haar_stack(d: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     determinant -1 gets its first column negated.  Negating a column negates
     the LU determinant exactly, so the check reads |det| of the unflipped
     stack instead of factorising it again; orthogonality is measured anew.
+
+    The QR and the determinant call numpy's LAPACK gufuncs
+    ``numpy.linalg._umath_linalg.qr_r_raw``, ``qr_reduced`` and ``det``
+    directly, which ``np.linalg.qr`` and ``np.linalg.det`` call with the
+    same float64 loops, so the results are the same bits.  The wrappers'
+    own work (``errstate``, type resolution, a copy of the input, ``triu``
+    and the result tuple) took about 16 of the 19 us of a one-matrix draw
+    in d = 2, and most lattice draws are one matrix.  Nothing is lost by
+    skipping them: the normals are finite, so LAPACK has no failure to
+    signal, and a failed factorisation would leave NaN, which
+    ``_check_rotations`` rejects.
     """
     if d == 1:
         q = np.array([[[1.0 if rng.random() < 0.5 else -1.0]] for rng in rngs])
         det = q[:, 0, 0]
     else:
-        q, r = np.linalg.qr(np.array([rng.standard_normal((d, d)) for rng in rngs]))
-        q *= np.where(r.diagonal(0, -2, -1) < 0, -1.0, 1.0)[:, None, :]
-        det = np.linalg.det(q)
+        a = np.array([rng.standard_normal((d, d)) for rng in rngs])
+        # In place: a's upper triangle becomes R, the Householder vectors below it.
+        tau = _umath_linalg.qr_r_raw(a)
+        q = _umath_linalg.qr_reduced(a, tau)
+        q *= np.where(a.diagonal(0, -2, -1) < 0, -1.0, 1.0)[:, None, :]
+        det = _umath_linalg.det(q)
         q[:, :, 0] *= np.sign(det)[:, None]
         det = np.abs(det)
     _check_rotations(q, det)
@@ -440,6 +470,9 @@ def sample_rotation(d: int, rng: np.random.Generator) -> Rotation:
     For d >= 2 this orthogonalizes a matrix of standard normals with
     sign-normalized QR and negates one column if the determinant is -1; for
     d = 1 the two reflections +1 and -1 are drawn with equal probability.
+    The QR and the determinant are LAPACK's, through the gufuncs behind
+    ``np.linalg.qr`` and ``np.linalg.det`` without those wrappers (see
+    ``_haar_stack``); the matrix equals theirs bit for bit.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")

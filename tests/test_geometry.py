@@ -951,6 +951,25 @@ class TestStackedSamplerOracle:
             assert np.array_equal(sample_rotation(d, rng).matrix, per_matrix_rotation(d, ref))
         assert rng.random() == ref.random()
 
+    @given(
+        d=st.integers(1, 6),
+        streams=st.lists(
+            st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**32 - 1)), min_size=1, max_size=64
+        ),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_haar_stack_equals_public_linalg_per_matrix(self, d, streams):
+        # The stack calls LAPACK's gufuncs directly; the oracle goes through
+        # np.linalg.qr and np.linalg.det, so a numpy that parts the two
+        # routes fails here.
+        rngs = [trial_rng(seed, trial) for seed, trial in streams]
+        refs = [trial_rng(seed, trial) for seed, trial in streams]
+        q = geometry._haar_stack(d, rngs)
+        expected = np.stack([per_matrix_rotation(d, ref) for ref in refs])
+        assert q.dtype == expected.dtype and q.shape == expected.shape
+        assert q.tobytes() == expected.tobytes()
+        assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_sample_lattice_equals_per_matrix_draws(self, d):
         for i in range(100):
