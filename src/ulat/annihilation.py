@@ -8,6 +8,12 @@ out-of-set coefficient mass, check the four events, close the Turan chain),
 sweeps the pipeline over modulations to control the in-set spectral mass,
 and runs the ring-of-discs sharpness experiment for the order-versus-width
 bound.
+
+The pipeline evaluates its polynomial on the n^d torus grid through
+``turan``'s product-grid contraction, taken in blocks of first-axis rows of
+about ``_GRID_BLOCK_POINTS`` points: each block is tested against the
+threshold and the support mask and then dropped, so a trace holds the bool
+mask and one block, not n^d complex values.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .geometry import (
 from .lattice import _distinct_per_trial, _hit_blocks, intersect, order_of, sample_lattice
 from .mc import mean_stderr, trial_rng
 from .periodization import Periodization
-from .turan import _coefficient_tensor, _product_grid_values
+from .turan import _coefficient_tensor, _grid_row_blocks
 
 __all__ = [
     "AnnihilationInstance",
@@ -64,6 +70,12 @@ _TILDE_FLOOR = 0.25
 
 # Lattice draws per modulation before the sweep gives up on that frequency.
 _SWEEP_ATTEMPTS = 12
+
+# Grid points per block of the pipeline's grid polynomial: 2^14 complex
+# values take 256 KiB.  A block is a multiple of 8 first-axis rows
+# (``_poly_grid_blocks``), so it holds more points where a row has more than
+# 2^11 of them (in d = 3 from n = 46 up).
+_GRID_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,20 +264,25 @@ def build_pipeline_context(
     )
 
 
-def _poly_on_grid(indices: np.ndarray, coeffs: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Evaluate sum_m c_m exp(2 i pi <m, t>) on the n^d grid (flattened).
+def _poly_grid_blocks(indices: np.ndarray, coeffs: np.ndarray, n: int, d: int):
+    """Evaluate sum_m c_m exp(2 i pi <m, t>) on the n^d grid t = j/n, as
+    flattened C-order blocks of first-axis rows that concatenate to the
+    grid.
 
-    On the grid t = j/n the phase of m depends only on m mod n, so the
-    indices are reduced mod n (exact for any |m|) and the coefficients are
-    summed into a dense tensor over the distinct residues A_i of each axis.
-    ``turan._product_grid_values`` contracts it against the (n, A_i) tables
-    of exact n-th roots exp(2 i pi ((a j) mod n) / n), each the transpose
-    view of an (A_i, n) table, so the cost is about A_1 n^d.
+    On the grid the phase of m depends only on m mod n, so the indices are
+    reduced mod n (exact for any |m|) and the coefficients are summed into a
+    dense tensor over the distinct residues A_i of each axis.
+    ``turan._grid_row_blocks`` contracts it against the (n, A_i) tables of
+    exact n-th roots exp(2 i pi ((a j) mod n) / n), each the transpose view
+    of an (A_i, n) table, so the cost is about A_1 n^d.  A block is the
+    largest multiple of 8 rows within ``_GRID_BLOCK_POINTS`` points, and at
+    least 8 rows.
     """
     values, tensor = _coefficient_tensor(np.mod(indices, n), coeffs)
     j = np.arange(n)
     tables = [np.exp((2j * math.pi / n) * ((a[:, None] * j) % n)).T for a in values]
-    return _product_grid_values(tensor, tables)
+    rows = 8 * max(1, _GRID_BLOCK_POINTS // (8 * n ** (d - 1)))
+    return _grid_row_blocks(tensor, tables, rows)
 
 
 def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineContext) -> PipelineTrace:
@@ -297,9 +314,15 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     mask = gamma.support_mask(context.grid_n)
     zero_fraction = 1.0 - np.count_nonzero(mask) / mask.size
 
+    # The thinned zero set {t outside the support : |P(t)| <= threshold},
+    # counted one block of grid rows at a time.
     threshold = 4.0 * math.sqrt(context.c_ref * context.tail_hat)
-    p_vals = _poly_on_grid(inside, p_coeffs, context.grid_n, d)
-    tilde_fraction = np.count_nonzero(~mask & (np.abs(p_vals) <= threshold)) / mask.size
+    start = thinned = 0
+    for p_vals in _poly_grid_blocks(inside, p_coeffs, context.grid_n, d):
+        stop = start + p_vals.size
+        thinned += np.count_nonzero(~mask[start:stop] & (np.abs(p_vals) <= threshold))
+        start = stop
+    tilde_fraction = thinned / mask.size
 
     p_hat0 = abs(gamma.coefficient(np.zeros(d))) ** 2
     events = {

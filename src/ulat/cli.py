@@ -158,9 +158,9 @@ def _check_grid(n: int, d: int) -> None:
         raise PreconditionError(f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points")
 
 
-def _load_profile(opts: dict):
+def _load_profile(config: RunConfig):
     """The profile of --phi, checked as check_lattice_averaging checks it."""
-    spec, d = opts["phi"], opts["dim"]
+    spec, d = config.options["phi"], config.options["dim"]
     kind, *args = spec.split(":")
     if kind == "annulus" and len(args) == 2:
         phi = lattice.AnnulusIndicator(d, float(args[0]), float(args[1]))
@@ -174,13 +174,18 @@ def _load_profile(opts: dict):
     return phi
 
 
-def _load_periodize(opts: dict):
-    """The function and the grid per axis: --grid, or else the default for
-    the function's dimension."""
+def _load_periodize(config: RunConfig):
+    """The periodization of the function over the lattice draw of --seed,
+    and the grid per axis: --grid, or else the default for the function's
+    dimension.  The lattice sums of the output format, the grid values for
+    CSV and the energies for JSON, are checked against their cap."""
+    opts = config.options
     f = _load_function(opts["function"])
     n = opts["grid"] if "grid" in opts else periodization.default_grid_size(f.dimension)
     _check_grid(n, f.dimension)
-    return f, n
+    gamma = periodization.Periodization(f, lattice.sample_lattice(f.dimension, trial_rng(config.seed, 0)))
+    gamma.check_sums(n if config.fmt == "csv" else None)
+    return gamma, n
 
 
 # The preconditions of the geometry ops, which the library checks with the
@@ -188,49 +193,51 @@ def _load_periodize(opts: dict):
 _GEOMETRY_CHECKS = {"mean-width": geometry.check_mean_width, "cover-upper": geometry.check_cover}
 
 
-def _load_geometry(opts: dict) -> EuclideanSet:
+def _load_geometry(config: RunConfig) -> EuclideanSet:
     """The set, checked against the precondition of --op."""
+    opts = config.options
     s = _load_set(opts["set"])
     if opts["op"] in _GEOMETRY_CHECKS:
         _GEOMETRY_CHECKS[opts["op"]](s)
     return s
 
 
-def _load_instance(opts: dict) -> annihilation.AnnihilationInstance:
+def _load_instance(config: RunConfig) -> annihilation.AnnihilationInstance:
+    opts = config.options
     return annihilation.AnnihilationInstance(
         _load_function(opts["function"]), _load_set(opts["s_set"]), _load_set(opts["sigma_set"])
     )
 
 
-def _load_ratio(opts: dict) -> annihilation.AnnihilationInstance:
+def _load_ratio(config: RunConfig) -> annihilation.AnnihilationInstance:
     """The instance, with both sets checked as ``pair_exponent``'s mean
     widths check them."""
-    inst = _load_instance(opts)
+    inst = _load_instance(config)
     geometry.check_mean_width(inst.time_support)
     geometry.check_mean_width(inst.freq_set)
     return inst
 
 
-def _load_grid_instance(opts: dict) -> annihilation.AnnihilationInstance:
+def _load_grid_instance(config: RunConfig) -> annihilation.AnnihilationInstance:
     """The instance, with its source checked by ``pipeline_source_setup`` and
     the grid on its dimension: the default grid is looked up whatever --grid
     says, and rejects d >= 4, which the pipeline's mean width cannot take."""
-    inst = _load_instance(opts)
+    inst = _load_instance(config)
     default_n = annihilation.pipeline_grid_size(inst.dimension)
-    _check_grid(opts.get("grid", default_n), inst.dimension)
+    _check_grid(config.options.get("grid", default_n), inst.dimension)
     annihilation.pipeline_source_setup(inst)
     return inst
 
 
-def _load_pipeline(opts: dict):
-    inst = _load_grid_instance(opts)
-    return inst, annihilation.build_pipeline_context(inst, grid_n=opts.get("grid"))
+def _load_pipeline(config: RunConfig):
+    inst = _load_grid_instance(config)
+    return inst, annihilation.build_pipeline_context(inst, grid_n=config.options.get("grid"))
 
 
-def _load_sharpness(opts: dict) -> None:
+def _load_sharpness(config: RunConfig) -> None:
     """The ring of --n discs at --ring-radius, checked as
     ``disc_ring_experiment`` checks it."""
-    annihilation.disc_ring_setup(opts["n"], opts.get("ring_radius"))
+    annihilation.disc_ring_setup(config.options["n"], config.options.get("ring_radius"))
 
 
 def cmd_lal(config: RunConfig, phi) -> int:
@@ -259,12 +266,11 @@ def cmd_turan(config: RunConfig, _) -> int:
 
 
 def cmd_periodize(config: RunConfig, inputs) -> int:
-    f, n = inputs
-    lat = lattice.sample_lattice(f.dimension, trial_rng(config.seed, 0))
-    gamma = periodization.Periodization(f, lat)
+    gamma, n = inputs
+    lat = gamma.lattice
     if config.fmt == "csv":
         rows = gamma.grid_rows(n)
-        header = [f"t{i+1}" for i in range(f.dimension)] + ["re", "im"]
+        header = [f"t{i+1}" for i in range(gamma.dimension)] + ["re", "im"]
         _emit(config, None, rows=rows, header=header)
         return EXIT_OK
     payload = {
@@ -346,10 +352,10 @@ def cmd_sharpness(config: RunConfig, _) -> int:
 
 
 # Each command's (loader, implementation): the loader builds the command's
-# inputs from its options, and the implementation runs on them.
+# inputs from its configuration, and the implementation runs on them.
 _COMMANDS = {
     "lal": (_load_profile, cmd_lal),
-    "turan": (lambda opts: None, cmd_turan),
+    "turan": (lambda config: None, cmd_turan),
     "periodize": (_load_periodize, cmd_periodize),
     "geometry": (_load_geometry, cmd_geometry),
     "ratio": (_load_ratio, cmd_ratio),
@@ -432,6 +438,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 _DEFAULT_FORMATS = {"turan": "csv", "sweep": "csv"}
 
+# The commands whose results are rows, the only ones --format csv can write.
+_CSV_COMMANDS = ("periodize", "sweep", "turan")
+
 # Integer flags that count something, checked to lie in [1, COUNT_CEILING]
 # with --trials before a real or a dry run.
 _COUNT_FLAGS = ("dim", "n", "random", "ygrid")
@@ -480,6 +489,11 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         if value > COUNT_CEILING:
             raise PreconditionError(f"{key} must be <= {COUNT_CEILING}")
     fmt = args.fmt or _DEFAULT_FORMATS.get(args.command, "json")
+    if fmt == "csv" and args.command not in _CSV_COMMANDS:
+        raise PreconditionError(
+            f"{args.command} writes one JSON document and no rows; --format csv is for "
+            + ", ".join(_CSV_COMMANDS)
+        )
     return RunConfig(
         command=args.command,
         options=options,
@@ -496,7 +510,7 @@ def run(config: RunConfig) -> int:
     Real and dry runs both build the command's inputs with its loader; a dry
     run then prints the plan instead of running the command."""
     load, command = _COMMANDS[config.command]
-    inputs = load(config.options)
+    inputs = load(config)
     if config.dry_run:
         sys.stdout.write(json.dumps({"dry_run": True, "plan": config.plan()}, sort_keys=True, indent=2) + "\n")
         return EXIT_OK

@@ -117,7 +117,8 @@ class Ball:
     radius: float
 
     def __init__(self, center, radius: float):
-        center = np.array(center, dtype=float, ndmin=1, copy=None)
+        # A copy, so that freezing it leaves the caller's array writable.
+        center = np.array(center, dtype=float, ndmin=1)
         if center.ndim != 1:
             raise ValueError("ball center must be a vector")
         if not radius > 0:
@@ -174,8 +175,9 @@ class AxisBox:
     upper: np.ndarray
 
     def __init__(self, lower, upper):
-        lower = np.array(lower, dtype=float, ndmin=1, copy=None)
-        upper = np.array(upper, dtype=float, ndmin=1, copy=None)
+        # Copies, so that freezing them leaves the caller's arrays writable.
+        lower = np.array(lower, dtype=float, ndmin=1)
+        upper = np.array(upper, dtype=float, ndmin=1)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("box corners must be vectors of equal dimension")
         # One pass tests -M <= lower < upper <= M on Python floats, which

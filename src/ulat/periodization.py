@@ -29,7 +29,7 @@ import numpy as np
 
 from .functions import Combination, Gaussian, Modulated, TestFunction, cross_correlation
 from .geometry import _grid_points
-from .lattice import ANNULUS_POINT_CAP, RandomLattice, integer_vectors_in_annulus
+from .lattice import ANNULUS_POINT_CAP, RandomLattice, _check_annulus, integer_vectors_in_annulus
 
 __all__ = [
     "Periodization",
@@ -88,9 +88,7 @@ class Periodization:
         v = self.lattice.dilation
         d = self.dimension
         mat = self.lattice.rotation.matrix  # row form of the transpose action
-        ks = integer_vectors_in_annulus(
-            0.0, v * self.source.spatial_radius(1e-9) + math.sqrt(d) + 1.0, d
-        )
+        ks = integer_vectors_in_annulus(0.0, self._value_radius(), d)
         out = np.zeros(t.shape[0], dtype=complex)
         base = t @ mat
         for k in ks:
@@ -110,9 +108,7 @@ class Periodization:
         v = self.lattice.dilation
         if isinstance(self.source, Gaussian):
             a = self.source.a
-            reach = math.ceil(v * math.sqrt(math.log(1e18) / (math.pi * a)) + 2.0)
-            if (2 * reach + 1) * n > ANNULUS_POINT_CAP:
-                raise ValueError(f"theta sums of a = {a:.6g} on {n} points pass {ANNULUS_POINT_CAP} terms")
+            reach = self._theta_reach(n)
             s = np.arange(n) / n
             ks = np.arange(-reach, reach + 1)
             theta = np.exp(
@@ -124,18 +120,49 @@ class Periodization:
             return (grid * v ** (0.5 - d)).astype(complex).reshape(-1)
         return self.value(_torus_grid(n, d))
 
+    def _value_radius(self) -> float:
+        """Radius of the integer shifts k of the truncated defining sum."""
+        return self.lattice.dilation * self.source.spatial_radius(1e-9) + math.sqrt(self.dimension) + 1.0
+
+    def _theta_reach(self, n: int) -> int:
+        """The reach K of a Gaussian source's theta sums on n points (shifts
+        -K..K); ValueError, with nothing allocated, where their (2K + 1) n
+        terms pass ``ANNULUS_POINT_CAP``."""
+        a, v = self.source.a, self.lattice.dilation
+        reach = math.ceil(v * math.sqrt(math.log(1e18) / (math.pi * a)) + 2.0)
+        if (2 * reach + 1) * n > ANNULUS_POINT_CAP:
+            raise ValueError(f"theta sums of a = {a:.6g} on {n} points pass {ANNULUS_POINT_CAP} terms")
+        return reach
+
+    def check_sums(self, grid_n: int | None = None) -> None:
+        """Raise the ValueError that a lattice sum of this periodization past
+        ``ANNULUS_POINT_CAP`` would raise, before anything is allocated:
+        with ``grid_n``, the sums of ``value_grid(grid_n)``; without, those
+        of ``parseval_gap``, whose cross energy's annulus holds the
+        ``energy``'s."""
+        d = self.dimension
+        if grid_n is not None and isinstance(self.source, Gaussian):
+            self._theta_reach(grid_n)
+        elif grid_n is not None:
+            _check_annulus(0.0, self._value_radius(), d)
+        else:
+            probe = self._parseval_probe()
+            _check_annulus(0.0, probe.hat_radius(1e-18), d)
+            _check_annulus(0.0, self._unfolded_radius(probe), d)
+
     # -- energies -----------------------------------------------------------
 
     def _unfolded_terms(self, probe: TestFunction) -> np.ndarray:
         """Terms C_{f,probe}(rho^T(j) / v) of the unfolded lattice sum, over
         every j whose term the two sources' 1e-12 radii can reach."""
         v = self.lattice.dilation
-        radius = 2.0 * v * max(
-            self.source.spatial_radius(1e-12), probe.spatial_radius(1e-12)
-        ) + 1.0
-        ks = integer_vectors_in_annulus(0.0, radius, self.dimension)
+        ks = integer_vectors_in_annulus(0.0, self._unfolded_radius(probe), self.dimension)
         shifts = self.lattice.rotation.apply_transpose(ks.astype(float)) / v
         return cross_correlation(self.source, probe, shifts)
+
+    def _unfolded_radius(self, probe: TestFunction) -> float:
+        v = self.lattice.dilation
+        return 2.0 * v * max(self.source.spatial_radius(1e-12), probe.spatial_radius(1e-12)) + 1.0
 
     def energy(self) -> float:
         """Exact torus energy ||G||^2_{L^2(T^d)}.
@@ -275,8 +302,7 @@ class Periodization:
         distant peaks.
         """
         d = self.dimension
-        ys = np.unique([leaf.modulation for leaf in self.source.leaves], axis=0)
-        probe = Combination([(1.0, Modulated(Gaussian(1.0, d), y)) for y in ys])
+        probe = self._parseval_probe()
         ms = integer_vectors_in_annulus(0.0, probe.hat_radius(1e-18), d).astype(float)
         lam = self.lattice.points(ms)
         coef_side = self.lattice.dilation * complex(
@@ -284,6 +310,10 @@ class Periodization:
         )
         torus_side = self.cross_energy(probe)
         return abs(coef_side - torus_side) / max(abs(coef_side), abs(torus_side), 1e-300)
+
+    def _parseval_probe(self) -> TestFunction:
+        ys = np.unique([leaf.modulation for leaf in self.source.leaves], axis=0)
+        return Combination([(1.0, Modulated(Gaussian(1.0, self.dimension), y)) for y in ys])
 
     # -- export ---------------------------------------------------------------
 

@@ -27,8 +27,10 @@ maximum from one reduction.  ``run_campaign`` draws each instance as arrays
 ``_CAMPAIGN_BLOCK``, which bounds the memory of one call; its rows equal
 those of ``turan_check`` instance by instance, bit for bit.  The pipeline's
 grid polynomial in ``annihilation`` passes its exact n-th-root tables to the
-same contraction.  ``TrigPolynomial.evaluate`` is the evaluator at scattered
-points.
+same contraction, ``_grid_row_blocks``, and takes it in blocks of
+first-axis rows, so that no n^d array of values exists; a box here is one
+block (``_product_grid_values``).  ``TrigPolynomial.evaluate`` is the
+evaluator at scattered points.
 """
 
 from __future__ import annotations
@@ -247,22 +249,43 @@ def _coefficient_tensor(freqs: np.ndarray, coefs: np.ndarray) -> tuple[list, np.
     return values, tensor
 
 
-def _product_grid_values(tensor: np.ndarray, tables: list) -> np.ndarray:
-    """sum_a c_a prod_i T_i[j_i, a_i] over the product grid, flattened in C
-    order.
+def _grid_row_blocks(tensor: np.ndarray, tables: list, rows: int):
+    """Yield sum_a c_a prod_i T_i[j_i, a_i] over the product grid in blocks
+    of about ``rows`` first-axis samples j_1, each flattened in C order, so
+    that the blocks concatenate to the whole grid.
 
     ``tensor`` holds the coefficients over the distinct frequencies A_i of
     each axis, and ``tables[i]`` is the (N_i, A_i) table of exp(2 i pi t a)
     over the N_i samples t of axis i.  The sum factors axis by axis: the
-    tensor is contracted one axis at a time, last axis first, so the last
-    step is one (N_1, A_1) @ (A_1, N_2 ... N_d) product and the cost is
-    about A_1 N_1 ... N_d.
+    tensor is contracted once over every axis but the first, last axis
+    first, into an (A_1, N_2 ... N_d) matrix, and each block is one
+    (rows, A_1) @ (A_1, N_2 ... N_d) product.  The cost is about
+    A_1 N_1 ... N_d, and a block holds rows N_2 ... N_d values.
+
+    A last block of one row joins the block before it, since numpy hands a
+    one-row product to gemv or dot, not gemm.  With ``rows`` a multiple of
+    8, each row then meets the BLAS kernel at the same offset as in the one
+    block of ``rows >= N_1``, and the blocks equal that block bit for bit.
+    In d = 1 every block is a gemv, which a multithreaded BLAS splits
+    between threads at a row of its own choosing, so there a long grid's
+    blocks can differ from one whole-grid block in the last bits.
     """
-    out, later = tensor, 1
-    for table in reversed(tables):
-        out = table @ out.reshape(-1, table.shape[1], later)
+    tail, later = tensor, 1
+    for table in reversed(tables[1:]):
+        tail = table @ tail.reshape(-1, table.shape[1], later)
         later *= table.shape[0]
-    return out.reshape(-1)
+    first = tables[0]
+    tail = tail.reshape(first.shape[1], later)
+    n = first.shape[0]
+    for start in range(0, max(n - 1, 1), rows):
+        stop = start + rows if start + rows < n - 1 else n
+        yield (first[start:stop] @ tail).reshape(-1)
+
+
+def _product_grid_values(tensor: np.ndarray, tables: list) -> np.ndarray:
+    """The whole product grid of ``_grid_row_blocks`` as its one block."""
+    (values,) = _grid_row_blocks(tensor, tables, len(tables[0]))
+    return values
 
 
 class _Spectrum(NamedTuple):

@@ -1,6 +1,7 @@
 """Annihilating-pair machinery: bounds, ratios, pipeline, sweep, sharpness."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from scipy import stats
 
 from ulat.annihilation import (
     AnnihilationInstance,
-    _poly_on_grid,
+    _GRID_BLOCK_POINTS,
+    _poly_grid_blocks,
     build_pipeline_context,
     disc_ring,
     disc_ring_experiment,
@@ -26,6 +28,7 @@ from ulat.geometry import AxisBox, Ball, EuclideanSet, cover_measure_upper
 from ulat.lattice import estimate_order, sample_lattice
 from ulat.mc import mean_stderr, trial_rng
 from ulat.periodization import Periodization
+from ulat.turan import _coefficient_tensor, _grid_row_blocks, _product_grid_values
 
 from test_lattice import loop_axis_hits
 from test_periodization import loop_support_mask
@@ -363,6 +366,22 @@ class TestPipeline:
             assert trace.zero_fraction == 1.0 - float(np.mean(mask))
             assert trace.tilde_fraction == float(np.mean(~mask & (np.abs(p_vals) <= threshold)))
 
+    @pytest.mark.parametrize("n,limit_mb", [(512, 1.5), (1024, 3.0)])
+    def test_trace_keeps_no_whole_grid_of_values(self, n, limit_mb):
+        # The grid polynomial comes in row blocks, so a trace holds the bool
+        # mask and one block; P and |P| over the whole grid peaked at
+        # 7.08 MB at 512^2 and 28.3 MB at 1024^2.
+        inst = eighth_box_instance()
+        ctx = build_pipeline_context(inst, grid_n=n)
+        pipeline_trace(inst, 0, context=ctx)  # fills the memoised annulus walks
+        tracemalloc.start()
+        try:
+            pipeline_trace(inst, 1, context=ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
+
 
 def loop_poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
     """Reference: the direct sum of one outer-product phase per coefficient."""
@@ -376,9 +395,23 @@ def loop_poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
     return out
 
 
+def poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
+    """The pipeline's grid polynomial over the whole grid: its row blocks,
+    concatenated."""
+    return np.concatenate(list(_poly_grid_blocks(indices, coeffs, n, d)))
+
+
+def root_tables(indices, coeffs, n: int):
+    """The coefficient tensor of the residues mod n and the whole (n, A_i)
+    root tables, as the pipeline builds them."""
+    values, tensor = _coefficient_tensor(np.mod(indices, n), coeffs)
+    j = np.arange(n)
+    return tensor, [np.exp((2j * math.pi / n) * ((a[:, None] * j) % n)).T for a in values]
+
+
 def root_table_loop(indices, coeffs, n: int, d: int) -> np.ndarray:
-    """Reference: _poly_on_grid as a loop over the (A_i, n) root tables,
-    before the contraction moved into turan."""
+    """Reference: the pipeline's grid polynomial as a loop over the (A_i, n)
+    root tables, before the contraction moved into turan."""
     residues = np.mod(indices, n)
     axes = [np.unique(residues[:, i], return_inverse=True) for i in range(d)]
     out = np.zeros(tuple(len(a) for a, _ in axes), dtype=complex)
@@ -392,10 +425,10 @@ def root_table_loop(indices, coeffs, n: int, d: int) -> np.ndarray:
 
 
 @st.composite
-def grid_polynomials(draw):
+def grid_polynomials(draw, max_n: int = 40):
     """(d, n, indices, coefficients) with |m| up to 3n + 2 and repeated rows."""
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_n))
     m = st.integers(-3 * n - 2, 3 * n + 2)
     rows = draw(st.lists(st.tuples(*[m] * d), min_size=1, max_size=12))
     rows += draw(st.lists(st.sampled_from(rows), max_size=4))
@@ -409,7 +442,7 @@ class TestPolyOnGrid:
     @settings(max_examples=80, deadline=None)
     def test_matches_direct_sum_property(self, case):
         d, n, indices, coeffs = case
-        got = _poly_on_grid(indices, coeffs, n, d)
+        got = poly_on_grid(indices, coeffs, n, d)
         assert got.shape == (n**d,)
         assert np.max(np.abs(got - loop_poly_on_grid(indices, coeffs, n, d))) <= 1e-12
 
@@ -417,8 +450,8 @@ class TestPolyOnGrid:
     def test_repeated_and_aliased_indices_are_summed(self, n):
         indices = np.array([[1, -2], [1, -2], [1 + n, -2 - 3 * n], [0, 0]])
         coeffs = np.array([1.0, 2.0j, -0.5, 0.25])
-        merged = _poly_on_grid(np.array([[1, -2], [0, 0]]), np.array([0.5 + 2.0j, 0.25]), n, 2)
-        assert np.max(np.abs(_poly_on_grid(indices, coeffs, n, 2) - merged)) <= 1e-12
+        merged = poly_on_grid(np.array([[1, -2], [0, 0]]), np.array([0.5 + 2.0j, 0.25]), n, 2)
+        assert np.max(np.abs(poly_on_grid(indices, coeffs, n, 2) - merged)) <= 1e-12
 
     @pytest.mark.parametrize("d,n", [(1, 64), (1, 7), (2, 32), (2, 5), (3, 12)])
     def test_fft_matches_direct_sum(self, d, n):
@@ -430,7 +463,7 @@ class TestPolyOnGrid:
         indices[2] = -n - 1
         assert np.any(np.abs(indices) >= n)
         coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
-        got = _poly_on_grid(indices, coeffs, n, d)
+        got = poly_on_grid(indices, coeffs, n, d)
         want = loop_poly_on_grid(indices, coeffs, n, d)
         assert got.shape == (n**d,)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -442,16 +475,47 @@ class TestPolyOnGrid:
         ctx = build_pipeline_context(inst)
         for seed in range(12):
             trace = pipeline_trace(inst, seed, context=ctx)
-            got = _poly_on_grid(trace.indices, trace.p_coefficients, 512, 2)
+            got = poly_on_grid(trace.indices, trace.p_coefficients, 512, 2)
             want = root_table_loop(trace.indices, trace.p_coefficients, 512, 2)
             assert got.tobytes() == want.tobytes()
 
     def test_pipeline_indices(self):
         inst = eighth_box_instance()
         trace = pipeline_trace(inst, seed=4, context=build_pipeline_context(inst, grid_n=64))
-        got = _poly_on_grid(trace.indices, trace.p_coefficients, 64, 2)
+        got = poly_on_grid(trace.indices, trace.p_coefficients, 64, 2)
         want = loop_poly_on_grid(trace.indices, trace.p_coefficients, 64, 2)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @given(grid_polynomials(max_n=70), st.sampled_from([8, 16, 24, 32]))
+    @settings(max_examples=120, deadline=None)
+    def test_row_blocks_equal_the_whole_grid_bit_for_bit(self, case, rows):
+        # Any n, n = 1 included, against blocks of 8 to 32 rows.  In d = 1
+        # these grids stay below the size at which OpenBLAS splits a gemv
+        # between threads (turan._grid_row_blocks).
+        d, n, indices, coeffs = case
+        tensor, tables = root_tables(indices, coeffs, n)
+        blocks = list(_grid_row_blocks(tensor, tables, rows))
+        row = n ** (d - 1)
+        assert [len(b) for b in blocks[:-1]] == [rows * row] * (len(blocks) - 1)
+        assert len(blocks[-1]) >= min(n, 2) * row
+        got = np.concatenate(blocks)
+        assert got.tobytes() == _product_grid_values(tensor, tables).tobytes()
+
+    @pytest.mark.parametrize(
+        "d,n,blocks", [(1, 512, 1), (2, 128, 1), (2, 177, 2), (2, 200, 3), (2, 512, 16), (3, 40, 5), (3, 64, 8)]
+    )
+    def test_pipeline_blocks_equal_the_whole_grid_bit_for_bit(self, d, n, blocks):
+        # The module's block size: 2^14 points in multiples of 8 rows.  At
+        # 177^2 the blocks are 88 rows, and the last row joins the second.
+        rng = np.random.default_rng(100 * d + n)
+        indices = rng.integers(-3 * n, 3 * n + 1, size=(40, d))
+        indices[1] = indices[0] + n  # an alias of row 0
+        coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
+        got = list(_poly_grid_blocks(indices, coeffs, n, d))
+        assert len(got) == blocks
+        assert max(len(b) for b in got) <= max(_GRID_BLOCK_POINTS, 8 * n ** (d - 1)) + n ** (d - 1)
+        want = _product_grid_values(*root_tables(indices, coeffs, n))
+        assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 class TestTranslatedSweep:

@@ -740,7 +740,9 @@ class TestGridPreconditions:
         code, out, err = run_cli(capsys, grid_argv(command, doc_dir) + ["--grid", grid] + extra)
         assert code == EXIT_PRECONDITION
         assert out == ""
-        assert "grid must be an integer >= 1" in err
+        # pipeline has no rows, so its CSV format is rejected before the grid.
+        rowless = command == "pipeline" and "csv" in extra
+        assert ("pipeline writes one JSON document" if rowless else "grid must be an integer >= 1") in err
 
     def test_grid_from_config_file_checked(self, capsys, doc_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -934,6 +936,49 @@ def test_csv_theta_sums_past_the_cap_exit_2(capsys, doc_dir):
     code, out, err = run_cli(capsys, ["periodize", "--function", str(doc_dir / "flat.json"), "--format", "csv"])
     assert (code, out) == (EXIT_PRECONDITION, "")
     assert len(err.splitlines()) == 1 and "pass 4194304 terms" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("function", [
+    {"kind": "gaussian", "a": 2.0**-40, "dimension": 2},
+    {"kind": "box", "lower": [-1000.0, -1000.0], "upper": [1000.0, 1000.0]},
+])
+def test_periodize_sums_past_the_cap_exit_2_dry_and_real(capsys, doc_dir, function, fmt):
+    # The loader draws the run's lattice and checks the sums of the output
+    # format, so the dry run fails with the real run's line, before either
+    # allocates anything.
+    (doc_dir / "wide.json").write_text(json.dumps(function))
+    argv = ["periodize", "--function", str(doc_dir / "wide.json"), "--format", fmt]
+    real = run_cli(capsys, argv)
+    assert run_cli(capsys, argv + ["--dry-run"]) == real
+    code, out, err = real
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert len(err.splitlines()) == 1 and "4194304" in err
+
+
+# One run of each command whose result is one JSON document and no rows.
+ROWLESS_RUNS = {
+    "lal": lambda doc_dir: ["lal", "--phi", "annulus:1:3", "--trials", "5"],
+    "sharpness": lambda doc_dir: ["sharpness", "--n", "2", "--trials", "5"],
+    "pipeline": lambda doc_dir: instance_argv("pipeline", doc_dir) + ["--grid", "8"],
+    "geometry": lambda doc_dir: ["geometry", "--set", str(doc_dir / "ball.json"), "--op", "measure"],
+    "ratio": lambda doc_dir: instance_argv("ratio", doc_dir) + ["--trials", "50"],
+}
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize("command", sorted(ROWLESS_RUNS))
+def test_csv_of_a_command_without_rows_exits_2(capsys, doc_dir, tmp_path, command, dry):
+    argv = ROWLESS_RUNS[command](doc_dir)
+    assert run_cli(capsys, argv + dry)[0] == EXIT_OK
+    for fmt in (["--format", "csv"], ["--config", str(tmp_path / "csv.json")]):
+        (tmp_path / "csv.json").write_text(json.dumps({"format": "csv"}))
+        code, out, err = run_cli(capsys, argv + fmt + dry)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == (
+            f"precondition violated: {command} writes one JSON document and no rows; "
+            "--format csv is for periodize, sweep, turan\n"
+        )
 
 
 def test_non_finite_payload_values_are_null(capsys, doc_dir):

@@ -1060,6 +1060,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             Rotation(np.diag([1.0, -1.0]))
 
+    def test_caller_arrays_stay_writable_and_pieces_frozen(self):
+        center, lower, upper = np.zeros(2), np.zeros(2), np.ones(2)
+        ball, box = Ball(center, 1.0), AxisBox(lower, upper)
+        center[0] = lower[0] = 0.5
+        upper[1] = 2.0
+        assert ball.center.tolist() == [0.0, 0.0]
+        assert (box.lower.tolist(), box.upper.tolist()) == ([0.0, 0.0], [1.0, 1.0])
+        for frozen in (ball.center, box.lower, box.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 3.0
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nan_matrix_rejected(self, d):

@@ -7,8 +7,9 @@ and BLAS versions it was computed with: digests of floating-point results
 are only comparable on the same numpy and BLAS, so a version mismatch fails
 and names both sets of versions.
 
-The rows are the first whole ``lattice-turan`` cycle of perfbench at seed 1
-(13 ops), run and serialised through ``bench_workloads``' ``run`` and
+The rows are the first whole cycle of each perfbench workload at seed 1
+(13 ``lattice-turan`` ops, 5 ``pipeline-512`` ops and 4 ``sweep-128``
+ops), run and serialised through ``bench_workloads``' ``run`` and
 ``payload``.  A change that moves a payload on purpose regenerates the
 table with ``PYTHONPATH=src python tests/test_payloads.py`` and declares
 the change.
@@ -27,7 +28,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "payload_digests.json"
-LATTICE_TURAN_SEED = 1
+SEED = 1
 
 
 def load_bench_workloads():
@@ -59,12 +60,16 @@ def digest(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def lattice_turan_digests() -> dict[str, str]:
-    """Digest of each op of the first ``lattice-turan`` cycle, keyed by
-    'lattice-turan seed <s> op <i> <kind>'."""
-    workload = load_bench_workloads().LatticeTuran(LATTICE_TURAN_SEED)
+# The perfbench workload classes, in the order of the table.
+WORKLOADS = ("LatticeTuran", "Pipeline512", "Sweep128")
+
+
+def cycle_digests(workload_class: str) -> dict[str, str]:
+    """Digest of each op of the workload's first cycle, keyed by
+    '<workload> seed <s> op <i> <kind>'."""
+    workload = getattr(load_bench_workloads(), workload_class)(SEED)
     return {
-        f"lattice-turan seed {LATTICE_TURAN_SEED} op {i} {workload.kind(i)}": digest(
+        f"{workload.name} seed {SEED} op {i} {workload.kind(i)}": digest(
             workload.payload(i, workload.run(i))
         )
         for i in range(workload.cycle)
@@ -76,7 +81,8 @@ def table() -> dict:
         "sha256 of json.dumps(payload, sort_keys=True) without wall_time_ms keys; "
         "regenerate with PYTHONPATH=src python tests/test_payloads.py"
     )
-    return {"what": what, **versions(), "digests": lattice_turan_digests()}
+    digests = {key: value for name in WORKLOADS for key, value in cycle_digests(name).items()}
+    return {"what": what, **versions(), "digests": digests}
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +105,26 @@ def test_table_versions_match_this_numpy_and_blas(expected):
     require_recorded_versions(expected)
 
 
-def test_lattice_turan_cycle_payloads_match_the_table(expected):
+def check_cycle(expected: dict, workload_class: str) -> None:
     require_recorded_versions(expected)
-    got = lattice_turan_digests()
-    want = {k: v for k, v in expected["digests"].items() if k.startswith("lattice-turan ")}
+    got = cycle_digests(workload_class)
+    name = getattr(load_bench_workloads(), workload_class).name
+    want = {k: v for k, v in expected["digests"].items() if k.startswith(f"{name} seed ")}
     assert sorted(got) == sorted(want)
     moved = [f"{key}: {want[key]} -> {got[key]}" for key in want if got[key] != want[key]]
     assert not moved, "payloads moved:\n" + "\n".join(moved)
+
+
+def test_lattice_turan_cycle_payloads_match_the_table(expected):
+    check_cycle(expected, "LatticeTuran")
+
+
+def test_pipeline_512_cycle_payloads_match_the_table(expected):
+    check_cycle(expected, "Pipeline512")
+
+
+def test_sweep_128_cycle_payloads_match_the_table(expected):
+    check_cycle(expected, "Sweep128")
 
 
 if __name__ == "__main__":
