@@ -3,9 +3,8 @@ import json
 import pytest
 
 
-@pytest.fixture
-def doc_dir(tmp_path):
-    """Input documents shared by the CLI tests."""
+def write_docs(path):
+    """Write the input documents shared by the CLI tests into ``path``."""
     side = 2.0 ** (-3 / 2)
     docs = {
         "ball.json": {
@@ -39,5 +38,11 @@ def doc_dir(tmp_path):
         "gauss2.json": {"kind": "gaussian", "a": 1.0, "dimension": 2},
     }
     for name, doc in docs.items():
-        (tmp_path / name).write_text(json.dumps(doc))
+        (path / name).write_text(json.dumps(doc))
+
+
+@pytest.fixture
+def doc_dir(tmp_path):
+    """Input documents shared by the CLI tests."""
+    write_docs(tmp_path)
     return tmp_path

@@ -7,24 +7,34 @@ and BLAS versions it was computed with: digests of floating-point results
 are only comparable on the same numpy and BLAS, so a version mismatch fails
 and names both sets of versions.
 
-The rows are the first whole cycle of each perfbench workload at seed 1
-(13 ``lattice-turan`` ops, 5 ``pipeline-512`` ops and 4 ``sweep-128``
-ops), run and serialised through ``bench_workloads``' ``run`` and
-``payload``.  A change that moves a payload on purpose regenerates the
-table with ``PYTHONPATH=src python tests/test_payloads.py`` and declares
-the change.
+The ``digests`` rows are the first whole cycle of each perfbench workload
+at seed 1 (13 ``lattice-turan`` ops, 5 ``pipeline-512`` ops and 4
+``sweep-128`` ops), run and serialised through ``bench_workloads``' ``run``
+and ``payload``.  The ``cli`` rows are ``CLI_RUNS``: every subcommand on the
+``conftest`` documents at seeds 0 and 1, run in process through
+``cli.main`` into an ``--output`` file.  Each ``cli`` row holds the sha256
+of the artifact (a JSON document without ``wall_time_ms``, or the CSV
+bytes) and a short digest of each leaf under its key path, so that a
+mismatch names the argv and the first key path that differs.  A change
+that moves a payload on purpose regenerates the table with
+``PYTHONPATH=src python tests/test_payloads.py`` and declares the change.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import importlib.util
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_docs
+
+from ulat.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "payload_digests.json"
@@ -76,13 +86,101 @@ def cycle_digests(workload_class: str) -> dict[str, str]:
     }
 
 
+def cli_runs() -> list[list[str]]:
+    """The argv of each ``cli`` row; a name ending in .json is a conftest
+    document."""
+    box = ["--function", "fbox.json", "--s-set", "box8.json", "--sigma-set", "sigma2.json"]
+    gauss = ["--function", "gauss2.json", "--s-set", "ball.json", "--sigma-set", "sigma2.json"]
+    runs = []
+    for seed in ("0", "1"):
+        runs += [
+            argv + ["--seed", seed]
+            for argv in (
+                ["lal", "--phi", "annulus:1:3", "--trials", "200"],
+                ["lal", "--phi", "gaussian", "--dim", "1", "--trials", "20"],
+                ["turan", "--dim", "1", "--random", "20", "--format", "json"],
+                ["turan", "--dim", "1", "--random", "20", "--format", "csv"],
+                ["turan", "--dim", "2", "--random", "20", "--format", "json"],
+                ["turan", "--dim", "2", "--random", "20", "--format", "csv"],
+                ["periodize", "--function", "gauss1.json"],
+                ["periodize", "--function", "gauss2.json"],
+                ["periodize", "--function", "fbox.json"],
+                ["periodize", "--function", "gauss1.json", "--grid", "16", "--format", "csv"],
+                ["periodize", "--function", "gauss2.json", "--grid", "8", "--format", "csv"],
+                ["periodize", "--function", "fbox.json", "--grid", "8", "--format", "csv"],
+                ["geometry", "--set", "ball.json", "--op", "measure", "--trials", "200"],
+                ["geometry", "--set", "box8.json", "--op", "mean-width"],
+                ["geometry", "--set", "ball1d.json", "--op", "cover-upper"],
+                ["ratio", *box, "--trials", "200"],
+                ["ratio", *gauss, "--trials", "200"],
+                ["pipeline", *box],
+                ["sweep", *box, "--ygrid", "2", "--grid", "16", "--format", "json"],
+                ["sweep", *box, "--ygrid", "2", "--grid", "16", "--format", "csv"],
+                ["sharpness", "--n", "4", "--trials", "20"],
+            )
+        ]
+    return runs
+
+
+CLI_RUNS = cli_runs()
+
+
+def leaves(value, path: str = ""):
+    """(key path, JSON text) of every leaf of ``value``, in key order."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from leaves(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, json.dumps(value)
+
+
+def cli_row(argv: list[str], docs: Path) -> dict:
+    """The ``cli`` row of one run: the artifact's sha256 and a 32-bit digest
+    of each leaf.  A CSV artifact's leaves are its cells, by line and column."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = Path(out_dir) / "artifact"
+        real = [str(docs / arg) if arg.endswith(".json") else arg for arg in argv]
+        code = main(real + ["--output", str(out)])
+        assert code == EXIT_OK, f"ulat {' '.join(argv)} exited {code}"
+        text = out.read_text(encoding="utf-8")
+    if "csv" in argv:
+        doc, sha = list(csv.reader(text.splitlines())), hashlib.sha256(text.encode()).hexdigest()
+    else:
+        doc = without_wall_time(json.loads(text))
+        sha = digest(doc)
+    return {
+        "sha256": sha,
+        "leaves": {path: hashlib.sha256(leaf.encode()).hexdigest()[:8] for path, leaf in leaves(doc)},
+    }
+
+
+def first_difference(want: dict, got: dict) -> str:
+    """The first key path, in the order of the leaves, whose leaf is missing
+    on one side or differs."""
+    for path in [*want, *(p for p in got if p not in want)]:
+        if want.get(path) != got.get(path):
+            return f"{path} ({want.get(path, 'absent')} -> {got.get(path, 'absent')})"
+    return "no leaf differs; the artifact's bytes do"
+
+
+def cli_rows() -> dict[str, dict]:
+    with tempfile.TemporaryDirectory() as docs:
+        write_docs(Path(docs))
+        return {" ".join(argv): cli_row(argv, Path(docs)) for argv in CLI_RUNS}
+
+
 def table() -> dict:
     what = (
-        "sha256 of json.dumps(payload, sort_keys=True) without wall_time_ms keys; "
+        "digests: sha256 of json.dumps(payload, sort_keys=True) without wall_time_ms keys; "
+        "cli: sha256 of each argv's artifact, JSON without wall_time_ms or CSV bytes, "
+        "and the first 8 hex digits of the sha256 of each leaf's JSON text by key path; "
         "regenerate with PYTHONPATH=src python tests/test_payloads.py"
     )
     digests = {key: value for name in WORKLOADS for key, value in cycle_digests(name).items()}
-    return {"what": what, **versions(), "digests": digests}
+    return {"what": what, **versions(), "digests": digests, "cli": cli_rows()}
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +223,28 @@ def test_pipeline_512_cycle_payloads_match_the_table(expected):
 
 def test_sweep_128_cycle_payloads_match_the_table(expected):
     check_cycle(expected, "Sweep128")
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("docs")
+    write_docs(path)
+    return path
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=" ".join)
+def test_cli_payload_matches_the_table(expected, docs, argv):
+    require_recorded_versions(expected)
+    key = " ".join(argv)
+    assert key in expected["cli"], f"no table row for ulat {key}"
+    want, got = expected["cli"][key], cli_row(argv, docs)
+    if got["sha256"] != want["sha256"]:
+        pytest.fail(f"ulat {key}: payload moved; first differing key path: "
+                    + first_difference(want["leaves"], got["leaves"]))
+
+
+def test_every_cli_row_is_run():
+    assert sorted(json.loads(TABLE.read_text())["cli"]) == sorted(" ".join(argv) for argv in CLI_RUNS)
 
 
 if __name__ == "__main__":
