@@ -6,7 +6,6 @@ cases and runs a randomized campaign with certified sup-norm brackets.
 """
 
 from ulat import TorusSet, TrigPolynomial, poly_order, run_campaign, sup_norm, turan_check
-from ulat.geometry import AxisBox
 
 print("p(t) = 2 cos(2 pi t), E = [0, 1/2]")
 p = TrigPolynomial(1, {(1,): 1.0, (-1,): 1.0})
@@ -18,7 +17,7 @@ print()
 print("p(t) = 4 cos(2 pi t1) cos(2 pi t2), E = [0, 1/2]^2")
 p2 = TrigPolynomial(2, {(1, 1): 1.0, (1, -1): 1.0, (-1, 1): 1.0, (-1, -1): 1.0})
 o = poly_order(p2)
-res = turan_check(p2, TorusSet(2, [AxisBox([0.0, 0.0], [0.5, 0.5])]))
+res = turan_check(p2, TorusSet([[0.0, 0.0]], [[0.5, 0.5]]))
 print(f"  per-axis orders {o.per_axis}, exponent {o.fm_exponent}")
 print(f"  global sup {res.lhs:.3f}, factor {res.factor:.0f}, holds={res.holds}")
 
@@ -35,7 +34,7 @@ scattered = float(abs(rp.evaluate(rng.uniform(0.0, 1.0, (4096, 1)))).max())
 print(f"  largest |p| at 4096 random points {scattered:.5f} <= {est.upper:.5f}")
 e = random_torus_set(1, rng)
 res = turan_check(rp, e)
-print(f"  on a random union of {len(e.pieces)} arcs of measure {e.measure:.3f}:"
+print(f"  on a random union of {len(e.lower)} arcs of measure {e.measure:.3f}:"
       f" factor {res.factor:.4g}, holds={res.holds}")
 
 print()

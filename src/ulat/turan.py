@@ -13,21 +13,19 @@ evaluated on it by ``_product_grid_values``: a dense coefficient tensor over
 the distinct frequencies of each axis, contracted against one exp table per
 axis.  One evaluator, ``_sup_estimates``, serves ``sup_norm`` (one
 polynomial, one region), ``turan_check`` (one polynomial, the full torus and
-E) and ``run_campaign`` (a block of instances).  It works on arrays: each
-polynomial comes as one ``_spectrum`` pass over its sorted frequencies (the
-distinct values of each axis, the coefficient tensor, the order and its
-chain checks, the grid density and the gradient bound), and each region as
-the corner lists of its boxes and its measure; ``sup_norm`` and
-``turan_check`` convert their objects at that edge.  The evaluator builds
-the grid samples of every box of every polynomial in the call, and each
-axis's exp tables, at once, contracts box by box, and takes every box
-maximum from one reduction.  ``run_campaign`` draws each instance as arrays
-(``_draw_spectrum`` and ``_draw_boxes``, which ``random_polynomial`` and
-``random_torus_set`` wrap into objects) and checks them in blocks of
-``_CAMPAIGN_BLOCK``, which bounds the memory of one call; its rows equal
-those of ``turan_check`` instance by instance, bit for bit.  The pipeline's
-grid polynomial in ``annihilation`` passes its exact n-th-root tables to the
-same contraction, ``_grid_row_blocks``, and takes it in blocks of
+E) and ``run_campaign`` (a block of instances).  Each polynomial comes as
+one ``_spectrum`` pass over its sorted frequencies (the distinct values of
+each axis, the coefficient tensor, the order and its chain checks, the grid
+density and the gradient bound), and each region as a ``TorusSet``: the
+corner rows of its boxes, as tuples of floats, and their union's measure.
+The evaluator builds the grid samples of every box of every polynomial in
+the call, and each axis's exp tables, at once, contracts box by box, and
+takes every box maximum from one reduction.  ``run_campaign`` draws each
+instance with ``random_polynomial`` and ``random_torus_set`` and checks
+them in blocks of ``_CAMPAIGN_BLOCK``, which bounds the memory of one call;
+its rows equal those of ``turan_check`` instance by instance, bit for bit.
+The pipeline's grid polynomial in ``annihilation`` passes its exact
+n-th-root tables to the same contraction, ``_grid_row_blocks``, in blocks of
 first-axis rows, so that no n^d array of values exists; a box here is one
 block (``_product_grid_values``).  ``TrigPolynomial.evaluate`` is the
 evaluator at scattered points.
@@ -42,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import AxisBox, merged_length
+from .geometry import merged_length
 from .mc import trial_rng
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "random_polynomial",
     "random_torus_set",
     "run_campaign",
-    "box_union_measure",
 ]
 
 GRID_DENSITY_FACTOR = 8
@@ -92,9 +89,17 @@ class TrigPolynomial:
         coefs = np.array([clean[k] for k in keys])
         freqs.setflags(write=False)
         coefs.setflags(write=False)
-        object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "coefs", coefs)
+        self.__dict__.update(dimension=int(dimension), freqs=freqs, coefs=coefs)
+
+    @classmethod
+    def _sorted(cls, freqs: np.ndarray, coefs: np.ndarray) -> "TrigPolynomial":
+        """The polynomial of distinct (n, d) integer frequencies already in
+        lexicographic order and their nonzero coefficients, unchecked."""
+        p = object.__new__(cls)
+        freqs.setflags(write=False)
+        coefs.setflags(write=False)
+        p.__dict__.update(dimension=freqs.shape[1], freqs=freqs, coefs=coefs)
+        return p
 
     def evaluate(self, t) -> np.ndarray:
         """sum_k c_k exp(2 i pi <k, t>) for one point or an (n, d) array."""
@@ -108,12 +113,9 @@ class TrigPolynomial:
 
     def gradient_bound(self) -> float:
         """Global bound for ||grad p||_2: 2 pi sum |c_k| ||k||_2."""
-        return _gradient_bound(self.freqs, self.coefs)
-
-
-def _gradient_bound(freqs: np.ndarray, coefs: np.ndarray) -> float:
-    norms = np.linalg.norm(freqs.astype(float), axis=1)
-    return 2.0 * math.pi * float(np.sum(np.abs(coefs) * norms))
+        # np.linalg.norm's own steps for the 2-norm of each row.
+        k = self.freqs.astype(float)
+        return 2.0 * math.pi * float((np.abs(self.coefs) * np.sqrt(np.add.reduce(k * k, axis=1))).sum())
 
 
 @dataclass(frozen=True)
@@ -151,16 +153,10 @@ def _order(per_axis: tuple, card: int) -> PolyOrder:
 # ---------------------------------------------------------------------------
 
 
-def box_union_measure(boxes: list[AxisBox]) -> float:
-    """Exact volume of a union of axis boxes by recursive slab sweep."""
-    if not boxes:
-        return 0.0
-    return _slab_sweep([(b.lower.tolist(), b.upper.tolist()) for b in boxes])
-
-
-def _slab_sweep(boxes: list) -> float:
-    # Boxes as (lower, upper) coordinate lists: each slab of the first axis
-    # recurses on the remaining coordinates of the boxes that span it.
+def _slab_sweep(boxes) -> float:
+    """Exact volume of a union of boxes, given as (lower, upper) coordinate
+    rows: each slab of the first axis recurses on the remaining coordinates
+    of the boxes that span it."""
     if len(boxes[0][0]) == 1:
         return merged_length([(lo[0], hi[0]) for lo, hi in boxes])
     cuts = sorted({lo[0] for lo, _ in boxes} | {hi[0] for _, hi in boxes})
@@ -175,32 +171,45 @@ def _slab_sweep(boxes: list) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TorusSet:
-    """Finite union of axis boxes inside the fundamental domain [0, 1)^d."""
+    """Finite union of axis boxes inside the fundamental domain [0, 1]^d.
 
-    dimension: int
-    pieces: tuple
+    ``lower`` and ``upper`` hold the lower and the upper corners of the
+    boxes, one tuple of floats per box, ``dimension`` their length, and
+    ``measure`` the exact measure of their union.  Every box must satisfy
+    0 <= lower < upper <= 1 along each axis, compared on Python floats, so
+    NaN fails.
+    """
+
+    lower: tuple
+    upper: tuple
+    dimension: int = field(init=False)
     measure: float = field(init=False)
 
-    def __init__(self, dimension: int, pieces):
-        pieces = tuple(pieces)
-        if not pieces:
-            raise ValueError("torus set needs at least one piece")
-        for b in pieces:
-            if b.dimension != dimension:
-                raise ValueError("piece dimension mismatch")
-            if np.any(b.lower < -1e-12) or np.any(b.upper > 1.0 + 1e-12):
-                raise ValueError("torus set pieces must lie inside [0, 1]^d")
-        object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "measure", box_union_measure(list(pieces)))
+    def __init__(self, lower, upper):
+        lower, upper = (tuple([tuple(map(float, row)) for row in rows]) for rows in (lower, upper))
+        if not lower or len(lower) != len(upper):
+            raise ValueError("torus set needs at least one box, and one upper corner per lower one")
+        d = len(lower[0])
+        for lo, hi in zip(lower, upper):
+            if not 1 <= d == len(lo) == len(hi):
+                raise ValueError("torus set corners need one dimension d >= 1")
+            if not all(map(_inside, lo, hi)):
+                raise ValueError(f"torus set boxes must lie inside [0, 1]^d with lower < upper: {lo}, {hi}")
+        measure = _slab_sweep(list(zip(lower, upper)))
+        self.__dict__.update(lower=lower, upper=upper, dimension=d, measure=measure)
 
     @staticmethod
     def full(dimension: int) -> "TorusSet":
-        return TorusSet(dimension, [AxisBox([0.0] * dimension, [1.0] * dimension)])
+        return TorusSet([[0.0] * dimension], [[1.0] * dimension])
 
     @staticmethod
     def arcs(intervals) -> "TorusSet":
-        return TorusSet(1, [AxisBox([lo], [hi]) for lo, hi in intervals])
+        intervals = list(intervals)
+        return TorusSet([[lo] for lo, _ in intervals], [[hi] for _, hi in intervals])
+
+
+def _inside(lo: float, hi: float) -> bool:
+    return 0.0 <= lo < hi <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +307,22 @@ class _Spectrum(NamedTuple):
     grad: float  # the gradient bound 2 pi sum |c_k| ||k||_2
 
 
-def _spectrum(freqs: np.ndarray, coefs: np.ndarray, grad: float) -> _Spectrum:
-    """The one pass over a spectrum of distinct frequencies in lexicographic
-    order (as ``TrigPolynomial`` holds them), with gradient bound ``grad``.
+def _spectrum(p: TrigPolynomial) -> _Spectrum:
+    """The one pass over the spectrum of p, whose frequencies are distinct
+    and in lexicographic order.
 
     The distinct values of each axis serve both the coefficient tensor and
     the order's chain checks.  In d = 1 the sorted frequencies are already
     the axis's distinct values, and the coefficients are the tensor.
     """
+    freqs, coefs = p.freqs, p.coefs
     if freqs.shape[1] == 1:
         values, tensor = [freqs[:, 0]], coefs
     else:
         values, tensor = _coefficient_tensor(freqs, coefs)
     order = _order(tuple(len(a) - 1 for a in values), len(coefs))
-    density = GRID_DENSITY_FACTOR * (int(np.max(np.abs(freqs))) + 1)
-    return _Spectrum(values, tensor, order, density, grad)
+    density = GRID_DENSITY_FACTOR * (int(np.abs(freqs).max()) + 1)
+    return _Spectrum(values, tensor, order, density, p.gradient_bound())
 
 
 def _sup_estimates(spectra: list, regions: list) -> tuple[list, list]:
@@ -320,10 +330,9 @@ def _sup_estimates(spectra: list, regions: list) -> tuple[list, list]:
     end of each region, in order.
 
     ``spectra`` holds one ``_Spectrum`` per polynomial, all of one
-    dimension, and each region is (j, lower, upper, measure): the index of
-    its polynomial, the lower and the upper corners of its boxes, and its
-    measure.  A region whose dimension differs from its polynomial's, or of
-    measure 0, is a ValueError.
+    dimension, and each region is (j, e): the index of its polynomial and a
+    ``TorusSet``.  A region whose dimension differs from its polynomial's,
+    or of measure 0, is a ValueError.
 
     Each polynomial keeps its own grid density, gradient bound and
     coefficient tensor.  Along each axis, the grid samples of every box come
@@ -336,17 +345,17 @@ def _sup_estimates(spectra: list, regions: list) -> tuple[list, list]:
     boxes' spacings give their windows.  The value and the upper end of each
     region are the maxima over its run of boxes.
     """
-    for j, rows, _, measure in regions:
+    for j, e in regions:
         dim = len(spectra[j].values)
-        if len(rows[0]) != dim:
-            raise ValueError(f"polynomial and region dimensions differ: {dim} and {len(rows[0])}")
-        if measure <= 0:
+        if e.dimension != dim:
+            raise ValueError(f"polynomial and region dimensions differ: {dim} and {e.dimension}")
+        if e.measure <= 0:
             raise ValueError("sup_norm region must have positive measure")
-    pieces = np.array([len(rows) for _, rows, _, _ in regions])
+    pieces = np.array([len(e.lower) for _, e in regions])
     region_first = np.cumsum(pieces) - pieces
-    box_job = np.repeat([j for j, _, _, _ in regions], pieces)
-    lower = np.array([row for _, rows, _, _ in regions for row in rows], dtype=float)
-    upper = np.array([row for _, _, rows, _ in regions for row in rows], dtype=float)
+    box_job = np.repeat([j for j, _ in regions], pieces)
+    lower = np.array([row for _, e in regions for row in e.lower])
+    upper = np.array([row for _, e in regions for row in e.upper])
     d = lower.shape[1]
     box_density = np.array([s.density for s in spectra])[box_job]
     # Runs of consecutive boxes of one polynomial, as (first box, end box).
@@ -385,11 +394,6 @@ def _sup_estimates(spectra: list, regions: list) -> tuple[list, list]:
     )
 
 
-def _region(j: int, region: TorusSet) -> tuple:
-    """A TorusSet as a region of polynomial j of ``_sup_estimates``."""
-    return j, [b.lower for b in region.pieces], [b.upper for b in region.pieces], region.measure
-
-
 def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
     """Certified bracket for sup |p| over a region (default: full torus).
 
@@ -403,8 +407,7 @@ def sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEstimate:
     call of the evaluator that ``turan_check`` and ``run_campaign`` use.
     A region whose dimension differs from the polynomial's is a ValueError.
     """
-    spectrum = _spectrum(p.freqs, p.coefs, p.gradient_bound())
-    (value,), (upper,) = _sup_estimates([spectrum], [_region(0, region or TorusSet.full(p.dimension))])
+    (value,), (upper,) = _sup_estimates([_spectrum(p)], [(0, region or TorusSet.full(p.dimension))])
     return SupEstimate(value, upper)
 
 
@@ -428,25 +431,23 @@ def turan_check(p: TrigPolynomial, e: TorusSet) -> TuranResult:
     bound (14/|E|)^(m-1).  A violation needs the certified lower bound of
     the global sup to exceed the certified upper bound of the right-hand side.
     """
-    spectrum = _spectrum(p.freqs, p.coefs, p.gradient_bound())
-    return _turan_results([spectrum], [_region(0, e)])[0]
+    return _turan_results([_spectrum(p)], [e])[0]
 
 
 def _turan_results(spectra: list, sets: list) -> list:
-    """``turan_check`` on each polynomial of ``spectra`` and its set, a
-    region (j, lower, upper, measure) of ``_sup_estimates``, with one
-    evaluator call over the full torus and E of every pair.  The evaluator
-    runs first, so a region it rejects (a dimension mismatch, or E of
-    measure 0) is its ValueError before any factor divides by |E|.  A
-    factor past the float range is inf, and so is the right-hand side: the
-    bound is vacuous and holds."""
+    """``turan_check`` on each polynomial of ``spectra`` and its set E, a
+    ``TorusSet``, with one evaluator call over the full torus and E of every
+    pair.  The evaluator runs first, so a region it rejects (a dimension
+    mismatch, or E of measure 0) is its ValueError before any factor divides
+    by |E|.  A factor past the float range is inf, and so is the right-hand
+    side: the bound is vacuous and holds."""
     d = len(spectra[0].values)
-    full = [[0.0] * d], [[1.0] * d], 1.0
-    value, upper = _sup_estimates(spectra, [r for j, e in enumerate(sets) for r in ((j, *full), e)])
+    full = TorusSet.full(d)
+    value, upper = _sup_estimates(spectra, [r for j, e in enumerate(sets) for r in ((j, full), (j, e))])
     results = []
-    for j, (s, (_, _, _, measure)) in enumerate(zip(spectra, sets)):
+    for j, (s, e) in enumerate(zip(spectra, sets)):
         try:
-            factor = (14.0 * d / measure) ** s.order.fm_exponent
+            factor = (14.0 * d / e.measure) ** s.order.fm_exponent
         except OverflowError:
             factor = math.inf
         lhs = value[2 * j]
@@ -460,11 +461,18 @@ def _turan_results(spectra: list, sets: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _draw_spectrum(
-    d: int, rng: np.random.Generator, max_terms: int, max_freq: int, max_per_axis: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``random_polynomial``'s draw as arrays: its distinct (n, d) integer
-    frequencies in lexicographic order, and their coefficients."""
+def random_polynomial(
+    d: int,
+    rng: np.random.Generator,
+    max_terms: int = 8,
+    max_freq: int = 16,
+    max_per_axis: int | None = None,
+) -> TrigPolynomial:
+    """Random sparse polynomial with complex Gaussian coefficients.
+
+    ``max_per_axis`` restricts the number of distinct frequency values per
+    axis (spectra inside a small product set), as used in the 2-D campaigns.
+    """
     if max_per_axis is not None:
         axes = [
             rng.choice(np.arange(-max_freq, max_freq + 1), size=max_per_axis, replace=False)
@@ -487,51 +495,28 @@ def _draw_spectrum(
             freqs = np.array(sorted(seen), dtype=int)
     coefs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
     order = np.lexsort(freqs.T[::-1])
-    return freqs[order], coefs[order]
+    # The frequencies drawn are distinct, and the normals nonzero.
+    return TrigPolynomial._sorted(freqs[order], coefs[order])
 
 
-def random_polynomial(
-    d: int,
-    rng: np.random.Generator,
-    max_terms: int = 8,
-    max_freq: int = 16,
-    max_per_axis: int | None = None,
-) -> TrigPolynomial:
-    """Random sparse polynomial with complex Gaussian coefficients.
+def random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1) -> TorusSet:
+    """Random union of one to four boxes in [0, 1]^d with measure at least min_measure.
 
-    ``max_per_axis`` restricts the number of distinct frequency values per
-    axis (spectra inside a small product set), as used in the 2-D campaigns.
+    ``min_measure`` must lie in (0, 1].  Up to 256 unions are drawn; a
+    ValueError reports that none reached the measure.
     """
-    freqs, coefs = _draw_spectrum(d, rng, max_terms, max_freq, max_per_axis)
-    return TrigPolynomial(d, dict(zip(map(tuple, freqs.tolist()), coefs)))
-
-
-def _draw_boxes(d: int, rng: np.random.Generator, min_measure: float) -> tuple[list, list, float]:
-    """``random_torus_set``'s draw as corner lists: the lower and the upper
-    corners of its boxes, and the measure of their union."""
     if not 0.0 < min_measure <= 1.0:
         raise ValueError(f"min_measure must lie in (0, 1], got {min_measure!r}")
     for _ in range(256):
         lower, upper = [], []
         for _ in range(int(rng.integers(1, 5))):
-            lo = rng.uniform(0.0, 0.9, d)
-            width = rng.uniform(0.02, 0.5, d)
-            lower.append(lo.tolist())
-            upper.append(np.minimum(lo + width, 1.0).tolist())
-        measure = _slab_sweep(list(zip(lower, upper)))
-        if measure >= min_measure:
-            return lower, upper, measure
+            lo, width = rng.uniform(0.0, 0.9, d).tolist(), rng.uniform(0.02, 0.5, d).tolist()
+            lower.append(lo)
+            upper.append([min(a + w, 1.0) for a, w in zip(lo, width)])
+        e = TorusSet(lower, upper)
+        if e.measure >= min_measure:
+            return e
     raise ValueError(f"no torus set of measure at least {min_measure} in 256 draws")
-
-
-def random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1) -> TorusSet:
-    """Random union of one to four boxes in [0,1)^d with measure at least min_measure.
-
-    ``min_measure`` must lie in (0, 1].  Up to 256 unions are drawn; a
-    ValueError reports that none reached the measure.
-    """
-    lower, upper, _ = _draw_boxes(d, rng, min_measure)
-    return TorusSet(d, [AxisBox(lo, hi) for lo, hi in zip(lower, upper)])
 
 
 # Campaign draws per dimension: (max_terms, max_freq, max_per_axis,
@@ -555,17 +540,15 @@ def run_campaign(d: int, count: int, seed: int = 0) -> list[dict]:
     measure at least 0.05.
 
     The instances are checked in blocks of ``_CAMPAIGN_BLOCK``.  A block is
-    drawn first, each instance as arrays with the generator calls that
-    ``random_polynomial`` and ``random_torus_set`` make, in their order:
-    trial_rng(seed, i), then the spectrum, then the boxes.  Each spectrum
-    gets its ``_spectrum`` pass (so its order's chain checks run), the
-    block's boxes are checked to lie in [0, 1]^d, and one ``_sup_estimates``
-    call evaluates the whole block.  The rows equal those of ``turan_check``
-    on each instance bit for bit, whatever the block size.  The block size
-    bounds the memory of one call: the block's grid samples, exp tables and
-    the moduli of its grid values are held at once.  A d that is not an
-    integer >= 1, or a count that is not an integer >= 1, is a ValueError
-    before any draw.
+    drawn first, instance i from trial_rng(seed, i): ``random_polynomial``,
+    then ``random_torus_set``, whose constructor checks each union to lie in
+    [0, 1]^d.  Each polynomial gets its ``_spectrum`` pass (so its order's
+    chain checks run), and one ``_sup_estimates`` call evaluates the whole
+    block.  The rows equal those of ``turan_check`` on each instance bit for
+    bit, whatever the block size.  The block size bounds the memory of one
+    call: the block's grid samples, exp tables and the moduli of its grid
+    values are held at once.  A d that is not an integer >= 1, or a count
+    that is not an integer >= 1, is a ValueError before any draw.
     """
     if not isinstance(d, numbers.Integral) or d < 1:
         raise ValueError(f"a campaign needs an integer dimension >= 1, got {d!r}")
@@ -575,17 +558,9 @@ def run_campaign(d: int, count: int, seed: int = 0) -> list[dict]:
     rows = []
     for start in range(0, count, _CAMPAIGN_BLOCK):
         spectra, sets = [], []
-        for j, i in enumerate(range(start, min(start + _CAMPAIGN_BLOCK, count))):
+        for i in range(start, min(start + _CAMPAIGN_BLOCK, count)):
             rng = trial_rng(seed, i)
-            freqs, coefs = _draw_spectrum(d, rng, max_terms, max_freq, max_per_axis)
-            spectra.append(_spectrum(freqs, coefs, _gradient_bound(freqs, coefs)))
-            sets.append((j, *_draw_boxes(d, rng, min_measure)))
-        lower = np.array([row for _, lo, _, _ in sets for row in lo])
-        upper = np.array([row for _, _, hi, _ in sets for row in hi])
-        if not (np.all(0.0 <= lower) and np.all(lower < upper) and np.all(upper <= 1.0)):
-            raise ValueError("torus set pieces must lie inside [0, 1]^d")
-        for i, res in enumerate(_turan_results(spectra, sets), start):
-            rows.append(
-                {"seed": i, "lhs": res.lhs, "rhs": res.rhs, "factor": res.factor, "holds": res.holds}
-            )
+            spectra.append(_spectrum(random_polynomial(d, rng, max_terms, max_freq, max_per_axis)))
+            sets.append(random_torus_set(d, rng, min_measure))
+        rows += [{"seed": i, **vars(res)} for i, res in enumerate(_turan_results(spectra, sets), start)]
     return rows

@@ -23,7 +23,6 @@ from ulat.turan import (
     _box_axis_grids,
     _coefficient_tensor,
     _product_grid_values,
-    box_union_measure,
     poly_order,
     random_polynomial,
     random_torus_set,
@@ -126,11 +125,9 @@ class TestSupNorm:
             for region in (None, e):
                 est = sup_norm(p, region)
                 dense = 0.0
-                for box in (region or TorusSet.full(2)).pieces:
-                    axes = [
-                        box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
-                        for i in range(2)
-                    ]
+                region_or_full = region or TorusSet.full(2)
+                for lo, hi in zip(region_or_full.lower, region_or_full.upper):
+                    axes = [box_axis_grid(lo[i], hi[i], density) for i in range(2)]
                     fine = [np.linspace(ax[0], ax[-1], 12 * (len(ax) - 1) + 1) for ax in axes]
                     dense = max(dense, float(np.max(np.abs(p.evaluate(_grid_points(fine))))))
                 assert dense <= est.upper + 1e-9
@@ -143,7 +140,7 @@ class TestSupNorm:
         # short of 2, so only the long arc's coarser window certifies the union.
         p = TrigPolynomial(1, {(0,): 1.0, (2,): 1.0})
         e = TorusSet.arcs([(0.0159, 0.0169), (0.32, 0.72)])
-        short, long = (sup_norm(p, TorusSet(1, [b])) for b in e.pieces)
+        short, long = (sup_norm(p, TorusSet([lo], [hi])) for lo, hi in zip(e.lower, e.upper))
         assert long.value < short.value and short.upper < 2.0
         est = sup_norm(p, e)
         assert est.value == short.value
@@ -162,7 +159,7 @@ class TestSupNorm:
     def test_zero_measure_region_rejected(self):
         # The box has positive sides, but their product underflows to 0.0.
         p = TrigPolynomial(2, {(0, 0): 1.0, (1, 0): 1.0})
-        e = TorusSet(2, [AxisBox([0.0, 0.0], [5e-324, 5e-324])])
+        e = TorusSet([[0.0, 0.0]], [[5e-324, 5e-324]])
         assert e.measure == 0.0
         with pytest.raises(ValueError, match="positive measure"):
             sup_norm(p, e)
@@ -170,8 +167,8 @@ class TestSupNorm:
             turan_check(p, e)
 
     def test_empty_torus_set_rejected(self):
-        with pytest.raises(ValueError, match="at least one piece"):
-            TorusSet(1, [])
+        with pytest.raises(ValueError, match="at least one box"):
+            TorusSet([], [])
 
 
 class TestTuranOneDimensional:
@@ -199,13 +196,13 @@ class TestTuranOneDimensional:
         # (14 / 1e-200)^2 overflows a float: the factor and the bound are
         # inf, and the inequality holds.
         p = TrigPolynomial(1, {(0,): 1.0, (3,): 1.0, (5,): 1.0})
-        res = turan_check(p, TorusSet(1, [AxisBox([0.0], [1e-200])]))
+        res = turan_check(p, TorusSet.arcs([(0.0, 1e-200)]))
         assert res.factor == math.inf
         assert res.rhs == math.inf
         assert res.holds
         assert res.lhs == pytest.approx(3.0, abs=1e-9)
         # A factor inside the range keeps its bits.
-        assert turan_check(p, TorusSet(1, [AxisBox([0.0], [1e-100])])).factor == (14.0 / 1e-100) ** 2
+        assert turan_check(p, TorusSet.arcs([(0.0, 1e-100)])).factor == (14.0 / 1e-100) ** 2
 
     def test_dimension_guard(self):
         p = TrigPolynomial(2, {(0, 0): 1.0})
@@ -218,7 +215,7 @@ class TestTuranOneDimensional:
 class TestTuranMultidimensional:
     def test_monomial_equality(self):
         p = TrigPolynomial(2, {(2, -1): 1.0 + 1.0j})
-        e = TorusSet(2, [AxisBox([0.1, 0.1], [0.4, 0.3])])
+        e = TorusSet([[0.1, 0.1]], [[0.4, 0.3]])
         res = turan_check(p, e)
         assert res.factor == pytest.approx(1.0)
         assert res.holds
@@ -227,7 +224,7 @@ class TestTuranMultidimensional:
         p = TrigPolynomial(
             2, {(1, 1): 1.0, (1, -1): 1.0, (-1, 1): 1.0, (-1, -1): 1.0}
         )
-        e = TorusSet(2, [AxisBox([0.0, 0.0], [0.5, 0.5])])
+        e = TorusSet([[0.0, 0.0]], [[0.5, 0.5]])
         res = turan_check(p, e)
         assert res.lhs == pytest.approx(4.0, abs=1e-9)
         assert res.factor == pytest.approx((14.0 * 2 / 0.25) ** 2)
@@ -254,23 +251,38 @@ class TestTuranMultidimensional:
 
 class TestTorusSet:
     def test_union_measure_overlapping(self):
-        boxes = [AxisBox([0, 0], [0.5, 0.5]), AxisBox([0.25, 0.25], [0.75, 0.75])]
-        assert box_union_measure(boxes) == pytest.approx(0.4375)
+        assert TorusSet([[0, 0], [0.25, 0.25]], [[0.5, 0.5], [0.75, 0.75]]).measure == pytest.approx(0.4375)
 
     def test_union_measure_arcs(self):
         ts = TorusSet.arcs([(0.0, 0.3), (0.2, 0.5), (0.9, 1.0)])
         assert ts.measure == pytest.approx(0.6)
 
     def test_three_dimensional_union(self):
-        boxes = [
-            AxisBox([0, 0, 0], [0.5, 0.5, 0.5]),
-            AxisBox([0.25, 0.25, 0.25], [0.5, 0.5, 0.5]),
-        ]
-        assert box_union_measure(boxes) == pytest.approx(0.125)
+        e = TorusSet([[0, 0, 0], [0.25, 0.25, 0.25]], [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
+        assert e.measure == pytest.approx(0.125)
+
+    def test_corners_are_tuples_of_python_floats(self):
+        e = TorusSet(np.array([[0, 0.25]]), [(np.float64(0.5), 1)])
+        assert e.lower == ((0.0, 0.25),) and e.upper == ((0.5, 1.0),) and e.dimension == 2
+        assert all(type(x) is float for row in e.lower + e.upper for x in row)
 
     def test_pieces_outside_fundamental_domain_rejected(self):
         with pytest.raises(ValueError):
-            TorusSet(1, [AxisBox([-0.5], [0.5])])
+            TorusSet([[-0.5]], [[0.5]])
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [([-1e-12], [0.5]), ([0.5], [1.0 + 1e-12]), ([0.5], [0.5]), ([0.6], [0.5]), ([math.nan], [0.5])],
+    )
+    def test_boxes_checked_inside_the_unit_cube(self, lower, upper):
+        # One range rule: 0 <= lower < upper <= 1, with no slack at 0 and 1.
+        with pytest.raises(ValueError, match=r"inside \[0, 1\]\^d"):
+            TorusSet([[0.1], lower], [[0.9], upper])
+
+    @pytest.mark.parametrize("lower, upper", [([[0.1]], [[0.5], [0.6]]), ([[0.1, 0.2]], [[0.5]]), ([[]], [[]])])
+    def test_corner_rows_of_one_dimension(self, lower, upper):
+        with pytest.raises(ValueError):
+            TorusSet(lower, upper)
 
     def test_random_set_respects_min_measure(self):
         rng = trial_rng(5, 0)
@@ -352,8 +364,8 @@ def reference_sup_estimates(p: TrigPolynomial, regions: list) -> list:
     values, tensor = _coefficient_tensor(p.freqs, p.coefs)
     grids = [
         [
-            [box_axis_grid(float(box.lower[i]), float(box.upper[i]), density) for i in range(p.dimension)]
-            for box in region.pieces
+            [box_axis_grid(lo[i], hi[i], density) for i in range(p.dimension)]
+            for lo, hi in zip(region.lower, region.upper)
         ]
         for region in regions
     ]
@@ -421,8 +433,8 @@ def oracle_random_polynomial(
 
 
 def oracle_random_torus_set(d: int, rng: np.random.Generator, min_measure: float = 0.1) -> TorusSet:
-    """Reference: random_torus_set as it drew before the array draws, one
-    AxisBox per box and one TorusSet per union."""
+    """Reference: random_torus_set as it drew with one AxisBox per box,
+    measured by ``oracle_box_union_measure``."""
     if not 0.0 < min_measure <= 1.0:
         raise ValueError(f"min_measure must lie in (0, 1], got {min_measure!r}")
     for _ in range(256):
@@ -433,9 +445,8 @@ def oracle_random_torus_set(d: int, rng: np.random.Generator, min_measure: float
             width = rng.uniform(0.02, 0.5, d)
             hi = np.minimum(lo + width, 1.0)
             boxes.append(AxisBox(lo, hi))
-        ts = TorusSet(d, boxes)
-        if ts.measure >= min_measure:
-            return ts
+        if oracle_box_union_measure(boxes) >= min_measure:
+            return TorusSet([b.lower for b in boxes], [b.upper for b in boxes])
     raise ValueError(f"no torus set of measure at least {min_measure} in 256 draws")
 
 
@@ -533,16 +544,6 @@ class TestBlockEvaluator:
             run_campaign(1, count)
 
     @pytest.mark.parametrize(
-        "lower, upper", [([-1e-12], [0.5]), ([0.5], [1.0 + 1e-12]), ([0.5], [0.5]), ([0.6], [0.5])]
-    )
-    def test_drawn_boxes_checked_inside_the_unit_cube(self, monkeypatch, lower, upper):
-        # The campaign builds no TorusSet, so its own block check stands in
-        # for the one the objects made.
-        monkeypatch.setattr(turan, "_draw_boxes", lambda d, rng, m: ([[0.1], lower], [[0.9], upper], 0.8))
-        with pytest.raises(ValueError, match=r"inside \[0, 1\]\^d"):
-            run_campaign(1, 3)
-
-    @pytest.mark.parametrize(
         "counts, message",
         [
             (lambda per_axis, card: tuple(0 for _ in per_axis), "exceeds the product of axis counts"),
@@ -570,31 +571,31 @@ class TestDraws:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("max_per_axis", [None, 3])
     def test_draws_equal_the_oracles(self, d, max_per_axis):
-        # The array draws, and the objects built from them, equal the old
-        # object draws, and leave the generator in the same state.
+        # The draws equal the oracles' object draws, built through the
+        # checked constructors, and leave the generator in the same state.
         # Measures that a third or more of the first unions miss, so that
         # redraws occur.
         min_measure = {1: 0.3, 2: 0.1, 3: 0.05}[d]
         kw = dict(max_terms=8, max_freq=16 if max_per_axis is None else 4, max_per_axis=max_per_axis)
         redraws = 0
         for i in range(60):
-            arrays, objects, oracle = trial_rng(29, i), trial_rng(29, i), trial_rng(29, i)
+            objects, oracle = trial_rng(29, i), trial_rng(29, i)
             want = oracle_random_polynomial(d, oracle, **kw)
-            freqs, coefs = turan._draw_spectrum(d, arrays, *kw.values())
             p = random_polynomial(d, objects, **kw)
-            assert freqs.tobytes() == p.freqs.tobytes() == want.freqs.tobytes()
-            assert coefs.tobytes() == p.coefs.tobytes() == want.coefs.tobytes()
-            assert arrays.bit_generator.state == objects.bit_generator.state == oracle.bit_generator.state
+            assert p.dimension == want.dimension == d
+            assert (p.freqs.dtype, p.freqs.shape, p.coefs.dtype) == (want.freqs.dtype, want.freqs.shape, want.coefs.dtype)
+            assert p.freqs.tobytes() == want.freqs.tobytes()
+            assert p.coefs.tobytes() == want.coefs.tobytes()
+            assert not p.freqs.flags.writeable and not p.coefs.flags.writeable
+            assert objects.bit_generator.state == oracle.bit_generator.state
             redraws += needs_redraw(d, oracle, min_measure)
             want = oracle_random_torus_set(d, oracle, min_measure)
-            lower, upper, measure = turan._draw_boxes(d, arrays, min_measure)
             e = random_torus_set(d, objects, min_measure)
-            assert [(b.lower.tolist(), b.upper.tolist()) for b in want.pieces] == list(zip(lower, upper))
-            assert [(b.lower.tobytes(), b.upper.tobytes()) for b in e.pieces] == [
-                (b.lower.tobytes(), b.upper.tobytes()) for b in want.pieces
-            ]
-            assert measure.hex() == e.measure.hex() == want.measure.hex()
-            assert arrays.bit_generator.state == objects.bit_generator.state == oracle.bit_generator.state
+            assert np.array(e.lower).tobytes() == np.array(want.lower).tobytes()
+            assert np.array(e.upper).tobytes() == np.array(want.upper).tobytes()
+            boxes = [AxisBox(lo, hi) for lo, hi in zip(want.lower, want.upper)]
+            assert e.measure.hex() == oracle_box_union_measure(boxes).hex()
+            assert objects.bit_generator.state == oracle.bit_generator.state
         assert redraws > 0
 
 
@@ -605,11 +606,8 @@ def oracle_sup_norm(p: TrigPolynomial, region: TorusSet | None = None) -> SupEst
     density = GRID_DENSITY_FACTOR * (int(np.max(np.abs(p.freqs))) + 1)
     grad = p.gradient_bound()
     value = upper = -1.0
-    for box in region.pieces:
-        axes = [
-            box_axis_grid(float(box.lower[i]), float(box.upper[i]), density)
-            for i in range(p.dimension)
-        ]
+    for lo, hi in zip(region.lower, region.upper):
+        axes = [box_axis_grid(lo[i], hi[i], density) for i in range(p.dimension)]
         box_max = float(np.max(np.abs(p.evaluate(_grid_points(axes)))))
         spacings = np.array([ax[1] - ax[0] for ax in axes])
         value = max(value, box_max)
@@ -690,4 +688,5 @@ def box_unions(draw):
 @given(box_unions())
 @settings(max_examples=200, deadline=None)
 def test_box_union_measure_equals_the_box_sweep_bit_for_bit(boxes):
-    assert box_union_measure(boxes).hex() == oracle_box_union_measure(boxes).hex()
+    e = TorusSet([b.lower for b in boxes], [b.upper for b in boxes])
+    assert e.measure.hex() == oracle_box_union_measure(boxes).hex()
