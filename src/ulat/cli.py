@@ -27,7 +27,7 @@ import numpy as np
 from . import annihilation, geometry, lattice, periodization, turan
 from .functions import function_from_dict
 from .geometry import EuclideanSet
-from .mc import trial_rng
+from .mc import check_trials, trial_rng
 
 log = logging.getLogger("ulat")
 
@@ -49,11 +49,12 @@ COUNT_CEILING = 2**40
 
 @dataclass
 class RunConfig:
-    """Resolved invocation: subcommand plus its validated parameters."""
+    """Resolved invocation: subcommand plus its validated parameters.
+    ``trials`` is None for the commands without --trials."""
 
     command: str
     options: dict = field(default_factory=dict)
-    trials: int = 1000
+    trials: int | None = None
     seed: int = 0
     output: str | None = None
     fmt: str = "json"
@@ -62,7 +63,7 @@ class RunConfig:
     started: float = field(default_factory=time.perf_counter)
 
     def plan(self) -> dict:
-        return {
+        plan = {
             "command": self.command,
             "options": self.options,
             "trials": self.trials,
@@ -70,6 +71,7 @@ class RunConfig:
             "output": self.output,
             "format": self.fmt,
         }
+        return {key: value for key, value in plan.items() if key != "trials" or value is not None}
 
 
 class PreconditionError(ValueError):
@@ -159,7 +161,9 @@ def _check_grid(n: int, d: int) -> None:
 
 
 def _load_profile(config: RunConfig):
-    """The profile of --phi, checked as check_lattice_averaging checks it."""
+    """The profile of --phi, checked with --trials as check_lattice_averaging
+    checks them."""
+    check_trials(config.trials)
     spec, d = config.options["phi"], config.options["dim"]
     kind, *args = spec.split(":")
     if kind == "annulus" and len(args) == 2:
@@ -379,8 +383,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--trials", type=int, default=1000)
+    def common(p: argparse.ArgumentParser, trials: bool = False) -> None:
+        if trials:
+            p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--output", "-o", default=None)
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
@@ -390,7 +395,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("lal", help="lattice averaging estimates for a profile")
     p.add_argument("--phi", required=True, help="annulus:r1:r2 | ball:r | gaussian[:a]")
     p.add_argument("--dim", type=int, default=2)
-    common(p)
+    common(p, trials=True)
 
     p = sub.add_parser("turan", help="randomized sup-norm inequality campaign")
     p.add_argument("--dim", type=int, choices=[1, 2], default=1)
@@ -405,13 +410,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("geometry", help="measure / mean width / cover bound of a set")
     p.add_argument("--set", required=True, help="set document (JSON)")
     p.add_argument("--op", required=True, choices=["measure", "mean-width", "cover-upper"])
-    common(p)
+    common(p, trials=True)
 
     p = sub.add_parser("ratio", help="observed annihilation ratio of an instance")
     p.add_argument("--function", required=True)
     p.add_argument("--s-set", required=True)
     p.add_argument("--sigma-set", required=True)
-    common(p)
+    common(p, trials=True)
 
     p = sub.add_parser("pipeline", help="single proof-pipeline trace")
     p.add_argument("--function", required=True)
@@ -431,7 +436,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("sharpness", help="ring-of-discs order growth experiment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ring-radius", type=float, default=None)
-    common(p)
+    common(p, trials=True)
 
     return parser, sub.choices
 
@@ -442,8 +447,8 @@ _DEFAULT_FORMATS = {"turan": "csv", "sweep": "csv"}
 _CSV_COMMANDS = ("periodize", "sweep", "turan")
 
 # Integer flags that count something, checked to lie in [1, COUNT_CEILING]
-# with --trials before a real or a dry run.
-_COUNT_FLAGS = ("dim", "n", "random", "ygrid")
+# before a real or a dry run.
+_COUNT_FLAGS = ("trials", "dim", "n", "random", "ygrid")
 
 
 def _config_overrides(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -482,7 +487,8 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                 setattr(args, "fmt" if key == "format" else key, value)
             else:
                 options[key] = value
-    counts = {"trials": args.trials, **{k: options[k] for k in _COUNT_FLAGS if k in options}}
+    values = {"trials": getattr(args, "trials", None), **options}
+    counts = {key: values[key] for key in _COUNT_FLAGS if values.get(key) is not None}
     for key, value in counts.items():
         if value < 1:
             raise PreconditionError(f"{key} must be >= 1")
@@ -497,7 +503,7 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return RunConfig(
         command=args.command,
         options=options,
-        trials=args.trials,
+        trials=values["trials"],
         seed=args.seed,
         output=args.output,
         fmt=fmt,

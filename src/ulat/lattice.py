@@ -28,7 +28,7 @@ from .geometry import (
     mean_width,
     sample_rotation,
 )
-from .mc import ExpectationReport, mean_stderr, run_trials, trial_rng
+from .mc import ExpectationReport, check_trials, mean_stderr, run_trials, trial_rng
 
 __all__ = [
     "RandomLattice",
@@ -508,8 +508,10 @@ def check_lattice_averaging(
     tail below 1e-6 of the reference scale.  The lattices come from
     ``_lattice_blocks``, a block's rotated candidates at most its point
     budget, and the sums equal those of a loop over ``sample_lattice``
-    draws bit for bit.  ``averaging_setup`` checks the profile first.
+    draws bit for bit.  ``check_trials`` checks the trial count first, then
+    ``averaging_setup`` the profile.
     """
+    check_trials(trials)
     d = phi.dimension
     ref_a, ref_b, rad_a, rad_b = averaging_setup(phi)
     # r_lo = 1 leaves out k = 0.
@@ -548,6 +550,7 @@ def estimate_card(
     The report's bound field carries polar_constant(d) * |sigma| as the
     analytic reference scale.
     """
+    check_trials(trials)
     _require_origin(sigma)
     d = sigma.dimension
     measure = lebesgue_measure(sigma, seed=seed + 1)
@@ -576,6 +579,7 @@ def estimate_order(
     and the orders equal those of a loop of ``order_of`` over
     ``sample_lattice`` and ``intersect`` bit for bit.
     """
+    check_trials(trials)
     _require_origin(sigma)
     d = sigma.dimension
     # The width first: it takes d <= 3 and rejects more before the trials.

@@ -29,6 +29,7 @@ from numpy.random.bit_generator import ISeedSequence
 __all__ = [
     "Estimate",
     "ExpectationReport",
+    "check_trials",
     "trial_rng",
     "run_trials",
     "mean_stderr",
@@ -65,8 +66,7 @@ class ExpectationReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.trials < 2:
-            raise ValueError("ExpectationReport requires trials >= 2")
+        check_trials(self.trials)
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
 
@@ -82,6 +82,16 @@ class ExpectationReport:
         if self.extras:
             out["extras"] = dict(self.extras)
         return out
+
+
+def check_trials(trials: int) -> None:
+    """The trial count of an ``ExpectationReport``, whose standard error
+    needs two trials; the estimators that return one check it before their
+    first draw."""
+    if trials < 2:
+        raise ValueError(
+            f"trials must be >= 1 to draw, and ExpectationReport requires trials >= 2; got {trials}"
+        )
 
 
 # Trials whose seed words are hashed together; an aligned block never

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ulat
-from ulat import annihilation, turan
+from ulat import annihilation, lattice, mc, turan
 from ulat import cli
 from ulat.cli import (
     COUNT_CEILING,
@@ -50,6 +50,15 @@ def run_cli(capsys, argv):
     if out.out.startswith("{"):
         strict_json(out.out)
     return code, out.out, out.err
+
+
+# The commands with a --trials flag; the others run no trials.
+TRIAL_COMMANDS = ("lal", "geometry", "ratio", "sharpness")
+
+
+def with_trials(argv: list[str], trials: int) -> list[str]:
+    """argv with --trials appended where its command has the flag."""
+    return argv + ["--trials", str(trials)] * (argv[0] in TRIAL_COMMANDS)
 
 
 def payload_of(text: str) -> str:
@@ -178,6 +187,16 @@ class TestLalCommand:
     def test_unknown_profile_precondition(self, capsys):
         code, _, err = run_cli(capsys, ["lal", "--phi", "cone:1", "--dim", "2"])
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_one_trial_exits_2_before_any_draw(self, capsys, monkeypatch, dry):
+        # The loader applies the reports' own trial check, so the dry run
+        # fails as the real run does, and neither draws a trial.
+        for module in (cli, lattice, mc):
+            monkeypatch.setattr(module, "trial_rng", lambda *a: pytest.fail("drew a trial"))
+        code, out, err = run_cli(capsys, ["lal", "--phi", "annulus:1:3", "--trials", "1"] + dry)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert len(err.splitlines()) == 1 and "requires trials >= 2" in err
 
     def test_oversized_annulus_precondition(self, capsys):
         # About 2.8e9 integer points: rejected from the point bound, before
@@ -464,7 +483,7 @@ def test_dry_run_exits_as_the_real_run(capsys, doc_dir, argv):
     # Each input is rejected by the command's loader, which a dry run runs too.
     for name, doc in DRY_RUN_DOCS.items():
         (doc_dir / name).write_text(json.dumps(doc))
-    argv = argv(doc_dir) + ["--trials", "5"]
+    argv = with_trials(argv(doc_dir), 5)
     for call in (argv, argv + ["--dry-run"]):
         code, out, err = run_cli(capsys, call)
         assert code == EXIT_PRECONDITION, call
@@ -560,7 +579,7 @@ def test_import_leaves_scipy_special_unloaded():
     ids=["geometry", "turan", "sharpness", "lal-annulus", "pipeline", "sweep", "ratio", "lal-gaussian"],
 )
 def test_commands_load_scipy_special_only_for_closed_forms(doc_dir, argv, loads):
-    argv = [str(doc_dir / arg) if arg.endswith(".json") else arg for arg in argv] + ["--trials", "20"]
+    argv = with_trials([str(doc_dir / arg) if arg.endswith(".json") else arg for arg in argv], 20)
     lines = [
         "import contextlib, io, ulat.cli",
         "with contextlib.redirect_stdout(io.StringIO()):",
@@ -657,7 +676,7 @@ LAL = ["lal", "--phi", "annulus:1:3"]
 def test_mistyped_config_is_a_precondition(capsys, tmp_path, argv, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, argv + ["--trials", "5", "--config", str(cfg)])
+    code, out, err = run_cli(capsys, with_trials(argv, 5) + ["--config", str(cfg)])
     assert code == EXIT_PRECONDITION
     assert out == ""
     assert "precondition violated" in err
@@ -687,7 +706,7 @@ def test_count_flag_below_one_is_a_precondition(capsys, tmp_path, argv, key, val
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
     for call in (argv + [str(value)], argv + ["1", "--config", str(cfg)]):
-        code, out, err = run_cli(capsys, call + ["--trials", "5"] + extra)
+        code, out, err = run_cli(capsys, with_trials(call, 5) + extra)
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert f"precondition violated: {key} must be >= 1" in err
@@ -717,6 +736,35 @@ def test_count_flag_past_the_ceiling_is_a_precondition(capsys, monkeypatch, tmp_
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert err == f"precondition violated: {key} must be <= {COUNT_CEILING}\n"
+
+
+RUNS_WITHOUT_TRIALS = {
+    "turan": lambda doc_dir: ["turan", "--random", "2"],
+    "periodize": lambda doc_dir: grid_argv("periodize", doc_dir) + ["--grid", "4"],
+    "pipeline": lambda doc_dir: grid_argv("pipeline", doc_dir) + ["--grid", "8"],
+    "sweep": lambda doc_dir: grid_argv("sweep", doc_dir) + ["--ygrid", "1", "--grid", "8"],
+}
+
+
+def test_only_the_commands_that_run_trials_take_the_flag():
+    _, commands = cli._build_parser()
+    flagged = {name for name, p in commands.items() if any("--trials" in a.option_strings for a in p._actions)}
+    assert flagged == set(TRIAL_COMMANDS) == set(commands) - set(RUNS_WITHOUT_TRIALS)
+
+
+@pytest.mark.parametrize("command", sorted(RUNS_WITHOUT_TRIALS))
+def test_commands_without_trials_reject_the_flag_and_plan_none(capsys, doc_dir, tmp_path, command):
+    argv = RUNS_WITHOUT_TRIALS[command](doc_dir)
+    code, out, _ = run_cli(capsys, argv + ["--dry-run"])
+    assert code == EXIT_OK and "trials" not in json.loads(out)["plan"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--trials", "7"])
+    assert exit_info.value.code == EXIT_PRECONDITION
+    assert "unrecognized arguments: --trials 7" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text(json.dumps({"trials": 7}))
+    code, out, err = run_cli(capsys, argv + ["--config", str(tmp_path / "cfg.json")])
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == f"precondition violated: config key 'trials' names no flag of ulat {command}\n"
 
 
 def test_count_flag_at_the_ceiling_is_accepted(capsys):

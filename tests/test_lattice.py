@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
-from ulat import lattice
+from ulat import geometry, lattice, mc
 from ulat.annihilation import disc_ring
 from ulat.geometry import AxisBox, Ball, EuclideanSet, Rotation, _distinct_rows, sample_rotation
 from ulat.lattice import (
@@ -540,6 +540,25 @@ class TestLatticeAveraging:
     def test_trial_count_errors(self, trials, message):
         with pytest.raises(ValueError, match=message):
             check_lattice_averaging(AnnulusIndicator(2, 1.0, 3.0), trials=trials, seed=0)
+
+    @pytest.mark.parametrize("trials", [1, 0, -3])
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda trials: check_lattice_averaging(AnnulusIndicator(2, 1.0, 3.0), trials=trials),
+            lambda trials: estimate_card(EuclideanSet(2, [Ball([0.0, 0.0], 2.0)]), trials=trials),
+            lambda trials: estimate_order(EuclideanSet(2, [Ball([0.0, 0.0], 2.0)]), trials=trials),
+        ],
+        ids=["check_lattice_averaging", "estimate_card", "estimate_order"],
+    )
+    def test_too_few_trials_rejected_before_any_draw(self, monkeypatch, estimate, trials):
+        # Every estimator that returns an ExpectationReport checks its trial
+        # count first; each used to draw all its trials before the report
+        # rejected a single one.
+        for module in (geometry, lattice, mc):
+            monkeypatch.setattr(module, "trial_rng", lambda *a: pytest.fail("drew a trial"))
+        with pytest.raises(ValueError, match="requires trials >= 2"):
+            estimate(trials)
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_dimension_below_one_rejected(self, d):
