@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import logging
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +50,11 @@ COUNT_CEILING = 2**40
 
 @dataclass
 class RunConfig:
-    """Resolved invocation: subcommand plus its validated parameters.
-    ``trials`` is None for the commands without --trials."""
+    """Resolved invocation: subcommand plus its validated parameters."""
 
     command: str
     options: dict = field(default_factory=dict)
-    trials: int | None = None
+    trials: int | None = None  # None for the commands without --trials
     seed: int = 0
     output: str | None = None
     fmt: str = "json"
@@ -63,15 +63,14 @@ class RunConfig:
     started: float = field(default_factory=time.perf_counter)
 
     def plan(self) -> dict:
-        plan = {
+        return {
             "command": self.command,
             "options": self.options,
-            "trials": self.trials,
+            **({} if self.trials is None else {"trials": self.trials}),
             "seed": self.seed,
             "output": self.output,
             "format": self.fmt,
         }
-        return {key: value for key, value in plan.items() if key != "trials" or value is not None}
 
 
 class PreconditionError(ValueError):
@@ -103,18 +102,13 @@ def _load_function(path: str):
     return _load_doc(path, function_from_dict, "function")
 
 
-def _emit(config: RunConfig, payload, rows=None, header=None) -> None:
-    """Write the artifact.  JSON payloads are key-sorted so identical
-    configurations are byte-identical; wall time lives outside the payload."""
-    if config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        if header:
-            writer.writerow(header)
-        for row in rows or []:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
+def _emit(config: RunConfig, payload) -> None:
+    """Write the artifact to --output or stdout: for CSV, ``payload`` holds
+    the rows, header first, each written as it comes; for JSON, it is the
+    payload of one document, whose keys are sorted so that identical
+    configurations are byte-identical (wall time lives outside the payload).
+    An OSError while the output is open is the run's I/O error."""
+    if config.fmt == "json":
         doc = {
             "schema": SCHEMA_VERSION,
             "command": config.command,
@@ -123,14 +117,15 @@ def _emit(config: RunConfig, payload, rows=None, header=None) -> None:
             "wall_time_ms": round(1000.0 * (time.perf_counter() - config.started), 3),
         }
         text = json.dumps(_json_ready(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if config.output:
-        try:
-            with open(config.output, "w", encoding="utf-8") as fh:
+    try:
+        sink = open(config.output, "w", encoding="utf-8") if config.output else nullcontext(sys.stdout)
+        with sink as fh:
+            if config.fmt == "csv":
+                csv.writer(fh).writerows(payload)
+            else:
                 fh.write(text)
-        except OSError as exc:
-            raise IOError(f"cannot write {config.output}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise IOError(f"cannot write {config.output or 'stdout'}: {exc}") from exc
 
 
 def _json_ready(obj):
@@ -161,8 +156,7 @@ def _check_grid(n: int, d: int) -> None:
 
 
 def _load_profile(config: RunConfig):
-    """The profile of --phi, checked with --trials as check_lattice_averaging
-    checks them."""
+    """The profile of --phi, checked with --trials as check_lattice_averaging checks them."""
     check_trials(config.trials)
     spec, d = config.options["phi"], config.options["dim"]
     kind, *args = spec.split(":")
@@ -255,12 +249,8 @@ def cmd_turan(config: RunConfig, _) -> int:
     rows = turan.run_campaign(opts["dim"], opts["random"], seed=config.seed)
     violations = [r for r in rows if not r["holds"]]
     if config.fmt == "csv":
-        _emit(
-            config,
-            None,
-            rows=[[r["seed"], r["lhs"], r["rhs"], r["factor"], r["holds"]] for r in rows],
-            header=["seed", "lhs", "rhs", "factor", "holds"],
-        )
+        header = ["seed", "lhs", "rhs", "factor", "holds"]
+        _emit(config, [header, *([r[key] for key in header] for r in rows)])
     else:
         _emit(config, {"rows": rows, "violations": len(violations)})
     if violations:
@@ -273,9 +263,8 @@ def cmd_periodize(config: RunConfig, inputs) -> int:
     gamma, n = inputs
     lat = gamma.lattice
     if config.fmt == "csv":
-        rows = gamma.grid_rows(n)
         header = [f"t{i+1}" for i in range(gamma.dimension)] + ["re", "im"]
-        _emit(config, None, rows=rows, header=header)
+        _emit(config, itertools.chain([header], gamma.grid_rows(n)))
         return EXIT_OK
     payload = {
         "dilation": lat.dilation,
@@ -334,10 +323,8 @@ def cmd_sweep(config: RunConfig, inst: annihilation.AnnihilationInstance) -> int
         inst, per_axis=opts.get("ygrid", 5), seed=config.seed, grid_n=opts.get("grid")
     )
     if config.fmt == "csv":
-        d = inst.dimension
-        rows = [[*r["y"], r["bound"], r["direct"]] for r in result["rows"]]
-        header = [f"y{i+1}" for i in range(d)] + ["bound", "direct"]
-        _emit(config, None, rows=rows, header=header)
+        header = [f"y{i+1}" for i in range(inst.dimension)] + ["bound", "direct"]
+        _emit(config, [header, *([*r["y"], r["bound"], r["direct"]] for r in result["rows"])])
     else:
         _emit(config, result)
     return EXIT_OK

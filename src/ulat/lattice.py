@@ -508,8 +508,7 @@ def check_lattice_averaging(
     tail below 1e-6 of the reference scale.  The lattices come from
     ``_lattice_blocks``, a block's rotated candidates at most its point
     budget, and the sums equal those of a loop over ``sample_lattice``
-    draws bit for bit.  ``check_trials`` checks the trial count first, then
-    ``averaging_setup`` the profile.
+    draws bit for bit.  The trial count and ``averaging_setup`` are checked first.
     """
     check_trials(trials)
     d = phi.dimension

@@ -85,13 +85,9 @@ class ExpectationReport:
 
 
 def check_trials(trials: int) -> None:
-    """The trial count of an ``ExpectationReport``, whose standard error
-    needs two trials; the estimators that return one check it before their
-    first draw."""
+    """An ``ExpectationReport``'s trial count, checked by its estimators before any draw."""
     if trials < 2:
-        raise ValueError(
-            f"trials must be >= 1 to draw, and ExpectationReport requires trials >= 2; got {trials}"
-        )
+        raise ValueError(f"ExpectationReport requires trials >= 2 (trials must be >= 1 to draw), not {trials}")
 
 
 # Trials whose seed words are hashed together; an aligned block never

@@ -49,6 +49,9 @@ def default_grid_size(d: int) -> int:
 # delta / (1 + M) of Periodization.support_mask, derived in its docstring.
 _ROW_MARGIN = 64 * np.finfo(float).eps
 
+# Grid points per block of ``grid_rows``: bounds the Python rows that exist at once.
+_ROW_BLOCK = 1024
+
 
 def _torus_grid(n: int, d: int) -> np.ndarray:
     return _grid_points([np.arange(n) / n] * d)
@@ -317,14 +320,15 @@ class Periodization:
 
     # -- export ---------------------------------------------------------------
 
-    def grid_rows(self, n: int) -> list[list[float]]:
-        """CSV-ready rows: t coordinates, real part, imaginary part."""
+    def grid_rows(self, n: int):
+        """CSV-ready rows, one per point of the n^d torus grid: its t
+        coordinates, the real part and the imaginary part.  The values are
+        computed by the call, so its ValueError comes before any row; the
+        rows are made as they are read, ``_ROW_BLOCK`` at a time."""
         vals = self.value_grid(n)
-        grid = _torus_grid(n, self.dimension)
-        return [
-            [*map(float, grid[i]), float(vals[i].real), float(vals[i].imag)]
-            for i in range(grid.shape[0])
-        ]
+        table = np.column_stack([_torus_grid(n, self.dimension), vals.real, vals.imag])
+        blocks = range(0, len(table), _ROW_BLOCK)
+        return (row for start in blocks for row in table[start : start + _ROW_BLOCK].tolist())
 
 
 def _row_intervals(x0: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray):

@@ -345,10 +345,10 @@ def _sup_estimates(spectra: list, regions: list) -> tuple[list, list]:
     boxes' spacings give their windows.  The value and the upper end of each
     region are the maxima over its run of boxes.
     """
-    for j, e in regions:
-        dim = len(spectra[j].values)
-        if e.dimension != dim:
-            raise ValueError(f"polynomial and region dimensions differ: {dim} and {e.dimension}")
+    d = len(spectra[0].values)
+    for _, e in regions:
+        if e.dimension != d:
+            raise ValueError(f"polynomial and region dimensions differ: {d} and {e.dimension}")
         if e.measure <= 0:
             raise ValueError("sup_norm region must have positive measure")
     pieces = np.array([len(e.lower) for _, e in regions])
@@ -356,7 +356,6 @@ def _sup_estimates(spectra: list, regions: list) -> tuple[list, list]:
     box_job = np.repeat([j for j, _ in regions], pieces)
     lower = np.array([row for _, e in regions for row in e.lower])
     upper = np.array([row for _, e in regions for row in e.upper])
-    d = lower.shape[1]
     box_density = np.array([s.density for s in spectra])[box_job]
     # Runs of consecutive boxes of one polynomial, as (first box, end box).
     runs = np.flatnonzero(np.diff(box_job, prepend=-1)).tolist()
@@ -486,8 +485,7 @@ def random_polynomial(
         n = int(rng.integers(1, max_terms + 1))
         pool = np.arange(-max_freq, max_freq + 1)
         if d == 1:
-            vals = rng.choice(pool, size=n, replace=False)
-            freqs = vals[:, None]
+            freqs = rng.choice(pool, size=n, replace=False)[:, None]
         else:
             seen = set()
             while len(seen) < n:

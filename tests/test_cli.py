@@ -12,6 +12,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -880,6 +881,33 @@ class TestPeriodizeCommand:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 64
         assert {"t1", "t2", "re", "im"} == set(rows[0].keys())
+
+    @pytest.mark.parametrize("function", ["gauss2.json", "fbox.json"])
+    def test_csv_rows_are_written_as_they_are_made(self, doc_dir, tmp_path, function):
+        # The rows go to the file block by block, so the peak is the value
+        # grid and its coordinates, not the artifact: it was 356-387 B per
+        # grid point when the whole artifact was built as lists and a string.
+        n = 256
+        out = tmp_path / "grid.csv"
+        tracemalloc.start()
+        try:
+            code = main(["periodize", "--function", str(doc_dir / function), "--grid", str(n),
+                         "--format", "csv", "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == n * n + 1
+        assert peak <= 96 * n * n
+
+    def test_csv_write_failure_is_an_io_error(self, capsys, doc_dir):
+        # /dev/full takes the open and fails the writes, after rows are made.
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        code, out, err = run_cli(capsys, ["periodize", "--function", str(doc_dir / "gauss2.json"),
+                                          "--grid", "64", "--format", "csv", "--output", "/dev/full"])
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("i/o error: cannot write /dev/full") and len(err.splitlines()) == 1
 
 
 class TestSharpnessCommand:
