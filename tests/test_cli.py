@@ -749,7 +749,9 @@ RUNS_WITHOUT_TRIALS = {
 
 def test_only_the_commands_that_run_trials_take_the_flag():
     _, commands = cli._build_parser()
-    flagged = {name for name, p in commands.items() if any("--trials" in a.option_strings for a in p._actions)}
+    flagged = {
+        name for name, p in commands.items() if any("--trials" in a.option_strings for a in p._actions)
+    }
     assert flagged == set(TRIAL_COMMANDS) == set(commands) - set(RUNS_WITHOUT_TRIALS)
 
 
