@@ -13,7 +13,9 @@ The pipeline evaluates its polynomial on the n^d torus grid through
 ``turan``'s product-grid contraction, taken in blocks of first-axis rows of
 about ``_GRID_BLOCK_POINTS`` points: each block is tested against the
 threshold and the support mask and then dropped, so a trace holds the bool
-mask and one block, not n^d complex values.
+mask and one block, not n^d complex values.  A draw whose coefficients'
+moduli sum to at most the threshold skips the evaluation
+(``_thinned_count``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .geometry import (
     mean_width,
 )
 from .lattice import _distinct_per_trial, _hit_blocks, intersect, order_of, sample_lattice
-from .mc import mean_stderr, trial_rng
+from .mc import check_trials, mean_stderr, trial_rng
 from .periodization import Periodization
 from .turan import _coefficient_tensor, _grid_row_blocks
 
@@ -285,6 +287,56 @@ def _poly_grid_blocks(indices: np.ndarray, coeffs: np.ndarray, n: int, d: int):
     return _grid_row_blocks(tensor, tables, rows)
 
 
+def _thinned_count(
+    mask: np.ndarray, indices: np.ndarray, coeffs: np.ndarray, n: int, d: int, threshold: float
+) -> int:
+    """The number of n^d grid points off ``mask`` (flat, in C order) at
+    which the grid polynomial of ``_poly_grid_blocks`` has modulus at most
+    ``threshold``.
+
+    Every trigonometric polynomial has sup_T |P| <= sum_m |c_m|.  So when
+    S (1 + gamma) <= threshold, with S = fsum(|c_m|) and gamma a bound on the
+    rounding of the grid values, every point qualifies and the count is the
+    number of points off the mask, with no grid value computed.  Otherwise
+    the values are computed block by block and counted.
+
+    The margin is gamma = 2 (d + 1)(k + 2) eps, with eps = 2^-52 the machine
+    epsilon (twice the unit roundoff h) and k the number of terms.  A
+    computed |P(t)| exceeds sum_m |c_m| only by the rounding of:
+
+    - the residue tensor: each entry sums its c_m in turn, and a rounded
+      complex sum is off by at most h times its modulus, so the entries'
+      moduli add up to at most (1 + k h) sum_m |c_m|;
+    - the contraction: a grid value is a d-level contraction of the tensor
+      against the root tables, whose entries have modulus at most
+      1 + 2 eps.  Level i sums A_i <= k products; its real and imaginary
+      parts are sums of 2 A_i real products, which any summation order,
+      FMA included, leaves within 2 A_i h / (1 - 2 A_i h) of the sum of
+      their moduli, so the complex error is at most sqrt(2) times that of
+      sum |products|.  A level thus adds at most (2 + 1.5 A_i) eps;
+    - S itself: np.abs is within one ulp (eps) and fsum rounds once (h),
+      so sum_m |c_m| <= S (1 + 1.5 eps) to first order;
+    - the final np.abs: one ulp;
+    - the test itself: 1 + gamma and its product with S round once each.
+
+    The total, (3.5 + k/2 + 2d + 1.5 d k) eps to first order, is below
+    3/4 of gamma for every d >= 1 and k >= 1, which leaves the second-order
+    terms far inside the margin.  On the criterion-9 draws, with 5 to 9
+    terms, gamma is below 2e-14.  So when the test passes, every computed
+    value is at most the threshold, and the count is the integer the block
+    loop returns.
+    """
+    gamma = 2.0 * (d + 1) * (len(coeffs) + 2) * np.finfo(float).eps
+    if math.fsum(np.abs(coeffs)) * (1.0 + gamma) <= threshold:
+        return mask.size - np.count_nonzero(mask)
+    start = thinned = 0
+    for p_vals in _poly_grid_blocks(indices, coeffs, n, d):
+        stop = start + p_vals.size
+        thinned += np.count_nonzero(~mask[start:stop] & (np.abs(p_vals) <= threshold))
+        start = stop
+    return thinned
+
+
 def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineContext) -> PipelineTrace:
     """One full proof-pipeline trace for a single lattice draw.
 
@@ -293,6 +345,13 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     grid-estimates the zero set and its Chebyshev-thinned subset on the
     context's grid, and evaluates the closing Turan-chain bound against
     |fhat(0)|^2.  ``context`` is ``build_pipeline_context(inst, ...)``.
+
+    The thinned set is {t off the support : |P(t)| <= 4 sqrt(C tail)}.
+    Since sup_T |P| <= sum_m |c_m|, a draw whose coefficient sum, raised by
+    the rounding margin gamma of ``_thinned_count`` (about 1e-14), is
+    at most that threshold has the whole zero set as its thinned set, and P
+    is not evaluated on the grid; otherwise it is, one block of grid rows at
+    a time.  Either way the count is the same integer.
     """
     d = inst.dimension
     rng = trial_rng(seed, 0)
@@ -314,14 +373,8 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     mask = gamma.support_mask(context.grid_n)
     zero_fraction = 1.0 - np.count_nonzero(mask) / mask.size
 
-    # The thinned zero set {t outside the support : |P(t)| <= threshold},
-    # counted one block of grid rows at a time.
     threshold = 4.0 * math.sqrt(context.c_ref * context.tail_hat)
-    start = thinned = 0
-    for p_vals in _poly_grid_blocks(inside, p_coeffs, context.grid_n, d):
-        stop = start + p_vals.size
-        thinned += np.count_nonzero(~mask[start:stop] & (np.abs(p_vals) <= threshold))
-        start = stop
+    thinned = _thinned_count(mask, inside, p_coeffs, context.grid_n, d, threshold)
     tilde_fraction = thinned / mask.size
 
     p_hat0 = abs(gamma.coefficient(np.zeros(d))) ** 2
@@ -484,11 +537,13 @@ def disc_ring_experiment(
 
     The hit count grows like the number of discs, matching the disc union's
     measure and mean width rather than its area alone; the report carries
-    all three reference scales.  ``disc_ring_setup`` checks the ring first.
-    The trials' lattice points come in blocks from ``lattice._hit_blocks``,
-    and the counts equal those of a loop over ``sample_lattice`` and
-    ``intersect`` bit for bit.
+    all three reference scales.  The trial count is checked first, by
+    ``mc.check_trials`` (a standard error needs two trials), and then the
+    ring, by ``disc_ring_setup``.  The trials' lattice points come in blocks
+    from ``lattice._hit_blocks``, and the counts equal those of a loop over
+    ``sample_lattice`` and ``intersect`` bit for bit.
     """
+    check_trials(trials)
     ring_radius, sigma = disc_ring_setup(n, ring_radius)
     counts = []
     for size, trial, rows in _hit_blocks(sigma, trials, seed):

@@ -233,8 +233,9 @@ def _load_pipeline(config: RunConfig):
 
 
 def _load_sharpness(config: RunConfig) -> None:
-    """The ring of --n discs at --ring-radius, checked as
-    ``disc_ring_experiment`` checks it."""
+    """The ring of --n discs at --ring-radius, checked with --trials as
+    ``disc_ring_experiment`` checks them."""
+    check_trials(config.trials)
     annihilation.disc_ring_setup(config.options["n"], config.options.get("ring_radius"))
 
 
@@ -361,14 +362,22 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, like the package's preconditions,
+    are one line on stderr and exit 2; -h prints its usage as before."""
+
+    def error(self, message: str):
+        self.exit(EXIT_PRECONDITION, f"ulat: error: {message}\n")
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The ulat parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ulat",
         description="Seeded experiments: lattice averaging, periodization, "
         "Turan bounds, annihilating-pair pipelines.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p: argparse.ArgumentParser, trials: bool = False) -> None:
         if trials:

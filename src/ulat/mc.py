@@ -85,9 +85,10 @@ class ExpectationReport:
 
 
 def check_trials(trials: int) -> None:
-    """An ``ExpectationReport``'s trial count, checked by its estimators before any draw."""
+    """The trial count of an estimate with a standard error (an
+    ``ExpectationReport``, the disc-ring report), checked before any draw."""
     if trials < 2:
-        raise ValueError(f"ExpectationReport requires trials >= 2 (trials must be >= 1 to draw), not {trials}")
+        raise ValueError(f"a standard error requires trials >= 2 (trials must be >= 1 to draw), not {trials}")
 
 
 # Trials whose seed words are hashed together; an aligned block never

@@ -14,6 +14,7 @@ from ulat.annihilation import (
     AnnihilationInstance,
     _GRID_BLOCK_POINTS,
     _poly_grid_blocks,
+    _thinned_count,
     build_pipeline_context,
     disc_ring,
     disc_ring_experiment,
@@ -351,36 +352,61 @@ class TestPipeline:
         }
         assert doc["exponent"] == doc["order"] - 2
 
-    def test_fractions_equal_the_loop_oracles(self):
+    def test_fractions_equal_the_loop_oracles(self, monkeypatch):
         # Criterion-9 draws at 512^2: the raster mask and the per-axis P give
-        # the same fractions as the shift-by-shift mask and the direct sum.
+        # the same fractions as the shift-by-shift mask and the direct sum,
+        # on draws that the coefficient bound settles and on draws whose P
+        # is evaluated on the grid.
+        evaluated = spy_grid_blocks(monkeypatch)
         inst = eighth_box_instance()
         ctx = build_pipeline_context(inst)
         threshold = 4.0 * math.sqrt(ctx.c_ref * ctx.tail_hat)
+        settled = []
         for seed in range(20):
+            evaluated.clear()
             trace = pipeline_trace(inst, seed, context=ctx)
+            if not evaluated:
+                settled.append(seed)
             lat = sample_lattice(2, trial_rng(seed, 0))
             assert lat.rotation.matrix.tolist() == trace.rotation
             mask = loop_support_mask(Periodization(inst.f, lat), 512)
             p_vals = loop_poly_on_grid(trace.indices, trace.p_coefficients, 512, 2)
             assert trace.zero_fraction == 1.0 - float(np.mean(mask))
             assert trace.tilde_fraction == float(np.mean(~mask & (np.abs(p_vals) <= threshold)))
+        assert 0 < len(settled) < 20, settled
 
     @pytest.mark.parametrize("n,limit_mb", [(512, 1.5), (1024, 3.0)])
-    def test_trace_keeps_no_whole_grid_of_values(self, n, limit_mb):
+    def test_trace_keeps_no_whole_grid_of_values(self, monkeypatch, n, limit_mb):
         # The grid polynomial comes in row blocks, so a trace holds the bool
         # mask and one block; P and |P| over the whole grid peaked at
-        # 7.08 MB at 512^2 and 28.3 MB at 1024^2.
+        # 7.08 MB at 512^2 and 28.3 MB at 1024^2.  The coefficient bound
+        # does not settle seed 1, so its P is evaluated on the grid.
+        evaluated = spy_grid_blocks(monkeypatch)
         inst = eighth_box_instance()
         ctx = build_pipeline_context(inst, grid_n=n)
         pipeline_trace(inst, 0, context=ctx)  # fills the memoised annulus walks
+        evaluated.clear()
         tracemalloc.start()
         try:
             pipeline_trace(inst, 1, context=ctx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert evaluated == [n]
         assert peak <= limit_mb * 1e6
+
+
+def spy_grid_blocks(monkeypatch) -> list:
+    """The grid sizes n of the ``_poly_grid_blocks`` calls made from now on."""
+    calls = []
+    real = annihilation._poly_grid_blocks
+
+    def spy(indices, coeffs, n, d):
+        calls.append(n)
+        return real(indices, coeffs, n, d)
+
+    monkeypatch.setattr(annihilation, "_poly_grid_blocks", spy)
+    return calls
 
 
 def loop_poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
@@ -435,6 +461,77 @@ def grid_polynomials(draw, max_n: int = 40):
     part = st.floats(-1.0, 1.0)
     coeffs = [complex(draw(part), draw(part)) for _ in rows]
     return d, n, np.array(rows, dtype=int), np.array(coeffs)
+
+
+def rounding_margin(k: int, d: int) -> float:
+    """The relative margin gamma of ``_thinned_count``'s coefficient bound."""
+    return 2.0 * (d + 1) * (k + 2) * np.finfo(float).eps
+
+
+def counted(mask, values, threshold) -> int:
+    return int(np.count_nonzero(~mask & (np.abs(values) <= threshold)))
+
+
+class TestThinnedCount:
+    @given(
+        grid_polynomials(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([-1.0, 1.0]) | st.floats(-0.5, 0.5),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_block_count_and_the_loop_count_property(self, case, mask_seed, offset, in_margins):
+        # Thresholds around S = sum |c_m|: at S (1 +- gamma), or a relative
+        # offset of up to 1/2.  The count equals the blocks' exactly and the
+        # direct sum's but for values within its 1e-12 of the threshold.
+        d, n, indices, coeffs = case
+        rng = np.random.default_rng(mask_seed)
+        mask = rng.random(n**d) < rng.random()
+        total = math.fsum(np.abs(coeffs))
+        gamma = rounding_margin(len(coeffs), d)
+        threshold = total * (1.0 + (offset * gamma if in_margins else offset))
+        got = _thinned_count(mask, indices, coeffs, n, d, threshold)
+        assert got == counted(mask, poly_on_grid(indices, coeffs, n, d), threshold)
+        loop = loop_poly_on_grid(indices, coeffs, n, d)
+        assert counted(mask, loop, threshold - 1e-12) <= got <= counted(mask, loop, threshold + 1e-12)
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 40), (2, 512), (3, 16)])
+    def test_bound_reached_at_the_origin(self, monkeypatch, d, n):
+        # Positive real coefficients: P(0) = sum c_m = S, the maximum, is a
+        # grid value.  At S (1 + gamma) the bound settles the count, and
+        # every point off the mask qualifies; at S (1 - gamma) the grid is
+        # evaluated, and the origin, kept off the mask, does not qualify.
+        rng = np.random.default_rng(7 * d + n)
+        indices = rng.integers(-3 * n, 3 * n + 1, size=(30, d))
+        indices[1] = indices[0] + n  # an alias of row 0
+        indices[2] = indices[0]  # a repeat of row 0
+        coeffs = rng.uniform(0.1, 1.0, size=30).astype(complex)
+        mask = rng.random(n**d) < 0.4
+        mask[0] = False
+        total = math.fsum(np.abs(coeffs))
+        gamma = rounding_margin(30, d)
+        loop = loop_poly_on_grid(indices, coeffs, n, d)
+        evaluated = spy_grid_blocks(monkeypatch)
+        for sign, settles in ((1.0, True), (-1.0, False)):
+            evaluated.clear()
+            threshold = total * (1.0 + sign * gamma)
+            got = _thinned_count(mask, indices, coeffs, n, d, threshold)
+            assert (not evaluated) == settles
+            assert got == counted(mask, loop, threshold)
+        assert got <= n**d - np.count_nonzero(mask) - 1
+
+    @pytest.mark.parametrize("d,n", [(1, 1), (1, 9), (2, 8), (3, 5)])
+    def test_single_term_and_an_all_zero_mask(self, monkeypatch, d, n):
+        # |P| = |c| everywhere.  With no point in the support, the count is
+        # the grid, or 0 below |c|.
+        indices, coeffs = np.array([[2 * n + 1] * d]), np.array([0.6 - 0.8j])
+        mask = np.zeros(n**d, dtype=bool)
+        evaluated = spy_grid_blocks(monkeypatch)
+        size, gamma = abs(coeffs[0]), rounding_margin(1, d)
+        assert _thinned_count(mask, indices, coeffs, n, d, size * (1.0 + gamma)) == n**d
+        assert evaluated == []
+        assert _thinned_count(mask, indices, coeffs, n, d, size * (1.0 - gamma)) == 0
+        assert evaluated == [n]
 
 
 class TestPolyOnGrid:
@@ -562,6 +659,14 @@ class TestDiscRing:
         rep = disc_ring_experiment(1, ring_radius=12.0, trials=200, seed=0, width_trials=128)
         assert rep["m_estimate"] >= 0.0
         assert rep["measure"] == pytest.approx(math.pi / 4)
+
+    @pytest.mark.parametrize("trials", [1, 0, -3])
+    def test_too_few_trials_rejected_before_any_draw(self, monkeypatch, trials):
+        # One trial has no standard error; it used to report m_stderr 0.0.
+        for name in ("_hit_blocks", "_mean_width_mc"):
+            monkeypatch.setattr(annihilation, name, lambda *a, **k: pytest.fail("drew a trial"))
+        with pytest.raises(ValueError, match="requires trials >= 2"):
+            disc_ring_experiment(4, trials=trials, seed=0)
 
     def test_crowded_ring_rejected(self):
         with pytest.raises(ValueError):

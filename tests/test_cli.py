@@ -770,6 +770,34 @@ def test_commands_without_trials_reject_the_flag_and_plan_none(capsys, doc_dir, 
     assert err == f"precondition violated: config key 'trials' names no flag of ulat {command}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["turan", "--trials", "3"], "unrecognized arguments: --trials 3"),
+        (["lal", "--dim", "2"], "the following arguments are required: --phi"),
+        (["turan", "--random", "x"], "argument --random: invalid int value: 'x'"),
+        (["frob", "--n", "4"], "argument command: invalid choice: 'frob'"),
+    ],
+    ids=["unknown-flag", "missing-flag", "bad-int", "unknown-command"],
+)
+def test_malformed_flags_exit_2_with_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_PRECONDITION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith(f"ulat: error: {message}")
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["turan", "-h"])
+    assert exit_info.value.code == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: ulat turan") and out.err == ""
+
+
 def test_count_flag_at_the_ceiling_is_accepted(capsys):
     code, out, _ = run_cli(capsys, ["turan", "--random", str(COUNT_CEILING), "--dry-run"])
     assert code == EXIT_OK
@@ -932,6 +960,16 @@ class TestSharpnessCommand:
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert "ball centre and radius must lie in" in err
+
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_one_trial_exits_2_before_any_draw(self, capsys, monkeypatch, dry):
+        # A one-trial report had m_stderr 0.0 and exit 0; the loader now
+        # applies the experiment's own trial check.
+        for name in ("_hit_blocks", "_mean_width_mc"):
+            monkeypatch.setattr(annihilation, name, lambda *a, **k: pytest.fail("drew a trial"))
+        code, out, err = run_cli(capsys, ["sharpness", "--n", "4", "--trials", "1"] + dry)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert len(err.splitlines()) == 1 and "requires trials >= 2" in err
 
     def test_crowded_ring_precondition(self, capsys):
         code, _, _ = run_cli(
