@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .lattice import _distinct_per_trial, _hit_blocks, intersect, order_of, sample_lattice
 from .mc import check_trials, mean_stderr, trial_rng
-from .periodization import Periodization
+from .periodization import Periodization, check_grid
 from .turan import _coefficient_tensor, _grid_row_blocks
 
 __all__ = [
@@ -217,39 +217,37 @@ def pipeline_grid_size(d: int) -> int:
     raise ValueError(f"the pipeline is limited to d <= 3 (the mean width rule), not d = {d}")
 
 
-def pipeline_source_setup(inst: AnnihilationInstance, seed: int = 0) -> float:
+def pipeline_source_setup(inst: AnnihilationInstance) -> float:
     """The time support's measure, after checking the source side of the
-    pipeline, which no modulation changes: a compactly supported source and a
-    measure of at most 2^(-d-1).  ``seed`` reaches only a Monte Carlo measure."""
-    if inst.f.support_set() is None:
+    pipeline, which no modulation changes: a compactly supported source, and
+    a measure of at most 2^(-d-1) for the time support and for the source's
+    support, which ``support_mask`` rasters."""
+    support = inst.f.support_set()
+    if support is None:
         raise ValueError("pipeline requires a compactly supported source (box-indicator kinds)")
-    support_measure = lebesgue_measure(inst.time_support, seed=seed).value
     cap = 2.0 ** (-inst.dimension - 1)
-    if support_measure > cap + 1e-12:
-        raise ValueError(
-            f"time support measure {support_measure:.6f} exceeds 2^(-d-1) = {cap:.6f}; "
-            "rescale the instance first"
-        )
-    return support_measure
+    measures = [lebesgue_measure(s).value for s in (inst.time_support, support)]
+    for name, measure in zip(("time", "source"), measures):
+        if measure > cap + 1e-12:
+            raise ValueError(
+                f"{name} support measure {measure:.6f} exceeds 2^(-d-1) = {cap:.6f}; rescale it first"
+            )
+    return measures[0]
 
 
-def build_pipeline_context(
-    inst: AnnihilationInstance,
-    grid_n: int | None = None,
-    seed: int = 0,
-) -> PipelineContext:
+def build_pipeline_context(inst: AnnihilationInstance, grid_n: int | None = None) -> PipelineContext:
     """Validate the instance and precompute draw-independent quantities.
 
-    ``nu`` is min(cover bound, mean width) of the frequency set, both
-    deterministic; ``seed`` reaches only a Monte Carlo measure of a time
-    support whose pieces overlap (``pipeline_source_setup``).
+    The dimension and the grid (``grid_n``, or ``pipeline_grid_size`` for
+    None) are checked before any other work, then the source by
+    ``pipeline_source_setup``.  ``nu`` is min(cover bound, mean width) of
+    the frequency set, both deterministic.
     """
     d = inst.dimension
-    # The default grid is looked up whatever grid_n is: it rejects d >= 4
-    # before any work.
-    default_n = pipeline_grid_size(d)
-    grid_n = grid_n or default_n
-    support_measure = pipeline_source_setup(inst, seed)
+    default_n = pipeline_grid_size(d)  # rejects d >= 4 whatever grid_n is
+    grid_n = default_n if grid_n is None else grid_n
+    check_grid(grid_n, d)
+    support_measure = pipeline_source_setup(inst)
     if not inst.freq_set.contains(np.zeros(d)):
         raise ValueError("the frequency set must contain the origin")
     tail_hat = tail_energy(inst.f, inst.freq_set, side="hat").value
@@ -351,7 +349,10 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     the rounding margin gamma of ``_thinned_count`` (about 1e-14), is
     at most that threshold has the whole zero set as its thinned set, and P
     is not evaluated on the grid; otherwise it is, one block of grid rows at
-    a time.  Either way the count is the same integer.
+    a time.  Either way the count is the same integer.  It raises
+    AssertionError on an origin missing from the in-set indices, on
+    |fhat(0)|^2 > |Phat(0)|^2, and on a chain that fails once all four
+    events fire.
     """
     d = inst.dimension
     rng = trial_rng(seed, 0)
@@ -359,7 +360,8 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     gamma = Periodization(inst.f, lat)
 
     inside = intersect(lat, inst.freq_set)
-    if not np.any(np.all(inside == 0, axis=1)):
+    origin = np.all(inside == 0, axis=1)
+    if not origin.any():
         raise AssertionError("origin missing from the intersection index set")
     p_coeffs = np.atleast_1d(gamma.coefficient(inside.astype(float)))
     p_energy = float(np.sum(np.abs(p_coeffs) ** 2))
@@ -377,13 +379,15 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     thinned = _thinned_count(mask, inside, p_coeffs, context.grid_n, d, threshold)
     tilde_fraction = thinned / mask.size
 
-    p_hat0 = abs(gamma.coefficient(np.zeros(d))) ** 2
+    p_hat0 = abs(p_coeffs[np.argmax(origin)]) ** 2
     events = {
         "remainder_small": bool(r_energy <= 4.0 * context.c_ref * context.tail_hat),
         "order_small": bool(order <= 2.0 * (context.c_ref * context.nu + d)),
         "zero_set_large": bool(zero_fraction >= 0.5 - grid_tol),
         "zero_coeff_dominated": bool(context.fhat0_sq <= p_hat0 + 1e-15),
     }
+    if not events["zero_coeff_dominated"]:
+        raise AssertionError("zero-coefficient domination failed; this must never happen")
 
     # Chain bound evaluated in log space; the factor exponentiates fast.
     if context.tail_hat > 0:
@@ -399,6 +403,8 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     else:
         chain_value = 0.0
         chain_holds = bool(context.fhat0_sq <= 0.0)
+    if all(events.values()) and not chain_holds:
+        raise AssertionError("the Turan chain bound failed although all four events fired")
 
     return PipelineTrace(
         seed=seed,
@@ -454,8 +460,8 @@ def translated_sweep(
     Each frequency y pairs the modulated function with the shifted set
     Sigma - y, so the per-draw chain bounds |fhat(y)|^2; up to
     _SWEEP_ATTEMPTS lattice draws are tried until all four events fire.  The
-    aggregation compares the resulting bound field with the directly
-    evaluated |fhat(y)|^2 and integrates both over Sigma.
+    aggregation compares the resulting bound field with |fhat(y)|^2, the
+    context's |f_y hat(0)|^2, and integrates both over Sigma.
     """
     ys = _sigma_grid(inst.freq_set, per_axis)
     sigma_measure = lebesgue_measure(inst.freq_set, seed=seed).value
@@ -464,7 +470,7 @@ def translated_sweep(
         shifted = inst.freq_set.translate(-y)
         f_y = Modulated(inst.f, y) if np.any(y) else inst.f
         sub = AnnihilationInstance(f_y, inst.time_support, shifted)
-        ctx = build_pipeline_context(sub, grid_n=grid_n, seed=seed)
+        ctx = build_pipeline_context(sub, grid_n=grid_n)
         bound = math.nan
         attempts = 0
         for attempt in range(_SWEEP_ATTEMPTS):
@@ -473,12 +479,11 @@ def translated_sweep(
             if trace.all_events:
                 bound = trace.chain_value
                 break
-        direct = float(np.abs(inst.f.hat(y)) ** 2)
         rows.append(
             {
                 "y": [float(c) for c in y],
                 "bound": bound,
-                "direct": direct,
+                "direct": ctx.fhat0_sq,
                 "attempts": attempts,
             }
         )
@@ -537,13 +542,14 @@ def disc_ring_experiment(
 
     The hit count grows like the number of discs, matching the disc union's
     measure and mean width rather than its area alone; the report carries
-    all three reference scales.  The trial count is checked first, by
+    all three reference scales.  Both trial counts are checked first, by
     ``mc.check_trials`` (a standard error needs two trials), and then the
     ring, by ``disc_ring_setup``.  The trials' lattice points come in blocks
     from ``lattice._hit_blocks``, and the counts equal those of a loop over
     ``sample_lattice`` and ``intersect`` bit for bit.
     """
     check_trials(trials)
+    check_trials(width_trials)
     ring_radius, sigma = disc_ring_setup(n, ring_radius)
     counts = []
     for size, trial, rows in _hit_blocks(sigma, trials, seed):

@@ -30,17 +30,12 @@ from .functions import function_from_dict
 from .geometry import EuclideanSet
 from .mc import check_trials, trial_rng
 
-log = logging.getLogger("ulat")
-
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_PRECONDITION = 2
 EXIT_ASSERTION = 3
 
 SCHEMA_VERSION = 1
-
-# Largest torus grid a plan may request, in points n^d: 1024^2 and 128^3 fit.
-GRID_POINT_BUDGET = 2**21
 
 # Largest value of a count flag: 2^40, the bound M(d) on every number of a
 # set for d <= 22, so that a count converts to a float exactly and stays in
@@ -145,16 +140,6 @@ def _json_ready(obj):
 # ---------------------------------------------------------------------------
 
 
-def _check_grid(n: int, d: int) -> None:
-    """Reject a torus grid below one point per axis or above the point
-    budget.  The budget is checked on the size n^d alone, before any grid
-    exists."""
-    if n < 1:
-        raise PreconditionError(f"grid must be an integer >= 1, got {n!r}")
-    if n**d > GRID_POINT_BUDGET:
-        raise PreconditionError(f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points")
-
-
 def _load_profile(config: RunConfig):
     """The profile of --phi, checked with --trials as check_lattice_averaging checks them."""
     check_trials(config.trials)
@@ -180,7 +165,7 @@ def _load_periodize(config: RunConfig):
     opts = config.options
     f = _load_function(opts["function"])
     n = opts["grid"] if "grid" in opts else periodization.default_grid_size(f.dimension)
-    _check_grid(n, f.dimension)
+    periodization.check_grid(n, f.dimension)
     gamma = periodization.Periodization(f, lattice.sample_lattice(f.dimension, trial_rng(config.seed, 0)))
     gamma.check_sums(n if config.fmt == "csv" else None)
     return gamma, n
@@ -216,20 +201,20 @@ def _load_ratio(config: RunConfig) -> annihilation.AnnihilationInstance:
     return inst
 
 
-def _load_grid_instance(config: RunConfig) -> annihilation.AnnihilationInstance:
-    """The instance, with its source checked by ``pipeline_source_setup`` and
-    the grid on its dimension: the default grid is looked up whatever --grid
-    says, and rejects d >= 4, which the pipeline's mean width cannot take."""
+def _load_pipeline(config: RunConfig):
+    """The instance and its context, which checks the grid and the source."""
     inst = _load_instance(config)
-    default_n = annihilation.pipeline_grid_size(inst.dimension)
-    _check_grid(config.options.get("grid", default_n), inst.dimension)
+    return inst, annihilation.build_pipeline_context(inst, grid_n=config.options.get("grid"))
+
+
+def _load_sweep(config: RunConfig) -> annihilation.AnnihilationInstance:
+    """The instance, checked as each of the sweep's contexts checks it first:
+    the dimension and the grid, then the source, which no modulation changes."""
+    inst = _load_instance(config)
+    grid = config.options.get("grid", annihilation.pipeline_grid_size(inst.dimension))
+    periodization.check_grid(grid, inst.dimension)
     annihilation.pipeline_source_setup(inst)
     return inst
-
-
-def _load_pipeline(config: RunConfig):
-    inst = _load_grid_instance(config)
-    return inst, annihilation.build_pipeline_context(inst, grid_n=config.options.get("grid"))
 
 
 def _load_sharpness(config: RunConfig) -> None:
@@ -255,8 +240,7 @@ def cmd_turan(config: RunConfig, _) -> int:
     else:
         _emit(config, {"rows": rows, "violations": len(violations)})
     if violations:
-        log.error("%d certified inequality violations", len(violations))
-        return EXIT_ASSERTION
+        raise AssertionError(f"{len(violations)} certified inequality violations")
     return EXIT_OK
 
 
@@ -307,14 +291,7 @@ def cmd_ratio(config: RunConfig, inst: annihilation.AnnihilationInstance) -> int
 
 def cmd_pipeline(config: RunConfig, inputs) -> int:
     inst, ctx = inputs
-    trace = annihilation.pipeline_trace(inst, seed=config.seed, context=ctx)
-    if not trace.events["zero_coeff_dominated"]:
-        log.error("zero-coefficient domination failed; this must never happen")
-        return EXIT_ASSERTION
-    if trace.all_events and not trace.chain_holds:
-        log.error("the Turan chain bound failed although all four events fired")
-        return EXIT_ASSERTION
-    _emit(config, trace.to_dict())
+    _emit(config, annihilation.pipeline_trace(inst, seed=config.seed, context=ctx).to_dict())
     return EXIT_OK
 
 
@@ -352,7 +329,7 @@ _COMMANDS = {
     "geometry": (_load_geometry, cmd_geometry),
     "ratio": (_load_ratio, cmd_ratio),
     "pipeline": (_load_pipeline, cmd_pipeline),
-    "sweep": (_load_grid_instance, cmd_sweep),
+    "sweep": (_load_sweep, cmd_sweep),
     "sharpness": (_load_sharpness, cmd_sharpness),
 }
 

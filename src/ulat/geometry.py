@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .mc import Estimate, mean_stderr, trial_rng
+from .mc import Estimate, check_trials, mean_stderr, trial_rng
 
 __all__ = [
     "Ball",
@@ -612,8 +612,7 @@ def _mean_width_mc(s: EuclideanSet, trials: int = 2048, seed: int = 0) -> Estima
     everywhere but ``annihilation.disc_ring_experiment``, whose callers
     choose its trial count; the tests use it as an oracle.
     """
-    if trials < 2:
-        raise ValueError("mean_width requires trials >= 2")
+    check_trials(trials)
     widths = np.empty(trials)
     for start in range(0, trials, _WIDTH_BLOCK):
         stop = min(start + _WIDTH_BLOCK, trials)

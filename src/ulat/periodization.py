@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,11 @@ from .lattice import ANNULUS_POINT_CAP, RandomLattice, _check_annulus, integer_v
 __all__ = [
     "Periodization",
     "default_grid_size",
+    "check_grid",
 ]
+
+# Largest torus grid, in points n^d: 1024^2 and 128^3 fit.
+GRID_POINT_BUDGET = 2**21
 
 
 def default_grid_size(d: int) -> int:
@@ -44,6 +49,15 @@ def default_grid_size(d: int) -> int:
     if d == 3:
         return 64
     raise ValueError("torus grids are limited to d <= 3; use Monte Carlo beyond")
+
+
+def check_grid(n: int, d: int) -> None:
+    """Reject a grid that is not an integer n >= 1 per axis, or whose n^d
+    points pass ``GRID_POINT_BUDGET``; only the size is computed."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"grid must be an integer >= 1, got {n!r}")
+    if int(n) ** d > GRID_POINT_BUDGET:
+        raise ValueError(f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points")
 
 
 # delta / (1 + M) of Periodization.support_mask, derived in its docstring.
@@ -104,10 +118,12 @@ class Periodization:
         Plain Gaussian sources factor into one-dimensional theta sums;
         other kinds use the generic sum.  The CSV export of ``grid_rows``
         goes through here, and at 64^3 in d = 3 the theta sums take a few
-        milliseconds where the generic sum takes seconds.  Theta sums of
-        more than ``ANNULUS_POINT_CAP`` terms raise ValueError unallocated.
+        milliseconds where the generic sum takes seconds.  A grid that
+        ``check_grid`` rejects and theta sums of more than
+        ``ANNULUS_POINT_CAP`` terms raise ValueError unallocated.
         """
         d = self.dimension
+        check_grid(n, d)
         v = self.lattice.dilation
         if isinstance(self.source, Gaussian):
             a = self.source.a
@@ -232,12 +248,13 @@ class Periodization:
         So a certain cell is inside on the direct floats, a cell outside
         the possible run is outside on them, and the mask equals the direct
         sum's bit for bit.  No float array spans more than one block's rows;
-        the bool mask spans the n^d grid.
+        the bool mask spans the n^d grid, which ``check_grid`` bounds first.
         """
+        d = self.dimension
+        check_grid(grid_n, d)
         support = self.source.support_set()
         if support is None:
             raise ValueError("support testing requires a compactly supported source")
-        d = self.dimension
         v = self.lattice.dilation
         mat = self.lattice.rotation.matrix
         u = mat[-1] / (v * grid_n)
@@ -284,7 +301,7 @@ class Periodization:
         return mask.reshape(-1)
 
     def support_fraction(self, grid_n: int | None = None) -> float:
-        grid_n = grid_n or default_grid_size(self.dimension)
+        grid_n = default_grid_size(self.dimension) if grid_n is None else grid_n
         mask = self.support_mask(grid_n)
         return np.count_nonzero(mask) / mask.size
 

@@ -1,5 +1,6 @@
 """Annihilating-pair machinery: bounds, ratios, pipeline, sweep, sharpness."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -24,11 +25,11 @@ from ulat.annihilation import (
     translated_sweep,
 )
 from ulat.functions import BoxIndicator, Gaussian, Translated, norm_sq
-from ulat import annihilation, geometry
+from ulat import annihilation, geometry, lattice
 from ulat.geometry import AxisBox, Ball, EuclideanSet, cover_measure_upper
 from ulat.lattice import estimate_order, sample_lattice
 from ulat.mc import mean_stderr, trial_rng
-from ulat.periodization import Periodization
+from ulat.periodization import GRID_POINT_BUDGET, Periodization
 from ulat.turan import _coefficient_tensor, _grid_row_blocks, _product_grid_values
 
 from test_lattice import loop_axis_hits
@@ -293,6 +294,37 @@ class TestPipeline:
         with pytest.raises(ValueError):
             build_pipeline_context(inst)
 
+    @pytest.mark.parametrize("grid_n", [0, -3, math.isqrt(GRID_POINT_BUDGET) + 1, 10**5])
+    def test_context_rejects_a_bad_grid_before_any_work(self, monkeypatch, grid_n):
+        # grid_n = 0 used to select the default, -3 reached numpy at the
+        # first trace and 10^5 ended in a MemoryError there.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the context did work on a bad grid")
+
+        for name in ("lebesgue_measure", "tail_energy", "cover_measure_upper", "mean_width"):
+            monkeypatch.setattr(annihilation, name, forbidden)
+        inst = eighth_box_instance()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid must be an integer >= 1|exceeds the budget"):
+                build_pipeline_context(inst, grid_n=grid_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_context_checks_the_support_the_mask_rasters(self):
+        # The source [-0.5, 0.5]^2 has measure 1, eight times the cap, while
+        # the declared S has measure 0.01; its trace read zero_fraction 0.
+        s = AxisBox([-0.05, -0.05], [0.05, 0.05])
+        inst = AnnihilationInstance(
+            BoxIndicator(AxisBox([-0.5, -0.5], [0.5, 0.5])),
+            EuclideanSet(2, [s]),
+            EuclideanSet(2, [Ball([0.0, 0.0], 2.0)]),
+        )
+        with pytest.raises(ValueError, match="source support measure 1.000000 exceeds"):
+            build_pipeline_context(inst, grid_n=32)
+
     def test_origin_required_in_sigma(self):
         side = 2.0 ** (-3 / 2)
         box = AxisBox([-side / 2] * 2, [side / 2] * 2)
@@ -339,6 +371,45 @@ class TestPipeline:
                 fired += 1
                 assert trace.chain_holds
         assert fired > 0
+
+    def test_chain_failure_is_an_assertion(self, monkeypatch):
+        # Every draw of this instance fires all four events; a floor far
+        # above 1 shrinks the chain bound below |fhat(0)|^2.
+        inst = eighth_box_instance()
+        ctx = build_pipeline_context(inst, grid_n=32)
+        assert pipeline_trace(inst, 0, context=ctx).all_events
+        monkeypatch.setattr(annihilation, "_TILDE_FLOOR", 1e6)
+        with pytest.raises(AssertionError, match="chain bound failed although all four events fired"):
+            pipeline_trace(inst, 0, context=ctx)
+        with pytest.raises(AssertionError, match="chain bound failed although all four events fired"):
+            translated_sweep(inst, per_axis=1, grid_n=32)
+        # The chain is owed only once every event fires: this draw's order
+        # is too large, and its failed chain is reported, not raised.
+        wide = eighth_box_instance(sigma_radius=4.0)
+        trace = pipeline_trace(wide, 1, context=build_pipeline_context(wide, grid_n=32))
+        assert not trace.events["order_small"] and not trace.chain_holds
+
+    def test_zero_coefficient_failure_is_an_assertion(self):
+        inst = eighth_box_instance()
+        ctx = build_pipeline_context(inst, grid_n=32)
+        inflated = dataclasses.replace(ctx, fhat0_sq=2.0 * ctx.fhat0_sq)
+        with pytest.raises(AssertionError, match="zero-coefficient domination failed"):
+            pipeline_trace(inst, 0, context=inflated)
+
+    def test_origin_coefficient_is_read_from_the_in_set_row(self, monkeypatch):
+        # |Phat(0)|^2 comes from the origin row of the in-set coefficients,
+        # so the trace calls the coefficient once, on the whole index set.
+        calls = []
+        coefficient = Periodization.coefficient
+
+        def spy(self, m):
+            calls.append(np.shape(m))
+            return coefficient(self, m)
+
+        monkeypatch.setattr(Periodization, "coefficient", spy)
+        inst = eighth_box_instance()
+        trace = pipeline_trace(inst, 3, context=build_pipeline_context(inst, grid_n=32))
+        assert calls == [trace.indices.shape]
 
     def test_trace_serializes(self):
         inst = eighth_box_instance()
@@ -667,6 +738,16 @@ class TestDiscRing:
             monkeypatch.setattr(annihilation, name, lambda *a, **k: pytest.fail("drew a trial"))
         with pytest.raises(ValueError, match="requires trials >= 2"):
             disc_ring_experiment(4, trials=trials, seed=0)
+
+    def test_one_width_trial_rejected_before_any_draw(self, monkeypatch):
+        # It used to fail only after every lattice trial and the cover, with
+        # a message naming mean_width.
+        drawn = []
+        for module in (lattice, geometry):
+            monkeypatch.setattr(module, "trial_rng", lambda seed, i: drawn.append(i))
+        with pytest.raises(ValueError, match="a standard error requires trials >= 2"):
+            disc_ring_experiment(16, trials=1500, width_trials=1)
+        assert drawn == []
 
     def test_crowded_ring_rejected(self):
         with pytest.raises(ValueError):

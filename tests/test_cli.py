@@ -14,7 +14,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,12 +29,12 @@ from ulat.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
-    GRID_POINT_BUDGET,
     main,
 )
 from ulat.geometry import EuclideanSet
 from ulat.lattice import sample_lattice
 from ulat.mc import trial_rng
+from ulat.periodization import GRID_POINT_BUDGET
 
 
 def strict_json(text: str):
@@ -167,6 +166,21 @@ class TestTuranCommand:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 50
         assert all(r["holds"] == "True" for r in rows)
+
+    def test_violation_is_an_assertion_of_one_line_after_the_artifact(self, capsys, monkeypatch, tmp_path):
+        # Violations used to be reported through logging, unlike every other
+        # exit 3.
+        run_campaign = turan.run_campaign
+
+        def violated(*args, **kwargs):
+            return [{**row, "holds": row["seed"] != 1} for row in run_campaign(*args, **kwargs)]
+
+        monkeypatch.setattr(turan, "run_campaign", violated)
+        out_file = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, ["turan", "--random", "3", "-o", str(out_file)])
+        assert (code, out) == (EXIT_ASSERTION, "")
+        assert err == "assertion failed: 1 certified inequality violations\n"
+        assert [r["holds"] for r in csv.DictReader(out_file.read_text().splitlines())] == ["True", "False", "True"]
 
     def test_undrawable_torus_set_is_a_precondition(self, capsys, monkeypatch):
         monkeypatch.setattr(turan, "_CAMPAIGN_DRAWS", {1: (8, 16, None, 1.0), 2: (8, 4, 3, 1.0)})
@@ -362,28 +376,41 @@ class TestPipelineCommands:
 
 
 class TestPipelineExitCodes:
-    EVENTS = ("remainder_small", "order_small", "zero_set_large", "zero_coeff_dominated")
-
-    def argv(self, doc_dir):
-        return ["pipeline", "--function", str(doc_dir / "fbox.json"),
+    def argv(self, doc_dir, command="pipeline"):
+        return [command, "--function", str(doc_dir / "fbox.json"),
                 "--s-set", str(doc_dir / "box8.json"),
-                "--sigma-set", str(doc_dir / "sigma2.json"), "--grid", "32"]
+                "--sigma-set", str(doc_dir / "sigma2.json"), "--grid", "32"
+                ] + ["--ygrid", "1"] * (command == "sweep")
 
-    @pytest.mark.parametrize(
-        "all_events, chain_holds, expected",
-        [(True, False, EXIT_ASSERTION), (True, True, EXIT_OK), (False, False, EXIT_OK)],
-    )
-    def test_chain_failure_with_all_events_is_an_assertion(
-        self, capsys, doc_dir, monkeypatch, all_events, chain_holds, expected
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    @pytest.mark.parametrize("floor, expected", [(0.25, EXIT_OK), (1e6, EXIT_ASSERTION)])
+    def test_chain_failure_through_the_library_is_an_assertion(
+        self, capsys, doc_dir, monkeypatch, command, floor, expected
     ):
-        events = {name: True for name in self.EVENTS}
-        events["remainder_small"] = all_events
-        trace = SimpleNamespace(
-            events=events, all_events=all_events, chain_holds=chain_holds, to_dict=lambda: {}
-        )
-        monkeypatch.setattr(annihilation, "pipeline_trace", lambda *a, **k: trace)
-        code, _, _ = run_cli(capsys, self.argv(doc_dir))
+        # Every draw of this instance fires all four events; a floor far
+        # above 1 shrinks the chain bound below |fhat(0)|^2, and
+        # pipeline_trace raises for both commands.
+        monkeypatch.setattr(annihilation, "_TILDE_FLOOR", floor)
+        code, out, err = run_cli(capsys, self.argv(doc_dir, command))
         assert code == expected
+        if expected == EXIT_ASSERTION:
+            assert out == ""
+            assert err == "assertion failed: the Turan chain bound failed although all four events fired\n"
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_source_support_past_the_cap_is_a_precondition(self, capsys, doc_dir, command, dry):
+        # S has measure 0.01 but the source's support, which the mask
+        # rasters, is the box [-0.5, 0.5]^2 of measure 1.
+        (doc_dir / "fwide.json").write_text(json.dumps({"kind": "box", "lower": [-0.5, -0.5],
+                                                        "upper": [0.5, 0.5]}))
+        (doc_dir / "s001.json").write_text(json.dumps({"dimension": 2, "pieces": [
+            {"kind": "box", "lower": [-0.05, -0.05], "upper": [0.05, 0.05]}]}))
+        argv = self.argv(doc_dir, command)
+        argv[2], argv[4] = str(doc_dir / "fwide.json"), str(doc_dir / "s001.json")
+        code, out, err = run_cli(capsys, argv + dry)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert len(err.splitlines()) == 1 and "source support measure 1.000000 exceeds" in err
 
     def test_raised_assertion_maps_to_exit_3(self, capsys, doc_dir, monkeypatch):
         def broken(*args, **kwargs):

@@ -28,7 +28,7 @@ from ulat.lattice import (
     sample_lattice,
 )
 from ulat.mc import ExpectationReport, mean_stderr, run_trials, trial_rng
-from ulat.periodization import Periodization, _torus_grid, default_grid_size
+from ulat.periodization import GRID_POINT_BUDGET, Periodization, _torus_grid, check_grid, default_grid_size
 
 
 def eighth_box(d: int) -> BoxIndicator:
@@ -110,6 +110,52 @@ class TestValues:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+# Grids that no torus grid may take: below one point per axis, one side past
+# the 2-D budget, and a side whose grid would take about 9 GiB.
+BAD_GRIDS = [0, -3, math.isqrt(GRID_POINT_BUDGET) + 1, 10**5]
+
+
+class TestGridBudget:
+    @pytest.mark.parametrize("n", BAD_GRIDS)
+    @pytest.mark.parametrize("make", ["support_mask", "value_grid-box", "value_grid-gaussian"])
+    def test_grids_past_the_rule_raise_before_allocating(self, n, make):
+        # A grid of 0 or -3 points per axis used to reach numpy, and one of
+        # 10^5 a MemoryError.
+        name, _, kind = make.partition("-")
+        source = Gaussian(1.0, 2) if kind == "gaussian" else eighth_box(2)
+        gamma = Periodization(source, sample_lattice(2, trial_rng(13, 0)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid must be an integer >= 1|exceeds the budget"):
+                getattr(gamma, name)(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_budget_boundary_in_each_dimension(self, d):
+        side = 1
+        while (side + 1) ** d <= GRID_POINT_BUDGET:
+            side += 1
+        check_grid(side, d)
+        check_grid(np.int64(side), d)
+        for n in (side + 1, np.int64(10**7)):
+            with pytest.raises(ValueError, match="exceeds the budget"):
+                check_grid(n, d)
+
+    @pytest.mark.parametrize("n", [2.0, 8.5, "8"])
+    def test_grid_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="grid must be an integer >= 1"):
+            check_grid(n, 2)
+
+    def test_support_fraction_takes_no_zero_grid_as_the_default(self):
+        gamma = Periodization(eighth_box(2), sample_lattice(2, trial_rng(13, 0)))
+        assert gamma.support_fraction() == gamma.support_fraction(default_grid_size(2))
+        with pytest.raises(ValueError, match="grid must be an integer >= 1"):
+            gamma.support_fraction(0)
 
 
 GAUSSIAN_KINDS = [
