@@ -114,8 +114,11 @@ def cli_runs() -> list[list[str]]:
                 ["ratio", *box, "--trials", "200"],
                 ["ratio", *gauss, "--trials", "200"],
                 ["pipeline", *box],
+                ["pipeline", *box, "--grid", "1024"],
+                ["pipeline", *box, "--grid", "7"],
                 ["sweep", *box, "--ygrid", "2", "--grid", "16", "--format", "json"],
                 ["sweep", *box, "--ygrid", "2", "--grid", "16", "--format", "csv"],
+                ["sweep", *box, "--grid", "128", "--ygrid", "2", "--format", "json"],
                 ["sharpness", "--n", "4", "--trials", "20"],
             )
         ]
