@@ -9,11 +9,13 @@ sweeps the pipeline over modulations to control the in-set spectral mass,
 and runs the ring-of-discs sharpness experiment for the order-versus-width
 bound.
 
-The pipeline evaluates its polynomial on the n^d torus grid through
+The pipeline describes the support of the periodization on the n^d torus
+grid as sorted row runs (``Periodization.support_runs``) and counts the
+zero set from them.  It evaluates its polynomial on the grid through
 ``turan``'s product-grid contraction, taken in blocks of first-axis rows of
 about ``_GRID_BLOCK_POINTS`` points: each block is tested against the
-threshold and the support mask and then dropped, so a trace holds the bool
-mask and one block, not n^d complex values.  A draw whose coefficients'
+threshold, counted off the runs and then dropped, so a trace holds the runs
+and one block, and no array of the whole grid.  A draw whose coefficients'
 moduli sum to at most the threshold skips the evaluation
 (``_thinned_count``).
 """
@@ -74,7 +76,7 @@ _TILDE_FLOOR = 0.25
 _SWEEP_ATTEMPTS = 12
 
 # Grid points per block of the pipeline's grid polynomial: 2^14 complex
-# values take 256 KiB.  A block is a multiple of 8 first-axis rows
+# values take 256 KiB, and a block's bool test 16 KiB.  A block is a multiple of 8 first-axis rows
 # (``_poly_grid_blocks``), so it holds more points where a row has more than
 # 2^11 of them (in d = 3 from n = 46 up).
 _GRID_BLOCK_POINTS = 1 << 14
@@ -221,7 +223,7 @@ def pipeline_source_setup(inst: AnnihilationInstance) -> float:
     """The time support's measure, after checking the source side of the
     pipeline, which no modulation changes: a compactly supported source, and
     a measure of at most 2^(-d-1) for the time support and for the source's
-    support, which ``support_mask`` rasters."""
+    support, which ``support_runs`` rasters."""
     support = inst.f.support_set()
     if support is None:
         raise ValueError("pipeline requires a compactly supported source (box-indicator kinds)")
@@ -286,17 +288,22 @@ def _poly_grid_blocks(indices: np.ndarray, coeffs: np.ndarray, n: int, d: int):
 
 
 def _thinned_count(
-    mask: np.ndarray, indices: np.ndarray, coeffs: np.ndarray, n: int, d: int, threshold: float
+    runs: np.ndarray, indices: np.ndarray, coeffs: np.ndarray, n: int, d: int, threshold: float
 ) -> int:
-    """The number of n^d grid points off ``mask`` (flat, in C order) at
-    which the grid polynomial of ``_poly_grid_blocks`` has modulus at most
-    ``threshold``.
+    """The number of n^d grid points off the support ``runs`` (sorted,
+    disjoint [start, stop) ranges of flat C-order indices, as
+    ``Periodization.support_runs`` gives them) at which the grid polynomial
+    of ``_poly_grid_blocks`` has modulus at most ``threshold``.
 
     Every trigonometric polynomial has sup_T |P| <= sum_m |c_m|.  So when
     S (1 + gamma) <= threshold, with S = fsum(|c_m|) and gamma a bound on the
     rounding of the grid values, every point qualifies and the count is the
-    number of points off the mask, with no grid value computed.  Otherwise
-    the values are computed block by block and counted.
+    number of points off the runs, n^d minus their total length, with no
+    grid value computed.  Otherwise the values are computed block by block;
+    a block's count is the number of its points at most the threshold,
+    less that number over the parts of the runs in the block, which one
+    ``np.add.reduceat`` takes over the block's bool array padded by one
+    element (a run may end at the block's end).
 
     The margin is gamma = 2 (d + 1)(k + 2) eps, with eps = 2^-52 the machine
     epsilon (twice the unit roundoff h) and k the number of terms.  A
@@ -326,12 +333,19 @@ def _thinned_count(
     """
     gamma = 2.0 * (d + 1) * (len(coeffs) + 2) * np.finfo(float).eps
     if math.fsum(np.abs(coeffs)) * (1.0 + gamma) <= threshold:
-        return mask.size - np.count_nonzero(mask)
+        return n**d - int(np.sum(runs[:, 1] - runs[:, 0]))
+    starts, stops = np.ascontiguousarray(runs.T)
     start = thinned = 0
     for p_vals in _poly_grid_blocks(indices, coeffs, n, d):
-        stop = start + p_vals.size
-        thinned += np.count_nonzero(~mask[start:stop] & (np.abs(p_vals) <= threshold))
-        start = stop
+        size = p_vals.size
+        small = np.zeros(size + 1, dtype=bool)  # the pad: a run may end at the block's end
+        np.less_equal(np.abs(p_vals), threshold, out=small[:size])
+        first, last = np.searchsorted(stops, start, "right"), np.searchsorted(starts, start + size)
+        edges = np.minimum(np.maximum(runs[first:last] - start, 0), size).reshape(-1)
+        if len(edges):
+            thinned -= int(np.add.reduceat(small.view(np.uint8), edges, dtype=np.int32)[::2].sum())
+        thinned += np.count_nonzero(small)
+        start += size
     return thinned
 
 
@@ -344,12 +358,15 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     context's grid, and evaluates the closing Turan-chain bound against
     |fhat(0)|^2.  ``context`` is ``build_pipeline_context(inst, ...)``.
 
-    The thinned set is {t off the support : |P(t)| <= 4 sqrt(C tail)}.
-    Since sup_T |P| <= sum_m |c_m|, a draw whose coefficient sum, raised by
-    the rounding margin gamma of ``_thinned_count`` (about 1e-14), is
-    at most that threshold has the whole zero set as its thinned set, and P
-    is not evaluated on the grid; otherwise it is, one block of grid rows at
-    a time.  Either way the count is the same integer.  It raises
+    The support is the sorted row runs of ``Periodization.support_runs``,
+    and the zero fraction is 1 - sum(stop - start) / n^d.  The thinned set
+    is {t off the support : |P(t)| <= 4 sqrt(C tail)}.  Since
+    sup_T |P| <= sum_m |c_m|, a draw whose coefficient sum, raised by the
+    rounding margin gamma of ``_thinned_count`` (about 1e-14), is at most
+    that threshold has the whole zero set as its thinned set, and P is not
+    evaluated on the grid; otherwise it is, one block of grid rows at a
+    time, counted off the runs.  Either way the count is the same integer,
+    and no array spans the grid.  It raises
     AssertionError on an origin missing from the in-set indices, on
     |fhat(0)|^2 > |Phat(0)|^2, and on a chain that fails once all four
     events fire.
@@ -372,12 +389,13 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     exponent = order - d
     grid_tol = 2.0 * d / context.grid_n
 
-    mask = gamma.support_mask(context.grid_n)
-    zero_fraction = 1.0 - np.count_nonzero(mask) / mask.size
+    runs = gamma.support_runs(context.grid_n)
+    size = context.grid_n**d
+    zero_fraction = 1.0 - int(np.sum(runs[:, 1] - runs[:, 0])) / size
 
     threshold = 4.0 * math.sqrt(context.c_ref * context.tail_hat)
-    thinned = _thinned_count(mask, inside, p_coeffs, context.grid_n, d, threshold)
-    tilde_fraction = thinned / mask.size
+    thinned = _thinned_count(runs, inside, p_coeffs, context.grid_n, d, threshold)
+    tilde_fraction = thinned / size
 
     p_hat0 = abs(p_coeffs[np.argmax(origin)]) ** 2
     events = {
@@ -461,8 +479,11 @@ def translated_sweep(
     Sigma - y, so the per-draw chain bounds |fhat(y)|^2; up to
     _SWEEP_ATTEMPTS lattice draws are tried until all four events fire.  The
     aggregation compares the resulting bound field with |fhat(y)|^2, the
-    context's |f_y hat(0)|^2, and integrates both over Sigma.
+    context's |f_y hat(0)|^2, and integrates both over Sigma.  The dimension
+    and the grid are checked before the modulation grid is built.
     """
+    d = inst.dimension
+    check_grid(pipeline_grid_size(d) if grid_n is None else grid_n, d)
     ys = _sigma_grid(inst.freq_set, per_axis)
     sigma_measure = lebesgue_measure(inst.freq_set, seed=seed).value
     rows = []

@@ -21,7 +21,7 @@ independent spatial route (Parseval / Poisson summation).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -60,8 +60,12 @@ def check_grid(n: int, d: int) -> None:
         raise ValueError(f"grid {n}^{d} exceeds the budget of {GRID_POINT_BUDGET} torus points")
 
 
-# delta / (1 + M) of Periodization.support_mask, derived in its docstring.
+# delta / (1 + M) of Periodization.support_runs, derived in its docstring.
 _ROW_MARGIN = 64 * np.finfo(float).eps
+
+# Preimage cells per chunk of ``Periodization.support_runs`` rows: bounds the
+# cells one chunk can send to a piece's ``contains``.
+_RUN_CHUNK_POINTS = 1 << 18
 
 # Grid points per block of ``grid_rows``: bounds the Python rows that exist at once.
 _ROW_BLOCK = 1024
@@ -201,54 +205,62 @@ class Periodization:
 
     # -- support -----------------------------------------------------------
 
-    def support_mask(self, grid_n: int) -> np.ndarray:
-        """Exact support membership of G over the n^d torus grid.
+    def support_runs(self, grid_n: int) -> np.ndarray:
+        """Exact support membership of G over the n^d torus grid, as runs.
 
-        A grid point t can have G(t) != 0 only if some translate
-        rho^T(k + t)/v lands in the support of the source; the test uses set
-        membership, never thresholded numeric values.
+        The result is an (m, 2) int array of half-open ranges [start, stop)
+        of flat C-order grid indices.  The runs are sorted, disjoint and
+        non-empty, no two of them touch within a row, and each lies inside
+        one last-axis row (n consecutive indices).  A grid point t can have
+        G(t) != 0 only if some translate rho^T(k + t)/v lands in the
+        support of the source; the test uses set membership, never
+        thresholded numeric values.
 
-        Each support piece is rastered instead of testing every grid point
-        against every shift k: the piece's preimage j = n v rho(x) has a
-        bounding box in grid units, padded by one cell, and each integer j
-        in it splits per axis into t = j mod n and k = j div n.  Per axis,
-        the range of j falls into runs on which k is constant, at most
-        ceil(len / n) + 1 of them; a product of runs is a rectangular block
-        of the torus grid with a single shift k.
-
-        Within a block, a row is one point t' of the first d - 1 axes.  Along
-        it, x(j) = x0 + j u with x0 = rho^T(t', 0)/v + rho^T(k)/v and
-        u = rho^T(e_d)/(v n), j the last-axis grid index.  The piece is a
-        box, so each pair of its faces bounds j to one interval per row (all
-        or none of the row where u_i = 0).  Shrinking the faces by a margin
-        delta gives the row's certain run, set by one broadcast comparison
-        of j against the rows' bounds; growing them by delta gives its
-        possible run.  The cells in the possible run but not in the certain
-        one are tested with the piece's own ``contains`` on the floats of
-        the direct sum over k, rho^T(t + k)/v computed as
-        (t @ rho)/v + (k @ rho)/v.
+        Each support piece is rastered in its preimage j = n v rho(x): a
+        bounding box of integer j in grid units, padded by one cell, where
+        j splits per coordinate into the grid point t = j mod n and the
+        shift k = j div n.  A preimage row is one value j' of the first
+        d - 1 coordinates.  Along it, x(j) = x0 + j u with
+        x0 = ((j'/n) @ rho[:-1])/v and u = rho^T(e_d)/(v n), j the last
+        coordinate.  The piece is a box, so each pair of its faces bounds j
+        to one interval per row (all or none of the row where u_i = 0).
+        Shrinking the faces by a margin delta gives the row's certain run
+        of j; growing them by delta gives its possible run.  The cells in
+        the possible run but not in the certain one are tested with the
+        piece's own ``contains`` on the floats of the direct sum over k,
+        rho^T(t + k)/v computed as (t @ rho)/v + (k @ rho)/v.  A run of j
+        is cut at the multiples of n into runs of its torus row (the whole
+        row once it spans n cells), and the runs of every row and piece
+        are merged into a disjoint union (``_merge_runs``).  Rows are taken
+        in chunks of about ``_RUN_CHUNK_POINTS`` preimage cells, so a piece
+        whose preimage spans many periods holds bounded arrays.
 
         The margin is delta = 64 eps (1 + M), with eps = 2^-52 the machine
-        epsilon and M the largest |coordinate| that the block's points or
-        the box faces take.  Per coordinate, with h = eps/2 the unit
+        epsilon and M = max(F, (J + n) sqrt(d)/(n v)), where F is the
+        largest |coordinate| of the box faces and J the largest |j_i| over
+        the preimage box.  So M bounds |x_i| of every preimage point and
+        the sums of |terms| of every dot product below: |j| sqrt(d)/(n v)
+        for j' @ rho and j u, and (|j|/n + 1) sqrt(d)/v for k @ rho, since
+        |k_i| <= |j_i|/n + 1.  Per coordinate, with h = eps/2 the unit
         roundoff, |t_i| < 1 and every column of rho a unit vector:
 
         - the direct floats: rounding t = j/n, the d-term dot product, the
           division by v and the addition of (k @ rho)/v, itself off by at
           most (d sqrt(d) + 1) h M, leaves x off by at most
           ((d + 2) sqrt(d) + 1) h (1 + M);
-        - the row form: x0 is off by no more than that; the step u, from
-          two roundings, moves j u by at most 2h, since j |u| <= 1; the
-          face lo +- delta rounds by h (M + delta); and a run end
-          (face - x0)/u, from two roundings, puts the line x0 + j u within
-          2h |face - x0| <= 4h (1 + M) of the face.
+        - the row form: x0, from j'/n, a (d - 1)-term dot product and the
+          division by v, is off by at most (d + 1) h M, no more than the
+          direct floats; the step u, from two roundings, moves j u by at
+          most 2h M, since |j u| <= M; the face lo +- delta rounds by
+          h (M + delta); and a run end (face - x0)/u, from two roundings,
+          puts the line x0 + j u within 2h |face - x0| <= 4h (1 + M) of
+          the face.
 
-        The sum, (2 (d + 2) sqrt(d) + 9) h (1 + M), is below 27 h (1 + M)
-        for d <= 3, a fifth of delta, and below delta for every d <= 13.
-        So a certain cell is inside on the direct floats, a cell outside
-        the possible run is outside on them, and the mask equals the direct
-        sum's bit for bit.  No float array spans more than one block's rows;
-        the bool mask spans the n^d grid, which ``check_grid`` bounds first.
+        The sum, at most (2 (d + 2) sqrt(d) + 9) h (1 + M), is below
+        27 h (1 + M) for d <= 3, a fifth of delta, and below delta for
+        every d <= 13.  So a certain cell is inside on the direct floats, a
+        cell outside the possible run is outside on them, and the runs hold
+        the direct sum's grid points exactly.  No array spans the n^d grid.
         """
         d = self.dimension
         check_grid(grid_n, d)
@@ -258,52 +270,76 @@ class Periodization:
         v = self.lattice.dilation
         mat = self.lattice.rotation.matrix
         u = mat[-1] / (v * grid_n)
-        mask = np.zeros((grid_n,) * d, dtype=bool)
+        found, pending = [], 0
         for piece in support.pieces:
             lo, hi = piece.lower - 1e-15, piece.upper + 1e-15
-            faces = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-            corners = _grid_points(list(zip(*piece.bounds())))
-            g = (grid_n * v) * self.lattice.rotation.apply(corners)
-            first = np.floor(g.min(axis=0)).astype(int) - 1
-            last = np.ceil(g.max(axis=0)).astype(int) + 1
-            # Per axis: the runs (k, t slice) of j = k n + t over first..last.
-            runs = [
-                [
-                    (k, slice(max(a - k * grid_n, 0), min(b - k * grid_n, grid_n - 1) + 1))
-                    for k in range(a // grid_n, b // grid_n + 1)
-                ]
-                for a, b in zip(first.tolist(), last.tolist())
-            ]
-            for block in itertools.product(*runs):
-                ks, cells = zip(*block)
-                off = (np.array(ks, dtype=float) @ mat) / v
-                head_axes = [np.arange(c.start, c.stop) / grid_n for c in cells[:-1]]
-                heads = _grid_points(head_axes) if head_axes else np.zeros((1, 0))
-                x0 = (heads @ mat[:-1]) / v + off
-                j = np.arange(cells[-1].start, cells[-1].stop, dtype=float)
-                reach = max(faces, float(np.max(np.abs(off))) + math.sqrt(d) / v)
-                delta = _ROW_MARGIN * (1.0 + reach)
-                (sure_lo, may_lo), (sure_hi, may_hi) = _row_intervals(
-                    x0, u, np.stack([lo + delta, lo - delta]), np.stack([hi - delta, hi + delta])
-                )
-                sure = (j >= sure_lo[:, None]) & (j <= sure_hi[:, None])
-                # Rows whose possible run holds a cell outside the certain run.
-                p0, p1 = np.maximum(np.ceil(may_lo), j[0]), np.minimum(np.floor(may_hi), j[-1])
-                doubt = (p0 <= p1) & ~((sure_lo <= p0) & (sure_hi >= p1))
-                if doubt.any():
-                    rows = np.flatnonzero(doubt)
-                    maybe = (j >= may_lo[rows, None]) & (j <= may_hi[rows, None]) & ~sure[rows]
-                    r, c = np.nonzero(maybe)
-                    t = np.column_stack([heads[rows[r]], j[c] / grid_n])
-                    sure[rows[r], c] = piece.contains((t @ mat) / v + off)
-                view = mask[cells]
-                view |= sure.reshape(view.shape)
-        return mask.reshape(-1)
+            # The preimage box: rho of the piece's center, +- |rho| of its half sides.
+            center = (grid_n * v) * self.lattice.rotation.apply((lo + hi) / 2)
+            half = (grid_n * v) * (np.abs(mat) @ ((hi - lo) / 2))
+            first = np.floor(center - half).astype(int) - 1
+            last = np.ceil(center + half).astype(int) + 1
+            faces = float(np.max(np.abs([lo, hi])))
+            reach = int(np.max(np.abs([first, last])))
+            delta = _ROW_MARGIN * (1.0 + max(faces, (reach + grid_n) * math.sqrt(d) / (grid_n * v)))
+            face_lo, face_hi = np.array([lo + delta, lo - delta]), np.array([hi - delta, hi + delta])
+            shape = last[:-1] - first[:-1] + 1
+            strides = np.cumprod(np.append(shape, 1)[::-1])[-2::-1]  # row-major, of j'
+            rows = math.prod(shape.tolist())
+            step = max(1, _RUN_CHUNK_POINTS // int(last[-1] - first[-1] + 1))
+            for r0 in range(0, rows, step):
+                heads = np.arange(r0, min(r0 + step, rows))[:, None] // strides % shape + first[:-1]
+                x0 = ((heads / grid_n) @ mat[:-1]) / v
+                # Row 0 of a and b bounds the certain runs of j, row 1 the possible runs.
+                start, stop = _row_intervals(x0, u, face_lo, face_hi)
+                a = np.maximum(np.ceil(start), first[-1])
+                b = np.minimum(np.floor(stop), last[-1])
+                sure = np.flatnonzero(a[0] <= b[0])
+                parts = [_torus_runs(heads[sure], a[0, sure], b[0, sure], grid_n)]
+                doubt = np.flatnonzero((a[1] <= b[1]) & ((a[0] != a[1]) | (b[0] != b[1])))
+                if len(doubt):
+                    hit_heads, cells = self._band_hits(piece, heads[doubt], a[:, doubt], b[:, doubt], grid_n)
+                    parts.append(_torus_runs(hit_heads, cells, cells, grid_n))
+                found += parts
+                pending += sum(len(part[0]) for part in parts)
+                if pending > grid_n**d:  # many periods: keep the union, not every run
+                    found = [_merge_runs(found)]
+                    pending = len(found[0][0])
+        runs = np.column_stack(_merge_runs(found))
+        return runs - runs // (grid_n + 1)
+
+    def _band_hits(self, piece, heads, a, b, grid_n):
+        """The preimage rows and last coordinates j of the cells of the rows
+        ``heads`` that lie in their possible runs [a[1], b[1]] but outside
+        their certain runs [a[0], b[0]] (empty where a[0] > b[0]), and at
+        which the direct floats lie in ``piece``."""
+        v, mat = self.lattice.dilation, self.lattice.rotation.matrix
+        p0, p1 = a[1], b[1]
+        sure = a[0] <= b[0]
+        s0, s1 = np.where(sure, a[0], p1 + 1), np.where(sure, b[0], p1)
+        # The doubtful cells of each row: [p0, s0) and (s1, p1].
+        lengths = np.concatenate([s0 - p0, p1 - s1]).astype(int)
+        firsts = np.concatenate([p0, s1 + 1]).astype(int)
+        ends = np.cumsum(lengths)
+        cells = np.repeat(firsts - ends + lengths, lengths) + np.arange(ends[-1])
+        j = np.column_stack([np.repeat(np.concatenate([heads, heads]), lengths, axis=0), cells])
+        t, k = j % grid_n / grid_n, (j // grid_n).astype(float)
+        hit = piece.contains((t @ mat) / v + (k @ mat) / v)
+        return j[hit, :-1], cells[hit]
+
+    def support_mask(self, grid_n: int) -> np.ndarray:
+        """The support runs of ``support_runs`` as a flat bool mask of the
+        n^d torus grid: a run's start and stop toggle an edge, and a running
+        exclusive or fills the runs, so only bool arrays are made."""
+        runs = self.support_runs(grid_n)
+        edges = np.zeros(grid_n**self.dimension + 1, dtype=bool)
+        edges[runs[:, 0]] = True
+        edges[runs[:, 1]] ^= True  # a stop that meets the next row's start cancels it
+        return np.logical_xor.accumulate(edges)[:-1]
 
     def support_fraction(self, grid_n: int | None = None) -> float:
         grid_n = default_grid_size(self.dimension) if grid_n is None else grid_n
-        mask = self.support_mask(grid_n)
-        return np.count_nonzero(mask) / mask.size
+        runs = self.support_runs(grid_n)
+        return int(np.sum(runs[:, 1] - runs[:, 0])) / grid_n**self.dimension
 
     # -- verification ---------------------------------------------------------
 
@@ -356,11 +392,44 @@ def _row_intervals(x0: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray
     Each coordinate bounds j to [(lo - x0)/u, (hi - x0)/u], the faces
     swapped where u has its sign bit set.  Where u = 0 the quotients are
     -inf and inf when lo < x0 < hi; otherwise one of them admits no finite
-    j or is 0/0 = NaN, which compares false.  So such a coordinate keeps
-    all of the row or none.  A face pair with lo > hi gives an empty run.
+    j or is 0/0 = NaN, which np.maximum and np.minimum pass on and which
+    compares false.  So such a coordinate keeps all of the row or none.  A
+    face pair with lo > hi gives an empty run.  The coordinates are taken
+    one at a time: a reduction over the short last axis is slower.
     """
     neg = np.signbit(u)
+    start, stop = np.where(neg, hi, lo), np.where(neg, lo, hi)
     with np.errstate(all="ignore"):
-        start = (np.where(neg, hi, lo)[:, None] - x0) / u
-        stop = (np.where(neg, lo, hi)[:, None] - x0) / u
-    return start.max(axis=2), stop.min(axis=2)
+        starts = [(start[:, i, None] - x0[:, i]) / u[i] for i in range(len(u))]
+        stops = [(stop[:, i, None] - x0[:, i]) / u[i] for i in range(len(u))]
+    return functools.reduce(np.maximum, starts), functools.reduce(np.minimum, stops)
+
+
+def _torus_runs(heads: np.ndarray, first: np.ndarray, last: np.ndarray, n: int):
+    """The runs j = first..last (inclusive) of the last coordinate in the
+    preimage rows ``heads``, cut at the multiples of n into keyed runs
+    [start, stop) of their torus rows; a run of n cells or more covers its
+    row.  A cell c of the torus row r (flat C order over j' mod n) has the
+    key r (n + 1) + c, so that the runs of two rows never meet."""
+    keys = (heads % n) @ ((n + 1) * n ** np.arange(heads.shape[1] - 1, -1, -1))
+    first, last = first.astype(int), last.astype(int)
+    start = first % n
+    stop = start + np.minimum(last - first + 1, n)
+    wraps = stop > n
+    return (
+        np.concatenate([keys + start, keys[wraps]]),
+        np.concatenate([keys + np.minimum(stop, n), keys[wraps] + stop[wraps] - n]),
+    )
+
+
+def _merge_runs(found: list):
+    """The union of the keyed runs [start, stop) of ``found`` as sorted,
+    disjoint runs, no two touching: after one sort by start, a run opens a
+    new union where its start passes the running maximum of the stops
+    before it."""
+    start, stop = (np.concatenate(part) for part in zip(*found))
+    order = np.argsort(start)
+    start, stop = start[order], np.maximum.accumulate(stop[order])
+    opens = np.ones(len(start), dtype=bool)
+    opens[1:] = start[1:] > stop[:-1]
+    return start[opens], stop[np.roll(opens, -1)]

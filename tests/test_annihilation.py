@@ -467,6 +467,27 @@ class TestPipeline:
         assert peak <= limit_mb * 1e6
 
 
+    def test_settled_draw_holds_no_grid_mask(self, monkeypatch):
+        # A draw that the coefficient bound settles counts its zero set
+        # from the support runs, so it allocates less than the n^d bytes of
+        # a bool mask of the grid.
+        n = 1024
+        evaluated = spy_grid_blocks(monkeypatch)
+        inst = eighth_box_instance()
+        ctx = build_pipeline_context(inst, grid_n=n)
+        pipeline_trace(inst, 0, context=ctx)  # fills the memoised annulus walks
+        evaluated.clear()
+        tracemalloc.start()
+        try:
+            trace = pipeline_trace(inst, 2, context=ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert evaluated == []
+        assert 0.5 <= trace.zero_fraction == trace.tilde_fraction
+        assert peak < n**2
+
+
 def spy_grid_blocks(monkeypatch) -> list:
     """The grid sizes n of the ``_poly_grid_blocks`` calls made from now on."""
     calls = []
@@ -543,25 +564,41 @@ def counted(mask, values, threshold) -> int:
     return int(np.count_nonzero(~mask & (np.abs(values) <= threshold)))
 
 
+def mask_runs(mask, n: int) -> np.ndarray:
+    """The [start, stop) runs of a flat C-order mask, cut at the end of each
+    row of n points, as ``Periodization.support_runs`` gives them."""
+    edges = np.diff(np.pad(mask.reshape(-1, n).astype(int), ((0, 0), (1, 1))), axis=1)
+    rows, cells = np.nonzero(edges)
+    return (rows * n + cells).reshape(-1, 2)
+
+
 class TestThinnedCount:
     @given(
         grid_polynomials(),
         st.integers(0, 2**32 - 1),
         st.sampled_from([-1.0, 1.0]) | st.floats(-0.5, 0.5),
         st.booleans(),
+        st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_equals_the_block_count_and_the_loop_count_property(self, case, mask_seed, offset, in_margins):
+    def test_equals_the_block_count_and_the_loop_count_property(
+        self, case, mask_seed, offset, in_margins, small_blocks
+    ):
         # Thresholds around S = sum |c_m|: at S (1 +- gamma), or a relative
         # offset of up to 1/2.  The count equals the blocks' exactly and the
         # direct sum's but for values within its 1e-12 of the threshold.
+        # With small blocks, a block is 8 first-axis rows, so runs end at
+        # block boundaries inside the grid (and cross them in d = 1).
         d, n, indices, coeffs = case
         rng = np.random.default_rng(mask_seed)
         mask = rng.random(n**d) < rng.random()
         total = math.fsum(np.abs(coeffs))
         gamma = rounding_margin(len(coeffs), d)
         threshold = total * (1.0 + (offset * gamma if in_margins else offset))
-        got = _thinned_count(mask, indices, coeffs, n, d, threshold)
+        with pytest.MonkeyPatch.context() as patch:
+            if small_blocks:
+                patch.setattr(annihilation, "_GRID_BLOCK_POINTS", 1)
+            got = _thinned_count(mask_runs(mask, n), indices, coeffs, n, d, threshold)
         assert got == counted(mask, poly_on_grid(indices, coeffs, n, d), threshold)
         loop = loop_poly_on_grid(indices, coeffs, n, d)
         assert counted(mask, loop, threshold - 1e-12) <= got <= counted(mask, loop, threshold + 1e-12)
@@ -586,7 +623,7 @@ class TestThinnedCount:
         for sign, settles in ((1.0, True), (-1.0, False)):
             evaluated.clear()
             threshold = total * (1.0 + sign * gamma)
-            got = _thinned_count(mask, indices, coeffs, n, d, threshold)
+            got = _thinned_count(mask_runs(mask, n), indices, coeffs, n, d, threshold)
             assert (not evaluated) == settles
             assert got == counted(mask, loop, threshold)
         assert got <= n**d - np.count_nonzero(mask) - 1
@@ -599,10 +636,37 @@ class TestThinnedCount:
         mask = np.zeros(n**d, dtype=bool)
         evaluated = spy_grid_blocks(monkeypatch)
         size, gamma = abs(coeffs[0]), rounding_margin(1, d)
-        assert _thinned_count(mask, indices, coeffs, n, d, size * (1.0 + gamma)) == n**d
+        runs = mask_runs(mask, n)
+        assert runs.shape == (0, 2)
+        assert _thinned_count(runs, indices, coeffs, n, d, size * (1.0 + gamma)) == n**d
         assert evaluated == []
-        assert _thinned_count(mask, indices, coeffs, n, d, size * (1.0 - gamma)) == 0
+        assert _thinned_count(runs, indices, coeffs, n, d, size * (1.0 - gamma)) == 0
         assert evaluated == [n]
+
+    @pytest.mark.parametrize("d,n", [(1, 40), (2, 16), (3, 10)])
+    def test_runs_ending_at_row_ends_and_block_boundaries(self, monkeypatch, d, n):
+        # Blocks of 8 first-axis rows.  The runs cover the last cell of
+        # every row, so each row's run ends at the row's end; one of those
+        # ends is the end of the first block, and another the grid's end.
+        # In d = 1 a block is 8 points of the one row: a run crosses the
+        # boundary at 8 and another ends at the boundary at 16.
+        monkeypatch.setattr(annihilation, "_GRID_BLOCK_POINTS", 1)
+        rng = np.random.default_rng(n)
+        indices = rng.integers(-n, n + 1, size=(6, d))
+        coeffs = rng.uniform(0.2, 1.0, 6) * np.exp(2j * math.pi * rng.random(6))
+        mask = rng.random(n**d) < 0.3
+        mask.reshape(-1, n)[:, -3:] = True
+        if d == 1:
+            mask[5:16], mask[16] = True, False
+        runs = mask_runs(mask, n)
+        block = 16 if d == 1 else 8 * n ** (d - 1)
+        assert block in runs[:, 1] and n**d in runs[:, 1]
+        assert d > 1 or np.any((runs[:, 0] < 8) & (runs[:, 1] > 8))
+        values = poly_on_grid(indices, coeffs, n, d)
+        evaluated = spy_grid_blocks(monkeypatch)
+        for threshold in np.quantile(np.abs(values), [0.2, 0.5, 0.9]):
+            assert _thinned_count(runs, indices, coeffs, n, d, threshold) == counted(mask, values, threshold)
+        assert evaluated == [n] * 3
 
 
 class TestPolyOnGrid:
@@ -691,6 +755,20 @@ class TestTranslatedSweep:
     def test_empty_modulation_grid_rejected(self, per_axis):
         with pytest.raises(ValueError, match="per_axis must be >= 1"):
             translated_sweep(eighth_box_instance(), per_axis=per_axis)
+
+    @pytest.mark.parametrize("grid_n", [0, -3, 1449])
+    def test_bad_grid_rejected_before_the_modulation_grid(self, grid_n):
+        # The 1000^2 modulation grid and the measure of Sigma peaked at
+        # 41 MB before the first context rejected the grid.
+        inst = eighth_box_instance()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid must be an integer >= 1|exceeds the budget"):
+                translated_sweep(inst, per_axis=1000, grid_n=grid_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_zero_modulation_matches_plain_trace(self):
         inst = eighth_box_instance()

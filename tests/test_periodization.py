@@ -28,6 +28,7 @@ from ulat.lattice import (
     sample_lattice,
 )
 from ulat.mc import ExpectationReport, mean_stderr, run_trials, trial_rng
+from ulat import periodization
 from ulat.periodization import GRID_POINT_BUDGET, Periodization, _torus_grid, check_grid, default_grid_size
 
 
@@ -119,7 +120,9 @@ BAD_GRIDS = [0, -3, math.isqrt(GRID_POINT_BUDGET) + 1, 10**5]
 
 class TestGridBudget:
     @pytest.mark.parametrize("n", BAD_GRIDS)
-    @pytest.mark.parametrize("make", ["support_mask", "value_grid-box", "value_grid-gaussian"])
+    @pytest.mark.parametrize(
+        "make", ["support_mask", "support_runs", "value_grid-box", "value_grid-gaussian"]
+    )
     def test_grids_past_the_rule_raise_before_allocating(self, n, make):
         # A grid of 0 or -3 points per axis used to reach numpy, and one of
         # 10^5 a MemoryError.
@@ -597,3 +600,88 @@ class TestSupportRaster:
         assert np.array_equal(mask, loop_support_mask(gamma, n))
         rows = mask.reshape(n, n, n).any(axis=(0, 2))
         assert rows.any() and not rows.all()
+
+
+def random_source(kind: str, d: int, rng) -> TestFunction:
+    """A box of side 1e-3 to 1.5 near the origin, two boxes, or two boxes
+    translated by up to 1e3."""
+    if kind == "box":
+        lo = rng.uniform(-1.0, 1.0, d)
+        return BoxIndicator(AxisBox(lo, lo + rng.uniform(1e-3, 1.5, d)))
+    if kind == "combination":
+        return two_boxes(d, rng)
+    return Translated(two_boxes(d, rng), rng.uniform(-1e3, 1e3, d))
+
+
+def runs_mask(runs: np.ndarray, size: int) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    for start, stop in runs:
+        mask[start:stop] = True
+    return mask
+
+
+def check_runs(runs: np.ndarray, n: int) -> None:
+    """Sorted, disjoint, non-empty runs, each inside one row of n points,
+    no two of them touching within a row."""
+    start, stop = runs[:, 0], runs[:, 1]
+    assert runs.ndim == 2 and runs.shape[1] == 2
+    assert np.all(start < stop)
+    assert np.all(start // n == (stop - 1) // n)
+    assert np.all((start[1:] > stop[:-1]) | ((start[1:] == stop[:-1]) & (start[1:] % n == 0)))
+
+
+class TestSupportRuns:
+    """The runs are a canonical form of the support mask."""
+
+    @given(
+        d=st.integers(1, 3),
+        grid_n=st.sampled_from([1, 2, 3, 5, 7, 16, 64]),
+        kind=st.sampled_from(["box", "combination", "translated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_runs_equal_the_loop_oracle_property(self, d, grid_n, kind, seed):
+        rng = np.random.default_rng(seed)
+        gamma = Periodization(random_source(kind, d, rng), sample_lattice(d, rng))
+        runs = gamma.support_runs(grid_n)
+        check_runs(runs, grid_n)
+        expected = loop_support_mask(gamma, grid_n, reaching_shifts(gamma))
+        assert np.array_equal(runs_mask(runs, grid_n**d), expected)
+        assert int(np.sum(runs[:, 1] - runs[:, 0])) == np.count_nonzero(expected)
+
+    @pytest.mark.parametrize(
+        "d,grid_n,partial", [(1, 5, False), (2, 3, True), (2, 64, False), (3, 4, True), (3, 16, True)]
+    )
+    def test_chunks_of_rows_and_partial_unions(self, monkeypatch, d, grid_n, partial):
+        # One preimage row per chunk.  On coarse grids the preimages span
+        # many periods, so the runs are merged before the last chunk too.
+        merges = []
+        merge = periodization._merge_runs
+
+        def spy(found):
+            merges.append(len(found))
+            return merge(found)
+
+        rng = np.random.default_rng(10 * d + grid_n)
+        for _ in range(4):
+            side = rng.uniform(0.5, 2.5)
+            f = Translated(BoxIndicator(AxisBox([0.0] * d, [side] * d)), rng.uniform(-2, 2, d))
+            gamma = Periodization(f, sample_lattice(d, rng))
+            whole = gamma.support_runs(grid_n)
+            with monkeypatch.context() as patch:
+                patch.setattr(periodization, "_RUN_CHUNK_POINTS", 1)
+                patch.setattr(periodization, "_merge_runs", spy)
+                runs = gamma.support_runs(grid_n)
+            assert np.array_equal(runs, whole)
+            check_runs(runs, grid_n)
+            assert np.array_equal(runs_mask(runs, grid_n**d), loop_support_mask(gamma, grid_n))
+        assert (len(merges) > 4) == partial
+
+    def test_mask_and_fraction_come_from_the_runs(self):
+        f = eighth_box(2)
+        for seed in range(4):
+            gamma = Periodization(f, sample_lattice(2, trial_rng(seed, 0)))
+            runs = gamma.support_runs(128)
+            mask = gamma.support_mask(128)
+            assert mask.dtype == bool and np.array_equal(mask, runs_mask(runs, 128**2))
+            assert gamma.support_fraction(128) == np.count_nonzero(mask) / mask.size
