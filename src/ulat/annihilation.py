@@ -76,9 +76,10 @@ _TILDE_FLOOR = 0.25
 _SWEEP_ATTEMPTS = 12
 
 # Grid points per block of the pipeline's grid polynomial: 2^14 complex
-# values take 256 KiB, and a block's bool test 16 KiB.  A block is a multiple of 8 first-axis rows
-# (``_poly_grid_blocks``), so it holds more points where a row has more than
-# 2^11 of them (in d = 3 from n = 46 up).
+# values take 256 KiB, and their bool test against the threshold 16 KiB.  A
+# block is a multiple of 8 first-axis rows (``_poly_grid_blocks``), so it
+# holds more points where a row has more than 2^11 of them (in d = 3 from
+# n = 46 up).
 _GRID_BLOCK_POINTS = 1 << 14
 
 
