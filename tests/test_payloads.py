@@ -91,6 +91,10 @@ def cli_runs() -> list[list[str]]:
     document."""
     box = ["--function", "fbox.json", "--s-set", "box8.json", "--sigma-set", "sigma2.json"]
     gauss = ["--function", "gauss2.json", "--s-set", "ball.json", "--sigma-set", "sigma2.json"]
+    box1, box3 = (
+        ["--function", f"fbox{d}d.json", "--s-set", f"box{d}d.json", "--sigma-set", f"sigma{d}d.json"]
+        for d in (1, 3)
+    )
     runs = []
     for seed in ("0", "1"):
         runs += [
@@ -116,6 +120,9 @@ def cli_runs() -> list[list[str]]:
                 ["pipeline", *box],
                 ["pipeline", *box, "--grid", "1024"],
                 ["pipeline", *box, "--grid", "7"],
+                ["pipeline", *box1],
+                ["pipeline", *box3],
+                ["pipeline", *box3, "--grid", "7"],
                 ["sweep", *box, "--ygrid", "2", "--grid", "16", "--format", "json"],
                 ["sweep", *box, "--ygrid", "2", "--grid", "16", "--format", "csv"],
                 ["sweep", *box, "--grid", "128", "--ygrid", "2", "--format", "json"],
