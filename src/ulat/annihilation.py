@@ -16,8 +16,10 @@ zero set from them.  It evaluates its polynomial on the grid through
 about ``_GRID_BLOCK_POINTS`` points: each block is tested against the
 threshold, counted off the runs and then dropped, so a trace holds the runs
 and one block, and no array of the whole grid.  A draw whose coefficients'
-moduli sum to at most the threshold skips the evaluation
-(``_thinned_count``).
+moduli sum to at most the threshold skips the evaluation, and otherwise a
+bound per first-axis row, from the tensor contracted over that axis alone,
+settles the rows it keeps below the threshold, so only the 8-row bands
+that hold another row are evaluated (``_thinned_count``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .geometry import (
 )
 from .lattice import _distinct_per_trial, _hit_blocks, intersect, order_of, sample_lattice
 from .mc import check_trials, mean_stderr, trial_rng
-from .periodization import Periodization, check_grid
+from .periodization import GRID_POINT_BUDGET, Periodization, check_grid
 from .turan import _coefficient_tensor, _grid_row_blocks
 
 __all__ = [
@@ -55,6 +57,7 @@ __all__ = [
     "disc_ring_experiment",
     "pipeline_grid_size",
     "pipeline_source_setup",
+    "check_modulation_grid",
     "DEFAULT_PIPELINE_CONSTANT",
     "ANNIHILATED_SENTINEL",
 ]
@@ -68,9 +71,12 @@ DEFAULT_PIPELINE_CONSTANT = 1.0
 
 ANNIHILATED_SENTINEL = math.inf
 
-# Fraction of the zero set guaranteed to survive the Chebyshev step; the
-# chain factor uses its reciprocal.
-_TILDE_FLOOR = 0.25
+# Fraction of the grid guaranteed to survive the Chebyshev step when the
+# remainder is small and the zero set large: a zero set of 1/2, less at most
+# ||R||^2 / threshold^2 <= 1/4.  ``pipeline_trace`` checks it; the chain
+# factor uses the reciprocal of _TILDE_FLOOR, which may not exceed it.
+_CHEBYSHEV_FLOOR = 0.5 - 0.25
+_TILDE_FLOOR = _CHEBYSHEV_FLOOR
 
 # Lattice draws per modulation before the sweep gives up on that frequency.
 _SWEEP_ATTEMPTS = 12
@@ -267,25 +273,32 @@ def build_pipeline_context(inst: AnnihilationInstance, grid_n: int | None = None
     )
 
 
-def _poly_grid_blocks(indices: np.ndarray, coeffs: np.ndarray, n: int, d: int):
-    """Evaluate sum_m c_m exp(2 i pi <m, t>) on the n^d grid t = j/n, as
-    flattened C-order blocks of first-axis rows that concatenate to the
-    grid.
+def _poly_grid_tables(indices: np.ndarray, coeffs: np.ndarray, n: int) -> tuple[np.ndarray, list]:
+    """The residue tensor and the root tables of sum_m c_m exp(2 i pi <m, t>)
+    on the n^d grid t = j/n.
 
     On the grid the phase of m depends only on m mod n, so the indices are
     reduced mod n (exact for any |m|) and the coefficients are summed into a
-    dense tensor over the distinct residues A_i of each axis.
-    ``turan._grid_row_blocks`` contracts it against the (n, A_i) tables of
-    exact n-th roots exp(2 i pi ((a j) mod n) / n), each the transpose view
-    of an (A_i, n) table, so the cost is about A_1 n^d.  A block is the
-    largest multiple of 8 rows within ``_GRID_BLOCK_POINTS`` points, and at
-    least 8 rows.
+    dense tensor over the distinct residues A_i of each axis.  Table i is
+    the (n, A_i) table of exact n-th roots exp(2 i pi ((a j) mod n) / n),
+    the transpose view of an (A_i, n) table.
     """
     values, tensor = _coefficient_tensor(np.mod(indices, n), coeffs)
     j = np.arange(n)
-    tables = [np.exp((2j * math.pi / n) * ((a[:, None] * j) % n)).T for a in values]
+    return tensor, [np.exp((2j * math.pi / n) * ((a[:, None] * j) % n)).T for a in values]
+
+
+def _poly_grid_blocks(tensor: np.ndarray, tables: list, keep: np.ndarray | None = None):
+    """The grid polynomial of ``_poly_grid_tables`` as (j, values) blocks of
+    first-axis rows from row j on, flattened in C order: all rows, or the
+    8-row bands that hold a row ``keep`` marks (``turan._grid_row_blocks``).
+    The cost is about A_1 n^d over the rows evaluated.  A block is the
+    largest multiple of 8 rows within ``_GRID_BLOCK_POINTS`` points, and at
+    least 8 rows.
+    """
+    n, d = len(tables[0]), len(tables)
     rows = 8 * max(1, _GRID_BLOCK_POINTS // (8 * n ** (d - 1)))
-    return _grid_row_blocks(tensor, tables, rows)
+    return _grid_row_blocks(tensor, tables, rows, keep)
 
 
 def _thinned_count(
@@ -296,15 +309,30 @@ def _thinned_count(
     ``Periodization.support_runs`` gives them) at which the grid polynomial
     of ``_poly_grid_blocks`` has modulus at most ``threshold``.
 
-    Every trigonometric polynomial has sup_T |P| <= sum_m |c_m|.  So when
-    S (1 + gamma) <= threshold, with S = fsum(|c_m|) and gamma a bound on the
-    rounding of the grid values, every point qualifies and the count is the
-    number of points off the runs, n^d minus their total length, with no
-    grid value computed.  Otherwise the values are computed block by block;
-    a block's count is the number of its points at most the threshold,
-    less that number over the parts of the runs in the block, which one
-    ``np.add.reduceat`` takes over the block's bool array padded by one
-    element (a run may end at the block's end).
+    The count starts from every point off the runs, n^d minus their total
+    length, and takes off the points that a bound cannot settle and whose
+    computed modulus is not at most the threshold (NaN included):
+
+    - Every trigonometric polynomial has sup_T |P| <= sum_m |c_m|.  So when
+      S (1 + gamma) <= threshold, with S = fsum(|c_m|) and gamma a bound on
+      the rounding of the grid values, every point qualifies and no grid
+      value is computed.
+    - Otherwise each first-axis row j is bounded on its own.  With the
+      tensor contracted over the first axis alone, M = T_1 @ tensor, an
+      (n, A_2 ... A_d) array, the row has sup |P(j, .)| <= B_j =
+      sum_a |M[j, a]|.  A row with B_j (1 + gamma) + gamma S <= threshold
+      is settled, and only the 8-row bands that hold an unsettled row are
+      evaluated, block by block.  A block's loss is the number of its
+      points above the threshold, less that number over the parts of the
+      runs in the block, which one ``np.add.reduceat`` takes over the
+      block's bool array padded by one element (a run may end at the
+      block's end).
+
+    Every block starts at a multiple of 8 rows and keeps the evaluator's
+    rule for a one-row last block, so its values equal those of a
+    whole-grid evaluation bit for bit (in d >= 2; d = 1 is a gemv, see
+    ``turan._grid_row_blocks``), and the count is the integer that the
+    whole grid gives.
 
     The margin is gamma = 2 (d + 1)(k + 2) eps, with eps = 2^-52 the machine
     epsilon (twice the unit roundoff h) and k the number of terms.  A
@@ -329,24 +357,54 @@ def _thinned_count(
     3/4 of gamma for every d >= 1 and k >= 1, which leaves the second-order
     terms far inside the margin.  On the criterion-9 draws, with 5 to 9
     terms, gamma is below 2e-14.  So when the test passes, every computed
-    value is at most the threshold, and the count is the integer the block
-    loop returns.
+    value is at most the threshold.
+
+    The row test covers the same roundings, split in two, for M is taken
+    in the other contraction order.  Write |t| for sum_a |t_a| over the
+    computed tensor, at most S (1 + (k/2 + 1.5) eps) to first order, and
+    take every error to first order:
+
+    - B_j, the exact sum over the exact contraction of the computed tensor
+      and tables, bounds the exact row of those inputs within the table
+      moduli, a factor 1 + 2 (d - 1) eps;
+    - the computed M is one level of A_1 <= k products, off by at most
+      (2 + 1.5 k) eps (1 + 2 eps) |t| in the sum over a; the computed B~_j
+      takes np.abs (one ulp) and sums the entries, of which at most k are
+      not exactly 0 (a zero column of the tensor gives exact zeros, and
+      adding 0 is exact), so B~_j is within (1 + k/2) eps of its sum;
+    - a computed grid value is off its exact value by at most
+      (2 d + 1.5 d k) eps |t|, the d levels above, and the final np.abs adds
+      one ulp.
+
+    So every computed |P(j, .)| is at most B~_j (1 + (2 d + k/2) eps) +
+    (2 (d + 1) + 1.5 (d + 1) k) eps S, and the test's three roundings (the
+    product, gamma S, the sum) raise the threshold by at most 2 eps of it.
+    gamma exceeds both coefficients by at least (0.5 (d + 1) k + 2 (d + 1))
+    eps, which covers those 2 eps and the second-order terms.  When the test
+    passes, every value the row would have computed is at most the
+    threshold, and every point of the row off the runs counts.  Both bounds
+    take every value in the normal floating-point range; terms that
+    underflow are outside them.
     """
+    free = n**d - int(np.sum(runs[:, 1] - runs[:, 0]))
     gamma = 2.0 * (d + 1) * (len(coeffs) + 2) * np.finfo(float).eps
-    if math.fsum(np.abs(coeffs)) * (1.0 + gamma) <= threshold:
-        return n**d - int(np.sum(runs[:, 1] - runs[:, 0]))
+    total = math.fsum(np.abs(coeffs))
+    if total * (1.0 + gamma) <= threshold:
+        return free
+    tensor, tables = _poly_grid_tables(indices, coeffs, n)
+    bound = np.abs(tables[0] @ tensor.reshape(len(tensor), -1)).sum(axis=1)
+    keep = ~(bound * (1.0 + gamma) + gamma * total <= threshold)
     starts, stops = np.ascontiguousarray(runs.T)
-    start = thinned = 0
-    for p_vals in _poly_grid_blocks(indices, coeffs, n, d):
-        size = p_vals.size
-        small = np.zeros(size + 1, dtype=bool)  # the pad: a run may end at the block's end
-        np.less_equal(np.abs(p_vals), threshold, out=small[:size])
-        first, last = np.searchsorted(stops, start, "right"), np.searchsorted(starts, start + size)
-        edges = np.minimum(np.maximum(runs[first:last] - start, 0), size).reshape(-1)
+    row, thinned = n ** (d - 1), free
+    for j, p_vals in _poly_grid_blocks(tensor, tables, keep):
+        start, size = j * row, p_vals.size
+        big = np.zeros(size + 1, dtype=bool)  # the pad: a run may end at the block's end
+        np.logical_not(np.abs(p_vals) <= threshold, out=big[:size])
+        first_run, last_run = np.searchsorted(stops, start, "right"), np.searchsorted(starts, start + size)
+        edges = np.minimum(np.maximum(runs[first_run:last_run] - start, 0), size).reshape(-1)
         if len(edges):
-            thinned -= int(np.add.reduceat(small.view(np.uint8), edges, dtype=np.int32)[::2].sum())
-        thinned += np.count_nonzero(small)
-        start += size
+            thinned += int(np.add.reduceat(big.view(np.uint8), edges, dtype=np.int32)[::2].sum())
+        thinned -= np.count_nonzero(big)
     return thinned
 
 
@@ -365,12 +423,20 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
     sup_T |P| <= sum_m |c_m|, a draw whose coefficient sum, raised by the
     rounding margin gamma of ``_thinned_count`` (about 1e-14), is at most
     that threshold has the whole zero set as its thinned set, and P is not
-    evaluated on the grid; otherwise it is, one block of grid rows at a
-    time, counted off the runs.  Either way the count is the same integer,
-    and no array spans the grid.  It raises
-    AssertionError on an origin missing from the in-set indices, on
-    |fhat(0)|^2 > |Phat(0)|^2, and on a chain that fails once all four
-    events fire.
+    evaluated on the grid.  Otherwise each first-axis row is bounded by the
+    moduli of the tensor contracted over the first axis alone, and P is
+    evaluated only on the 8-row bands that hold a row whose bound exceeds
+    the threshold, one block of rows at a time, counted off the runs.
+    Either way the count is the integer a whole-grid evaluation gives, and
+    no array spans the grid.
+
+    When the remainder is small and the zero set large, Chebyshev's
+    inequality leaves at least ``_CHEBYSHEV_FLOOR`` - grid_tol = 1/2 -
+    grid_tol - 1/4 of the grid in the thinned set, and the chain's factor
+    assumes ``_TILDE_FLOOR``, which equals it.  It raises AssertionError on
+    an origin missing from the in-set indices, on |fhat(0)|^2 >
+    |Phat(0)|^2, on a chain that fails once all four events fire, and on a
+    thinned fraction below that floor once those two events hold.
     """
     d = inst.dimension
     rng = trial_rng(seed, 0)
@@ -424,6 +490,12 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
         chain_holds = bool(context.fhat0_sq <= 0.0)
     if all(events.values()) and not chain_holds:
         raise AssertionError("the Turan chain bound failed although all four events fired")
+    chebyshev = events["remainder_small"] and events["zero_set_large"]
+    if chebyshev and tilde_fraction < _CHEBYSHEV_FLOOR - grid_tol:
+        raise AssertionError(
+            f"the thinned zero set holds {tilde_fraction:.6f} of the grid, below the Chebyshev floor "
+            f"{_CHEBYSHEV_FLOOR} - {grid_tol:.6f}"
+        )
 
     return PipelineTrace(
         seed=seed,
@@ -453,9 +525,17 @@ def pipeline_trace(inst: AnnihilationInstance, seed: int, context: PipelineConte
 # ---------------------------------------------------------------------------
 
 
-def _sigma_grid(sigma: EuclideanSet, per_axis: int) -> np.ndarray:
+def check_modulation_grid(per_axis: int, d: int) -> None:
+    """Reject a modulation grid of ``translated_sweep`` with per_axis < 1, or
+    whose per_axis^d points of y pass ``GRID_POINT_BUDGET``; only the size is
+    computed."""
     if per_axis < 1:
         raise ValueError("per_axis must be >= 1")
+    if per_axis**d > GRID_POINT_BUDGET:
+        raise ValueError(f"y grid {per_axis}^{d} exceeds the budget of {GRID_POINT_BUDGET} modulation points")
+
+
+def _sigma_grid(sigma: EuclideanSet, per_axis: int) -> np.ndarray:
     lo, hi = sigma.bounding_box()
     axes = [
         lo[i] + (np.arange(per_axis) + 0.5) * (hi[i] - lo[i]) / per_axis
@@ -480,11 +560,13 @@ def translated_sweep(
     Sigma - y, so the per-draw chain bounds |fhat(y)|^2; up to
     _SWEEP_ATTEMPTS lattice draws are tried until all four events fire.  The
     aggregation compares the resulting bound field with |fhat(y)|^2, the
-    context's |f_y hat(0)|^2, and integrates both over Sigma.  The dimension
-    and the grid are checked before the modulation grid is built.
+    context's |f_y hat(0)|^2, and integrates both over Sigma.  The dimension,
+    the grid and the size of the modulation grid (``check_modulation_grid``)
+    are checked before the modulation grid is built.
     """
     d = inst.dimension
     check_grid(pipeline_grid_size(d) if grid_n is None else grid_n, d)
+    check_modulation_grid(per_axis, d)
     ys = _sigma_grid(inst.freq_set, per_axis)
     sigma_measure = lebesgue_measure(inst.freq_set, seed=seed).value
     rows = []

@@ -208,11 +208,13 @@ def _load_pipeline(config: RunConfig):
 
 
 def _load_sweep(config: RunConfig) -> annihilation.AnnihilationInstance:
-    """The instance, checked as each of the sweep's contexts checks it first:
-    the dimension and the grid, then the source, which no modulation changes."""
+    """The instance, checked as the sweep checks it first: the dimension, the
+    grid and the size of the y grid, then the source, which no modulation
+    changes."""
     inst = _load_instance(config)
     grid = config.options.get("grid", annihilation.pipeline_grid_size(inst.dimension))
     periodization.check_grid(grid, inst.dimension)
+    annihilation.check_modulation_grid(config.options["ygrid"], inst.dimension)
     annihilation.pipeline_source_setup(inst)
     return inst
 

@@ -258,10 +258,11 @@ def _coefficient_tensor(freqs: np.ndarray, coefs: np.ndarray) -> tuple[list, np.
     return values, tensor
 
 
-def _grid_row_blocks(tensor: np.ndarray, tables: list, rows: int):
-    """Yield sum_a c_a prod_i T_i[j_i, a_i] over the product grid in blocks
-    of about ``rows`` first-axis samples j_1, each flattened in C order, so
-    that the blocks concatenate to the whole grid.
+def _grid_row_blocks(tensor: np.ndarray, tables: list, rows: int, keep: np.ndarray | None = None):
+    """Yield (j, values): sum_a c_a prod_i T_i[j_i, a_i] over the product
+    grid in blocks of about ``rows`` first-axis samples from j_1 = j on, each
+    flattened in C order.  Without ``keep`` the blocks concatenate to the
+    whole grid.
 
     ``tensor`` holds the coefficients over the distinct frequencies A_i of
     each axis, and ``tables[i]`` is the (N_i, A_i) table of exp(2 i pi t a)
@@ -270,6 +271,12 @@ def _grid_row_blocks(tensor: np.ndarray, tables: list, rows: int):
     first, into an (A_1, N_2 ... N_d) matrix, and each block is one
     (rows, A_1) @ (A_1, N_2 ... N_d) product.  The cost is about
     A_1 N_1 ... N_d, and a block holds rows N_2 ... N_d values.
+
+    ``keep``, a bool per first-axis sample, names the rows to evaluate.  The
+    first axis is cut into bands of 8 rows, a one-row last band joined to
+    the band before it; the bands that hold a kept row are evaluated, and
+    consecutive ones merge into one run of blocks.  So every block starts at
+    a multiple of 8, and a block ends at a multiple of 8 or at N_1.
 
     A last block of one row joins the block before it, since numpy hands a
     one-row product to gemv or dot, not gemm.  With ``rows`` a multiple of
@@ -286,14 +293,21 @@ def _grid_row_blocks(tensor: np.ndarray, tables: list, rows: int):
     first = tables[0]
     tail = tail.reshape(first.shape[1], later)
     n = first.shape[0]
-    for start in range(0, max(n - 1, 1), rows):
-        stop = start + rows if start + rows < n - 1 else n
-        yield (first[start:stop] @ tail).reshape(-1)
+    bands = [(0, n)]
+    if keep is not None:
+        cuts = np.append(np.arange(0, max(n - 1, 1), 8), n)
+        hit = np.logical_or.reduceat(keep, cuts[:-1])
+        edges = np.flatnonzero(np.diff(hit, prepend=False, append=False))
+        bands = zip(cuts[edges[::2]].tolist(), cuts[edges[1::2]].tolist())
+    for lo, hi in bands:
+        for start in range(lo, max(hi - 1, lo + 1), rows):
+            stop = start + rows if start + rows < hi - 1 else hi
+            yield start, (first[start:stop] @ tail).reshape(-1)
 
 
 def _product_grid_values(tensor: np.ndarray, tables: list) -> np.ndarray:
     """The whole product grid of ``_grid_row_blocks`` as its one block."""
-    (values,) = _grid_row_blocks(tensor, tables, len(tables[0]))
+    ((_, values),) = _grid_row_blocks(tensor, tables, len(tables[0]))
     return values
 
 

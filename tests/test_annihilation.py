@@ -15,8 +15,10 @@ from ulat.annihilation import (
     AnnihilationInstance,
     _GRID_BLOCK_POINTS,
     _poly_grid_blocks,
+    _poly_grid_tables,
     _thinned_count,
     build_pipeline_context,
+    check_modulation_grid,
     disc_ring,
     disc_ring_experiment,
     observed_ratio,
@@ -30,7 +32,7 @@ from ulat.geometry import AxisBox, Ball, EuclideanSet, cover_measure_upper
 from ulat.lattice import estimate_order, sample_lattice
 from ulat.mc import mean_stderr, trial_rng
 from ulat.periodization import GRID_POINT_BUDGET, Periodization
-from ulat.turan import _coefficient_tensor, _grid_row_blocks, _product_grid_values
+from ulat.turan import _grid_row_blocks, _product_grid_values
 
 from test_lattice import loop_axis_hits
 from test_periodization import loop_support_mask
@@ -389,6 +391,23 @@ class TestPipeline:
         trace = pipeline_trace(wide, 1, context=build_pipeline_context(wide, grid_n=32))
         assert not trace.events["order_small"] and not trace.chain_holds
 
+    def test_thinned_set_below_the_chebyshev_floor_is_an_assertion(self, monkeypatch):
+        # With the remainder small and the zero set large, Chebyshev leaves
+        # at least 1/4 - grid_tol of the grid in the thinned set (grid_tol
+        # = 2d/n = 1/8 at 32^2).  A count at that floor passes, and one
+        # point fewer raises, though the chain itself holds.
+        inst = eighth_box_instance()
+        ctx = build_pipeline_context(inst, grid_n=32)
+        trace = pipeline_trace(inst, 0, context=ctx)
+        assert trace.events["remainder_small"] and trace.events["zero_set_large"]
+        assert trace.tilde_fraction >= 0.5
+        floor = (32**2) // 8
+        monkeypatch.setattr(annihilation, "_thinned_count", lambda *args: floor)
+        assert pipeline_trace(inst, 0, context=ctx).chain_holds
+        monkeypatch.setattr(annihilation, "_thinned_count", lambda *args: floor - 1)
+        with pytest.raises(AssertionError, match=r"holds 0\.124023 of the grid, below the Chebyshev floor"):
+            pipeline_trace(inst, 0, context=ctx)
+
     def test_zero_coefficient_failure_is_an_assertion(self):
         inst = eighth_box_instance()
         ctx = build_pipeline_context(inst, grid_n=32)
@@ -427,7 +446,8 @@ class TestPipeline:
         # Criterion-9 draws at 512^2: the raster mask and the per-axis P give
         # the same fractions as the shift-by-shift mask and the direct sum,
         # on draws that the coefficient bound settles and on draws whose P
-        # is evaluated on the grid.
+        # is evaluated on the grid.  There, every row with a point off the
+        # mask above the threshold lies in an evaluated band.
         evaluated = spy_grid_blocks(monkeypatch)
         inst = eighth_box_instance()
         ctx = build_pipeline_context(inst)
@@ -444,6 +464,9 @@ class TestPipeline:
             p_vals = loop_poly_on_grid(trace.indices, trace.p_coefficients, 512, 2)
             assert trace.zero_fraction == 1.0 - float(np.mean(mask))
             assert trace.tilde_fraction == float(np.mean(~mask & (np.abs(p_vals) <= threshold)))
+            above = (~mask & (np.abs(p_vals) > threshold + 1e-12)).reshape(512, 512).any(axis=1)
+            assert evaluated or not above.any()
+            assert all(band_rows(bands, 512)[above].all() for bands in evaluated)
         assert 0 < len(settled) < 20, settled
 
     @pytest.mark.parametrize("n,limit_mb", [(512, 1.5), (1024, 3.0)])
@@ -451,7 +474,9 @@ class TestPipeline:
         # The grid polynomial comes in row blocks, so a trace holds the bool
         # mask and one block; P and |P| over the whole grid peaked at
         # 7.08 MB at 512^2 and 28.3 MB at 1024^2.  The coefficient bound
-        # does not settle seed 1, so its P is evaluated on the grid.
+        # does not settle seed 1, so its P is evaluated on the grid, but
+        # only on the bands of rows near t_1 = 0 (mod 1) that the row bound
+        # leaves: under a quarter of the rows.
         evaluated = spy_grid_blocks(monkeypatch)
         inst = eighth_box_instance()
         ctx = build_pipeline_context(inst, grid_n=n)
@@ -463,7 +488,9 @@ class TestPipeline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert evaluated == [n]
+        ((first, *_, last),) = evaluated
+        assert first[0] == 0 and last[1] == n
+        assert 0 < int(np.sum(band_rows(evaluated[0], n))) < n // 4
         assert peak <= limit_mb * 1e6
 
 
@@ -489,16 +516,38 @@ class TestPipeline:
 
 
 def spy_grid_blocks(monkeypatch) -> list:
-    """The grid sizes n of the ``_poly_grid_blocks`` calls made from now on."""
+    """The first-axis row bands [lo, hi) that each ``_poly_grid_blocks`` call
+    made from now on evaluates, one list per call, with consecutive blocks
+    merged into one band."""
     calls = []
     real = annihilation._poly_grid_blocks
 
-    def spy(indices, coeffs, n, d):
-        calls.append(n)
-        return real(indices, coeffs, n, d)
+    def spy(tensor, tables, keep=None):
+        bands = []
+        calls.append(bands)
+        row = math.prod(len(table) for table in tables[1:])
+
+        def blocks():
+            for j, values in real(tensor, tables, keep):
+                stop = j + len(values) // row
+                if bands and bands[-1][1] == j:
+                    bands[-1] = (bands[-1][0], stop)
+                else:
+                    bands.append((j, stop))
+                yield j, values
+
+        return blocks()
 
     monkeypatch.setattr(annihilation, "_poly_grid_blocks", spy)
     return calls
+
+
+def band_rows(bands, n: int) -> np.ndarray:
+    """The first-axis rows that the row bands [lo, hi) cover, as a bool per row."""
+    rows = np.zeros(n, dtype=bool)
+    for lo, hi in bands:
+        rows[lo:hi] = True
+    return rows
 
 
 def loop_poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
@@ -516,15 +565,7 @@ def loop_poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
 def poly_on_grid(indices, coeffs, n: int, d: int) -> np.ndarray:
     """The pipeline's grid polynomial over the whole grid: its row blocks,
     concatenated."""
-    return np.concatenate(list(_poly_grid_blocks(indices, coeffs, n, d)))
-
-
-def root_tables(indices, coeffs, n: int):
-    """The coefficient tensor of the residues mod n and the whole (n, A_i)
-    root tables, as the pipeline builds them."""
-    values, tensor = _coefficient_tensor(np.mod(indices, n), coeffs)
-    j = np.arange(n)
-    return tensor, [np.exp((2j * math.pi / n) * ((a[:, None] * j) % n)).T for a in values]
+    return np.concatenate([values for _, values in _poly_grid_blocks(*_poly_grid_tables(indices, coeffs, n))])
 
 
 def root_table_loop(indices, coeffs, n: int, d: int) -> np.ndarray:
@@ -543,14 +584,15 @@ def root_table_loop(indices, coeffs, n: int, d: int) -> np.ndarray:
 
 
 @st.composite
-def grid_polynomials(draw, max_n: int = 40):
-    """(d, n, indices, coefficients) with |m| up to 3n + 2 and repeated rows."""
+def grid_polynomials(draw, max_n: int = 40, sizes=None, part=st.floats(-1.0, 1.0)):
+    """(d, n, indices, coefficients) with |m| up to 3n + 2 and repeated rows;
+    n is drawn from ``sizes``, or from 1 to ``max_n``, and each real and
+    imaginary part from ``part``."""
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(1, max_n) if sizes is None else sizes)
     m = st.integers(-3 * n - 2, 3 * n + 2)
     rows = draw(st.lists(st.tuples(*[m] * d), min_size=1, max_size=12))
     rows += draw(st.lists(st.sampled_from(rows), max_size=4))
-    part = st.floats(-1.0, 1.0)
     coeffs = [complex(draw(part), draw(part)) for _ in rows]
     return d, n, np.array(rows, dtype=int), np.array(coeffs)
 
@@ -558,6 +600,18 @@ def grid_polynomials(draw, max_n: int = 40):
 def rounding_margin(k: int, d: int) -> float:
     """The relative margin gamma of ``_thinned_count``'s coefficient bound."""
     return 2.0 * (d + 1) * (k + 2) * np.finfo(float).eps
+
+
+def loop_row_bounds(indices, coeffs, n: int) -> np.ndarray:
+    """Reference: B_j = sum over the residues a' of the later axes of
+    |sum_m c_m exp(2 i pi m_1 j / n)| over the terms m with residues a', a
+    bound on |P| over first-axis row j."""
+    t = np.arange(n) / n
+    rows = {}
+    for m, c in zip(np.mod(indices, n), coeffs):
+        key = tuple(m[1:])
+        rows[key] = rows.get(key, 0) + c * np.exp(2j * math.pi * m[0] * t)
+    return np.sum(np.abs(list(rows.values())), axis=0)
 
 
 def counted(mask, values, threshold) -> int:
@@ -603,6 +657,52 @@ class TestThinnedCount:
         loop = loop_poly_on_grid(indices, coeffs, n, d)
         assert counted(mask, loop, threshold - 1e-12) <= got <= counted(mask, loop, threshold + 1e-12)
 
+    @given(
+        grid_polynomials(
+            sizes=st.sampled_from([7, 9]) | st.integers(1, 40),
+            part=st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 2.0**-500),
+        ),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_row_bound_equals_the_block_count_property(self, case, mask_seed, place, small_blocks):
+        # Thresholds between min_j B_j and S, the row bounds' least value
+        # and the coefficient bound: below max_j B_j some rows settle and
+        # some do not, above it every row settles though S does not.  The
+        # count equals the whole grid's exactly; the evaluated bands start
+        # at multiples of 8 rows, end at one or at n, hold every row with a
+        # point above the threshold, and hold no band of 8 rows whose
+        # bounds all settle.  n = 7 is one band, and at n = 9 the last row
+        # joins the first band.  The parts of the coefficients are 0 or of
+        # normal size: the rounding margins do not cover underflow.
+        d, n, indices, coeffs = case
+        rng = np.random.default_rng(mask_seed)
+        mask = rng.random(n**d) < rng.random()
+        total = math.fsum(np.abs(coeffs))
+        gamma = rounding_margin(len(coeffs), d)
+        bounds = loop_row_bounds(indices, coeffs, n)
+        threshold = bounds.min() + place * (total - bounds.min())
+        with pytest.MonkeyPatch.context() as patch:
+            if small_blocks:
+                patch.setattr(annihilation, "_GRID_BLOCK_POINTS", 1)
+            evaluated = spy_grid_blocks(patch)
+            got = _thinned_count(mask_runs(mask, n), indices, coeffs, n, d, threshold)
+        assert got == counted(mask, poly_on_grid(indices, coeffs, n, d), threshold)
+        loop = loop_poly_on_grid(indices, coeffs, n, d)
+        assert counted(mask, loop, threshold - 1e-12) <= got <= counted(mask, loop, threshold + 1e-12)
+        above = (np.abs(loop) > threshold + 1e-12).reshape(n, -1).any(axis=1)
+        cuts = np.append(np.arange(0, max(n - 1, 1), 8), n)
+        for bands in evaluated:
+            rows = band_rows(bands, n)
+            assert rows[above].all()
+            assert all(lo in cuts and hi in cuts for lo, hi in bands)
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                unsettled = bounds[lo:hi] * (1.0 + gamma) + gamma * total > threshold * (1.0 - 1e-9)
+                assert not rows[lo:hi].any() or unsettled.any()
+        assert evaluated or not above.any()
+
     @pytest.mark.parametrize("d,n", [(1, 64), (2, 40), (2, 512), (3, 16)])
     def test_bound_reached_at_the_origin(self, monkeypatch, d, n):
         # Positive real coefficients: P(0) = sum c_m = S, the maximum, is a
@@ -625,6 +725,7 @@ class TestThinnedCount:
             threshold = total * (1.0 + sign * gamma)
             got = _thinned_count(mask_runs(mask, n), indices, coeffs, n, d, threshold)
             assert (not evaluated) == settles
+            assert settles or evaluated[0][0][0] == 0  # the origin's row is evaluated
             assert got == counted(mask, loop, threshold)
         assert got <= n**d - np.count_nonzero(mask) - 1
 
@@ -641,7 +742,7 @@ class TestThinnedCount:
         assert _thinned_count(runs, indices, coeffs, n, d, size * (1.0 + gamma)) == n**d
         assert evaluated == []
         assert _thinned_count(runs, indices, coeffs, n, d, size * (1.0 - gamma)) == 0
-        assert evaluated == [n]
+        assert evaluated == [[(0, n)]]
 
     @pytest.mark.parametrize("d,n", [(1, 40), (2, 16), (3, 10)])
     def test_runs_ending_at_row_ends_and_block_boundaries(self, monkeypatch, d, n):
@@ -666,7 +767,11 @@ class TestThinnedCount:
         evaluated = spy_grid_blocks(monkeypatch)
         for threshold in np.quantile(np.abs(values), [0.2, 0.5, 0.9]):
             assert _thinned_count(runs, indices, coeffs, n, d, threshold) == counted(mask, values, threshold)
-        assert evaluated == [n] * 3
+        # The two lower thresholds settle no band of 8 rows; at the 0.9
+        # quantile in d = 1 the row bound, there |P| itself, settles the two
+        # bands of points 8 to 23.
+        assert evaluated[:2] == [[(0, n)]] * 2
+        assert evaluated[2] == ([(0, 8), (24, 40)] if d == 1 else [(0, n)])
 
 
 class TestPolyOnGrid:
@@ -725,13 +830,38 @@ class TestPolyOnGrid:
         # these grids stay below the size at which OpenBLAS splits a gemv
         # between threads (turan._grid_row_blocks).
         d, n, indices, coeffs = case
-        tensor, tables = root_tables(indices, coeffs, n)
-        blocks = list(_grid_row_blocks(tensor, tables, rows))
+        tensor, tables = _poly_grid_tables(indices, coeffs, n)
+        starts, blocks = zip(*_grid_row_blocks(tensor, tables, rows))
         row = n ** (d - 1)
+        assert starts == tuple(range(0, rows * len(blocks), rows))
         assert [len(b) for b in blocks[:-1]] == [rows * row] * (len(blocks) - 1)
         assert len(blocks[-1]) >= min(n, 2) * row
         got = np.concatenate(blocks)
         assert got.tobytes() == _product_grid_values(tensor, tables).tobytes()
+
+    @given(grid_polynomials(max_n=70), st.sampled_from([8, 16, 24, 32]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_kept_rows_equal_the_whole_grid_bit_for_bit(self, case, rows, keep_seed):
+        # Any set of kept rows: the blocks evaluate exactly the 8-row bands
+        # that hold a kept row (a one-row last band joined to the one
+        # before), each block at most rows + 1 rows and none a lone row
+        # unless n = 1, and each equals its rows of the whole grid bit for
+        # bit.
+        d, n, indices, coeffs = case
+        tensor, tables = _poly_grid_tables(indices, coeffs, n)
+        rng = np.random.default_rng(keep_seed)
+        keep = rng.random(n) < rng.random() ** 2
+        whole = _product_grid_values(tensor, tables).reshape(n, -1)
+        done = np.zeros(n, dtype=int)
+        for j, values in _grid_row_blocks(tensor, tables, rows, keep):
+            block = values.reshape(-1, whole.shape[1])
+            assert j % 8 == 0 and min(n, 2) <= len(block) <= rows + 1
+            assert block.tobytes() == whole[j : j + len(block)].tobytes()
+            done[j : j + len(block)] += 1
+        assert done.max(initial=0) <= 1
+        cuts = np.append(np.arange(0, max(n - 1, 1), 8), n)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            assert set(done[lo:hi]) == {int(keep[lo:hi].any())}
 
     @pytest.mark.parametrize(
         "d,n,blocks", [(1, 512, 1), (2, 128, 1), (2, 177, 2), (2, 200, 3), (2, 512, 16), (3, 40, 5), (3, 64, 8)]
@@ -743,10 +873,10 @@ class TestPolyOnGrid:
         indices = rng.integers(-3 * n, 3 * n + 1, size=(40, d))
         indices[1] = indices[0] + n  # an alias of row 0
         coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
-        got = list(_poly_grid_blocks(indices, coeffs, n, d))
+        got = [values for _, values in _poly_grid_blocks(*_poly_grid_tables(indices, coeffs, n))]
         assert len(got) == blocks
         assert max(len(b) for b in got) <= max(_GRID_BLOCK_POINTS, 8 * n ** (d - 1)) + n ** (d - 1)
-        want = _product_grid_values(*root_tables(indices, coeffs, n))
+        want = _product_grid_values(*_poly_grid_tables(indices, coeffs, n))
         assert np.concatenate(got).tobytes() == want.tobytes()
 
 
@@ -765,6 +895,23 @@ class TestTranslatedSweep:
         try:
             with pytest.raises(ValueError, match="grid must be an integer >= 1|exceeds the budget"):
                 translated_sweep(inst, per_axis=1000, grid_n=grid_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_y_grid_past_the_budget_rejected_before_allocating(self):
+        # 10^6 points per axis is 10^12 values of y in d = 2, for which
+        # _sigma_grid asked numpy for 7.28 TiB.  The size alone is checked,
+        # so the largest y grid within the budget passes the check.
+        inst = eighth_box_instance()
+        side = math.isqrt(GRID_POINT_BUDGET)
+        check_modulation_grid(side, 2)
+        tracemalloc.start()
+        try:
+            for per_axis in (side + 1, 10**6):
+                with pytest.raises(ValueError, match=f"y grid {per_axis}\\^2 exceeds the budget"):
+                    translated_sweep(inst, per_axis=per_axis, grid_n=32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

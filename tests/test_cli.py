@@ -375,6 +375,34 @@ class TestPipelineCommands:
         assert "precondition violated: ygrid must be >= 1" in err
 
 
+class TestSweepBudget:
+    def argv(self, doc_dir, ygrid: int) -> list[str]:
+        return instance_argv("sweep", doc_dir) + ["--ygrid", str(ygrid), "--grid", "32"]
+
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_y_grid_past_the_budget_exits_2_before_allocating(self, capsys, doc_dir, dry):
+        # 10^6 y per axis: the real run ended in numpy's _ArrayMemoryError
+        # traceback with exit 1 (under a 1.5 GB address-space limit), while
+        # the dry run exited 0.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, self.argv(doc_dir, 10**6) + dry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == (
+            f"precondition violated: y grid 1000000^2 exceeds the budget of {GRID_POINT_BUDGET} "
+            "modulation points\n"
+        )
+        assert peak < 1 << 20
+
+    def test_y_grid_budget_boundary(self, capsys, doc_dir):
+        side = math.isqrt(GRID_POINT_BUDGET)
+        assert run_cli(capsys, self.argv(doc_dir, side) + ["--dry-run"])[0] == EXIT_OK
+        assert run_cli(capsys, self.argv(doc_dir, side + 1) + ["--dry-run"])[0] == EXIT_PRECONDITION
+
+
 class TestPipelineExitCodes:
     def argv(self, doc_dir, command="pipeline"):
         return [command, "--function", str(doc_dir / "fbox.json"),
@@ -411,6 +439,20 @@ class TestPipelineExitCodes:
         code, out, err = run_cli(capsys, argv + dry)
         assert (code, out) == (EXIT_PRECONDITION, "")
         assert len(err.splitlines()) == 1 and "source support measure 1.000000 exceeds" in err
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    def test_thinned_set_below_the_chebyshev_floor_is_an_assertion(
+        self, capsys, doc_dir, monkeypatch, command
+    ):
+        # The first draw of this instance has a small remainder and a large
+        # zero set, so an empty thinned set is below the floor 1/4 - 1/8.
+        monkeypatch.setattr(annihilation, "_thinned_count", lambda *args: 0)
+        code, out, err = run_cli(capsys, self.argv(doc_dir, command))
+        assert (code, out) == (EXIT_ASSERTION, "")
+        assert err == (
+            "assertion failed: the thinned zero set holds 0.000000 of the grid, "
+            "below the Chebyshev floor 0.25 - 0.125000\n"
+        )
 
     def test_raised_assertion_maps_to_exit_3(self, capsys, doc_dir, monkeypatch):
         def broken(*args, **kwargs):
