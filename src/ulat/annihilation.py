@@ -400,8 +400,8 @@ def _thinned_count(
         start, size = j * row, p_vals.size
         big = np.zeros(size + 1, dtype=bool)  # the pad: a run may end at the block's end
         np.logical_not(np.abs(p_vals) <= threshold, out=big[:size])
-        first_run, last_run = np.searchsorted(stops, start, "right"), np.searchsorted(starts, start + size)
-        edges = np.minimum(np.maximum(runs[first_run:last_run] - start, 0), size).reshape(-1)
+        first, last = np.searchsorted(stops, start, "right"), np.searchsorted(starts, start + size)
+        edges = np.minimum(np.maximum(runs[first:last] - start, 0), size).reshape(-1)
         if len(edges):
             thinned += int(np.add.reduceat(big.view(np.uint8), edges, dtype=np.int32)[::2].sum())
         thinned -= np.count_nonzero(big)

@@ -26,8 +26,9 @@ them in blocks of ``_CAMPAIGN_BLOCK``, which bounds the memory of one call;
 its rows equal those of ``turan_check`` instance by instance, bit for bit.
 The pipeline's grid polynomial in ``annihilation`` passes its exact
 n-th-root tables to the same contraction, ``_grid_row_blocks``, in blocks of
-first-axis rows, so that no n^d array of values exists; a box here is one
-block (``_product_grid_values``).  ``TrigPolynomial.evaluate`` is the
+first-axis rows and only on the 8-row bands that hold the rows it asks for,
+so that no n^d array of values exists; a box here is one block
+(``_product_grid_values``).  ``TrigPolynomial.evaluate`` is the
 evaluator at scattered points.
 """
 

@@ -488,9 +488,9 @@ class TestPipeline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        ((first, *_, last),) = evaluated
-        assert first[0] == 0 and last[1] == n
-        assert 0 < int(np.sum(band_rows(evaluated[0], n))) < n // 4
+        (bands,) = evaluated
+        assert bands[0][0] == 0 and bands[-1][1] == n
+        assert 0 < int(np.sum(band_rows(bands, n))) < n // 4
         assert peak <= limit_mb * 1e6
 
 
